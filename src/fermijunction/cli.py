@@ -18,7 +18,13 @@ import sys
 
 from .liouvillian import SteadyStateError, solve_ness
 from .metrology import QfiStepError, RankChangeError, qfi_spectral
-from .observables import discord, coherence, concurrence, linear_entropy
+from .observables import (
+    DiscordOptimizationError,
+    coherence,
+    concurrence,
+    discord,
+    linear_entropy,
+)
 from .sweep import (
     ConfigError,
     emit,
@@ -50,17 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--threads", type=int, default=1, help="concurrent grid-point evaluations"
     )
-    p_sweep.add_argument(
-        "--seed", type=int, default=None,
-        help="jitter seed for the discord optimizer's coarse grid",
-    )
 
     p_point = sub.add_parser("point", help="evaluate one parameter point")
     p_point.add_argument("config", help="YAML configuration (system/baths sections)")
-    p_point.add_argument(
-        "--seed", type=int, default=None,
-        help="jitter seed for the discord optimizer's coarse grid",
-    )
 
     sub.add_parser("verify", help="run the analytic-limit verification suite")
     return parser
@@ -69,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     spec = sweep_spec_from_config(cfg)
-    result = run_sweep(spec, threads=max(1, args.threads), seed=args.seed)
+    result = run_sweep(spec, threads=max(1, args.threads))
     payload = emit(result, fmt=args.format)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -111,15 +109,18 @@ def _cmd_point(args: argparse.Namespace) -> int:
     out.append(f"  coherence |rho23| = {coherence(rho):.12g}")
     out.append(f"  residual = {result.residual:.3e}")
     out.append("correlations")
-    d = discord(rho, seed=args.seed)
     out.append(
         f"  linear_entropy={linear_entropy(rho):.12g} "
         f"concurrence={concurrence(rho):.12g}"
     )
-    out.append(
-        f"  qmi={d.qmi:.12g} classical={d.classical_corr:.12g} "
-        f"discord={d.discord:.12g}"
-    )
+    try:
+        d = discord(rho)
+        out.append(
+            f"  qmi={d.qmi:.12g} classical={d.classical_corr:.12g} "
+            f"discord={d.discord:.12g}"
+        )
+    except DiscordOptimizationError as err:
+        out.append(f"  discord unavailable: {err}")
     out.append("metrology")
     try:
         q = qfi_spectral(params, baths)
@@ -127,7 +128,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
             f"  qfi_total={q.f_total:.12g} f_e={q.f_e:.12g} "
             f"f_n={q.f_n:.12g} (step {q.step:.3e})"
         )
-    except (QfiStepError, RankChangeError) as err:
+    except (QfiStepError, RankChangeError, SteadyStateError) as err:
         out.append(f"  qfi unavailable: {err}")
     rep = transport_report(result, params, baths)
     out.append("transport")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .model import EigenBasis
 
@@ -47,6 +47,8 @@ _X_ALLOWED = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
 _PERM = np.array([0, 2, 1, 3])
 
 _EIG_FLOOR = -1e-9  # most negative eigenvalue accepted as roundoff
+_X_TOL = 1e-10  # largest off-pattern entry still treated as an X state
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,12 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """Outcome of the one-sided measurement optimization on subsystem B."""
+    """Outcome of the one-sided measurement optimization on subsystem B.
+
+    theta and phi give the Bloch direction of the best measurement.  For
+    an X state the azimuth is a gauge, so theta lies in [0, pi/2] and phi
+    is 0.
+    """
 
     classical_corr: float
     discord: float
@@ -107,7 +114,7 @@ def x_form_deviation(rho: np.ndarray) -> float:
     return dev
 
 
-def spectral_decompose(rho: np.ndarray, xtol: float = 1e-10) -> SpectralDecomp:
+def spectral_decompose(rho: np.ndarray, xtol: float = _X_TOL) -> SpectralDecomp:
     """Eigenvalues and mixing angles of an X state.
 
     The singly occupied block diagonalizes as
@@ -233,38 +240,92 @@ def _conditional_entropy(t: np.ndarray, theta: float, phi: float) -> float:
     return total
 
 
-def discord(
-    rho: np.ndarray,
-    grid: int = 40,
-    seed: int | None = None,
-    refine_tol: float = 1e-9,
-) -> DiscordResult:
-    """Classical correlation and quantum discord via one-sided measurement.
+def _raise_if_polish_failed(result, best_val: float) -> None:
+    """A refinement that did not converge is an error unless the grid
+    best it started from already stands."""
+    if not result.success and result.fun > best_val + 1e-12:
+        raise DiscordOptimizationError(
+            f"measurement optimizer did not converge: {result.message}; "
+            f"grid best {best_val:.12f}",
+            best_value=min(best_val, float(result.fun)),
+        )
 
-    The classical correlation is S(A) minus the smallest average
-    conditional entropy over projective measurements on B; the discord is
-    the mutual information minus that.  A coarse grid over the Bloch
-    sphere (optionally jittered by ``seed``) localizes the minimum, then
-    a Nelder-Mead refinement polishes it.
+
+def _x_conditional_entropy(theta: float, diag: tuple[float, ...], coh2: float) -> float:
+    """Average post-measurement entropy of A for an X state measured on B
+    along polar angle theta (any azimuth).
+
+    ``diag`` holds (rho11, rho22, rho33, rho44) and ``coh2`` is |rho23|^2.
+    With x = cos(theta), outcome weight u = (1 + x)/2 leaves A in the 2x2
+    state w00 = u rho11 + (1-u) rho33, w11 = u rho22 + (1-u) rho44,
+    |w01|^2 = u (1-u) |rho23|^2; the other outcome swaps u and 1-u.
     """
-    t = rho[np.ix_(_PERM, _PERM)].reshape(2, 2, 2, 2)
-    rho_a, rho_b = reduced_states(rho)
-    s_a = _entropy_bits(rho_a)
-    qmi = s_a + _entropy_bits(rho_b) - _entropy_bits(rho)
+    r11, r22, r33, r44 = diag
+    x = math.cos(theta)
+    total = 0.0
+    for u in (0.5 * (1.0 + x), 0.5 * (1.0 - x)):
+        w00 = u * r11 + (1.0 - u) * r33
+        w11 = u * r22 + (1.0 - u) * r44
+        w01_sq = u * (1.0 - u) * coh2
+        p = w00 + w11
+        if p <= 1e-15:
+            continue
+        # w/p has eigenvalues 1 - q and q <= 1/2; taking q from the
+        # determinant keeps it accurate when it is small
+        big = 0.5 * (p + math.sqrt((w00 - w11) ** 2 + 4.0 * w01_sq))
+        q = (w00 * w11 - w01_sq) / (big * p)
+        if q < _EIG_FLOOR:
+            raise ValueError(f"conditional state has eigenvalue {q:.3e}; not a state")
+        if q > 0.0:
+            total -= p * (q * math.log2(q) + (1.0 - q) * math.log1p(-q) / _LN2)
+    return total
 
+
+def _x_state_search(
+    rho: np.ndarray, grid: int, refine_tol: float
+) -> tuple[float, float, float]:
+    """Smallest conditional entropy of an X state and its (theta, phi).
+
+    The conditional entropy does not depend on the azimuth and is the
+    same at theta and pi - theta, so a grid over theta in [0, pi/2]
+    (endpoints included) locates the minimum and a bounded scalar search
+    polishes the best cell; interior optima occur for X states and are
+    kept.  Searching theta rather than cos(theta) keeps the polish
+    resolved near theta = 0.
+    """
+    diag = tuple(float(v) for v in rho.diagonal().real)
+    coh2 = abs(rho[1, 2]) ** 2
+    thetas = [0.5 * math.pi * i / grid for i in range(grid + 1)]
+    vals = [_x_conditional_entropy(theta, diag, coh2) for theta in thetas]
+    k = vals.index(min(vals))
+    best_val, best_theta = vals[k], thetas[k]
+    result = minimize_scalar(
+        _x_conditional_entropy,
+        bounds=(thetas[max(k - 1, 0)], thetas[min(k + 1, grid)]),
+        args=(diag, coh2),
+        method="bounded",
+        options={"xatol": refine_tol},
+    )
+    _raise_if_polish_failed(result, best_val)
+    if result.fun < best_val:
+        best_val, best_theta = float(result.fun), float(result.x)
+    return best_val, best_theta, 0.0
+
+
+def _bloch_sphere_search(
+    rho: np.ndarray, grid: int, refine_tol: float
+) -> tuple[float, float, float]:
+    """Smallest conditional entropy of a general state and its (theta, phi):
+    a coarse grid over the Bloch sphere, then a Nelder-Mead refinement."""
+    t = rho[np.ix_(_PERM, _PERM)].reshape(2, 2, 2, 2)
     d_theta = math.pi / grid
     d_phi = 2.0 * math.pi / grid
-    off_theta = 0.5
-    off_phi = 0.5
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        off_theta, off_phi = rng.uniform(0.05, 0.95, size=2)
     best_val = math.inf
     best_angles = (0.0, 0.0)
     for i in range(grid + 1):
-        theta = min((i + off_theta) * d_theta, math.pi)
+        theta = min((i + 0.5) * d_theta, math.pi)
         for j in range(grid):
-            phi = (j + off_phi) * d_phi
+            phi = (j + 0.5) * d_phi
             val = _conditional_entropy(t, theta, phi)
             if val < best_val:
                 best_val = val
@@ -276,20 +337,43 @@ def discord(
         method="Nelder-Mead",
         options={"xatol": refine_tol, "fatol": refine_tol * 1e-3, "maxiter": 400},
     )
-    if not result.success and result.fun > best_val + 1e-12:
-        raise DiscordOptimizationError(
-            f"measurement optimizer did not converge: {result.message}; "
-            f"grid best {best_val:.12f}",
-            best_value=min(best_val, float(result.fun)),
-        )
-    cond = min(best_val, float(result.fun))
+    _raise_if_polish_failed(result, best_val)
+    if result.fun <= best_val:
+        return float(result.fun), float(result.x[0]), float(result.x[1])
+    return best_val, best_angles[0], best_angles[1]
+
+
+def discord(
+    rho: np.ndarray,
+    grid: int = 40,
+    refine_tol: float = 1e-9,
+) -> DiscordResult:
+    """Classical correlation and quantum discord via one-sided measurement.
+
+    The classical correlation is S(A) minus the smallest average
+    conditional entropy over projective measurements on B; the discord is
+    the mutual information minus that.  The search is deterministic.  An
+    X state (``x_form_deviation`` at most 1e-10) needs only the polar
+    angle: a ``grid``-cell scan of theta over [0, pi/2] with closed-form
+    2x2 eigenvalues, polished by a bounded scalar search.
+    Any other state gets a ``grid``-by-``grid`` scan of the Bloch sphere
+    polished by Nelder-Mead.  ``refine_tol`` is the polish's angle
+    tolerance.
+    """
+    rho_a, rho_b = reduced_states(rho)
+    s_a = _entropy_bits(rho_a)
+    qmi = s_a + _entropy_bits(rho_b) - _entropy_bits(rho)
+    if x_form_deviation(rho) <= _X_TOL:
+        cond, theta, phi = _x_state_search(rho, grid, refine_tol)
+    else:
+        cond, theta, phi = _bloch_sphere_search(rho, grid, refine_tol)
     classical = s_a - cond
     return DiscordResult(
         classical_corr=classical,
         discord=qmi - classical,
         qmi=qmi,
-        theta=float(result.x[0]) if result.fun <= best_val else best_angles[0],
-        phi=float(result.x[1]) if result.fun <= best_val else best_angles[1],
+        theta=theta,
+        phi=phi,
     )
 
 
@@ -339,11 +423,9 @@ def discord_brute_force(rho: np.ndarray, resolution: int = 400) -> DiscordResult
     )
 
 
-def correlation_report(
-    rho: np.ndarray, grid: int = 40, seed: int | None = None
-) -> CorrelationReport:
+def correlation_report(rho: np.ndarray, grid: int = 40) -> CorrelationReport:
     """All correlation scalars for one state, discord included."""
-    d = discord(rho, grid=grid, seed=seed)
+    d = discord(rho, grid=grid)
     return CorrelationReport(
         coherence=coherence(rho),
         linear_entropy=linear_entropy(rho),

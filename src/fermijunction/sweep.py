@@ -205,9 +205,7 @@ class SweepResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
 
 
-def _evaluate_point(
-    spec: SweepSpec, coords: tuple[float, ...], index: int, seed: int | None
-) -> dict[str, Any]:
+def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any]:
     row: dict[str, Any] = {ax.name: c for ax, c in zip(spec.axes, coords)}
     flags: list[str] = []
     values = spec.resolve(coords)
@@ -248,12 +246,8 @@ def _evaluate_point(
         row["concurrence"] = concurrence(rho)
         row["qmi"] = mutual_information(rho)
     if "discord" in spec.observables:
-        point_seed = None
-        if seed is not None:
-            # per-point seed independent of evaluation order
-            point_seed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
         try:
-            d = discord(rho, seed=point_seed)
+            d = discord(rho)
             row["classical_corr"] = d.classical_corr
             row["discord"] = d.discord
         except DiscordOptimizationError as err:
@@ -272,18 +266,15 @@ def _evaluate_point(
     return row
 
 
-def run_sweep(
-    spec: SweepSpec, threads: int = 1, seed: int | None = None
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every grid point; deterministic row order regardless of
-    ``threads``.  ``seed`` jitters the discord optimizer's coarse grid."""
+    ``threads``."""
     grid = spec.grid()
-    tasks = [(spec, coords, i, seed) for i, coords in enumerate(grid)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: _evaluate_point(*t), tasks))
+            rows = list(pool.map(lambda coords: _evaluate_point(spec, coords), grid))
     else:
-        rows = [_evaluate_point(*t) for t in tasks]
+        rows = [_evaluate_point(spec, coords) for coords in grid]
     return SweepResult(spec=spec, columns=spec.columns(), rows=rows)
 
 

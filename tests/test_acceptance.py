@@ -229,7 +229,7 @@ def test_criterion_8_correlation_structure():
     _, sweep = _bias_sweep_states()
     quantities = []
     for dmu, result, rep in sweep:
-        d = fj.discord(result.rho, seed=20240816)
+        d = fj.discord(result.rho)
         quantities.append((rep.epr, d.qmi, d.discord, fj.concurrence(result.rho)))
     zero_epr = min(quantities, key=lambda r: r[0])
     max_epr = max(quantities, key=lambda r: r[0])
@@ -269,7 +269,7 @@ def test_criterion_9_discord_oracle_agreement():
         bound = np.sqrt(diag[1] * diag[2])
         coh = rng.uniform(0.0, bound) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         rho[1, 2], rho[2, 1] = coh, np.conj(coh)
-        opt = fj.discord(rho, seed=int(rng.integers(1 << 31)))
+        opt = fj.discord(rho)
         ref = fj.discord_brute_force(rho, resolution=400)
         # the grid can only underestimate the classical correlation, so
         # the optimizer must reach at least the grid value (within 1e-6)
@@ -309,9 +309,9 @@ def test_criterion_10_determinism():
         axes=(fj.Axis("dmu", 0.0, 1.0, 5),),
         observables=("thermo", "correlations", "discord", "qfi"),
     )
-    serial_a = fj.emit(fj.run_sweep(spec, threads=1, seed=11))
-    serial_b = fj.emit(fj.run_sweep(spec, threads=1, seed=11))
-    threaded = fj.emit(fj.run_sweep(spec, threads=4, seed=11))
+    serial_a = fj.emit(fj.run_sweep(spec, threads=1))
+    serial_b = fj.emit(fj.run_sweep(spec, threads=1))
+    threaded = fj.emit(fj.run_sweep(spec, threads=4))
     sweep_ok = serial_a == serial_b == threaded
     elapsed = time.perf_counter() - start
     ok = verify_ok and sweep_ok

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from fermijunction import cli
 from fermijunction.cli import main
+from fermijunction.liouvillian import SteadyStateError
+from fermijunction.observables import DiscordOptimizationError
 
 GOOD_POINT = (
     "system:\n"
@@ -77,10 +80,32 @@ def test_point_solver_failure_exit_code(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_point_reports_discord_failure(point_config, monkeypatch, capsys):
+    def failing_discord(rho):
+        raise DiscordOptimizationError("no convergence", best_value=0.5)
+
+    monkeypatch.setattr(cli, "discord", failing_discord)
+    assert main(["point", point_config]) == 0
+    out = capsys.readouterr().out
+    assert "discord unavailable: no convergence" in out
+    assert "qfi_total=" in out and "entropy production" in out
+
+
+def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
+    def failing_qfi(params, baths):
+        raise SteadyStateError("stencil solve failed", residual=1.0)
+
+    monkeypatch.setattr(cli, "qfi_spectral", failing_qfi)
+    assert main(["point", point_config]) == 0
+    out = capsys.readouterr().out
+    assert "qfi unavailable: stencil solve failed" in out
+    assert "discord=" in out and "entropy production" in out
+
+
 def test_sweep_writes_deterministic_csv(sweep_config, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    assert main(["sweep", sweep_config, "--out", str(out1), "--seed", "3"]) == 0
+    assert main(["sweep", sweep_config, "--out", str(out1)]) == 0
     assert (
         main(
             [
@@ -88,8 +113,6 @@ def test_sweep_writes_deterministic_csv(sweep_config, tmp_path):
                 sweep_config,
                 "--out",
                 str(out2),
-                "--seed",
-                "3",
                 "--threads",
                 "4",
             ]

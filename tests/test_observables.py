@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermijunction import (
     BathParams,
@@ -16,6 +18,7 @@ from fermijunction import (
     discord_brute_force,
     linear_entropy,
     mutual_information,
+    observables,
     reduced_states,
     site_basis_state,
     solve_ness,
@@ -23,7 +26,12 @@ from fermijunction import (
     spectral_reconstruct,
     x_form_deviation,
 )
-from fermijunction.observables import _entropy_bits
+from fermijunction.observables import (
+    _bloch_sphere_search,
+    _conditional_entropy,
+    _entropy_bits,
+    _x_conditional_entropy,
+)
 
 
 def random_x_state(rng):
@@ -32,6 +40,30 @@ def random_x_state(rng):
     rho = np.diag(diag).astype(complex)
     bound = math.sqrt(diag[1] * diag[2])
     coh = rng.uniform(0.0, bound) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    rho[1, 2], rho[2, 1] = coh, np.conj(coh)
+    return rho
+
+
+# rho11 and rho44 may vanish; the coherence spans zero up to the PSD edge
+# |rho23|^2 = rho22 rho33
+_edge_weight = st.sampled_from([0.0, 1e-12]) | st.floats(1e-3, 1.0)
+_coherence_fraction = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def x_states(draw):
+    w = np.array(
+        [
+            draw(_edge_weight),
+            draw(st.floats(1e-3, 1.0)),
+            draw(st.floats(1e-3, 1.0)),
+            draw(_edge_weight),
+        ]
+    )
+    diag = w / w.sum()
+    rho = np.diag(diag).astype(complex)
+    mag = draw(_coherence_fraction) * math.sqrt(diag[1] * diag[2])
+    coh = mag * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
     rho[1, 2], rho[2, 1] = coh, np.conj(coh)
     return rho
 
@@ -158,7 +190,7 @@ def test_discord_zero_for_classical_state():
 def test_discord_matches_bell_diagonal_closed_form():
     for p in (0.3, 0.8):
         qmi, classical, quantum = bell_diagonal_discord(p)
-        d = discord(inner_bell_mixture(p), seed=5)
+        d = discord(inner_bell_mixture(p))
         assert d.qmi == pytest.approx(qmi, abs=1e-12)
         assert d.classical_corr == pytest.approx(classical, abs=1e-9)
         assert d.discord == pytest.approx(quantum, abs=1e-9)
@@ -168,7 +200,7 @@ def test_discord_brute_force_agrees_with_optimizer():
     rng = np.random.default_rng(303)
     for _ in range(5):
         rho = random_x_state(rng)
-        opt = discord(rho, seed=17)
+        opt = discord(rho)
         ref = discord_brute_force(rho, resolution=250)
         # the optimizer may only improve on the finite grid
         assert opt.classical_corr >= ref.classical_corr - 1e-6
@@ -178,26 +210,79 @@ def test_discord_brute_force_agrees_with_optimizer():
 def test_discord_coherence_phase_invariance():
     rng = np.random.default_rng(304)
     rho = random_x_state(rng)
-    base = discord(rho, seed=2).discord
+    base = discord(rho).discord
     for phase in (0.7, 2.9, -1.3):
         rotated = rho.copy()
         rotated[1, 2] = abs(rho[1, 2]) * np.exp(1j * phase)
         rotated[2, 1] = np.conj(rotated[1, 2])
-        assert discord(rotated, seed=2).discord == pytest.approx(base, abs=1e-8)
+        assert discord(rotated).discord == pytest.approx(base, abs=1e-8)
 
 
-def test_discord_seed_only_jitters_the_grid():
+def test_discord_is_deterministic():
     rng = np.random.default_rng(305)
     rho = random_x_state(rng)
-    values = {round(discord(rho, seed=s).discord, 8) for s in (None, 1, 2, 3)}
-    assert len(values) == 1
+    assert discord(rho) == discord(rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x_states(),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_x_state_conditional_entropy_depends_on_polar_angle_only(rho, theta, phi):
+    t = rho[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])].reshape(2, 2, 2, 2)
+    ref = _conditional_entropy(t, theta, 0.0)
+    assert abs(_conditional_entropy(t, theta, phi) - ref) < 1e-12
+    assert abs(_conditional_entropy(t, math.pi - theta, phi) - ref) < 1e-12
+    diag = tuple(rho.diagonal().real)
+    closed = _x_conditional_entropy(theta, diag, abs(rho[1, 2]) ** 2)
+    assert abs(closed - ref) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(x_states())
+def test_x_path_reaches_the_bloch_sphere_optimum(rho):
+    d = discord(rho)
+    sphere_cond, _, _ = _bloch_sphere_search(rho, 40, 1e-9)
+    rho_a, _ = reduced_states(rho)
+    assert d.classical_corr >= _entropy_bits(rho_a) - sphere_cond - 1e-12
+    assert 0.0 <= d.theta <= math.pi / 2 and d.phi == 0.0
+
+
+def _non_x_states():
+    with_14 = np.diag([0.3, 0.2, 0.2, 0.3]).astype(complex)
+    with_14[1, 2] = with_14[2, 1] = 0.1
+    with_14[0, 3] = with_14[3, 0] = 0.15
+    with_12 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    with_12[0, 1] = 0.1j
+    with_12[1, 0] = -0.1j
+    with_12[1, 2] = with_12[2, 1] = 0.05
+    return [with_14, with_12]
+
+
+@pytest.mark.parametrize("rho", _non_x_states(), ids=["rho14", "rho12"])
+def test_non_x_state_takes_the_bloch_sphere_path(rho, monkeypatch):
+    assert min(np.linalg.eigvalsh(rho)) > 0.0
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _bloch_sphere_search(*args)
+
+    monkeypatch.setattr(observables, "_bloch_sphere_search", spy)
+    opt = discord(rho)
+    ref = discord_brute_force(rho, resolution=250)
+    assert len(calls) == 1
+    assert opt.classical_corr >= ref.classical_corr - 1e-6
+    assert abs(opt.discord - ref.discord) < 1e-4
 
 
 def test_correlation_report_fields_consistent():
     params = SystemParams()
     baths = BathParams(t1=0.1, t2=0.1, mu1=1.2, mu2=0.5)
     rho = solve_ness(params, baths).rho
-    rep = correlation_report(rho, seed=9)
+    rep = correlation_report(rho)
     assert rep.coherence == pytest.approx(coherence(rho))
     assert rep.qmi == pytest.approx(mutual_information(rho), abs=1e-12)
     assert rep.discord == pytest.approx(rep.qmi - rep.classical_corr, abs=1e-12)

@@ -155,15 +155,15 @@ def test_sweep_serial_parallel_identical():
         axes=(Axis("mu1", 0.5, 1.5, 5),),
         observables=("thermo", "correlations", "discord", "qfi"),
     )
-    serial = emit(run_sweep(spec, threads=1, seed=42))
-    parallel = emit(run_sweep(spec, threads=4, seed=42))
+    serial = emit(run_sweep(spec, threads=1))
+    parallel = emit(run_sweep(spec, threads=4))
     assert serial == parallel
 
 
 def test_sweep_repeat_identical_bytes():
     spec = small_spec(observables=("correlations", "discord"))
-    a = emit(run_sweep(spec, seed=7))
-    b = emit(run_sweep(spec, seed=7))
+    a = emit(run_sweep(spec))
+    b = emit(run_sweep(spec))
     assert a == b
 
 
