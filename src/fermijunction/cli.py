@@ -53,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--format", choices=("csv", "jsonl"), default="csv", help="output format"
     )
-    p_sweep.add_argument(
-        "--threads", type=int, default=1, help="concurrent grid-point evaluations"
-    )
 
     p_point = sub.add_parser("point", help="evaluate one parameter point")
     p_point.add_argument("config", help="YAML configuration (system/baths sections)")
@@ -67,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     spec = sweep_spec_from_config(cfg)
-    result = run_sweep(spec, threads=max(1, args.threads))
+    result = run_sweep(spec)
     payload = emit(result, fmt=args.format)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -123,7 +120,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
         out.append(f"  discord unavailable: {err}")
     out.append("metrology")
     try:
-        q = qfi_spectral(params, baths)
+        q = qfi_spectral(params, baths, center=result)
         out.append(
             f"  qfi_total={q.f_total:.12g} f_e={q.f_e:.12g} "
             f"f_n={q.f_n:.12g} (step {q.step:.3e})"

@@ -28,11 +28,21 @@ approximation would drop; S_l sources the steady-state coherence between
 the singly occupied states.  The per-bath generator piece retained for
 currents is D_l = -(N_l + S_l), which is the part of d rho/dt owned by
 reservoir l.
+
+Every bracket is affine in the one occupation it carries, so the
+generator is a fixed linear combination of constant 16x16 matrices,
+
+    L = omega'_1 U_1 + omega'_2 U_2 + sum_{l,k} c_{lk} M_k,
+
+with U_a the commutator with mode a's number operator and M_k (k < 8)
+the value at zero occupation and the occupation slope of the two
+thermal brackets and the two cross-bracket lines.  Both sets are built
+once at import; a generator build only computes the 2x8 coefficients
+c_{lk} (rates x angular weights x occupations) and one matrix product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +57,6 @@ __all__ = [
     "mode_operators",
     "hamiltonian",
     "number_operator",
-    "build_dissipators",
     "build_liouvillian",
     "steady_state",
     "steady_state_svd",
@@ -89,15 +98,6 @@ def hamiltonian(basis: EigenBasis) -> np.ndarray:
 def number_operator() -> np.ndarray:
     """Total particle number zeta1_dag zeta1 + zeta2_dag zeta2."""
     return np.diag([0.0, 1.0, 1.0, 2.0])
-
-
-class DissipatorParts(NamedTuple):
-    """The four dissipator superoperators: thermal and mode-mixing, per bath."""
-
-    n1: np.ndarray
-    n2: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
 
 
 class SteadyStateError(RuntimeError):
@@ -174,34 +174,50 @@ def _cross_bracket(occ1: float, occ2: float) -> tuple[np.ndarray, np.ndarray]:
     return line1, line2
 
 
-def build_dissipators(
+def _affine_pair(bracket) -> tuple[np.ndarray, np.ndarray]:
+    """(value at occupation 0, slope in the occupation) of an affine bracket."""
+    at_zero = bracket(0.0)
+    return at_zero, bracket(1.0) - at_zero
+
+
+# Rows: thermal bracket of mode 1, of mode 2, cross line 1, cross line 2,
+# each as (value at zero occupation, slope).
+_BATH_STACK = np.stack(
+    [
+        *_affine_pair(lambda n: _thermal_bracket(_Z1, n)),
+        *_affine_pair(lambda n: _thermal_bracket(_Z2, n)),
+        *_affine_pair(lambda n: _cross_bracket(n, 0.0)[0]),
+        *_affine_pair(lambda n: _cross_bracket(0.0, n)[1]),
+    ]
+).reshape(8, DIM**4)
+
+# i (rho h_a - h_a rho) for the mode number operators h_1, h_2.
+_UNITARY_1, _UNITARY_2 = (
+    1j * (_sup(np.eye(DIM), h) - _sup(h, np.eye(DIM)))
+    for h in (_Z1D @ _Z1, _Z2D @ _Z2)
+)
+
+
+def _bath_coefficients(
     basis: EigenBasis, baths: BathParams, params: SystemParams
-) -> DissipatorParts:
-    """Assemble the four dissipator superoperators (N1, N2, S1, S2).
+) -> np.ndarray:
+    """Weights c_{lk} of the rows of _BATH_STACK in D_l = -(N_l + S_l).
 
     N_l thermalizes each dressed mode against reservoir l with the
     angular weights (1 +- cos theta)/2; S_l holds the nonsecular
-    cross-mode terms, weighted by (+-1/2) Gamma sin theta.  All four
-    enter the equation of motion with a minus sign (see module
-    docstring).
+    cross-mode terms, weighted by (+-1/2) Gamma sin theta.
     """
     ct, st = basis.cos_theta, basis.sin_theta
-    temps = ((baths.t1, baths.mu1), (baths.t2, baths.mu2))
-    n_parts = []
-    s_parts = []
-    for l, (t, mu) in enumerate(temps, start=1):
+    rows = []
+    for sign, t, mu in ((-1.0, baths.t1, baths.mu1), (1.0, baths.t2, baths.mu2)):
         occ1 = fermi_occupation(basis.omega_p1, t, mu)
         occ2 = fermi_occupation(basis.omega_p2, t, mu)
-        sign = -1.0 if l == 1 else 1.0  # (-1)^l
-        weight_m1 = 0.5 * (1.0 + sign * ct)
-        weight_m2 = 0.5 * (1.0 - sign * ct)
-        n_l = params.gamma1 * weight_m1 * _thermal_bracket(_Z1, occ1)
-        n_l = n_l + params.gamma2 * weight_m2 * _thermal_bracket(_Z2, occ2)
-        line1, line2 = _cross_bracket(occ1, occ2)
-        s_l = -sign * 0.5 * st * (params.gamma1 * line1 + params.gamma2 * line2)
-        n_parts.append(n_l)
-        s_parts.append(s_l)
-    return DissipatorParts(n_parts[0], n_parts[1], s_parts[0], s_parts[1])
+        n1 = params.gamma1 * 0.5 * (1.0 + sign * ct)
+        n2 = params.gamma2 * 0.5 * (1.0 - sign * ct)
+        s1 = -sign * 0.5 * st * params.gamma1
+        s2 = -sign * 0.5 * st * params.gamma2
+        rows.append((n1, n1 * occ1, n2, n2 * occ2, s1, s1 * occ1, s2, s2 * occ2))
+    return -np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -225,18 +241,16 @@ def build_liouvillian(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> Liouvillian:
     """Build the full generator d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
-    h = hamiltonian(basis)
-    eye = np.eye(DIM)
-    unitary = 1j * (_sup(eye, h) - _sup(h, eye))  # i (rho H - H rho)
-    parts = build_dissipators(basis, baths, params)
-    bath1 = -(parts.n1 + parts.s1).astype(complex)
-    bath2 = -(parts.n2 + parts.s2).astype(complex)
+    unitary = basis.omega_p1 * _UNITARY_1 + basis.omega_p2 * _UNITARY_2
+    bath1, bath2 = (
+        _bath_coefficients(basis, baths, params) @ _BATH_STACK
+    ).reshape(2, DIM * DIM, DIM * DIM).astype(complex)
     return Liouvillian(
         matrix=unitary + bath1 + bath2,
         unitary=unitary,
         bath1=bath1,
         bath2=bath2,
-        hamiltonian=h,
+        hamiltonian=hamiltonian(basis),
         basis=basis,
     )
 
@@ -245,10 +259,13 @@ def _unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(DIM, DIM, order="F")
 
 
-def _finalize(rho: np.ndarray, lv: Liouvillian, residual_tol: float) -> np.ndarray:
+def _finalize(
+    rho: np.ndarray, lv: Liouvillian, residual_tol: float
+) -> tuple[np.ndarray, float]:
+    """Hermitize and normalize rho, check it; return it with its residual."""
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    residual = np.linalg.norm(lv.matrix @ rho.flatten(order="F"))
+    residual = float(np.linalg.norm(lv.matrix @ rho.flatten(order="F")))
     if not residual < residual_tol:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}",
@@ -259,7 +276,7 @@ def _finalize(rho: np.ndarray, lv: Liouvillian, residual_tol: float) -> np.ndarr
         raise SteadyStateError(
             f"steady state not positive semidefinite: min eigenvalue {eigs.min():.3e}"
         )
-    return rho
+    return rho, residual
 
 
 def _null_space_dimension(matrix: np.ndarray) -> int:
@@ -267,14 +284,17 @@ def _null_space_dimension(matrix: np.ndarray) -> int:
     return int(np.sum(svals < 1e-10 * svals[0]))
 
 
-def steady_state(lv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
+def steady_state(
+    lv: Liouvillian, residual_tol: float = 1e-10, *, with_residual: bool = False
+):
     """Unique stationary density matrix of the generator.
 
     Replaces the first row of L with the trace constraint and solves the
     square system; fast enough for dense sweeps.  Raises
     DegenerateNullSpaceError when the stationary state is not unique
     (e.g. both couplings zero) and SteadyStateError when the solve does
-    not meet the residual tolerance.
+    not meet the residual tolerance.  With ``with_residual`` the result
+    is the pair (rho, ||L vec(rho)||).
     """
     a = lv.matrix.copy()
     a[0, :] = _TRACE_ROW
@@ -287,14 +307,14 @@ def steady_state(lv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
         if dim > 1:
             raise DegenerateNullSpaceError(dim) from None
         raise SteadyStateError("steady-state linear solve is singular") from None
-    rho = _unvec(v)
     try:
-        return _finalize(rho, lv, residual_tol)
+        rho, residual = _finalize(_unvec(v), lv, residual_tol)
     except SteadyStateError as err:
         dim = _null_space_dimension(lv.matrix)
         if dim > 1:
             raise DegenerateNullSpaceError(dim) from None
         raise err
+    return (rho, residual) if with_residual else rho
 
 
 def steady_state_svd(lv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
@@ -308,7 +328,7 @@ def steady_state_svd(lv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise SteadyStateError("null vector is traceless; no valid state found")
-    return _finalize(rho / tr, lv, residual_tol)
+    return _finalize(rho / tr, lv, residual_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -325,8 +345,7 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    rho = steady_state(lv)
-    residual = float(np.linalg.norm(lv.matrix @ rho.flatten(order="F")))
+    rho, residual = steady_state(lv, with_residual=True)
     return NessResult(rho=rho, liouvillian=lv, basis=basis, residual=residual)
 
 

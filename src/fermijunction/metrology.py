@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .liouvillian import solve_ness
+from .liouvillian import NessResult, solve_ness
 from .model import BathParams, SystemParams, fermi_occupation
 from .observables import SpectralDecomp, spectral_decompose
 
@@ -66,7 +66,11 @@ def _decompose_at(params: SystemParams, baths: BathParams, delta: float) -> Spec
 
 
 def qfi_spectral(
-    params: SystemParams, baths: BathParams, h: float | None = None
+    params: SystemParams,
+    baths: BathParams,
+    h: float | None = None,
+    *,
+    center: NessResult | None = None,
 ) -> QfiReport:
     """QFI for estimating the tunneling amplitude, from spectral data.
 
@@ -78,12 +82,17 @@ def qfi_spectral(
     with central differences.  Eigenvalues below 1e-12 whose derivative
     is also negligible are dropped; a sizable derivative at a vanishing
     eigenvalue raises RankChangeError.  The phase track is unwrapped
-    across the stencil before differencing.
+    across the stencil before differencing.  ``center``, if given, must be
+    ``solve_ness(params, baths)``; its state is then reused instead of
+    solving at delta again.
     """
     if h is None:
         h = default_step(params.delta)
     lo = _decompose_at(params, baths, params.delta - h)
-    mid = _decompose_at(params, baths, params.delta)
+    if center is None:
+        mid = _decompose_at(params, baths, params.delta)
+    else:
+        mid = spectral_decompose(center.rho)
     hi = _decompose_at(params, baths, params.delta + h)
 
     p_lo = np.array([lo.p1, lo.p2, lo.p3, lo.p4])

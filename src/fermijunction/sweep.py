@@ -12,14 +12,13 @@ Offsets (dT, dmu) resolve after all direct assignments, so e.g. axes
 (mu2, dmu) sweep both the common level and the bias.  Grid points are
 evaluated row-major (first axis outer); rows of failed points carry the
 error cause in the ``flags`` column instead of being dropped.  Output is
-deterministic byte-for-byte, including under concurrent evaluation.
+deterministic byte-for-byte.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -205,22 +204,21 @@ class SweepResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
 
 
+def _model_params(values: dict[str, float]) -> tuple[SystemParams, BathParams]:
+    """Validated model parameters from a map holding every BASE_PARAMS name."""
+    return (
+        SystemParams(**{k: values[k] for k in _SYSTEM_KEYS}),
+        BathParams(**{k: values[k] for k in _BATH_KEYS}),
+    )
+
+
 def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any]:
     row: dict[str, Any] = {ax.name: c for ax, c in zip(spec.axes, coords)}
     flags: list[str] = []
     values = spec.resolve(coords)
     row.update(values)
     try:
-        params = SystemParams(
-            omega1=values["omega1"],
-            omega2=values["omega2"],
-            delta=values["delta"],
-            gamma1=values["gamma1"],
-            gamma2=values["gamma2"],
-        )
-        baths = BathParams(
-            t1=values["t1"], t2=values["t2"], mu1=values["mu1"], mu2=values["mu2"]
-        )
+        params, baths = _model_params(values)
     except ValueError as err:
         row["flags"] = f"params:{err}"
         return row
@@ -254,7 +252,7 @@ def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any
             flags.append(f"discord:{err}")
     if "qfi" in spec.observables:
         try:
-            qreport = qfi_spectral(params, baths, h=spec.qfi_step)
+            qreport = qfi_spectral(params, baths, h=spec.qfi_step, center=result)
             row["qfi_total"] = qreport.f_total
             row["qfi_fe"] = qreport.f_e
             row["qfi_fn"] = qreport.f_n
@@ -266,15 +264,9 @@ def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any
     return row
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Evaluate every grid point; deterministic row order regardless of
-    ``threads``."""
-    grid = spec.grid()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda coords: _evaluate_point(spec, coords), grid))
-    else:
-        rows = [_evaluate_point(spec, coords) for coords in grid]
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate every grid point in row-major order."""
+    rows = [_evaluate_point(spec, coords) for coords in spec.grid()]
     return SweepResult(spec=spec, columns=spec.columns(), rows=rows)
 
 
@@ -407,16 +399,6 @@ def point_from_config(cfg: dict) -> tuple[SystemParams, BathParams]:
     if missing:
         raise ConfigError(f"point run needs parameters {sorted(missing)}")
     try:
-        params = SystemParams(
-            omega1=fixed["omega1"],
-            omega2=fixed["omega2"],
-            delta=fixed["delta"],
-            gamma1=fixed["gamma1"],
-            gamma2=fixed["gamma2"],
-        )
-        baths = BathParams(
-            t1=fixed["t1"], t2=fixed["t2"], mu1=fixed["mu1"], mu2=fixed["mu2"]
-        )
+        return _model_params(fixed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return params, baths

@@ -92,7 +92,7 @@ def test_point_reports_discord_failure(point_config, monkeypatch, capsys):
 
 
 def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
-    def failing_qfi(params, baths):
+    def failing_qfi(params, baths, center=None):
         raise SteadyStateError("stencil solve failed", residual=1.0)
 
     monkeypatch.setattr(cli, "qfi_spectral", failing_qfi)
@@ -106,19 +106,7 @@ def test_sweep_writes_deterministic_csv(sweep_config, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert main(["sweep", sweep_config, "--out", str(out1)]) == 0
-    assert (
-        main(
-            [
-                "sweep",
-                sweep_config,
-                "--out",
-                str(out2),
-                "--threads",
-                "4",
-            ]
-        )
-        == 0
-    )
+    assert main(["sweep", sweep_config, "--out", str(out2)]) == 0
     data = out1.read_bytes()
     assert data == out2.read_bytes()
     header = data.decode().splitlines()[0]

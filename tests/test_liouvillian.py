@@ -1,6 +1,8 @@
 """Generator construction and steady-state solving."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermijunction import (
     BathParams,
@@ -17,7 +19,7 @@ from fermijunction import (
     steady_state,
     steady_state_svd,
 )
-from fermijunction.liouvillian import DIM
+from fermijunction.liouvillian import _TRACE_ROW, DIM
 
 
 def vec(rho):
@@ -199,3 +201,95 @@ def test_decoupled_sites_thermalize_to_own_reservoirs():
         [(1 - n1) * (1 - n2), n1 * (1 - n2), n2 * (1 - n1), n1 * n2]
     )
     np.testing.assert_allclose(result.rho, expected, atol=1e-13)
+
+
+def _kron_sup(a, b):
+    """rho -> a rho b under column stacking."""
+    return np.kron(b.T, a)
+
+
+def _kron_bracket(terms):
+    """sum coef (A rho B + h.c.), one np.kron per term."""
+    out = np.zeros((DIM * DIM, DIM * DIM))
+    for coef, a, b in terms:
+        out += coef * _kron_sup(a, b)
+        out += coef * _kron_sup(b.conj().T, a.conj().T)
+    return out
+
+
+def kron_reference_generator(params, baths):
+    """(matrix, bath1, bath2) assembled term by term from the mode operators."""
+    z1, z2, z1d, z2d = mode_operators()
+    eye = np.eye(DIM)
+    basis = diagonalize(params)
+    h = np.diag([0.0, basis.omega_p1, basis.omega_p2, basis.omega_p1 + basis.omega_p2])
+    unitary = 1j * (_kron_sup(eye, h) - _kron_sup(h, eye))
+
+    def thermal(z, zd, n):
+        return _kron_bracket(
+            [(1 - n, zd @ z, eye), (n - 1, z, zd), (n, z @ zd, eye), (-n, zd, z)]
+        )
+
+    ct, s_t = basis.cos_theta, basis.sin_theta
+    pieces = []
+    for sign, t, mu in ((-1.0, baths.t1, baths.mu1), (1.0, baths.t2, baths.mu2)):
+        n1 = fermi_occupation(basis.omega_p1, t, mu)
+        n2 = fermi_occupation(basis.omega_p2, t, mu)
+        thermalize = params.gamma1 * 0.5 * (1 + sign * ct) * thermal(z1, z1d, n1)
+        thermalize += params.gamma2 * 0.5 * (1 - sign * ct) * thermal(z2, z2d, n2)
+        line1 = _kron_bracket(
+            [(1 - n1, z2d @ z1, eye), (n1 - 1, z1, z2d), (n1, z2 @ z1d, eye), (-n1, z1d, z2)]
+        )
+        line2 = _kron_bracket(
+            [(1 - n2, z1d @ z2, eye), (n2 - 1, z1, z2d), (n2, z1 @ z2d, eye), (-n2, z1d, z2)]
+        )
+        cross = -sign * 0.5 * s_t * (params.gamma1 * line1 + params.gamma2 * line2)
+        pieces.append(-(thermalize + cross))
+    return unitary + pieces[0] + pieces[1], pieces[0], pieces[1]
+
+
+# vec(rho.T) = _TRANSPOSE @ vec(rho)
+_TRANSPOSE = np.eye(DIM * DIM)[[DIM * (k % DIM) + k // DIM for k in range(DIM * DIM)]]
+
+_energy = st.floats(0.5, 1.5)
+_rate = st.sampled_from([0.0]) | st.floats(1e-4, 0.05)
+
+
+@st.composite
+def generator_points(draw):
+    omega1 = draw(_energy)
+    params = SystemParams(
+        omega1=omega1,
+        omega2=draw(st.just(omega1) | _energy),
+        delta=draw(st.sampled_from([0.0]) | st.floats(-0.2, 0.2)),
+        gamma1=draw(_rate),
+        gamma2=draw(_rate),
+    )
+    baths = BathParams(
+        t1=draw(st.floats(0.05, 1.0)),
+        t2=draw(st.floats(0.05, 1.0)),
+        mu1=draw(st.floats(0.0, 2.0)),
+        mu2=draw(st.floats(0.0, 2.0)),
+    )
+    return params, baths
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_points())
+@example(
+    (
+        SystemParams(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.003, gamma2=0.0),
+        BathParams(t1=0.1, t2=0.7, mu1=1.2, mu2=0.3),
+    )
+)
+def test_generator_matches_kron_reference(point):
+    params, baths = point
+    lv = build_liouvillian(diagonalize(params), baths, params)
+    ref_matrix, ref_bath1, ref_bath2 = kron_reference_generator(params, baths)
+    tol = 1e-14 * np.abs(ref_matrix).max()
+    for got, ref in ((lv.matrix, ref_matrix), (lv.bath1, ref_bath1), (lv.bath2, ref_bath2)):
+        assert np.abs(got - ref).max() <= tol
+    for bath in (lv.bath1, lv.bath2):
+        # trace preserving, and B[rho^dag] = B[rho]^dag
+        assert np.abs(_TRACE_ROW @ bath).max() <= tol
+        assert np.abs(bath.conj() - _TRANSPOSE @ bath @ _TRANSPOSE).max() <= tol

@@ -14,6 +14,7 @@ from fermijunction import (
     qfi_equilibrium_approx,
     qfi_fidelity_oracle,
     qfi_spectral,
+    solve_ness,
 )
 from fermijunction.observables import SpectralDecomp
 
@@ -101,6 +102,15 @@ def test_qfi_explicit_step_consistent_with_default():
     assert pinned.f_total == pytest.approx(auto.f_total, rel=1e-6)
     oracle_pinned = qfi_fidelity_oracle(params, baths, h=1e-3)
     assert oracle_pinned == pytest.approx(auto.f_total, rel=1e-3)
+
+
+def test_qfi_center_reuse_is_identical():
+    # a detuned, unequal-rate, biased point: passing the already solved
+    # state at delta must not change a single bit of the report
+    params = SystemParams(omega1=1.0, omega2=1.1, delta=0.02, gamma1=0.001, gamma2=0.003)
+    baths = BathParams(t1=0.15, t2=0.5, mu1=0.9, mu2=0.4)
+    center = solve_ness(params, baths)
+    assert qfi_spectral(params, baths, center=center) == qfi_spectral(params, baths)
 
 
 def test_qfi_step_underflow_raises():

@@ -149,15 +149,15 @@ def test_single_point_sweep_at_equilibrium():
     assert row["epr_regime_ok"] is True
 
 
-def test_sweep_serial_parallel_identical():
+def test_sweep_all_blocks_repeat_identical():
     spec = SweepSpec(
         fixed=fixed_without("mu1"),
         axes=(Axis("mu1", 0.5, 1.5, 5),),
         observables=("thermo", "correlations", "discord", "qfi"),
     )
-    serial = emit(run_sweep(spec, threads=1))
-    parallel = emit(run_sweep(spec, threads=4))
-    assert serial == parallel
+    first = emit(run_sweep(spec))
+    second = emit(run_sweep(spec))
+    assert first == second
 
 
 def test_sweep_repeat_identical_bytes():

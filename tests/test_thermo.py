@@ -7,12 +7,14 @@ import pytest
 from fermijunction import (
     BathParams,
     SystemParams,
+    build_liouvillian,
     diagonalize,
     entropy_production_rate,
     epr_leading_order,
     epr_regime_ok,
     fermi_occupation,
     ness_leading_order,
+    number_operator,
     solve_ness,
     transport_report,
 )
@@ -20,6 +22,25 @@ from fermijunction import (
 
 def report_at(params, baths):
     return transport_report(solve_ness(params, baths), params, baths)
+
+
+def test_unitary_part_moves_no_charge():
+    # [N, H] = 0, so the commutator part of the generator carries no
+    # particle or energy current; a broken basis or sign convention would
+    rng = np.random.default_rng(506)
+    for _ in range(20):
+        params = SystemParams(
+            omega1=rng.uniform(0.5, 1.5),
+            omega2=rng.uniform(0.5, 1.5),
+            delta=rng.uniform(-0.2, 0.2),
+        )
+        lv = build_liouvillian(diagonalize(params), BathParams(), params)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        flow = (lv.unitary @ rho.flatten(order="F")).reshape(4, 4, order="F")
+        assert abs(np.trace(flow @ number_operator())) < 1e-12
+        assert abs(np.trace(flow @ lv.hamiltonian)) < 1e-12
 
 
 def test_current_signs_chemical_bias():
