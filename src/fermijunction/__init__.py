@@ -24,49 +24,37 @@ from .liouvillian import (
     build_liouvillian,
     grand_canonical_state,
     hamiltonian,
-    mode_operators,
     number_operator,
     solve_ness,
     steady_state,
-    steady_state_svd,
 )
 from .observables import (
     CorrelationReport,
     DiscordOptimizationError,
     DiscordResult,
-    SpectralDecomp,
     coherence,
     concurrence,
-    concurrence_wootters,
     correlation_report,
     discord,
     discord_brute_force,
     linear_entropy,
     mutual_information,
-    reduced_states,
     site_basis_state,
-    spectral_decompose,
-    spectral_reconstruct,
-    x_form_deviation,
 )
 from .metrology import (
     QfiReport,
     QfiStepError,
     RankChangeError,
-    default_step,
-    fidelity,
     qfi_equilibrium_approx,
     qfi_fidelity_oracle,
     qfi_spectral,
 )
 from .thermo import (
     ThermoReport,
-    energy_current,
     entropy_production_rate,
     epr_leading_order,
     epr_regime_ok,
     ness_leading_order,
-    particle_current,
     transport_report,
 )
 from .sweep import (
@@ -98,7 +86,6 @@ __all__ = [
     "QfiReport",
     "QfiStepError",
     "RankChangeError",
-    "SpectralDecomp",
     "SteadyStateError",
     "SweepResult",
     "SweepSpec",
@@ -107,43 +94,32 @@ __all__ = [
     "build_liouvillian",
     "coherence",
     "concurrence",
-    "concurrence_wootters",
     "correlation_report",
-    "default_step",
     "diagonalize",
     "discord",
     "discord_brute_force",
     "emit",
-    "energy_current",
     "entropy_production_rate",
     "epr_leading_order",
     "epr_regime_ok",
     "fermi_occupation",
-    "fidelity",
     "grand_canonical_state",
     "hamiltonian",
     "linear_entropy",
     "load_config",
-    "mode_operators",
     "mutual_information",
     "ness_leading_order",
     "number_operator",
     "occupation_moments",
-    "particle_current",
     "point_from_config",
     "qfi_equilibrium_approx",
     "qfi_fidelity_oracle",
     "qfi_spectral",
-    "reduced_states",
     "run_sweep",
     "run_verification",
     "site_basis_state",
     "solve_ness",
-    "spectral_decompose",
-    "spectral_reconstruct",
     "steady_state",
-    "steady_state_svd",
     "sweep_spec_from_config",
     "transport_report",
-    "x_form_deviation",
 ]

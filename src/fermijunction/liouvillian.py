@@ -224,13 +224,12 @@ def _bath_coefficients(
 class Liouvillian:
     """Full generator and its per-bath pieces, all 16x16 column-stacked.
 
-    matrix = unitary + bath1 + bath2 with bath_l = -(N_l + S_l); the
-    bath pieces are the per-reservoir contributions traced against
-    observables for currents.
+    matrix = unitary + bath1 + bath2 with bath_l = -(N_l + S_l) and the
+    unitary part i[rho, H]; the bath pieces are the per-reservoir
+    contributions traced against observables for currents.
     """
 
     matrix: np.ndarray
-    unitary: np.ndarray
     bath1: np.ndarray
     bath2: np.ndarray
     hamiltonian: np.ndarray
@@ -247,7 +246,6 @@ def build_liouvillian(
     ).reshape(2, DIM * DIM, DIM * DIM).astype(complex)
     return Liouvillian(
         matrix=unitary + bath1 + bath2,
-        unitary=unitary,
         bath1=bath1,
         bath2=bath2,
         hamiltonian=hamiltonian(basis),
@@ -285,16 +283,15 @@ def _null_space_dimension(matrix: np.ndarray) -> int:
 
 
 def steady_state(
-    lv: Liouvillian, residual_tol: float = 1e-10, *, with_residual: bool = False
-):
-    """Unique stationary density matrix of the generator.
+    lv: Liouvillian, residual_tol: float = 1e-10
+) -> tuple[np.ndarray, float]:
+    """Unique stationary density matrix of the generator and its residual.
 
     Replaces the first row of L with the trace constraint and solves the
-    square system; fast enough for dense sweeps.  Raises
-    DegenerateNullSpaceError when the stationary state is not unique
-    (e.g. both couplings zero) and SteadyStateError when the solve does
-    not meet the residual tolerance.  With ``with_residual`` the result
-    is the pair (rho, ||L vec(rho)||).
+    square system; fast enough for dense sweeps.  Returns the pair
+    (rho, ||L vec(rho)||).  Raises DegenerateNullSpaceError when the
+    stationary state is not unique (e.g. both couplings zero) and
+    SteadyStateError when the solve does not meet the residual tolerance.
     """
     a = lv.matrix.copy()
     a[0, :] = _TRACE_ROW
@@ -314,7 +311,7 @@ def steady_state(
         if dim > 1:
             raise DegenerateNullSpaceError(dim) from None
         raise err
-    return (rho, residual) if with_residual else rho
+    return rho, residual
 
 
 def steady_state_svd(lv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
@@ -345,7 +342,7 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    rho, residual = steady_state(lv, with_residual=True)
+    rho, residual = steady_state(lv)
     return NessResult(rho=rho, liouvillian=lv, basis=basis, residual=residual)
 
 

@@ -27,8 +27,6 @@ from .model import BathParams, EigenBasis, SystemParams, fermi_occupation, occup
 
 __all__ = [
     "ThermoReport",
-    "particle_current",
-    "energy_current",
     "entropy_production_rate",
     "transport_report",
     "ness_leading_order",
@@ -59,16 +57,6 @@ def _apply(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _charge_rate(flow: np.ndarray, charge: np.ndarray) -> float:
     return float(np.trace(flow @ charge).real)
-
-
-def particle_current(rho: np.ndarray, d_bath: np.ndarray) -> float:
-    """Particle current from one reservoir into the system."""
-    return _charge_rate(_apply(d_bath, rho), number_operator())
-
-
-def energy_current(rho: np.ndarray, d_bath: np.ndarray, h_s: np.ndarray) -> float:
-    """Energy current from one reservoir into the system."""
-    return _charge_rate(_apply(d_bath, rho), h_s)
 
 
 def entropy_production_rate(j1: float, i1: float, baths: BathParams) -> float:

@@ -4,12 +4,14 @@ Every check compares the numerics against a limit that is known in
 closed form (equilibrium Gibbs state, leading-order steady state,
 conservation laws, entropy production positivity, independent QFI
 routes, exhaustive discord search).  Output is deterministic text, one
-PASS/FAIL line per check.
+PASS/FAIL line per check.  The acceptance tests run the first five
+checks as their criteria 1-5, so each limit is coded once, here.
 """
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from typing import Callable, TextIO
 
 import numpy as np
@@ -24,7 +26,7 @@ from .observables import (
     spectral_decompose,
     spectral_reconstruct,
 )
-from .thermo import epr_leading_order, ness_leading_order, transport_report
+from .thermo import ThermoReport, epr_leading_order, ness_leading_order, transport_report
 
 __all__ = ["run_verification", "CHECKS"]
 
@@ -39,81 +41,103 @@ def _check_equilibrium_gibbs() -> tuple[bool, str]:
     )
     coh = abs(result.rho[1, 2])
     ok = diag_dev < 1e-4 and coh < 1e-8
-    return ok, f"diagonal rel dev {diag_dev:.3e}, coherence {coh:.3e}"
+    return ok, f"diagonal rel dev {diag_dev:.3e} (<1e-4), coherence {coh:.3e} (<1e-8)"
 
 
 def _check_leading_order_slope() -> tuple[bool, str]:
-    baths = BathParams(t1=0.2, t2=0.5, mu1=0.9, mu2=0.5)
-    gammas = (0.001, 0.0005, 0.00025)
+    gammas = (0.002, 0.001, 0.0005)
     devs = []
     for gamma in gammas:
         params = SystemParams(delta=0.005, gamma1=gamma, gamma2=gamma)
-        result = solve_ness(params, baths)
-        ref = ness_leading_order(result.basis, baths, params)
-        devs.append(float(np.abs(result.rho - ref).max()))
-    slope = np.polyfit(np.log([g / 0.005 for g in gammas]), np.log(devs), 1)[0]
+        worst = 0.0
+        for d_t in np.linspace(0.0, 1.0, 5):
+            for d_mu in np.linspace(0.0, 1.0, 5):
+                baths = BathParams(
+                    t1=0.2, t2=0.2 + float(d_t), mu1=0.5 + float(d_mu), mu2=0.5
+                )
+                result = solve_ness(params, baths)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # largest gamma sits at g = 0.4
+                    ref = ness_leading_order(result.basis, baths, params)
+                worst = max(worst, float(np.abs(result.rho - ref).max()))
+        devs.append(worst)
+    slope = float(np.polyfit(np.log(gammas), np.log(devs), 1)[0])
     ok = 1.7 <= slope <= 2.3
-    return ok, f"deviation slope {slope:.3f} (want 2 +- 0.3)"
+    return ok, f"deviation slope {slope:.3f} (want 2 +- 0.3) over 3 x 25 points"
+
+
+def _weak_grid_reports(delta: float) -> list[ThermoReport]:
+    """Transport on the 21 x 21 (t2, mu) grid at t1 = 0.2, gamma = 0.002."""
+    params = SystemParams(delta=delta, gamma1=0.002, gamma2=0.002)
+    reports = []
+    for t2 in np.linspace(0.2, 1.2, 21):
+        for mu in np.linspace(0.0, 2.0, 21):
+            baths = BathParams(t1=0.2, t2=float(t2), mu1=float(mu), mu2=float(mu))
+            reports.append(transport_report(solve_ness(params, baths), params, baths))
+    return reports
 
 
 def _check_conservation() -> tuple[bool, str]:
-    worst = 0.0
-    for t2 in np.linspace(0.2, 1.2, 6):
-        for mu in np.linspace(0.0, 2.0, 6):
-            params = SystemParams(delta=0.005)
-            baths = BathParams(t1=0.2, t2=float(t2), mu1=float(mu), mu2=float(mu))
-            result = solve_ness(params, baths)
-            rep = transport_report(result, params, baths)
-            worst = max(worst, abs(rep.i1 + rep.i2), abs(rep.j1 + rep.j2))
+    reports = _weak_grid_reports(0.005) + _weak_grid_reports(0.05)
+    worst = max(max(abs(r.i1 + r.i2), abs(r.j1 + r.j2)) for r in reports)
     ok = worst < 1e-10
-    return ok, f"max |I1+I2|, |J1+J2| = {worst:.3e}"
+    return ok, f"max |I1+I2|, |J1+J2| = {worst:.3e} (<1e-10) over {len(reports)} points"
 
 
 def _check_epr_positivity() -> tuple[bool, str]:
-    lowest = math.inf
-    for t2 in np.linspace(0.2, 1.2, 6):
-        for mu in np.linspace(0.0, 2.0, 6):
-            params = SystemParams(delta=0.005)
-            baths = BathParams(t1=0.2, t2=float(t2), mu1=float(mu), mu2=float(mu))
-            result = solve_ness(params, baths)
-            rep = transport_report(result, params, baths)
-            lowest = min(lowest, rep.epr)
-    rng = np.random.default_rng(20240811)
+    lowest = min(r.epr for r in _weak_grid_reports(0.005))
+    rng = np.random.default_rng(20240814)
     lead_min = math.inf
-    for _ in range(2000):
-        t1, t2 = rng.uniform(0.05, 1.0, size=2)
-        mu1, mu2 = rng.uniform(0.0, 2.0, size=2)
-        omega = rng.uniform(0.5, 2.0)
-        lead = epr_leading_order(BathParams(t1=t1, t2=t2, mu1=mu1, mu2=mu2), omega)
-        lead_min = min(lead_min, lead)
+    for _ in range(10_000):
+        baths = BathParams(
+            t1=float(rng.uniform(0.05, 1.0)),
+            t2=float(rng.uniform(0.05, 1.0)),
+            mu1=float(rng.uniform(0.0, 2.0)),
+            mu2=float(rng.uniform(0.0, 2.0)),
+        )
+        lead_min = min(lead_min, epr_leading_order(baths, float(rng.uniform(0.5, 2.0))))
     ok = lowest > -1e-10 and lead_min >= 0.0
-    return ok, f"min numeric EPR {lowest:.3e}, min leading-order EPR {lead_min:.3e}"
+    return ok, (
+        f"min numeric EPR {lowest:.3e} (>-1e-10) over 441 points, "
+        f"min leading-order EPR {lead_min:.3e} (>=0) over 10000 draws"
+    )
 
 
 def _check_qfi_cross() -> tuple[bool, str]:
-    rng = np.random.default_rng(20240812)
+    rng = np.random.default_rng(20240815)
     worst = 0.0
-    for _ in range(5):
-        delta = float(np.exp(rng.uniform(np.log(0.003), np.log(0.08))))
-        params = SystemParams(delta=delta, gamma1=rng.uniform(5e-4, 2e-3),
-                              gamma2=rng.uniform(5e-4, 2e-3))
-        t1 = rng.uniform(0.1, 0.4)
+    for _ in range(100):
+        delta = float(np.exp(rng.uniform(np.log(3e-3), np.log(0.1))))
+        gamma1, gamma2 = np.exp(rng.uniform(np.log(5e-4), np.log(5e-3), size=2))
+        t1 = float(rng.uniform(0.1, 0.5))
+        params = SystemParams(delta=delta, gamma1=float(gamma1), gamma2=float(gamma2))
         baths = BathParams(
             t1=t1,
-            t2=t1 + rng.uniform(0.0, 0.6),
-            mu1=rng.uniform(0.1, 1.4),
-            mu2=rng.uniform(0.1, 1.4),
+            t2=t1 + float(rng.uniform(0.0, 0.7)),
+            mu1=float(rng.uniform(0.1, 1.5)),
+            mu2=float(rng.uniform(0.1, 1.5)),
         )
         spectral = qfi_spectral(params, baths).f_total
         oracle = qfi_fidelity_oracle(params, baths)
-        worst = max(worst, abs(spectral - oracle) / spectral)
-    params = SystemParams(delta=0.005, gamma1=1e-4, gamma2=1e-4)
-    baths = BathParams(t1=0.2, t2=0.2, mu1=0.5, mu2=0.5)
-    approx = qfi_equilibrium_approx(params, 0.2, 0.5)
-    spectral = qfi_spectral(params, baths).f_total
-    eq_dev = abs(spectral - approx) / approx
-    ok = worst < 1e-3 and eq_dev < 0.01
-    return ok, f"max cross-route rel dev {worst:.3e}, equilibrium closed-form dev {eq_dev:.3e}"
+        worst = max(worst, abs(spectral - oracle) / abs(spectral))
+    eq_dev = 0.0
+    for t in (0.1, 0.2, 0.5):
+        for mu in (0.3, 0.5, 1.5):
+            for delta in (0.005, 0.01):
+                gamma = delta / 20.0
+                params = SystemParams(delta=delta, gamma1=gamma, gamma2=gamma)
+                baths = BathParams(t1=t, t2=t, mu1=mu, mu2=mu)
+                approx = qfi_equilibrium_approx(params, t, mu)
+                for value in (
+                    qfi_spectral(params, baths).f_total,
+                    qfi_fidelity_oracle(params, baths),
+                ):
+                    eq_dev = max(eq_dev, abs(value - approx) / approx)
+    ok = worst < 1e-3 and eq_dev < 1e-2
+    return ok, (
+        f"max cross-route rel dev {worst:.3e} (<1e-3) over 100 points, "
+        f"equilibrium closed-form dev {eq_dev:.3e} (<1e-2) over 18 points"
+    )
 
 
 def _random_x_state(rng: np.random.Generator) -> np.ndarray:

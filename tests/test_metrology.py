@@ -9,13 +9,12 @@ from fermijunction import (
     QfiStepError,
     RankChangeError,
     SystemParams,
-    default_step,
-    fidelity,
     qfi_equilibrium_approx,
     qfi_fidelity_oracle,
     qfi_spectral,
     solve_ness,
 )
+from fermijunction.metrology import default_step, fidelity
 from fermijunction.observables import SpectralDecomp
 
 

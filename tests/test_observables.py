@@ -11,7 +11,6 @@ from fermijunction import (
     SystemParams,
     coherence,
     concurrence,
-    concurrence_wootters,
     correlation_report,
     diagonalize,
     discord,
@@ -19,18 +18,19 @@ from fermijunction import (
     linear_entropy,
     mutual_information,
     observables,
-    reduced_states,
     site_basis_state,
     solve_ness,
-    spectral_decompose,
-    spectral_reconstruct,
-    x_form_deviation,
 )
 from fermijunction.observables import (
     _bloch_sphere_search,
     _conditional_entropy,
     _entropy_bits,
     _x_conditional_entropy,
+    concurrence_wootters,
+    reduced_states,
+    spectral_decompose,
+    spectral_reconstruct,
+    x_form_deviation,
 )
 
 

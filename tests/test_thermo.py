@@ -38,7 +38,8 @@ def test_unitary_part_moves_no_charge():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        flow = (lv.unitary @ rho.flatten(order="F")).reshape(4, 4, order="F")
+        unitary = lv.matrix - lv.bath1 - lv.bath2
+        flow = (unitary @ rho.flatten(order="F")).reshape(4, 4, order="F")
         assert abs(np.trace(flow @ number_operator())) < 1e-12
         assert abs(np.trace(flow @ lv.hamiltonian)) < 1e-12
 
