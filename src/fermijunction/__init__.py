@@ -64,7 +64,6 @@ from .sweep import (
     SweepSpec,
     emit,
     load_config,
-    point_from_config,
     run_sweep,
     sweep_spec_from_config,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "ness_leading_order",
     "number_operator",
     "occupation_moments",
-    "point_from_config",
     "qfi_equilibrium_approx",
     "qfi_fidelity_oracle",
     "qfi_spectral",

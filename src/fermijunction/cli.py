@@ -5,7 +5,10 @@ Subcommands:
 * ``sweep CONFIG``  run the sweep described by a YAML config and write
   CSV (default) or line-delimited JSON.
 * ``point CONFIG``  evaluate a single parameter point and print a
-  human-readable report.
+  human-readable report.  The point is a one-point sweep over every
+  observable block; the report formats its row, whose ``rho`` and
+  ``basis`` entries (not emitted by ``sweep``) give the dressed modes
+  and populations.
 * ``verify``        run the analytic-limit verification battery.
 
 Exit codes: 0 success, 1 validation/config error (or a failed
@@ -16,24 +19,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .liouvillian import SteadyStateError, solve_ness
-from .metrology import QfiStepError, RankChangeError, qfi_spectral
-from .observables import (
-    DiscordOptimizationError,
-    coherence,
-    concurrence,
-    discord,
-    linear_entropy,
-)
 from .sweep import (
     ConfigError,
+    SweepSpec,
     emit,
     load_config,
-    point_from_config,
     run_sweep,
     sweep_spec_from_config,
 )
-from .thermo import transport_report
 from .verify import run_verification
 
 __all__ = ["main"]
@@ -75,25 +68,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    params, baths = point_from_config(cfg)
-    try:
-        result = solve_ness(params, baths)
-    except SteadyStateError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
+    spec = SweepSpec(fixed=sweep_spec_from_config(load_config(args.config)).fixed)
+    row = run_sweep(spec).rows[0]
+    flags = row["flags"]
+    if flags.startswith("params:"):
+        raise ConfigError(flags.removeprefix("params:"))
+    if flags.startswith("solver:"):
+        print(f"solver failure: {flags.split(':', 2)[2]}", file=sys.stderr)
         return 2
-    rho = result.rho
-    basis = result.basis
+    # discord:<message> then qfi:<ErrorType>:<message>; a discord message may contain ';'
+    discord_flag, _, qfi_flag = (";" + flags).partition(";qfi:")
+    rho = row["rho"]
+    basis = row["basis"]
     out = []
     out.append("parameters")
     out.append(
-        f"  omega1={params.omega1:.12g} omega2={params.omega2:.12g} "
-        f"delta={params.delta:.12g} gamma1={params.gamma1:.12g} "
-        f"gamma2={params.gamma2:.12g}"
+        f"  omega1={row['omega1']:.12g} omega2={row['omega2']:.12g} "
+        f"delta={row['delta']:.12g} gamma1={row['gamma1']:.12g} "
+        f"gamma2={row['gamma2']:.12g}"
     )
     out.append(
-        f"  t1={baths.t1:.12g} t2={baths.t2:.12g} "
-        f"mu1={baths.mu1:.12g} mu2={baths.mu2:.12g}"
+        f"  t1={row['t1']:.12g} t2={row['t2']:.12g} "
+        f"mu1={row['mu1']:.12g} mu2={row['mu2']:.12g}"
     )
     out.append("dressed modes")
     out.append(
@@ -103,37 +99,35 @@ def _cmd_point(args: argparse.Namespace) -> int:
     out.append("steady state")
     diag = ", ".join(f"{rho[i, i].real:.12g}" for i in range(4))
     out.append(f"  populations: {diag}")
-    out.append(f"  coherence |rho23| = {coherence(rho):.12g}")
-    out.append(f"  residual = {result.residual:.3e}")
+    out.append(f"  coherence |rho23| = {row['coherence']:.12g}")
+    out.append(f"  residual = {row['residual']:.3e}")
     out.append("correlations")
     out.append(
-        f"  linear_entropy={linear_entropy(rho):.12g} "
-        f"concurrence={concurrence(rho):.12g}"
+        f"  linear_entropy={row['linear_entropy']:.12g} "
+        f"concurrence={row['concurrence']:.12g}"
     )
-    try:
-        d = discord(rho)
+    if "discord" in row:
         out.append(
-            f"  qmi={d.qmi:.12g} classical={d.classical_corr:.12g} "
-            f"discord={d.discord:.12g}"
+            f"  qmi={row['qmi']:.12g} classical={row['classical_corr']:.12g} "
+            f"discord={row['discord']:.12g}"
         )
-    except DiscordOptimizationError as err:
-        out.append(f"  discord unavailable: {err}")
+    else:
+        out.append(f"  discord unavailable: {discord_flag.removeprefix(';discord:')}")
     out.append("metrology")
-    try:
-        q = qfi_spectral(params, baths, center=result)
+    if "qfi_total" in row:
         out.append(
-            f"  qfi_total={q.f_total:.12g} f_e={q.f_e:.12g} "
-            f"f_n={q.f_n:.12g} (step {q.step:.3e})"
+            f"  qfi_total={row['qfi_total']:.12g} f_e={row['qfi_fe']:.12g} "
+            f"f_n={row['qfi_fn']:.12g} (step {row['qfi_step']:.3e})"
         )
-    except (QfiStepError, RankChangeError, SteadyStateError) as err:
-        out.append(f"  qfi unavailable: {err}")
-    rep = transport_report(result, params, baths)
+    else:
+        out.append(f"  qfi unavailable: {qfi_flag.partition(':')[2]}")
     out.append("transport")
     out.append(
-        f"  I1={rep.i1:.12g} I2={rep.i2:.12g} J1={rep.j1:.12g} J2={rep.j2:.12g}"
+        f"  I1={row['current_n1']:.12g} I2={row['current_n2']:.12g} "
+        f"J1={row['current_e1']:.12g} J2={row['current_e2']:.12g}"
     )
-    regime = "validated regime" if rep.epr_regime_ok else "outside validated regime"
-    out.append(f"  entropy production = {rep.epr:.12g} ({regime})")
+    regime = "validated regime" if row["epr_regime_ok"] else "outside validated regime"
+    out.append(f"  entropy production = {row['epr']:.12g} ({regime})")
     print("\n".join(out))
     return 0
 

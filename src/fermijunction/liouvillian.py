@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 DIM = 4
+_RESIDUAL_TOL = 1e-10  # largest ||L vec(rho)|| accepted from a steady-state solve
 
 # Trace functional on column-stacked 4x4 matrices (diagonal entries).
 _TRACE_ROW = np.zeros(DIM * DIM)
@@ -257,16 +258,14 @@ def _unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(DIM, DIM, order="F")
 
 
-def _finalize(
-    rho: np.ndarray, lv: Liouvillian, residual_tol: float
-) -> tuple[np.ndarray, float]:
+def _finalize(rho: np.ndarray, lv: Liouvillian) -> tuple[np.ndarray, float]:
     """Hermitize and normalize rho, check it; return it with its residual."""
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = float(np.linalg.norm(lv.matrix @ rho.flatten(order="F")))
-    if not residual < residual_tol:
+    if not residual < _RESIDUAL_TOL:
         raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}",
+            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
             residual=residual,
         )
     eigs = np.linalg.eigvalsh(rho)
@@ -282,9 +281,7 @@ def _null_space_dimension(matrix: np.ndarray) -> int:
     return int(np.sum(svals < 1e-10 * svals[0]))
 
 
-def steady_state(
-    lv: Liouvillian, residual_tol: float = 1e-10
-) -> tuple[np.ndarray, float]:
+def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float]:
     """Unique stationary density matrix of the generator and its residual.
 
     Replaces the first row of L with the trace constraint and solves the
@@ -305,7 +302,7 @@ def steady_state(
             raise DegenerateNullSpaceError(dim) from None
         raise SteadyStateError("steady-state linear solve is singular") from None
     try:
-        rho, residual = _finalize(_unvec(v), lv, residual_tol)
+        rho, residual = _finalize(_unvec(v), lv)
     except SteadyStateError as err:
         dim = _null_space_dimension(lv.matrix)
         if dim > 1:
@@ -314,7 +311,7 @@ def steady_state(
     return rho, residual
 
 
-def steady_state_svd(lv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
+def steady_state_svd(lv: Liouvillian) -> np.ndarray:
     """Stationary state via the SVD null vector; independent of the
     row-replacement path, used as the cross-check oracle."""
     _, svals, vh = np.linalg.svd(lv.matrix)
@@ -325,7 +322,7 @@ def steady_state_svd(lv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise SteadyStateError("null vector is traceless; no valid state found")
-    return _finalize(rho / tr, lv, residual_tol)[0]
+    return _finalize(rho / tr, lv)[0]
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ _PERM = np.array([0, 2, 1, 3])
 
 _EIG_FLOOR = -1e-9  # most negative eigenvalue accepted as roundoff
 _X_TOL = 1e-10  # largest off-pattern entry still treated as an X state
+_SEARCH_GRID = 40  # cells per angle in the discord search's coarse scan
+_REFINE_TOL = 1e-9  # angle tolerance of the discord search's polish
 _LN2 = math.log(2.0)
 
 
@@ -114,7 +116,7 @@ def x_form_deviation(rho: np.ndarray) -> float:
     return dev
 
 
-def spectral_decompose(rho: np.ndarray, xtol: float = _X_TOL) -> SpectralDecomp:
+def spectral_decompose(rho: np.ndarray) -> SpectralDecomp:
     """Eigenvalues and mixing angles of an X state.
 
     The singly occupied block diagonalizes as
@@ -125,7 +127,7 @@ def spectral_decompose(rho: np.ndarray, xtol: float = _X_TOL) -> SpectralDecomp:
     (phi = 0 when the coherence vanishes and the phase is undefined).
     """
     dev = x_form_deviation(rho)
-    if dev > xtol:
+    if dev > _X_TOL:
         raise ValueError(
             f"state is not X-form: off-pattern entry of magnitude {dev:.3e}"
         )
@@ -167,7 +169,7 @@ def linear_entropy(rho: np.ndarray) -> float:
     return (4.0 / 3.0) * (1.0 - purity)
 
 
-def concurrence(rho: np.ndarray, xtol: float = 1e-10) -> float:
+def concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence.
 
     X states use the closed form
@@ -177,7 +179,7 @@ def concurrence(rho: np.ndarray, xtol: float = 1e-10) -> float:
     off = max(
         abs(rho[0, 1]), abs(rho[0, 2]), abs(rho[1, 3]), abs(rho[2, 3])
     )
-    if off > xtol:
+    if off > _X_TOL:
         return concurrence_wootters(rho)
     inner = abs(rho[1, 2]) - math.sqrt(max(rho[0, 0].real, 0.0) * max(rho[3, 3].real, 0.0))
     outer = abs(rho[0, 3]) - math.sqrt(max(rho[1, 1].real, 0.0) * max(rho[2, 2].real, 0.0))
@@ -281,9 +283,7 @@ def _x_conditional_entropy(theta: float, diag: tuple[float, ...], coh2: float) -
     return total
 
 
-def _x_state_search(
-    rho: np.ndarray, grid: int, refine_tol: float
-) -> tuple[float, float, float]:
+def _x_state_search(rho: np.ndarray) -> tuple[float, float, float]:
     """Smallest conditional entropy of an X state and its (theta, phi).
 
     The conditional entropy does not depend on the azimuth and is the
@@ -295,16 +295,16 @@ def _x_state_search(
     """
     diag = tuple(float(v) for v in rho.diagonal().real)
     coh2 = abs(rho[1, 2]) ** 2
-    thetas = [0.5 * math.pi * i / grid for i in range(grid + 1)]
+    thetas = [0.5 * math.pi * i / _SEARCH_GRID for i in range(_SEARCH_GRID + 1)]
     vals = [_x_conditional_entropy(theta, diag, coh2) for theta in thetas]
     k = vals.index(min(vals))
     best_val, best_theta = vals[k], thetas[k]
     result = minimize_scalar(
         _x_conditional_entropy,
-        bounds=(thetas[max(k - 1, 0)], thetas[min(k + 1, grid)]),
+        bounds=(thetas[max(k - 1, 0)], thetas[min(k + 1, _SEARCH_GRID)]),
         args=(diag, coh2),
         method="bounded",
-        options={"xatol": refine_tol},
+        options={"xatol": _REFINE_TOL},
     )
     _raise_if_polish_failed(result, best_val)
     if result.fun < best_val:
@@ -312,19 +312,17 @@ def _x_state_search(
     return best_val, best_theta, 0.0
 
 
-def _bloch_sphere_search(
-    rho: np.ndarray, grid: int, refine_tol: float
-) -> tuple[float, float, float]:
+def _bloch_sphere_search(rho: np.ndarray) -> tuple[float, float, float]:
     """Smallest conditional entropy of a general state and its (theta, phi):
     a coarse grid over the Bloch sphere, then a Nelder-Mead refinement."""
     t = rho[np.ix_(_PERM, _PERM)].reshape(2, 2, 2, 2)
-    d_theta = math.pi / grid
-    d_phi = 2.0 * math.pi / grid
+    d_theta = math.pi / _SEARCH_GRID
+    d_phi = 2.0 * math.pi / _SEARCH_GRID
     best_val = math.inf
     best_angles = (0.0, 0.0)
-    for i in range(grid + 1):
+    for i in range(_SEARCH_GRID + 1):
         theta = min((i + 0.5) * d_theta, math.pi)
-        for j in range(grid):
+        for j in range(_SEARCH_GRID):
             phi = (j + 0.5) * d_phi
             val = _conditional_entropy(t, theta, phi)
             if val < best_val:
@@ -335,7 +333,7 @@ def _bloch_sphere_search(
         lambda x: _conditional_entropy(t, x[0], x[1]),
         x0=np.array(best_angles),
         method="Nelder-Mead",
-        options={"xatol": refine_tol, "fatol": refine_tol * 1e-3, "maxiter": 400},
+        options={"xatol": _REFINE_TOL, "fatol": _REFINE_TOL * 1e-3, "maxiter": 400},
     )
     _raise_if_polish_failed(result, best_val)
     if result.fun <= best_val:
@@ -343,30 +341,25 @@ def _bloch_sphere_search(
     return best_val, best_angles[0], best_angles[1]
 
 
-def discord(
-    rho: np.ndarray,
-    grid: int = 40,
-    refine_tol: float = 1e-9,
-) -> DiscordResult:
+def discord(rho: np.ndarray) -> DiscordResult:
     """Classical correlation and quantum discord via one-sided measurement.
 
     The classical correlation is S(A) minus the smallest average
     conditional entropy over projective measurements on B; the discord is
     the mutual information minus that.  The search is deterministic.  An
     X state (``x_form_deviation`` at most 1e-10) needs only the polar
-    angle: a ``grid``-cell scan of theta over [0, pi/2] with closed-form
+    angle: a 40-cell scan of theta over [0, pi/2] with closed-form
     2x2 eigenvalues, polished by a bounded scalar search.
-    Any other state gets a ``grid``-by-``grid`` scan of the Bloch sphere
-    polished by Nelder-Mead.  ``refine_tol`` is the polish's angle
-    tolerance.
+    Any other state gets a 40-by-40 scan of the Bloch sphere polished by
+    Nelder-Mead.  Both polishes stop at an angle tolerance of 1e-9.
     """
     rho_a, rho_b = reduced_states(rho)
     s_a = _entropy_bits(rho_a)
     qmi = s_a + _entropy_bits(rho_b) - _entropy_bits(rho)
     if x_form_deviation(rho) <= _X_TOL:
-        cond, theta, phi = _x_state_search(rho, grid, refine_tol)
+        cond, theta, phi = _x_state_search(rho)
     else:
-        cond, theta, phi = _bloch_sphere_search(rho, grid, refine_tol)
+        cond, theta, phi = _bloch_sphere_search(rho)
     classical = s_a - cond
     return DiscordResult(
         classical_corr=classical,
@@ -423,9 +416,9 @@ def discord_brute_force(rho: np.ndarray, resolution: int = 400) -> DiscordResult
     )
 
 
-def correlation_report(rho: np.ndarray, grid: int = 40) -> CorrelationReport:
+def correlation_report(rho: np.ndarray) -> CorrelationReport:
     """All correlation scalars for one state, discord included."""
-    d = discord(rho, grid=grid)
+    d = discord(rho)
     return CorrelationReport(
         coherence=coherence(rho),
         linear_entropy=linear_entropy(rho),

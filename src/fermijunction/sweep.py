@@ -12,7 +12,9 @@ Offsets (dT, dmu) resolve after all direct assignments, so e.g. axes
 (mu2, dmu) sweep both the common level and the bias.  Grid points are
 evaluated row-major (first axis outer); rows of failed points carry the
 error cause in the ``flags`` column instead of being dropped.  Output is
-deterministic byte-for-byte.
+deterministic byte-for-byte.  A solved row also holds the steady state
+``rho`` and its dressed-mode ``basis``; they are not columns, so they are
+never emitted, but the single-point report reads them.
 """
 from __future__ import annotations
 
@@ -47,7 +49,6 @@ __all__ = [
     "emit",
     "load_config",
     "sweep_spec_from_config",
-    "point_from_config",
 ]
 
 BASE_PARAMS = (
@@ -197,19 +198,12 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Rows (dict per grid point) plus the column order for emission."""
+    """Rows (dict per grid point) plus the column order for emission; a
+    solved row also holds ``rho`` and ``basis``, which are not emitted."""
 
     spec: SweepSpec
     columns: tuple[str, ...]
     rows: list[dict[str, Any]] = field(default_factory=list)
-
-
-def _model_params(values: dict[str, float]) -> tuple[SystemParams, BathParams]:
-    """Validated model parameters from a map holding every BASE_PARAMS name."""
-    return (
-        SystemParams(**{k: values[k] for k in _SYSTEM_KEYS}),
-        BathParams(**{k: values[k] for k in _BATH_KEYS}),
-    )
 
 
 def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any]:
@@ -218,7 +212,8 @@ def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any
     values = spec.resolve(coords)
     row.update(values)
     try:
-        params, baths = _model_params(values)
+        params = SystemParams(**{k: values[k] for k in _SYSTEM_KEYS})
+        baths = BathParams(**{k: values[k] for k in _BATH_KEYS})
     except ValueError as err:
         row["flags"] = f"params:{err}"
         return row
@@ -228,7 +223,8 @@ def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any
         row["flags"] = f"solver:{type(err).__name__}:{err}"
         return row
     row["residual"] = result.residual
-    rho = result.rho
+    rho = row["rho"] = result.rho
+    row["basis"] = result.basis
 
     if "thermo" in spec.observables:
         report = transport_report(result, params, baths)
@@ -341,19 +337,15 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _fixed_from_config(cfg: dict) -> dict[str, float]:
+def sweep_spec_from_config(cfg: dict) -> SweepSpec:
+    """Build a validated SweepSpec from a parsed config."""
     system = _numeric_section(
         _require_mapping(cfg.get("system", {}), "system"), _SYSTEM_KEYS, "system"
     )
     baths = _numeric_section(
         _require_mapping(cfg.get("baths", {}), "baths"), _BATH_KEYS, "baths"
     )
-    return {**system, **baths}
-
-
-def sweep_spec_from_config(cfg: dict) -> SweepSpec:
-    """Build a validated SweepSpec from a parsed config."""
-    fixed = _fixed_from_config(cfg)
+    fixed = {**system, **baths}
     sweep_cfg = _require_mapping(cfg.get("sweep", {}), "sweep")
     unknown = set(sweep_cfg) - _SWEEP_KEYS
     if unknown:
@@ -389,16 +381,3 @@ def sweep_spec_from_config(cfg: dict) -> SweepSpec:
     return SweepSpec(
         fixed=fixed, axes=tuple(axes), observables=observables, qfi_step=qfi_step
     )
-
-
-def point_from_config(cfg: dict) -> tuple[SystemParams, BathParams]:
-    """System and bath parameters for a single-point run; every parameter
-    must come from the system/baths sections (axes are not applied)."""
-    fixed = _fixed_from_config(cfg)
-    missing = set(BASE_PARAMS) - set(fixed)
-    if missing:
-        raise ConfigError(f"point run needs parameters {sorted(missing)}")
-    try:
-        return _model_params(fixed)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None

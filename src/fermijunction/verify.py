@@ -5,10 +5,13 @@ closed form (equilibrium Gibbs state, leading-order steady state,
 conservation laws, entropy production positivity, independent QFI
 routes, exhaustive discord search).  Output is deterministic text, one
 PASS/FAIL line per check.  The acceptance tests run the first five
-checks as their criteria 1-5, so each limit is coded once, here.
+checks as their criteria 1-5, so each limit is coded once, here.  The
+transport checks read their grid from ``run_sweep``, so they test the
+numbers a sweep emits.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -26,7 +29,8 @@ from .observables import (
     spectral_decompose,
     spectral_reconstruct,
 )
-from .thermo import ThermoReport, epr_leading_order, ness_leading_order, transport_report
+from .sweep import Axis, SweepSpec, run_sweep
+from .thermo import epr_leading_order, ness_leading_order
 
 __all__ = ["run_verification", "CHECKS"]
 
@@ -66,26 +70,29 @@ def _check_leading_order_slope() -> tuple[bool, str]:
     return ok, f"deviation slope {slope:.3f} (want 2 +- 0.3) over 3 x 25 points"
 
 
-def _weak_grid_reports(delta: float) -> list[ThermoReport]:
-    """Transport on the 21 x 21 (t2, mu) grid at t1 = 0.2, gamma = 0.002."""
-    params = SystemParams(delta=delta, gamma1=0.002, gamma2=0.002)
-    reports = []
-    for t2 in np.linspace(0.2, 1.2, 21):
-        for mu in np.linspace(0.0, 2.0, 21):
-            baths = BathParams(t1=0.2, t2=float(t2), mu1=float(mu), mu2=float(mu))
-            reports.append(transport_report(solve_ness(params, baths), params, baths))
-    return reports
+@functools.cache
+def _weak_grid_rows(delta: float) -> tuple[dict, ...]:
+    """Sweep rows of transport on the 21 x 21 (t2, mu) grid at t1 = 0.2,
+    gamma = 0.002; cached, so each grid is solved once per process."""
+    fixed = dict(omega1=1.0, omega2=1.0, delta=delta, gamma1=0.002, gamma2=0.002, t1=0.2)
+    spec = SweepSpec(
+        fixed=fixed,
+        axes=(Axis("t2", 0.2, 1.2, 21), Axis("mu", 0.0, 2.0, 21)),
+        observables=("thermo",),
+    )
+    return tuple(run_sweep(spec).rows)
 
 
 def _check_conservation() -> tuple[bool, str]:
-    reports = _weak_grid_reports(0.005) + _weak_grid_reports(0.05)
-    worst = max(max(abs(r.i1 + r.i2), abs(r.j1 + r.j2)) for r in reports)
+    rows = _weak_grid_rows(0.005) + _weak_grid_rows(0.05)
+    pairs = (("current_n1", "current_n2"), ("current_e1", "current_e2"))
+    worst = max(abs(r[a] + r[b]) for r in rows for a, b in pairs)
     ok = worst < 1e-10
-    return ok, f"max |I1+I2|, |J1+J2| = {worst:.3e} (<1e-10) over {len(reports)} points"
+    return ok, f"max |I1+I2|, |J1+J2| = {worst:.3e} (<1e-10) over {len(rows)} points"
 
 
 def _check_epr_positivity() -> tuple[bool, str]:
-    lowest = min(r.epr for r in _weak_grid_reports(0.005))
+    lowest = min(r["epr"] for r in _weak_grid_rows(0.005))
     rng = np.random.default_rng(20240814)
     lead_min = math.inf
     for _ in range(10_000):

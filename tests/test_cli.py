@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from fermijunction import cli
+from fermijunction import sweep, verify
 from fermijunction.cli import main
-from fermijunction.liouvillian import SteadyStateError
+from fermijunction.liouvillian import SteadyStateError, solve_ness
 from fermijunction.observables import DiscordOptimizationError
 
 GOOD_POINT = (
@@ -68,6 +68,13 @@ def test_missing_file_is_validation_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_point_invalid_parameter_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "negative.yaml"
+    path.write_text(GOOD_POINT.replace("omega1: 1.0", "omega1: -1.0"))
+    assert main(["point", str(path)]) == 1
+    assert "site energies" in capsys.readouterr().err
+
+
 def test_point_solver_failure_exit_code(tmp_path, capsys):
     # both couplings zero: the stationary state is not unique
     path = tmp_path / "uncoupled.yaml"
@@ -84,7 +91,7 @@ def test_point_reports_discord_failure(point_config, monkeypatch, capsys):
     def failing_discord(rho):
         raise DiscordOptimizationError("no convergence", best_value=0.5)
 
-    monkeypatch.setattr(cli, "discord", failing_discord)
+    monkeypatch.setattr(sweep, "discord", failing_discord)
     assert main(["point", point_config]) == 0
     out = capsys.readouterr().out
     assert "discord unavailable: no convergence" in out
@@ -92,10 +99,10 @@ def test_point_reports_discord_failure(point_config, monkeypatch, capsys):
 
 
 def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
-    def failing_qfi(params, baths, center=None):
+    def failing_qfi(params, baths, h=None, center=None):
         raise SteadyStateError("stencil solve failed", residual=1.0)
 
-    monkeypatch.setattr(cli, "qfi_spectral", failing_qfi)
+    monkeypatch.setattr(sweep, "qfi_spectral", failing_qfi)
     assert main(["point", point_config]) == 0
     out = capsys.readouterr().out
     assert "qfi unavailable: stencil solve failed" in out
@@ -137,6 +144,21 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert first == second
     assert first.count("PASS") == 7
     assert "verification passed" in first
+
+
+def test_verify_transport_checks_solve_each_grid_once(monkeypatch):
+    calls = []
+
+    def counting_solve(params, baths):
+        calls.append(params.delta)
+        return solve_ness(params, baths)
+
+    monkeypatch.setattr(sweep, "solve_ness", counting_solve)
+    verify._weak_grid_rows.cache_clear()
+    checks = dict(verify.CHECKS)
+    assert checks["current-conservation"]()[0]
+    assert checks["epr-positivity"]()[0]
+    assert len(calls) == 882  # the delta = 0.005 and 0.05 grids, 441 points each
 
 
 def test_console_entry_point_runs():

@@ -244,7 +244,7 @@ def test_x_state_conditional_entropy_depends_on_polar_angle_only(rho, theta, phi
 @given(x_states())
 def test_x_path_reaches_the_bloch_sphere_optimum(rho):
     d = discord(rho)
-    sphere_cond, _, _ = _bloch_sphere_search(rho, 40, 1e-9)
+    sphere_cond, _, _ = _bloch_sphere_search(rho)
     rho_a, _ = reduced_states(rho)
     assert d.classical_corr >= _entropy_bits(rho_a) - sphere_cond - 1e-12
     assert 0.0 <= d.theta <= math.pi / 2 and d.phi == 0.0

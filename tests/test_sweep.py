@@ -12,7 +12,6 @@ from fermijunction import (
     SweepSpec,
     emit,
     load_config,
-    point_from_config,
     run_sweep,
     sweep_spec_from_config,
 )
@@ -283,13 +282,6 @@ def test_config_rejects_unknown_structure(tmp_path):
     bad4.write_text("sweep:\n  axes:\n    - name: mu1\n      start: 0.0\n")
     with pytest.raises(ConfigError, match="missing"):
         sweep_spec_from_config(load_config(str(bad4)))
-
-
-def test_point_from_config_needs_everything(tmp_path):
-    cfg = tmp_path / "point.yaml"
-    cfg.write_text("system:\n  delta: 0.005\nbaths:\n  t1: 0.2\n")
-    with pytest.raises(ConfigError, match="point run needs"):
-        point_from_config(load_config(str(cfg)))
 
 
 def test_qfi_step_override_reaches_report():
