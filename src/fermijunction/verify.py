@@ -3,7 +3,8 @@
 Every check compares the numerics against a limit that is known in
 closed form (equilibrium Gibbs state, leading-order steady state,
 conservation laws, entropy production positivity, independent QFI
-routes, exhaustive discord search).  Output is deterministic text, one
+routes, exhaustive discord search) or that the source paper states
+(the bias response of the QFI).  Output is deterministic text, one
 PASS/FAIL line per check.  The acceptance tests run the first five
 checks as their criteria 1-5, so each limit is coded once, here.  The
 transport checks read their grid from ``run_sweep``, so they test the
@@ -188,6 +189,36 @@ def _check_spectral_roundtrip() -> tuple[bool, str]:
     return ok, f"reconstruction deviation {dev:.3e}"
 
 
+# The grid of configs/qfi_vs_epr.yaml: chemical bias at weak (delta ~
+# gamma) and strong (delta >> gamma) tunneling.
+PAPER_CLAIMS_SPEC = SweepSpec(
+    fixed=dict(omega1=1.0, omega2=1.0, gamma1=0.002, gamma2=0.002, t1=0.2, t2=0.2, mu2=0.5),
+    axes=(Axis("dmu", 0.0, 8.0, 17), Axis("delta", 0.005, 0.05, 2)),
+    observables=("qfi", "thermo"),
+)
+
+
+def _check_paper_claims() -> tuple[bool, str]:
+    """Weak tunneling: QFI does not decrease as the bias raises the EPR.
+    Strong tunneling: QFI peaks inside the bias window and ends below
+    its equilibrium value."""
+    rows = run_sweep(PAPER_CLAIMS_SPEC).rows
+    weak, strong = ([r for r in rows if r["delta"] == d] for d in (0.005, 0.05))
+    rising = all(
+        b[col] >= a[col] - 1e-9 * abs(a[col])
+        for col in ("epr", "qfi_total")
+        for a, b in zip(weak, weak[1:])
+    )
+    q = [r["qfi_total"] for r in strong]
+    k = q.index(max(q))
+    ok = rising and 0 < k < len(q) - 1 and q[-1] < q[0]
+    return ok, (
+        f"delta=0.005 QFI {weak[0]['qfi_total']:.4g} -> {weak[-1]['qfi_total']:.4g} "
+        f"nondecreasing with EPR (1e-9 rel): {rising}; delta=0.05 QFI {q[0]:.4g} -> peak "
+        f"{q[k]:.4g} at dmu={strong[k]['dmu']:g} -> {q[-1]:.4g} over {len(rows)} points"
+    )
+
+
 CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("equilibrium-gibbs", _check_equilibrium_gibbs),
     ("leading-order-slope", _check_leading_order_slope),
@@ -196,6 +227,7 @@ CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("qfi-cross-routes", _check_qfi_cross),
     ("discord-oracle", _check_discord_oracle),
     ("spectral-roundtrip", _check_spectral_roundtrip),
+    ("paper-claims", _check_paper_claims),
 )
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from fermijunction import sweep, verify
 from fermijunction.cli import main
 from fermijunction.liouvillian import SteadyStateError, solve_ness
 from fermijunction.observables import DiscordOptimizationError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD_POINT = (
     "system:\n"
@@ -142,7 +146,7 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert main(["verify"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert first.count("PASS") == 7
+    assert first.count("PASS") == 8
     assert "verification passed" in first
 
 
@@ -159,6 +163,15 @@ def test_verify_transport_checks_solve_each_grid_once(monkeypatch):
     assert checks["current-conservation"]()[0]
     assert checks["epr-positivity"]()[0]
     assert len(calls) == 882  # the delta = 0.005 and 0.05 grids, 441 points each
+
+
+def test_paper_claims_check_runs_the_shipped_config():
+    cfg = sweep.load_config(str(CONFIGS / "qfi_vs_epr.yaml"))
+    assert sweep.sweep_spec_from_config(cfg) == verify.PAPER_CLAIMS_SPEC
+    start = time.perf_counter()
+    ok, detail = dict(verify.CHECKS)["paper-claims"]()
+    assert ok, detail
+    assert time.perf_counter() - start < 1.0
 
 
 def test_console_entry_point_runs():
