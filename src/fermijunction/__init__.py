@@ -30,7 +30,6 @@ from .liouvillian import (
 )
 from .observables import (
     CorrelationReport,
-    DiscordOptimizationError,
     DiscordResult,
     coherence,
     concurrence,
@@ -77,7 +76,6 @@ __all__ = [
     "ConfigError",
     "CorrelationReport",
     "DegenerateNullSpaceError",
-    "DiscordOptimizationError",
     "DiscordResult",
     "EigenBasis",
     "Liouvillian",

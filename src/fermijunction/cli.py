@@ -76,8 +76,6 @@ def _cmd_point(args: argparse.Namespace) -> int:
     if flags.startswith("solver:"):
         print(f"solver failure: {flags.split(':', 2)[2]}", file=sys.stderr)
         return 2
-    # discord:<message> then qfi:<ErrorType>:<message>; a discord message may contain ';'
-    discord_flag, _, qfi_flag = (";" + flags).partition(";qfi:")
     rho = row["rho"]
     basis = row["basis"]
     out = []
@@ -106,13 +104,10 @@ def _cmd_point(args: argparse.Namespace) -> int:
         f"  linear_entropy={row['linear_entropy']:.12g} "
         f"concurrence={row['concurrence']:.12g}"
     )
-    if "discord" in row:
-        out.append(
-            f"  qmi={row['qmi']:.12g} classical={row['classical_corr']:.12g} "
-            f"discord={row['discord']:.12g}"
-        )
-    else:
-        out.append(f"  discord unavailable: {discord_flag.removeprefix(';discord:')}")
+    out.append(
+        f"  qmi={row['qmi']:.12g} classical={row['classical_corr']:.12g} "
+        f"discord={row['discord']:.12g}"
+    )
     out.append("metrology")
     if "qfi_total" in row:
         out.append(
@@ -120,7 +115,8 @@ def _cmd_point(args: argparse.Namespace) -> int:
             f"f_n={row['qfi_fn']:.12g} (step {row['qfi_step']:.3e})"
         )
     else:
-        out.append(f"  qfi unavailable: {qfi_flag.partition(':')[2]}")
+        # the only flag left on a solved point is qfi:<ErrorType>:<message>
+        out.append(f"  qfi unavailable: {flags.split(':', 2)[2]}")
     out.append("transport")
     out.append(
         f"  I1={row['current_n1']:.12g} I2={row['current_n2']:.12g} "

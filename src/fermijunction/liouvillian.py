@@ -29,16 +29,27 @@ the singly occupied states.  The per-bath generator piece retained for
 currents is D_l = -(N_l + S_l), which is the part of d rho/dt owned by
 reservoir l.
 
+Total particle number is a weak symmetry of the generator: L maps the
+charge-neutral sector
+
+    v = (rho00, rho11, rho22, rho33, rho12, rho21)  (vec indices 0, 5, 10, 15, 9, 6)
+
+into itself and never couples it to the other ten entries.  The trace
+lives in the sector, so the unique steady state does too, and it is an
+X state by construction.  Everything below is therefore the 6x6 block
+of the 16x16 superoperators.
+
 Every bracket is affine in the one occupation it carries, so the
-generator is a fixed linear combination of constant 16x16 matrices,
+generator is a fixed linear combination of constant 6x6 matrices,
 
     L = omega'_1 U_1 + omega'_2 U_2 + sum_{l,k} c_{lk} M_k,
 
 with U_a the commutator with mode a's number operator and M_k (k < 8)
 the value at zero occupation and the occupation slope of the two
 thermal brackets and the two cross-bracket lines.  Both sets are built
-once at import; a generator build only computes the 2x8 coefficients
-c_{lk} (rates x angular weights x occupations) and one matrix product.
+once at import, as sector slices of the full brackets; a generator
+build only computes the 2x8 coefficients c_{lk} (rates x angular
+weights x occupations) and one matrix product.
 """
 from __future__ import annotations
 
@@ -50,6 +61,7 @@ from .model import BathParams, EigenBasis, SystemParams, diagonalize, fermi_occu
 
 __all__ = [
     "DIM",
+    "SECTOR",
     "Liouvillian",
     "NessResult",
     "SteadyStateError",
@@ -58,6 +70,7 @@ __all__ = [
     "hamiltonian",
     "number_operator",
     "build_liouvillian",
+    "sector_vector",
     "steady_state",
     "steady_state_svd",
     "solve_ness",
@@ -65,11 +78,12 @@ __all__ = [
 ]
 
 DIM = 4
-_RESIDUAL_TOL = 1e-10  # largest ||L vec(rho)|| accepted from a steady-state solve
+_RESIDUAL_TOL = 1e-10  # largest ||L v|| accepted from a steady-state solve
 
-# Trace functional on column-stacked 4x4 matrices (diagonal entries).
-_TRACE_ROW = np.zeros(DIM * DIM)
-_TRACE_ROW[[0, 5, 10, 15]] = 1.0
+# vec indices of the charge-neutral sector v = (rho00, rho11, rho22,
+# rho33, rho12, rho21), and the trace as a functional on v.
+SECTOR = np.array([0, 5, 10, 15, 9, 6])
+_TRACE_ROW = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
 _PARITY = np.diag([1.0, -1.0])
@@ -181,20 +195,28 @@ def _affine_pair(bracket) -> tuple[np.ndarray, np.ndarray]:
     return at_zero, bracket(1.0) - at_zero
 
 
+def _sector(superop: np.ndarray) -> np.ndarray:
+    """The charge-neutral block of a 16x16 superoperator."""
+    return superop[np.ix_(SECTOR, SECTOR)]
+
+
 # Rows: thermal bracket of mode 1, of mode 2, cross line 1, cross line 2,
 # each as (value at zero occupation, slope).
 _BATH_STACK = np.stack(
     [
-        *_affine_pair(lambda n: _thermal_bracket(_Z1, n)),
-        *_affine_pair(lambda n: _thermal_bracket(_Z2, n)),
-        *_affine_pair(lambda n: _cross_bracket(n, 0.0)[0]),
-        *_affine_pair(lambda n: _cross_bracket(0.0, n)[1]),
+        _sector(m)
+        for m in (
+            *_affine_pair(lambda n: _thermal_bracket(_Z1, n)),
+            *_affine_pair(lambda n: _thermal_bracket(_Z2, n)),
+            *_affine_pair(lambda n: _cross_bracket(n, 0.0)[0]),
+            *_affine_pair(lambda n: _cross_bracket(0.0, n)[1]),
+        )
     ]
-).reshape(8, DIM**4)
+).reshape(8, SECTOR.size**2)
 
 # i (rho h_a - h_a rho) for the mode number operators h_1, h_2.
 _UNITARY_1, _UNITARY_2 = (
-    1j * (_sup(np.eye(DIM), h) - _sup(h, np.eye(DIM)))
+    _sector(1j * (_sup(np.eye(DIM), h) - _sup(h, np.eye(DIM))))
     for h in (_Z1D @ _Z1, _Z2D @ _Z2)
 )
 
@@ -223,7 +245,7 @@ def _bath_coefficients(
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Full generator and its per-bath pieces, all 16x16 column-stacked.
+    """Generator and its per-bath pieces on the charge-neutral sector, 6x6.
 
     matrix = unitary + bath1 + bath2 with bath_l = -(N_l + S_l) and the
     unitary part i[rho, H]; the bath pieces are the per-reservoir
@@ -244,7 +266,7 @@ def build_liouvillian(
     unitary = basis.omega_p1 * _UNITARY_1 + basis.omega_p2 * _UNITARY_2
     bath1, bath2 = (
         _bath_coefficients(basis, baths, params) @ _BATH_STACK
-    ).reshape(2, DIM * DIM, DIM * DIM).astype(complex)
+    ).reshape(2, SECTOR.size, SECTOR.size).astype(complex)
     return Liouvillian(
         matrix=unitary + bath1 + bath2,
         bath1=bath1,
@@ -254,15 +276,25 @@ def build_liouvillian(
     )
 
 
-def _unvec(v: np.ndarray) -> np.ndarray:
-    return v.reshape(DIM, DIM, order="F")
+def sector_vector(rho: np.ndarray) -> np.ndarray:
+    """The charge-neutral sector v of a 4x4 density matrix."""
+    return rho.flatten(order="F")[SECTOR]
 
 
-def _finalize(rho: np.ndarray, lv: Liouvillian) -> tuple[np.ndarray, float]:
-    """Hermitize and normalize rho, check it; return it with its residual."""
+def _x_state(v: np.ndarray) -> np.ndarray:
+    """The 4x4 X state whose charge-neutral sector is v."""
+    rho = np.diag(v[:DIM]).astype(complex)
+    rho[1, 2], rho[2, 1] = v[4], v[5]
+    return rho
+
+
+def _finalize(v: np.ndarray, lv: Liouvillian) -> tuple[np.ndarray, float]:
+    """Hermitize and normalize the state of sector vector v, check it;
+    return it with its residual."""
+    rho = _x_state(v)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    residual = float(np.linalg.norm(lv.matrix @ rho.flatten(order="F")))
+    residual = float(np.linalg.norm(lv.matrix @ sector_vector(rho)))
     if not residual < _RESIDUAL_TOL:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
@@ -284,15 +316,16 @@ def _null_space_dimension(matrix: np.ndarray) -> int:
 def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float]:
     """Unique stationary density matrix of the generator and its residual.
 
-    Replaces the first row of L with the trace constraint and solves the
-    square system; fast enough for dense sweeps.  Returns the pair
-    (rho, ||L vec(rho)||).  Raises DegenerateNullSpaceError when the
-    stationary state is not unique (e.g. both couplings zero) and
-    SteadyStateError when the solve does not meet the residual tolerance.
+    Replaces the first row of the sector generator with the trace
+    constraint and solves the 6x6 system; fast enough for dense sweeps.
+    Returns the pair (rho, ||L v||) with rho the 4x4 X state.  Raises
+    DegenerateNullSpaceError when the stationary state is not unique
+    (e.g. both couplings zero) and SteadyStateError when the solve does
+    not meet the residual tolerance.
     """
     a = lv.matrix.copy()
     a[0, :] = _TRACE_ROW
-    b = np.zeros(DIM * DIM, dtype=complex)
+    b = np.zeros(SECTOR.size, dtype=complex)
     b[0] = 1.0
     try:
         v = np.linalg.solve(a, b)
@@ -302,7 +335,7 @@ def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float]:
             raise DegenerateNullSpaceError(dim) from None
         raise SteadyStateError("steady-state linear solve is singular") from None
     try:
-        rho, residual = _finalize(_unvec(v), lv)
+        rho, residual = _finalize(v, lv)
     except SteadyStateError as err:
         dim = _null_space_dimension(lv.matrix)
         if dim > 1:
@@ -318,11 +351,11 @@ def steady_state_svd(lv: Liouvillian) -> np.ndarray:
     dim = int(np.sum(svals < 1e-10 * svals[0]))
     if dim > 1:
         raise DegenerateNullSpaceError(dim)
-    rho = _unvec(vh[-1, :].conj())
-    tr = np.trace(rho)
+    v = vh[-1, :].conj()
+    tr = _TRACE_ROW @ v
     if abs(tr) < 1e-12:
         raise SteadyStateError("null vector is traceless; no valid state found")
-    return _finalize(rho / tr, lv)[0]
+    return _finalize(v / tr, lv)[0]
 
 
 @dataclass(frozen=True)

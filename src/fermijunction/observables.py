@@ -1,11 +1,14 @@
 """State-level quantities for the two-mode junction.
 
 All functions take 4x4 density matrices in the mode occupation basis
-{|00>, |10>, |01>, |11>}.  Subsystem A is mode 1, subsystem B is mode 2;
-correlation measures are evaluated in this (energy) basis, where the
-steady state is X-shaped with a single coherence between the two singly
-occupied states.  ``site_basis_state`` rotates a state back to the local
-site basis for questions about the physical site-site entanglement.
+{|00>, |10>, |01>, |11>}.  Subsystem A is mode 1, subsystem B is mode 2,
+so correlation measures are between the two dressed modes.  In this
+(energy) basis the steady state is an X state with a single coherence
+between the two singly occupied states; ``spectral_decompose``,
+``concurrence`` and ``discord`` rely on that shape and raise ValueError
+on any other state.  ``site_basis_state`` rotates a state back to the
+local site basis for questions about the physical site-site
+entanglement.
 
 Entropies are in bits (log base 2).
 """
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .model import EigenBasis
 
@@ -23,7 +25,6 @@ __all__ = [
     "SpectralDecomp",
     "CorrelationReport",
     "DiscordResult",
-    "DiscordOptimizationError",
     "spectral_decompose",
     "spectral_reconstruct",
     "coherence",
@@ -39,17 +40,19 @@ __all__ = [
     "x_form_deviation",
 ]
 
-# Index pairs allowed to be nonzero in the X states this model produces
-# (diagonal plus the 2<->3 coherence; the 1<->4 pair stays empty).
-_X_ALLOWED = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
+# Entries the X states this model produces leave empty: all but the
+# diagonal and the 2<->3 coherence (the 1<->4 pair stays empty too).
+_OFF_X = ~np.eye(4, dtype=bool)
+_OFF_X[1, 2] = _OFF_X[2, 1] = False
 
 # Mode-basis {|00>,|10>,|01>,|11>} vs kron order {|00>,|01>,|10>,|11>}.
 _PERM = np.array([0, 2, 1, 3])
 
 _EIG_FLOOR = -1e-9  # most negative eigenvalue accepted as roundoff
 _X_TOL = 1e-10  # largest off-pattern entry still treated as an X state
-_SEARCH_GRID = 40  # cells per angle in the discord search's coarse scan
-_REFINE_TOL = 1e-9  # angle tolerance of the discord search's polish
+_SEARCH_GRID = 40  # cells of the discord search's polar-angle scan
+_POLISH_STEPS = 40  # golden-section steps; shrink the 2-cell bracket below 1e-9
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LN2 = math.log(2.0)
 
 
@@ -98,22 +101,17 @@ class DiscordResult:
     phi: float
 
 
-class DiscordOptimizationError(RuntimeError):
-    """Measurement optimizer failed; carries the best value found."""
-
-    def __init__(self, message: str, best_value: float):
-        super().__init__(message)
-        self.best_value = best_value
-
-
 def x_form_deviation(rho: np.ndarray) -> float:
     """Largest magnitude among entries an X state must leave empty."""
-    dev = 0.0
-    for i in range(4):
-        for j in range(4):
-            if (i, j) not in _X_ALLOWED:
-                dev = max(dev, abs(rho[i, j]))
-    return dev
+    return float(np.abs(rho[_OFF_X]).max())
+
+
+def _require_x_state(rho: np.ndarray) -> None:
+    dev = x_form_deviation(rho)
+    if dev > _X_TOL:
+        raise ValueError(
+            f"state is not X-form: off-pattern entry of magnitude {dev:.3e}"
+        )
 
 
 def spectral_decompose(rho: np.ndarray) -> SpectralDecomp:
@@ -125,12 +123,9 @@ def spectral_decompose(rho: np.ndarray) -> SpectralDecomp:
 
     with alpha = atan2(2 |rho23|, rho22 - rho33) and phi = arg(rho23)
     (phi = 0 when the coherence vanishes and the phase is undefined).
+    Raises ValueError on a state that is not X-form.
     """
-    dev = x_form_deviation(rho)
-    if dev > _X_TOL:
-        raise ValueError(
-            f"state is not X-form: off-pattern entry of magnitude {dev:.3e}"
-        )
+    _require_x_state(rho)
     p1 = rho[0, 0].real
     p4 = rho[3, 3].real
     d22 = rho[1, 1].real
@@ -170,20 +165,15 @@ def linear_entropy(rho: np.ndarray) -> float:
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence.
+    """Two-qubit concurrence of an X state with empty 1<->4 coherence,
 
-    X states use the closed form
-        E = 2 max(0, |rho23| - sqrt(rho11 rho44), |rho14| - sqrt(rho22 rho33));
-    anything else falls through to the general spin-flip formula.
+        E = 2 max(0, |rho23| - sqrt(rho11 rho44)).
+
+    Raises ValueError on a state that is not X-form.
     """
-    off = max(
-        abs(rho[0, 1]), abs(rho[0, 2]), abs(rho[1, 3]), abs(rho[2, 3])
-    )
-    if off > _X_TOL:
-        return concurrence_wootters(rho)
+    _require_x_state(rho)
     inner = abs(rho[1, 2]) - math.sqrt(max(rho[0, 0].real, 0.0) * max(rho[3, 3].real, 0.0))
-    outer = abs(rho[0, 3]) - math.sqrt(max(rho[1, 1].real, 0.0) * max(rho[2, 2].real, 0.0))
-    return 2.0 * max(0.0, inner, outer)
+    return 2.0 * max(0.0, inner)
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -222,37 +212,6 @@ def mutual_information(rho: np.ndarray) -> float:
     return _entropy_bits(rho_a) + _entropy_bits(rho_b) - _entropy_bits(rho)
 
 
-def _measurement_pair(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal measurement vectors along the Bloch direction (theta, phi)."""
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    ph = complex(math.cos(phi), math.sin(phi))
-    return np.array([c, ph * s]), np.array([s, -ph * c])
-
-
-def _conditional_entropy(t: np.ndarray, theta: float, phi: float) -> float:
-    """Average post-measurement entropy of A for a projective measurement
-    on B along (theta, phi); t is the (a, b, a', b') tensor of rho."""
-    total = 0.0
-    for m in _measurement_pair(theta, phi):
-        w = np.einsum("b,abcd,d->ac", m.conj(), t, m)
-        p = w.trace().real
-        if p > 1e-15:
-            total += p * _entropy_bits(w / p)
-    return total
-
-
-def _raise_if_polish_failed(result, best_val: float) -> None:
-    """A refinement that did not converge is an error unless the grid
-    best it started from already stands."""
-    if not result.success and result.fun > best_val + 1e-12:
-        raise DiscordOptimizationError(
-            f"measurement optimizer did not converge: {result.message}; "
-            f"grid best {best_val:.12f}",
-            best_value=min(best_val, float(result.fun)),
-        )
-
-
 def _x_conditional_entropy(theta: float, diag: tuple[float, ...], coh2: float) -> float:
     """Average post-measurement entropy of A for an X state measured on B
     along polar angle theta (any azimuth).
@@ -283,62 +242,47 @@ def _x_conditional_entropy(theta: float, diag: tuple[float, ...], coh2: float) -
     return total
 
 
-def _x_state_search(rho: np.ndarray) -> tuple[float, float, float]:
-    """Smallest conditional entropy of an X state and its (theta, phi).
+def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
+    """Minimum of a unimodal f on [lo, hi] as (value, argument), after a
+    fixed number of golden-section steps; deterministic, cannot fail."""
+    c = hi - _INV_GOLDEN * (hi - lo)
+    d = lo + _INV_GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(_POLISH_STEPS):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = f(d)
+    return (fc, c) if fc < fd else (fd, d)
+
+
+def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
+    """Smallest conditional entropy of an X state and its polar angle.
 
     The conditional entropy does not depend on the azimuth and is the
     same at theta and pi - theta, so a grid over theta in [0, pi/2]
-    (endpoints included) locates the minimum and a bounded scalar search
+    (endpoints included) locates the minimum and a golden-section search
     polishes the best cell; interior optima occur for X states and are
     kept.  Searching theta rather than cos(theta) keeps the polish
     resolved near theta = 0.
     """
     diag = tuple(float(v) for v in rho.diagonal().real)
     coh2 = abs(rho[1, 2]) ** 2
+
+    def cond(theta: float) -> float:
+        return _x_conditional_entropy(theta, diag, coh2)
+
     thetas = [0.5 * math.pi * i / _SEARCH_GRID for i in range(_SEARCH_GRID + 1)]
-    vals = [_x_conditional_entropy(theta, diag, coh2) for theta in thetas]
+    vals = [cond(theta) for theta in thetas]
     k = vals.index(min(vals))
-    best_val, best_theta = vals[k], thetas[k]
-    result = minimize_scalar(
-        _x_conditional_entropy,
-        bounds=(thetas[max(k - 1, 0)], thetas[min(k + 1, _SEARCH_GRID)]),
-        args=(diag, coh2),
-        method="bounded",
-        options={"xatol": _REFINE_TOL},
+    polished = _golden_section(
+        cond, thetas[max(k - 1, 0)], thetas[min(k + 1, _SEARCH_GRID)]
     )
-    _raise_if_polish_failed(result, best_val)
-    if result.fun < best_val:
-        best_val, best_theta = float(result.fun), float(result.x)
-    return best_val, best_theta, 0.0
-
-
-def _bloch_sphere_search(rho: np.ndarray) -> tuple[float, float, float]:
-    """Smallest conditional entropy of a general state and its (theta, phi):
-    a coarse grid over the Bloch sphere, then a Nelder-Mead refinement."""
-    t = rho[np.ix_(_PERM, _PERM)].reshape(2, 2, 2, 2)
-    d_theta = math.pi / _SEARCH_GRID
-    d_phi = 2.0 * math.pi / _SEARCH_GRID
-    best_val = math.inf
-    best_angles = (0.0, 0.0)
-    for i in range(_SEARCH_GRID + 1):
-        theta = min((i + 0.5) * d_theta, math.pi)
-        for j in range(_SEARCH_GRID):
-            phi = (j + 0.5) * d_phi
-            val = _conditional_entropy(t, theta, phi)
-            if val < best_val:
-                best_val = val
-                best_angles = (theta, phi)
-
-    result = minimize(
-        lambda x: _conditional_entropy(t, x[0], x[1]),
-        x0=np.array(best_angles),
-        method="Nelder-Mead",
-        options={"xatol": _REFINE_TOL, "fatol": _REFINE_TOL * 1e-3, "maxiter": 400},
-    )
-    _raise_if_polish_failed(result, best_val)
-    if result.fun <= best_val:
-        return float(result.fun), float(result.x[0]), float(result.x[1])
-    return best_val, best_angles[0], best_angles[1]
+    return polished if polished[0] < vals[k] else (vals[k], thetas[k])
 
 
 def discord(rho: np.ndarray) -> DiscordResult:
@@ -347,47 +291,36 @@ def discord(rho: np.ndarray) -> DiscordResult:
     The classical correlation is S(A) minus the smallest average
     conditional entropy over projective measurements on B; the discord is
     the mutual information minus that.  The search is deterministic.  An
-    X state (``x_form_deviation`` at most 1e-10) needs only the polar
-    angle: a 40-cell scan of theta over [0, pi/2] with closed-form
-    2x2 eigenvalues, polished by a bounded scalar search.
-    Any other state gets a 40-by-40 scan of the Bloch sphere polished by
-    Nelder-Mead.  Both polishes stop at an angle tolerance of 1e-9.
+    X state needs only the polar angle: a 40-cell scan of theta over
+    [0, pi/2] with closed-form 2x2 eigenvalues, polished by 40
+    golden-section steps to an angle below 1e-9.  Raises ValueError on a
+    state that is not X-form.
     """
+    _require_x_state(rho)
     rho_a, rho_b = reduced_states(rho)
     s_a = _entropy_bits(rho_a)
     qmi = s_a + _entropy_bits(rho_b) - _entropy_bits(rho)
-    if x_form_deviation(rho) <= _X_TOL:
-        cond, theta, phi = _x_state_search(rho)
-    else:
-        cond, theta, phi = _bloch_sphere_search(rho)
+    cond, theta = _x_state_search(rho)
     classical = s_a - cond
     return DiscordResult(
         classical_corr=classical,
         discord=qmi - classical,
         qmi=qmi,
         theta=theta,
-        phi=phi,
+        phi=0.0,
     )
 
 
-def discord_brute_force(rho: np.ndarray, resolution: int = 400) -> DiscordResult:
-    """Exhaustive measurement-angle grid; the oracle for the optimizer.
-
-    Evaluates the conditional entropy on a full (theta, phi) grid with
-    closed-form 2x2 eigenvalues, vectorized over the whole grid.  The
-    returned angles are the best grid cell.
-    """
+def _measured_conditional_entropy(
+    rho: np.ndarray, theta: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """Average post-measurement entropy of A for projective measurements
+    on B along the Bloch directions (theta, phi), for any two-mode state;
+    closed-form 2x2 eigenvalues, vectorized over the direction arrays."""
     t = rho[np.ix_(_PERM, _PERM)].reshape(2, 2, 2, 2)
-    rho_a, rho_b = reduced_states(rho)
-    s_a = _entropy_bits(rho_a)
-    qmi = s_a + _entropy_bits(rho_b) - _entropy_bits(rho)
-
-    thetas = np.linspace(0.0, math.pi, resolution)
-    phis = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    c = np.cos(0.5 * tt).ravel()
-    s = np.sin(0.5 * tt).ravel()
-    ph = np.exp(1j * pp.ravel())
+    c = np.cos(0.5 * theta)
+    s = np.sin(0.5 * theta)
+    ph = np.exp(1j * phi)
     cond = np.zeros(c.shape)
     for m in (
         np.stack([c, ph * s], axis=1),
@@ -405,6 +338,24 @@ def discord_brute_force(rho: np.ndarray, resolution: int = 400) -> DiscordResult
             logs = np.where(lam > 0.0, np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
         plog = np.where(p[:, None] > 0.0, np.log2(np.where(p > 0.0, p, 1.0))[:, None], 0.0)
         cond += -(lam * (logs - plog)).sum(axis=1)
+    return cond
+
+
+def discord_brute_force(rho: np.ndarray, resolution: int = 400) -> DiscordResult:
+    """Exhaustive measurement-angle grid; the oracle for the optimizer.
+
+    Evaluates the conditional entropy on a full (theta, phi) grid over
+    the Bloch sphere, for any state.  The returned angles are the best
+    grid cell.
+    """
+    rho_a, rho_b = reduced_states(rho)
+    s_a = _entropy_bits(rho_a)
+    qmi = s_a + _entropy_bits(rho_b) - _entropy_bits(rho)
+
+    thetas = np.linspace(0.0, math.pi, resolution)
+    phis = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    cond = _measured_conditional_entropy(rho, tt.ravel(), pp.ravel())
     k = int(np.argmin(cond))
     classical = s_a - float(cond[k])
     return DiscordResult(

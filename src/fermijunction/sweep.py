@@ -31,7 +31,6 @@ from .liouvillian import SteadyStateError, solve_ness
 from .metrology import QfiStepError, RankChangeError, qfi_spectral
 from .model import BathParams, SystemParams
 from .observables import (
-    DiscordOptimizationError,
     coherence,
     concurrence,
     discord,
@@ -208,7 +207,6 @@ class SweepResult:
 
 def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any]:
     row: dict[str, Any] = {ax.name: c for ax, c in zip(spec.axes, coords)}
-    flags: list[str] = []
     values = spec.resolve(coords)
     row.update(values)
     try:
@@ -223,6 +221,7 @@ def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any
         row["flags"] = f"solver:{type(err).__name__}:{err}"
         return row
     row["residual"] = result.residual
+    row["flags"] = ""
     rho = row["rho"] = result.rho
     row["basis"] = result.basis
 
@@ -234,18 +233,16 @@ def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any
         row["current_e2"] = report.j2
         row["epr"] = report.epr
         row["epr_regime_ok"] = report.epr_regime_ok
+    if "discord" in spec.observables:
+        d = discord(rho)
+        row["classical_corr"] = d.classical_corr
+        row["discord"] = d.discord
     if "correlations" in spec.observables:
         row["coherence"] = coherence(rho)
         row["linear_entropy"] = linear_entropy(rho)
         row["concurrence"] = concurrence(rho)
-        row["qmi"] = mutual_information(rho)
-    if "discord" in spec.observables:
-        try:
-            d = discord(rho)
-            row["classical_corr"] = d.classical_corr
-            row["discord"] = d.discord
-        except DiscordOptimizationError as err:
-            flags.append(f"discord:{err}")
+        # discord has already computed the same mutual information
+        row["qmi"] = d.qmi if "discord" in spec.observables else mutual_information(rho)
     if "qfi" in spec.observables:
         try:
             qreport = qfi_spectral(params, baths, h=spec.qfi_step, center=result)
@@ -254,9 +251,7 @@ def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any
             row["qfi_fn"] = qreport.f_n
             row["qfi_step"] = qreport.step
         except (QfiStepError, RankChangeError, SteadyStateError) as err:
-            flags.append(f"qfi:{type(err).__name__}:{err}")
-
-    row["flags"] = ";".join(flags)
+            row["flags"] = f"qfi:{type(err).__name__}:{err}"
     return row
 
 

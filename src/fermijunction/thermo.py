@@ -2,7 +2,9 @@
 
 Currents are traces of per-bath generator pieces against the number and
 energy operators: I_l = Tr(D_l[rho] N) and J_l = Tr(D_l[rho] H) with
-D_l = -(N_l + S_l), the part of d rho/dt owned by reservoir l.  Positive
+D_l = -(N_l + S_l), the part of d rho/dt owned by reservoir l.  N and H
+are diagonal, so each current is a fixed row functional of the
+populations of D_l[rho] = bath_l v on the charge-neutral sector.  Positive
 values mean flow from the reservoir into the system.  The unitary
 commutator contributes nothing because [N, H] = 0 (a unit test guards
 this basis/sign convention).
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import DIM, NessResult, number_operator
+from .liouvillian import DIM, NessResult, number_operator, sector_vector
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation, occupation_moments
 
 __all__ = [
@@ -51,14 +53,6 @@ class ThermoReport:
     epr_regime_ok: bool
 
 
-def _apply(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return (superop @ rho.flatten(order="F")).reshape(DIM, DIM, order="F")
-
-
-def _charge_rate(flow: np.ndarray, charge: np.ndarray) -> float:
-    return float(np.trace(flow @ charge).real)
-
-
 def entropy_production_rate(j1: float, i1: float, baths: BathParams) -> float:
     """Semi-classical entropy production rate of the two reservoirs."""
     return -j1 * (1.0 / baths.t1 - 1.0 / baths.t2) + i1 * (
@@ -80,13 +74,10 @@ def epr_regime_ok(params: SystemParams) -> bool:
 def transport_report(result: NessResult, params: SystemParams, baths: BathParams) -> ThermoReport:
     """Currents and EPR for a solved steady state."""
     lv = result.liouvillian
-    n_op = number_operator()
-    flow1 = _apply(lv.bath1, result.rho)
-    flow2 = _apply(lv.bath2, result.rho)
-    i1 = _charge_rate(flow1, n_op)
-    i2 = _charge_rate(flow2, n_op)
-    j1 = _charge_rate(flow1, lv.hamiltonian)
-    j2 = _charge_rate(flow2, lv.hamiltonian)
+    v = sector_vector(result.rho)
+    populations = np.stack([lv.bath1 @ v, lv.bath2 @ v])[:, :DIM].real
+    charges = np.stack([np.diag(number_operator()), np.diag(lv.hamiltonian).real])
+    (i1, j1), (i2, j2) = (populations @ charges.T).tolist()
     return ThermoReport(
         i1=i1,
         i2=i2,

@@ -17,14 +17,12 @@ from fermijunction import (
     discord_brute_force,
     linear_entropy,
     mutual_information,
-    observables,
     site_basis_state,
     solve_ness,
 )
 from fermijunction.observables import (
-    _bloch_sphere_search,
-    _conditional_entropy,
     _entropy_bits,
+    _measured_conditional_entropy,
     _x_conditional_entropy,
     concurrence_wootters,
     reduced_states,
@@ -140,14 +138,6 @@ def test_concurrence_known_states():
     )
 
 
-def test_concurrence_general_fallback():
-    # a state with population-coherence outside the X pattern goes
-    # through the spin-flip route and must stay consistent at the border
-    rho = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
-    rho[0, 1] = rho[1, 0] = 0.05
-    assert concurrence(rho) == pytest.approx(concurrence_wootters(rho), abs=1e-12)
-
-
 def test_linear_entropy_limits():
     pure = np.zeros((4, 4), dtype=complex)
     pure[0, 0] = 1.0
@@ -231,10 +221,11 @@ def test_discord_is_deterministic():
     st.floats(0.0, 2.0 * math.pi),
 )
 def test_x_state_conditional_entropy_depends_on_polar_angle_only(rho, theta, phi):
-    t = rho[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])].reshape(2, 2, 2, 2)
-    ref = _conditional_entropy(t, theta, 0.0)
-    assert abs(_conditional_entropy(t, theta, phi) - ref) < 1e-12
-    assert abs(_conditional_entropy(t, math.pi - theta, phi) - ref) < 1e-12
+    ref, moved, mirrored = _measured_conditional_entropy(
+        rho, np.array([theta, theta, math.pi - theta]), np.array([0.0, phi, phi])
+    )
+    assert abs(moved - ref) < 1e-12
+    assert abs(mirrored - ref) < 1e-12
     diag = tuple(rho.diagonal().real)
     closed = _x_conditional_entropy(theta, diag, abs(rho[1, 2]) ** 2)
     assert abs(closed - ref) < 1e-12
@@ -243,10 +234,14 @@ def test_x_state_conditional_entropy_depends_on_polar_angle_only(rho, theta, phi
 @settings(max_examples=25, deadline=None)
 @given(x_states())
 def test_x_path_reaches_the_bloch_sphere_optimum(rho):
+    # the 1-D polar search does at least as well as a full-sphere grid,
+    # and the measurement it returns attains the value it reports
     d = discord(rho)
-    sphere_cond, _, _ = _bloch_sphere_search(rho)
+    sphere = discord_brute_force(rho, resolution=200)
+    assert d.classical_corr >= sphere.classical_corr - 1e-12
     rho_a, _ = reduced_states(rho)
-    assert d.classical_corr >= _entropy_bits(rho_a) - sphere_cond - 1e-12
+    attained = _measured_conditional_entropy(rho, np.array([d.theta]), np.array([d.phi]))
+    assert abs(_entropy_bits(rho_a) - attained[0] - d.classical_corr) < 1e-12
     assert 0.0 <= d.theta <= math.pi / 2 and d.phi == 0.0
 
 
@@ -262,20 +257,11 @@ def _non_x_states():
 
 
 @pytest.mark.parametrize("rho", _non_x_states(), ids=["rho14", "rho12"])
-def test_non_x_state_takes_the_bloch_sphere_path(rho, monkeypatch):
+@pytest.mark.parametrize("measure", [discord, concurrence, spectral_decompose])
+def test_x_state_measures_reject_other_states(measure, rho):
     assert min(np.linalg.eigvalsh(rho)) > 0.0
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _bloch_sphere_search(*args)
-
-    monkeypatch.setattr(observables, "_bloch_sphere_search", spy)
-    opt = discord(rho)
-    ref = discord_brute_force(rho, resolution=250)
-    assert len(calls) == 1
-    assert opt.classical_corr >= ref.classical_corr - 1e-6
-    assert abs(opt.discord - ref.discord) < 1e-4
+    with pytest.raises(ValueError, match="not X-form"):
+        measure(rho)
 
 
 def test_correlation_report_fields_consistent():
@@ -287,6 +273,16 @@ def test_correlation_report_fields_consistent():
     assert rep.qmi == pytest.approx(mutual_information(rho), abs=1e-12)
     assert rep.discord == pytest.approx(rep.qmi - rep.classical_corr, abs=1e-12)
     assert rep.qmi > 0.0 and rep.discord > 0.0
+
+
+def test_correlations_are_between_the_dressed_modes():
+    # at equilibrium the mode-basis state is a product over the dressed
+    # modes; the same state split between the two sites is correlated
+    result = solve_ness(SystemParams(), BathParams())
+    d = discord(result.rho)
+    assert abs(d.qmi) <= 1e-12 and abs(d.discord) <= 1e-12
+    site = site_basis_state(result.rho, result.basis)
+    assert mutual_information(site) > 1e-5
 
 
 def test_site_basis_rotation_preserves_spectrum():

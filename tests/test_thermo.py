@@ -18,6 +18,7 @@ from fermijunction import (
     solve_ness,
     transport_report,
 )
+from fermijunction.liouvillian import _x_state, sector_vector
 
 
 def report_at(params, baths):
@@ -39,7 +40,7 @@ def test_unitary_part_moves_no_charge():
         rho = a @ a.conj().T
         rho /= np.trace(rho)
         unitary = lv.matrix - lv.bath1 - lv.bath2
-        flow = (unitary @ rho.flatten(order="F")).reshape(4, 4, order="F")
+        flow = _x_state(unitary @ sector_vector(rho))
         assert abs(np.trace(flow @ number_operator())) < 1e-12
         assert abs(np.trace(flow @ lv.hamiltonian)) < 1e-12
 
