@@ -50,6 +50,12 @@ thermal brackets and the two cross-bracket lines.  Both sets are built
 once at import, as sector slices of the full brackets; a generator
 build only computes the 2x8 coefficients c_{lk} (rates x angular
 weights x occupations) and one matrix product.
+
+Parameters, bases, generators and states may carry leading batch axes
+(see ``model``): a whole sweep grid is diagonalized, built and solved by
+one call each.  A point that fails its solve fails alone: an unstacked
+solve raises the typed error, a stacked one returns NaN in that point's
+state and residual and solves the other points.
 """
 from __future__ import annotations
 
@@ -58,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BathParams, EigenBasis, SystemParams, diagonalize, fermi_occupation
+from .observables import _EIG_FLOOR, spectral_decompose
 
 __all__ = [
     "DIM",
@@ -79,10 +86,16 @@ __all__ = [
 
 DIM = 4
 _RESIDUAL_TOL = 1e-10  # largest ||L v|| accepted from a steady-state solve
+# Largest condition number of the trace-replaced generator accepted as
+# invertible.  It is ~2/gamma for the couplings a unique steady state
+# has; a null space of dimension > 1 makes it singular, and in floating
+# point it then measures >= 1e18 when LU finds no exact zero pivot.
+_COND_LIMIT = 1e14
 
 # vec indices of the charge-neutral sector v = (rho00, rho11, rho22,
 # rho33, rho12, rho21), and the trace as a functional on v.
 SECTOR = np.array([0, 5, 10, 15, 9, 6])
+_SECTOR_ROWS, _SECTOR_COLS = SECTOR % DIM, SECTOR // DIM
 _TRACE_ROW = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -106,8 +119,10 @@ _Z1, _Z2, _Z1D, _Z2D = mode_operators()
 
 def hamiltonian(basis: EigenBasis) -> np.ndarray:
     """System Hamiltonian, diagonal in the mode occupation basis."""
-    w1, w2 = basis.omega_p1, basis.omega_p2
-    return np.diag([0.0, w1, w2, w1 + w2])
+    w1, w2 = np.asarray(basis.omega_p1), np.asarray(basis.omega_p2)
+    h = np.zeros(w1.shape + (DIM, DIM))
+    h[..., 1, 1], h[..., 2, 2], h[..., 3, 3] = w1, w2, w1 + w2
+    return h
 
 
 def number_operator() -> np.ndarray:
@@ -220,27 +235,34 @@ _UNITARY_1, _UNITARY_2 = (
     for h in (_Z1D @ _Z1, _Z2D @ _Z2)
 )
 
+_BATH_SIGN = np.array([-1.0, 1.0])  # bath 1, bath 2
+
 
 def _bath_coefficients(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> np.ndarray:
-    """Weights c_{lk} of the rows of _BATH_STACK in D_l = -(N_l + S_l).
+    """Weights c_{lk} of the rows of _BATH_STACK in D_l = -(N_l + S_l),
+    shape (..., 2, 8) with bath l on the second-to-last axis.
 
     N_l thermalizes each dressed mode against reservoir l with the
     angular weights (1 +- cos theta)/2; S_l holds the nonsecular
     cross-mode terms, weighted by (+-1/2) Gamma sin theta.
     """
-    ct, st = basis.cos_theta, basis.sin_theta
-    rows = []
-    for sign, t, mu in ((-1.0, baths.t1, baths.mu1), (1.0, baths.t2, baths.mu2)):
-        occ1 = fermi_occupation(basis.omega_p1, t, mu)
-        occ2 = fermi_occupation(basis.omega_p2, t, mu)
-        n1 = params.gamma1 * 0.5 * (1.0 + sign * ct)
-        n2 = params.gamma2 * 0.5 * (1.0 - sign * ct)
-        s1 = -sign * 0.5 * st * params.gamma1
-        s2 = -sign * 0.5 * st * params.gamma2
-        rows.append((n1, n1 * occ1, n2, n2 * occ2, s1, s1 * occ1, s2, s2 * occ2))
-    return -np.array(rows)
+    sign = _BATH_SIGN
+    ct, st, g1, g2 = (
+        np.asarray(x)[..., None]
+        for x in (basis.cos_theta, basis.sin_theta, params.gamma1, params.gamma2)
+    )
+    t = np.stack(np.broadcast_arrays(baths.t1, baths.t2), axis=-1)
+    mu = np.stack(np.broadcast_arrays(baths.mu1, baths.mu2), axis=-1)
+    occ1 = fermi_occupation(np.asarray(basis.omega_p1)[..., None], t, mu)
+    occ2 = fermi_occupation(np.asarray(basis.omega_p2)[..., None], t, mu)
+    n1 = g1 * 0.5 * (1.0 + sign * ct)
+    n2 = g2 * 0.5 * (1.0 - sign * ct)
+    s1 = -sign * 0.5 * st * g1
+    s2 = -sign * 0.5 * st * g2
+    terms = (n1, n1 * occ1, n2, n2 * occ2, s1, s1 * occ1, s2, s2 * occ2)
+    return -np.stack(np.broadcast_arrays(*terms), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -263,10 +285,15 @@ def build_liouvillian(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> Liouvillian:
     """Build the full generator d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
-    unitary = basis.omega_p1 * _UNITARY_1 + basis.omega_p2 * _UNITARY_2
-    bath1, bath2 = (
-        _bath_coefficients(basis, baths, params) @ _BATH_STACK
-    ).reshape(2, SECTOR.size, SECTOR.size).astype(complex)
+    unitary = (
+        np.asarray(basis.omega_p1)[..., None, None] * _UNITARY_1
+        + np.asarray(basis.omega_p2)[..., None, None] * _UNITARY_2
+    )
+    coeffs = _bath_coefficients(basis, baths, params)
+    pieces = (coeffs.reshape(-1, _BATH_STACK.shape[0]) @ _BATH_STACK).reshape(
+        coeffs.shape[:-1] + (SECTOR.size, SECTOR.size)
+    ).astype(complex)
+    bath1, bath2 = pieces[..., 0, :, :], pieces[..., 1, :, :]
     return Liouvillian(
         matrix=unitary + bath1 + bath2,
         bath1=bath1,
@@ -278,34 +305,48 @@ def build_liouvillian(
 
 def sector_vector(rho: np.ndarray) -> np.ndarray:
     """The charge-neutral sector v of a 4x4 density matrix."""
-    return rho.flatten(order="F")[SECTOR]
+    return rho[..., _SECTOR_ROWS, _SECTOR_COLS]
 
 
 def _x_state(v: np.ndarray) -> np.ndarray:
     """The 4x4 X state whose charge-neutral sector is v."""
-    rho = np.diag(v[:DIM]).astype(complex)
-    rho[1, 2], rho[2, 1] = v[4], v[5]
+    rho = np.zeros(v.shape[:-1] + (DIM, DIM), dtype=complex)
+    rho[..., _SECTOR_ROWS, _SECTOR_COLS] = v
     return rho
 
 
-def _finalize(v: np.ndarray, lv: Liouvillian) -> tuple[np.ndarray, float]:
-    """Hermitize and normalize the state of sector vector v, check it;
-    return it with its residual."""
+def _finalize(v: np.ndarray, lv: Liouvillian):
+    """Hermitized, normalized states of sector vectors v with their
+    residuals ||L v|| and smallest eigenvalues."""
     rho = _x_state(v)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    residual = float(np.linalg.norm(lv.matrix @ sector_vector(rho)))
+    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    lv_v = lv.matrix @ sector_vector(rho)[..., None]
+    residual = np.linalg.norm(lv_v[..., 0], axis=-1)
+    spectrum = spectral_decompose(rho)
+    min_eig = np.minimum(spectrum.p3, np.minimum(spectrum.p1, spectrum.p4))
+    return rho, residual, min_eig
+
+
+def _failed(singular, residual, min_eig):
+    return singular | ~(residual < _RESIDUAL_TOL) | (min_eig < _EIG_FLOOR)
+
+
+def _failure(lv: Liouvillian, singular, residual, min_eig) -> SteadyStateError:
+    """The typed error of one generator whose solve failed its checks."""
+    dim = _null_space_dimension(lv.matrix)
+    if dim > 1:
+        return DegenerateNullSpaceError(dim)
+    if singular:
+        return SteadyStateError("steady-state linear solve is singular")
     if not residual < _RESIDUAL_TOL:
-        raise SteadyStateError(
+        return SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
-            residual=residual,
+            residual=float(residual),
         )
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -1e-9:
-        raise SteadyStateError(
-            f"steady state not positive semidefinite: min eigenvalue {eigs.min():.3e}"
-        )
-    return rho, residual
+    return SteadyStateError(
+        f"steady state not positive semidefinite: min eigenvalue {min_eig:.3e}"
+    )
 
 
 def _null_space_dimension(matrix: np.ndarray) -> int:
@@ -313,40 +354,54 @@ def _null_space_dimension(matrix: np.ndarray) -> int:
     return int(np.sum(svals < 1e-10 * svals[0]))
 
 
+def _invert_each(a: np.ndarray) -> np.ndarray:
+    """Invert the stacked matrices one by one: NaN where LU fails."""
+    inverse = np.full(a.shape, np.nan, dtype=complex)
+    for i in np.ndindex(a.shape[:-2]):
+        try:
+            inverse[i] = np.linalg.inv(a[i])
+        except np.linalg.LinAlgError:
+            pass
+    return inverse
+
+
 def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float]:
     """Unique stationary density matrix of the generator and its residual.
 
     Replaces the first row of the sector generator with the trace
-    constraint and solves the 6x6 system; fast enough for dense sweeps.
-    Returns the pair (rho, ||L v||) with rho the 4x4 X state.  Raises
-    DegenerateNullSpaceError when the stationary state is not unique
-    (e.g. both couplings zero) and SteadyStateError when the solve does
-    not meet the residual tolerance.
+    constraint and solves the 6x6 system, for every generator of a stack
+    in one call.  Returns the pair (rho, ||L v||) with rho the 4x4 X
+    state.  An unstacked generator raises DegenerateNullSpaceError when
+    the stationary state is not unique (e.g. both couplings zero) and
+    SteadyStateError when the system is singular or its state misses the
+    residual tolerance or positivity; in a stack such a point gets NaN
+    state and residual, and solving it alone gives its error.
     """
     a = lv.matrix.copy()
-    a[0, :] = _TRACE_ROW
-    b = np.zeros(SECTOR.size, dtype=complex)
-    b[0] = 1.0
+    a[..., 0, :] = _TRACE_ROW
     try:
-        v = np.linalg.solve(a, b)
+        inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        dim = _null_space_dimension(lv.matrix)
-        if dim > 1:
-            raise DegenerateNullSpaceError(dim) from None
-        raise SteadyStateError("steady-state linear solve is singular") from None
-    try:
-        rho, residual = _finalize(v, lv)
-    except SteadyStateError as err:
-        dim = _null_space_dimension(lv.matrix)
-        if dim > 1:
-            raise DegenerateNullSpaceError(dim) from None
-        raise err
+        inverse = _invert_each(a)
+    v = inverse[..., :, 0]  # A^-1 (1, 0, ..., 0): trace 1, L v = 0
+    cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+    singular = ~(cond < _COND_LIMIT)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho, residual, min_eig = _finalize(v, lv)
+    failed = _failed(singular, residual, min_eig)
+    if failed.ndim == 0:
+        if failed:
+            raise _failure(lv, singular, residual, min_eig)
+        return rho, float(residual)
+    rho[failed] = np.nan
+    residual[failed] = np.nan
     return rho, residual
 
 
 def steady_state_svd(lv: Liouvillian) -> np.ndarray:
-    """Stationary state via the SVD null vector; independent of the
-    row-replacement path, used as the cross-check oracle."""
+    """Stationary state of one generator via the SVD null vector;
+    independent of the row-replacement path, used as the cross-check
+    oracle."""
     _, svals, vh = np.linalg.svd(lv.matrix)
     dim = int(np.sum(svals < 1e-10 * svals[0]))
     if dim > 1:
@@ -355,12 +410,16 @@ def steady_state_svd(lv: Liouvillian) -> np.ndarray:
     tr = _TRACE_ROW @ v
     if abs(tr) < 1e-12:
         raise SteadyStateError("null vector is traceless; no valid state found")
-    return _finalize(v / tr, lv)[0]
+    rho, residual, min_eig = _finalize(v / tr, lv)
+    if _failed(False, residual, min_eig):
+        raise _failure(lv, False, residual, min_eig)
+    return rho
 
 
 @dataclass(frozen=True)
 class NessResult:
-    """Steady state plus the objects that produced it."""
+    """Steady state plus the objects that produced it, stacked like the
+    parameters they were solved for."""
 
     rho: np.ndarray
     liouvillian: Liouvillian

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .liouvillian import NessResult, solve_ness
-from .model import BathParams, SystemParams, fermi_occupation
-from .observables import SpectralDecomp, spectral_decompose
+from .model import BathParams, SystemParams, fermi_occupation, take
+from .observables import spectral_decompose
 
 __all__ = [
     "QfiReport",
@@ -55,14 +55,9 @@ class QfiReport:
     step: float
 
 
-def default_step(delta: float) -> float:
+def default_step(delta):
     """Default central-difference step for d/d(delta)."""
-    return max(1e-6, 1e-4 * abs(delta))
-
-
-def _decompose_at(params: SystemParams, baths: BathParams, delta: float) -> SpectralDecomp:
-    result = solve_ness(replace(params, delta=delta), baths)
-    return spectral_decompose(result.rho)
+    return np.maximum(1e-6, 1e-4 * np.abs(delta))[()]
 
 
 def qfi_spectral(
@@ -85,49 +80,62 @@ def qfi_spectral(
     across the stencil before differencing.  ``center``, if given, must be
     ``solve_ness(params, baths)``; its state is then reused instead of
     solving at delta again.
+
+    For stacked parameters the two outer stencil points of every point
+    are one stacked solve and all three states one decomposition; a
+    point whose stencil fails gets NaN in every field, and evaluating it
+    alone raises its QfiStepError, RankChangeError or SteadyStateError.
     """
-    if h is None:
-        h = default_step(params.delta)
-    lo = _decompose_at(params, baths, params.delta - h)
     if center is None:
-        mid = _decompose_at(params, baths, params.delta)
-    else:
-        mid = spectral_decompose(center.rho)
-    hi = _decompose_at(params, baths, params.delta + h)
+        center = solve_ness(params, baths)
+    delta = np.asarray(params.delta)
+    step = np.broadcast_to(default_step(delta) if h is None else h, delta.shape)
+    shifts = np.array([-1.0, 1.0]).reshape((2,) + (1,) * delta.ndim)
+    outer = replace(params, delta=delta + shifts * step)
+    stencil = solve_ness(outer, baths)
+    lo, hi = stencil.rho
+    dec = spectral_decompose(np.stack([lo, center.rho, hi]))
 
-    p_lo = np.array([lo.p1, lo.p2, lo.p3, lo.p4])
-    p_mid = np.array([mid.p1, mid.p2, mid.p3, mid.p4])
-    p_hi = np.array([hi.p1, hi.p2, hi.p3, hi.p4])
-    phis = np.unwrap([lo.phi, mid.phi, hi.phi])
-    changes = np.abs(p_hi - p_lo).max()
-    changes = max(changes, abs(hi.alpha - lo.alpha), abs(phis[2] - phis[0]))
-    if changes < 1e-13:
-        raise QfiStepError(
-            f"no resolvable change across the stencil (step {h:.3e}); "
-            "increase the finite-difference step"
-        )
+    p = np.stack([dec.p1, dec.p2, dec.p3, dec.p4])  # (eigenvalue, stencil point, ...)
+    p_lo, p_mid, p_hi = p[:, 0], p[:, 1], p[:, 2]
+    alpha = dec.alpha
+    phis = np.unwrap(dec.phi, axis=0)
+    changes = np.maximum(
+        np.abs(p_hi - p_lo).max(axis=0),
+        np.maximum(np.abs(alpha[2] - alpha[0]), np.abs(phis[2] - phis[0])),
+    )
+    dp = (p_hi - p_lo) / (2.0 * step)
+    empty = p_mid < _P_FLOOR
+    rank_change = empty & (np.abs(dp) >= _DP_FLOOR)
+    f_e = np.where(empty, 0.0, dp * dp / np.where(empty, 1.0, p_mid)).sum(axis=0)
 
-    f_e = 0.0
-    for p0, dp in zip(p_mid, (p_hi - p_lo) / (2.0 * h)):
-        if p0 < _P_FLOOR:
-            if abs(dp) < _DP_FLOOR:
-                continue
-            raise RankChangeError(
-                f"eigenvalue {p0:.3e} with derivative {dp:.3e}: "
-                "rank changes across the stencil"
+    p_sum = p_mid[1] + p_mid[2]
+    coherent = p_sum > _P_FLOOR
+    d_alpha = (alpha[2] - alpha[0]) / (2.0 * step)
+    d_phi = (phis[2] - phis[0]) / (2.0 * step)
+    sin_a = np.sin(alpha[1])
+    weight = (p_mid[1] - p_mid[2]) ** 2 / np.where(coherent, p_sum, 1.0)
+    f_n = np.where(
+        coherent, weight * (d_alpha * d_alpha + d_phi * d_phi * sin_a * sin_a), 0.0
+    )
+
+    unsolved = np.isnan(stencil.residual).any(axis=0)
+    failed = unsolved | ~(changes >= 1e-13) | rank_change.any(axis=0)
+    if failed.ndim == 0 and failed:
+        for k in np.flatnonzero(np.isnan(stencil.residual)):
+            solve_ness(take(outer, k), baths)  # raises the typed solver error
+        if not changes >= 1e-13:
+            raise QfiStepError(
+                f"no resolvable change across the stencil (step {step:.3e}); "
+                "increase the finite-difference step"
             )
-        f_e += dp * dp / p0
-
-    p_sum = mid.p2 + mid.p3
-    f_n = 0.0
-    if p_sum > _P_FLOOR:
-        d_alpha = (hi.alpha - lo.alpha) / (2.0 * h)
-        d_phi = (phis[2] - phis[0]) / (2.0 * h)
-        sin_a = math.sin(mid.alpha)
-        weight = (mid.p2 - mid.p3) ** 2 / p_sum
-        f_n = weight * (d_alpha * d_alpha + d_phi * d_phi * sin_a * sin_a)
-
-    return QfiReport(f_total=f_e + f_n, f_e=f_e, f_n=f_n, step=h)
+        k = np.flatnonzero(rank_change)[0]
+        raise RankChangeError(
+            f"eigenvalue {p_mid[k]:.3e} with derivative {dp[k]:.3e}: "
+            "rank changes across the stencil"
+        )
+    f_e, f_n = np.where(failed, np.nan, f_e), np.where(failed, np.nan, f_n)
+    return QfiReport(f_total=(f_e + f_n)[()], f_e=f_e[()], f_n=f_n[()], step=step[()])
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:

@@ -7,11 +7,16 @@ transport) works in the resulting delocalized-mode basis.
 
 Units: hbar = k_B = 1 throughout.  Energies, temperatures and chemical
 potentials share the same unit; rates are energies.
+
+Every field may also be an array: a stack of points with leading batch
+axes, evaluated elementwise by the same code.  ``take`` picks points out
+of any such stacked container.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
+
+import numpy as np
 
 __all__ = [
     "SystemParams",
@@ -20,6 +25,7 @@ __all__ = [
     "diagonalize",
     "fermi_occupation",
     "occupation_moments",
+    "take",
 ]
 
 
@@ -39,9 +45,9 @@ class SystemParams:
     gamma2: float = 0.002
 
     def __post_init__(self):
-        if not (self.omega1 > 0.0 and self.omega2 > 0.0):
+        if not (np.all(np.greater(self.omega1, 0.0)) and np.all(np.greater(self.omega2, 0.0))):
             raise ValueError("site energies omega1, omega2 must be positive")
-        if self.gamma1 < 0.0 or self.gamma2 < 0.0:
+        if np.any(np.less(self.gamma1, 0.0)) or np.any(np.less(self.gamma2, 0.0)):
             raise ValueError("decay rates gamma1, gamma2 must be nonnegative")
 
 
@@ -60,7 +66,7 @@ class BathParams:
     mu2: float = 0.5
 
     def __post_init__(self):
-        if not (self.t1 > 0.0 and self.t2 > 0.0):
+        if not (np.all(np.greater(self.t1, 0.0)) and np.all(np.greater(self.t2, 0.0))):
             raise ValueError("temperatures t1, t2 must be strictly positive")
 
 
@@ -81,6 +87,21 @@ class EigenBasis:
     degenerate: bool = False
 
 
+def take(stack, index):
+    """Points ``index`` of a stacked dataclass (parameters, basis, solver
+    result): every array field, nested dataclasses included, indexed along
+    its leading batch axes.  An integer index gives one point, unstacked."""
+    picked = {}
+    for f in fields(stack):
+        value = getattr(stack, f.name)
+        if is_dataclass(value):
+            value = take(value, index)
+        elif isinstance(value, np.ndarray):
+            value = value[index]
+        picked[f.name] = value
+    return replace(stack, **picked)
+
+
 def diagonalize(params: SystemParams) -> EigenBasis:
     """Diagonalize the single-particle Hamiltonian of the junction.
 
@@ -93,33 +114,32 @@ def diagonalize(params: SystemParams) -> EigenBasis:
     energy.  For delta -> 0 with omega2 > omega1 the rotation becomes the
     swap (mode 1 is site 2); with omega1 > omega2 it is the identity.
     """
-    half_sum = 0.5 * (params.omega1 + params.omega2)
-    split = math.hypot(params.omega1 - params.omega2, 2.0 * params.delta)
-    if split == 0.0:
-        # omega1 == omega2 and delta == 0: the rotation is arbitrary.
-        return EigenBasis(half_sum, half_sum, 0.0, 1.0, degenerate=True)
-    theta = math.atan2(2.0 * params.delta, params.omega2 - params.omega1)
+    omega1, omega2 = np.asarray(params.omega1), np.asarray(params.omega2)
+    half_sum = 0.5 * (omega1 + omega2)
+    split = np.hypot(omega1 - omega2, 2.0 * np.asarray(params.delta))
+    theta = np.arctan2(2.0 * np.asarray(params.delta), omega2 - omega1)
+    # omega1 == omega2 and delta == 0: the rotation is arbitrary.
+    degenerate = split == 0.0
     return EigenBasis(
-        omega_p1=half_sum + 0.5 * split,
-        omega_p2=half_sum - 0.5 * split,
-        cos_theta=math.cos(theta),
-        sin_theta=math.sin(theta),
+        omega_p1=(half_sum + 0.5 * split)[()],
+        omega_p2=(half_sum - 0.5 * split)[()],
+        cos_theta=np.where(degenerate, 0.0, np.cos(theta))[()],
+        sin_theta=np.where(degenerate, 1.0, np.sin(theta))[()],
+        degenerate=degenerate[()],
     )
 
 
-def fermi_occupation(omega: float, t: float, mu: float) -> float:
-    """Fermi-Dirac occupation 1/(exp((omega-mu)/t) + 1).
+def fermi_occupation(omega, t, mu):
+    """Fermi-Dirac occupation 1/(exp((omega-mu)/t) + 1), elementwise.
 
     Strictly in (0, 1) for t > 0.  Large |omega - mu|/t is handled
     through the stable exp(-|x|) form, so no overflow warnings.
     """
-    if t <= 0.0:
+    if np.any(np.less_equal(t, 0.0)):
         raise ValueError("temperature must be strictly positive")
-    x = (omega - mu) / t
-    if x >= 0.0:
-        e = math.exp(-x)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(x))
+    x = np.subtract(omega, mu) / t
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))[()]
 
 
 def occupation_moments(

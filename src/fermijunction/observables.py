@@ -8,7 +8,8 @@ between the two singly occupied states; ``spectral_decompose``,
 ``concurrence`` and ``discord`` rely on that shape and raise ValueError
 on any other state.  ``site_basis_state`` rotates a state back to the
 local site basis for questions about the physical site-site
-entanglement.
+entanglement.  Every measure also takes a stack of states with leading
+batch axes and returns one value per state.
 
 Entropies are in bits (log base 2).
 """
@@ -103,11 +104,11 @@ class DiscordResult:
 
 def x_form_deviation(rho: np.ndarray) -> float:
     """Largest magnitude among entries an X state must leave empty."""
-    return float(np.abs(rho[_OFF_X]).max())
+    return np.abs(rho[..., _OFF_X]).max(axis=-1)[()]
 
 
 def _require_x_state(rho: np.ndarray) -> None:
-    dev = x_form_deviation(rho)
+    dev = np.max(x_form_deviation(rho))
     if dev > _X_TOL:
         raise ValueError(
             f"state is not X-form: off-pattern entry of magnitude {dev:.3e}"
@@ -126,16 +127,17 @@ def spectral_decompose(rho: np.ndarray) -> SpectralDecomp:
     Raises ValueError on a state that is not X-form.
     """
     _require_x_state(rho)
-    p1 = rho[0, 0].real
-    p4 = rho[3, 3].real
-    d22 = rho[1, 1].real
-    d33 = rho[2, 2].real
-    coh = rho[1, 2]
+    diag = rho.diagonal(axis1=-2, axis2=-1).real.copy()
+    d22, d33 = diag[..., 1], diag[..., 2]
+    coh = rho[..., 1, 2]
+    mag = np.abs(coh)
     mid = 0.5 * (d22 + d33)
-    r = math.hypot(0.5 * (d22 - d33), abs(coh))
-    alpha = math.atan2(2.0 * abs(coh), d22 - d33)
-    phi = math.atan2(coh.imag, coh.real) if abs(coh) > 0.0 else 0.0
-    return SpectralDecomp(p1, mid + r, mid - r, p4, alpha, phi)
+    r = np.hypot(0.5 * (d22 - d33), mag)
+    alpha = np.arctan2(2.0 * mag, d22 - d33)
+    phi = np.where(mag > 0.0, np.arctan2(coh.imag, coh.real), 0.0)
+    return SpectralDecomp(
+        diag[..., 0][()], (mid + r)[()], (mid - r)[()], diag[..., 3][()], alpha[()], phi[()]
+    )
 
 
 def spectral_reconstruct(decomp: SpectralDecomp) -> np.ndarray:
@@ -155,13 +157,13 @@ def spectral_reconstruct(decomp: SpectralDecomp) -> np.ndarray:
 
 def coherence(rho: np.ndarray) -> float:
     """Magnitude of the coherence between the singly occupied states."""
-    return float(abs(rho[1, 2]))
+    return np.abs(rho[..., 1, 2])[()]
 
 
 def linear_entropy(rho: np.ndarray) -> float:
     """Normalized linear entropy (4/3)(1 - Tr rho^2): 0 pure, 1 maximally mixed."""
-    purity = float(np.vdot(rho, rho).real)
-    return (4.0 / 3.0) * (1.0 - purity)
+    purity = np.einsum("...ij,...ij->...", rho.conj(), rho).real
+    return ((4.0 / 3.0) * (1.0 - purity))[()]
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -172,8 +174,9 @@ def concurrence(rho: np.ndarray) -> float:
     Raises ValueError on a state that is not X-form.
     """
     _require_x_state(rho)
-    inner = abs(rho[1, 2]) - math.sqrt(max(rho[0, 0].real, 0.0) * max(rho[3, 3].real, 0.0))
-    return 2.0 * max(0.0, inner)
+    corners = np.maximum(rho[..., 0, 0].real, 0.0) * np.maximum(rho[..., 3, 3].real, 0.0)
+    inner = np.abs(rho[..., 1, 2]) - np.sqrt(corners)
+    return (2.0 * np.maximum(0.0, inner))[()]
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -194,15 +197,15 @@ def _entropy_bits(mat: np.ndarray) -> float:
     if eigs.min() < _EIG_FLOOR:
         raise ValueError(f"matrix has eigenvalue {eigs.min():.3e}; not a state")
     eigs = np.clip(eigs, 0.0, None)
-    nz = eigs[eigs > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    plogp = eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0))
+    return (-plogp.sum(axis=-1))[()]
 
 
 def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced 2x2 states of subsystem A (mode 1) and B (mode 2)."""
-    t = rho[np.ix_(_PERM, _PERM)].reshape(2, 2, 2, 2)
-    rho_a = np.einsum("abcb->ac", t)
-    rho_b = np.einsum("abad->bd", t)
+    t = rho[..., _PERM[:, None], _PERM].reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    rho_a = np.einsum("...abcb->...ac", t)
+    rho_b = np.einsum("...abad->...bd", t)
     return rho_a, rho_b
 
 
@@ -212,9 +215,10 @@ def mutual_information(rho: np.ndarray) -> float:
     return _entropy_bits(rho_a) + _entropy_bits(rho_b) - _entropy_bits(rho)
 
 
-def _x_conditional_entropy(theta: float, diag: tuple[float, ...], coh2: float) -> float:
+def _x_conditional_entropy(theta, diag, coh2):
     """Average post-measurement entropy of A for an X state measured on B
-    along polar angle theta (any azimuth).
+    along polar angle theta (any azimuth), elementwise: theta has the
+    shape of the result and the state entries broadcast against it.
 
     ``diag`` holds (rho11, rho22, rho33, rho44) and ``coh2`` is |rho23|^2.
     With x = cos(theta), outcome weight u = (1 + x)/2 leaves A in the 2x2
@@ -222,42 +226,51 @@ def _x_conditional_entropy(theta: float, diag: tuple[float, ...], coh2: float) -
     |w01|^2 = u (1-u) |rho23|^2; the other outcome swaps u and 1-u.
     """
     r11, r22, r33, r44 = diag
-    x = math.cos(theta)
-    total = 0.0
-    for u in (0.5 * (1.0 + x), 0.5 * (1.0 - x)):
-        w00 = u * r11 + (1.0 - u) * r33
-        w11 = u * r22 + (1.0 - u) * r44
-        w01_sq = u * (1.0 - u) * coh2
-        p = w00 + w11
-        if p <= 1e-15:
-            continue
-        # w/p has eigenvalues 1 - q and q <= 1/2; taking q from the
-        # determinant keeps it accurate when it is small
-        big = 0.5 * (p + math.sqrt((w00 - w11) ** 2 + 4.0 * w01_sq))
-        q = (w00 * w11 - w01_sq) / (big * p)
-        if q < _EIG_FLOOR:
-            raise ValueError(f"conditional state has eigenvalue {q:.3e}; not a state")
-        if q > 0.0:
-            total -= p * (q * math.log2(q) + (1.0 - q) * math.log1p(-q) / _LN2)
-    return total
+    x = np.cos(theta)
+    # the two outcomes on a leading axis; 0.5 + x/2 rounds as (1 + x)/2
+    u = 0.5 + _HALF_SIGNS[x.ndim] * x
+    v = 1.0 - u
+    w00 = u * r11 + v * r33
+    w11 = u * r22 + v * r44
+    w01_sq = u * v * coh2
+    p = w00 + w11
+    live = p > 1e-15
+    # w/p has eigenvalues 1 - q and q <= 1/2; taking q from the
+    # determinant keeps it accurate when it is small
+    big = 0.5 * (p + np.sqrt((w00 - w11) ** 2 + 4.0 * w01_sq))
+    q = (w00 * w11 - w01_sq) / np.where(live, big * p, 1.0)
+    if ((q < _EIG_FLOOR) & live).any():
+        worst = q[live].min()
+        raise ValueError(f"conditional state has eigenvalue {worst:.3e}; not a state")
+    mixed = live & (q > 0.0)
+    q = np.where(mixed, q, 0.5)
+    h = q * np.log2(q) + (1.0 - q) * np.log1p(-q) / _LN2
+    terms = np.where(mixed, p * h, 0.0)
+    return -(terms[0] + terms[1])
 
 
-def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
-    """Minimum of a unimodal f on [lo, hi] as (value, argument), after a
-    fixed number of golden-section steps; deterministic, cannot fail."""
+# +-1/2, the signs of x in the outcome weights, shaped for x.ndim = 0, 1, 2
+_HALF_SIGNS = tuple(np.array([0.5, -0.5]).reshape((2,) + (1,) * n) for n in range(3))
+
+
+def _golden_section(f, lo, hi):
+    """Minima of a function unimodal on each bracket [lo, hi], elementwise,
+    as (value, argument), after a fixed number of golden-section steps;
+    deterministic, cannot fail."""
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
     for _ in range(_POLISH_STEPS):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f(d)
-    return (fc, c) if fc < fd else (fd, d)
+        left = fc < fd  # minimum in [lo, d]: the old c becomes the new d
+        lo = np.where(left, lo, c)
+        hi = np.where(left, d, hi)
+        span = _INV_GOLDEN * (hi - lo)
+        x = np.where(left, hi - span, lo + span)
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    best = fc < fd
+    return np.where(best, fc, fd), np.where(best, c, d)
 
 
 def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
@@ -268,21 +281,26 @@ def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
     (endpoints included) locates the minimum and a golden-section search
     polishes the best cell; interior optima occur for X states and are
     kept.  Searching theta rather than cos(theta) keeps the polish
-    resolved near theta = 0.
+    resolved near theta = 0.  All states of a stack are searched together.
     """
-    diag = tuple(float(v) for v in rho.diagonal().real)
-    coh2 = abs(rho[1, 2]) ** 2
-
-    def cond(theta: float) -> float:
-        return _x_conditional_entropy(theta, diag, coh2)
-
-    thetas = [0.5 * math.pi * i / _SEARCH_GRID for i in range(_SEARCH_GRID + 1)]
-    vals = [cond(theta) for theta in thetas]
-    k = vals.index(min(vals))
-    polished = _golden_section(
-        cond, thetas[max(k - 1, 0)], thetas[min(k + 1, _SEARCH_GRID)]
+    diag = rho.diagonal(axis1=-2, axis2=-1).real
+    entries = tuple(diag[..., i] for i in range(4))
+    coh2 = np.abs(rho[..., 1, 2]) ** 2
+    thetas = 0.5 * np.pi * np.arange(_SEARCH_GRID + 1) / _SEARCH_GRID
+    vals = _x_conditional_entropy(
+        np.broadcast_to(thetas, coh2.shape + thetas.shape),
+        tuple(e[..., None] for e in entries),
+        coh2[..., None],
     )
-    return polished if polished[0] < vals[k] else (vals[k], thetas[k])
+    k = vals.argmin(axis=-1)
+    best = np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
+    polished, theta = _golden_section(
+        lambda t: _x_conditional_entropy(t, entries, coh2),
+        thetas[np.maximum(k - 1, 0)],
+        thetas[np.minimum(k + 1, _SEARCH_GRID)],
+    )
+    improved = polished < best
+    return np.where(improved, polished, best), np.where(improved, theta, thetas[k])
 
 
 def discord(rho: np.ndarray) -> DiscordResult:
@@ -303,11 +321,11 @@ def discord(rho: np.ndarray) -> DiscordResult:
     cond, theta = _x_state_search(rho)
     classical = s_a - cond
     return DiscordResult(
-        classical_corr=classical,
-        discord=qmi - classical,
+        classical_corr=classical[()],
+        discord=(qmi - classical)[()],
         qmi=qmi,
-        theta=theta,
-        phi=0.0,
+        theta=theta[()],
+        phi=np.zeros_like(theta)[()],
     )
 
 

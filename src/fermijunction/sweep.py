@@ -9,9 +9,12 @@ either a bare parameter name or one of the convenience names:
     dmu  assigns mu1 = mu2 + value (chemical bias on reservoir 1).
 
 Offsets (dT, dmu) resolve after all direct assignments, so e.g. axes
-(mu2, dmu) sweep both the common level and the bias.  Grid points are
-evaluated row-major (first axis outer); rows of failed points carry the
-error cause in the ``flags`` column instead of being dropped.  Output is
+(mu2, dmu) sweep both the common level and the bias.  Rows come in
+row-major order (first axis outer).  The whole grid is evaluated as one
+stack: each layer (solve, currents, correlations, discord, QFI) is one
+call on arrays with a leading grid axis.  A point that fails is
+evaluated again alone, so its row carries the typed error of that point
+in the ``flags`` column instead of being dropped.  Output is
 deterministic byte-for-byte.  A solved row also holds the steady state
 ``rho`` and its dressed-mode ``basis``; they are not columns, so they are
 never emitted, but the single-point report reads them.
@@ -21,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -29,7 +32,7 @@ import yaml
 
 from .liouvillian import SteadyStateError, solve_ness
 from .metrology import QfiStepError, RankChangeError, qfi_spectral
-from .model import BathParams, SystemParams
+from .model import BathParams, EigenBasis, SystemParams, take
 from .observables import (
     coherence,
     concurrence,
@@ -171,17 +174,21 @@ class SweepSpec:
         cols.extend(("residual", "flags"))
         return tuple(cols)
 
+    def coordinates(self) -> tuple[np.ndarray, ...]:
+        """One array per axis holding its coordinate at every grid point,
+        row-major (first axis outer)."""
+        arrays = [ax.values() for ax in self.axes]
+        return tuple(m.ravel() for m in np.meshgrid(*arrays, indexing="ij"))
+
     def grid(self) -> list[tuple[float, ...]]:
         """Axis coordinates in row-major order."""
         if not self.axes:
             return [()]
-        arrays = [ax.values() for ax in self.axes]
-        if len(arrays) == 1:
-            return [(float(v),) for v in arrays[0]]
-        return [(float(a), float(b)) for a in arrays[0] for b in arrays[1]]
+        return list(zip(*(c.tolist() for c in self.coordinates())))
 
     def resolve(self, coords: tuple[float, ...]) -> dict[str, float]:
-        """Full parameter map for one grid point."""
+        """Full parameter map for one grid point, or for many when each
+        coordinate is an array."""
         values = dict(self.fixed)
         for ax, v in zip(self.axes, coords):
             if ax.name in _DIRECT_AXES:
@@ -205,59 +212,136 @@ class SweepResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
 
 
-def _evaluate_point(spec: SweepSpec, coords: tuple[float, ...]) -> dict[str, Any]:
-    row: dict[str, Any] = {ax.name: c for ax, c in zip(spec.axes, coords)}
-    values = spec.resolve(coords)
-    row.update(values)
-    try:
-        params = SystemParams(**{k: values[k] for k in _SYSTEM_KEYS})
-        baths = BathParams(**{k: values[k] for k in _BATH_KEYS})
-    except ValueError as err:
-        row["flags"] = f"params:{err}"
-        return row
-    try:
-        result = solve_ness(params, baths)
-    except SteadyStateError as err:
-        row["flags"] = f"solver:{type(err).__name__}:{err}"
-        return row
-    row["residual"] = result.residual
-    row["flags"] = ""
-    rho = row["rho"] = result.rho
-    row["basis"] = result.basis
+_QFI_ERRORS = (QfiStepError, RankChangeError, SteadyStateError)
 
+
+def _flag(stage: str, err: Exception) -> dict[str, str]:
+    return {"flags": f"{stage}:{type(err).__name__}:{err}"}
+
+
+def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
+    return (
+        SystemParams(**{k: values[k] for k in _SYSTEM_KEYS}),
+        BathParams(**{k: values[k] for k in _BATH_KEYS}),
+    )
+
+
+def _rows(columns: dict[str, Any]) -> list[dict[str, Any]]:
+    """One dict per point from columns of per-point values; array values
+    become Python scalars, so the rows serialize as JSON."""
+    lists = [v if isinstance(v, list) else np.atleast_1d(v).tolist() for v in columns.values()]
+    return [dict(zip(columns, vals)) for vals in zip(*lists)]
+
+
+def _qfi(spec: SweepSpec, params, baths, ness) -> tuple[dict[str, Any], dict[int, dict]]:
+    """QFI columns of solved points (a stack, or one point alone), and the
+    cells of each point whose QFI fails there, evaluated alone so that it
+    raises its typed error."""
+    try:
+        q = qfi_spectral(params, baths, h=spec.qfi_step, center=ness)
+    except _QFI_ERRORS as err:
+        if np.ndim(params.delta) == 0:
+            return {}, {0: _flag("qfi", err)}
+        cols, failed = {}, range(np.size(params.delta))
+    else:
+        cols = dict(qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=q.step)
+        failed = np.flatnonzero(np.isnan(q.f_total))
+    alone = {}
+    for i in failed:
+        point_cols, point_failure = _qfi(spec, take(params, i), take(baths, i), take(ness, i))
+        alone[i] = point_failure.get(0) or _rows(point_cols)[0]
+    return cols, alone
+
+
+def _observe(spec: SweepSpec, params, baths, ness) -> list[dict[str, Any]]:
+    """Cells of solved points: a stack, or one point alone."""
+    cols: dict[str, Any] = {"residual": ness.residual}
     if "thermo" in spec.observables:
-        report = transport_report(result, params, baths)
-        row["current_n1"] = report.i1
-        row["current_n2"] = report.i2
-        row["current_e1"] = report.j1
-        row["current_e2"] = report.j2
-        row["epr"] = report.epr
-        row["epr_regime_ok"] = report.epr_regime_ok
+        report = transport_report(ness, params, baths)
+        cols.update(
+            current_n1=report.i1,
+            current_n2=report.i2,
+            current_e1=report.j1,
+            current_e2=report.j2,
+            epr=report.epr,
+            epr_regime_ok=report.epr_regime_ok,
+        )
+    rho = ness.rho
     if "discord" in spec.observables:
         d = discord(rho)
-        row["classical_corr"] = d.classical_corr
-        row["discord"] = d.discord
+        cols.update(classical_corr=d.classical_corr, discord=d.discord)
     if "correlations" in spec.observables:
-        row["coherence"] = coherence(rho)
-        row["linear_entropy"] = linear_entropy(rho)
-        row["concurrence"] = concurrence(rho)
-        # discord has already computed the same mutual information
-        row["qmi"] = d.qmi if "discord" in spec.observables else mutual_information(rho)
+        cols.update(
+            coherence=coherence(rho),
+            linear_entropy=linear_entropy(rho),
+            concurrence=concurrence(rho),
+            # discord has already computed the same mutual information
+            qmi=d.qmi if "discord" in spec.observables else mutual_information(rho),
+        )
+    qfi_alone: dict[int, dict] = {}
     if "qfi" in spec.observables:
-        try:
-            qreport = qfi_spectral(params, baths, h=spec.qfi_step, center=result)
-            row["qfi_total"] = qreport.f_total
-            row["qfi_fe"] = qreport.f_e
-            row["qfi_fn"] = qreport.f_n
-            row["qfi_step"] = qreport.step
-        except (QfiStepError, RankChangeError, SteadyStateError) as err:
-            row["flags"] = f"qfi:{type(err).__name__}:{err}"
-    return row
+        qfi_cols, qfi_alone = _qfi(spec, params, baths, ness)
+        cols.update(qfi_cols)
+    bases = zip(*(np.atleast_1d(getattr(ness.basis, f.name)).tolist() for f in fields(EigenBasis)))
+    cols["flags"] = [""] * np.size(ness.residual)
+    cols["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
+    cols["basis"] = [EigenBasis(*b) for b in bases]
+    rows = _rows(cols)
+    for i, cells in qfi_alone.items():
+        for col in _QFI_COLUMNS:
+            rows[i].pop(col, None)
+        rows[i].update(cells)
+    return rows
+
+
+def _evaluate(spec: SweepSpec, params, baths) -> list[dict[str, Any]]:
+    """Cells of each point of a stack of valid points (or of one point,
+    unstacked): one solve for the stack, and each point it leaves
+    unsolved evaluated again alone, where the solve raises its typed
+    error."""
+    try:
+        ness = solve_ness(params, baths)
+    except SteadyStateError as err:
+        if np.ndim(params.delta) == 0:
+            return [_flag("solver", err)]
+        solved = np.zeros(np.size(params.delta), dtype=bool)
+    else:
+        solved = ~np.isnan(np.atleast_1d(ness.residual))
+    if solved.all():
+        return _observe(spec, params, baths, ness)
+    cells: list[dict[str, Any]] = [{}] * solved.size
+    good = np.flatnonzero(solved)
+    if good.size:
+        subset = (take(x, good) for x in (params, baths, ness))
+        for i, row in zip(good, _observe(spec, *subset)):
+            cells[i] = row
+    for i in np.flatnonzero(~solved):
+        cells[i] = _evaluate(spec, take(params, i), take(baths, i))[0]
+    return cells
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid point in row-major order."""
-    rows = [_evaluate_point(spec, coords) for coords in spec.grid()]
+    """Evaluate the whole grid as one stack; rows in row-major order."""
+    coords = spec.coordinates()
+    n = coords[0].size if coords else 1
+    resolved = spec.resolve(coords)
+    values = {k: np.broadcast_to(np.asarray(resolved[k], dtype=float), (n,)) for k in BASE_PARAMS}
+    rows = _rows({**{ax.name: c for ax, c in zip(spec.axes, coords)}, **values})
+    try:
+        params, baths = _stack_params(values)
+        valid = np.arange(n)
+    except ValueError:
+        valid = []
+        for i, row in enumerate(rows):
+            try:
+                _stack_params(row)
+                valid.append(i)
+            except ValueError as err:
+                row["flags"] = f"params:{err}"
+        params, baths = _stack_params({k: values[k][valid] for k in BASE_PARAMS})
+    if len(valid):
+        for i, cells in zip(valid, _evaluate(spec, params, baths)):
+            rows[i].update(cells)
     return SweepResult(spec=spec, columns=spec.columns(), rows=rows)
 
 
@@ -321,10 +405,17 @@ def _numeric_section(section: dict, allowed: set[str], where: str) -> dict[str, 
     return out
 
 
+# libyaml's parser when PyYAML was built with it; same documents, ~5x faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str) -> dict:
     """Parse and structurally validate a YAML config file."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as err:
+            raise ConfigError(f"invalid YAML: {err}") from None
     cfg = _require_mapping(raw, "config")
     unknown = set(cfg) - _CONFIG_SECTIONS
     if unknown:

@@ -63,21 +63,23 @@ def entropy_production_rate(j1: float, i1: float, baths: BathParams) -> float:
 def epr_regime_ok(params: SystemParams) -> bool:
     """True inside the window where the EPR positivity argument applies:
     symmetric junction, |delta| <= 0.01 omega, mean coupling <= |delta|/2."""
-    if abs(params.omega1 - params.omega2) > 1e-12 * params.omega1:
-        return False
-    if abs(params.delta) > 0.01 * params.omega1 * (1.0 + 1e-12):
-        return False
-    mean_gamma = 0.5 * (params.gamma1 + params.gamma2)
-    return mean_gamma <= 0.5 * abs(params.delta) * (1.0 + 1e-12)
+    omega1 = np.asarray(params.omega1)
+    delta = np.abs(params.delta)
+    symmetric = np.abs(omega1 - params.omega2) <= 1e-12 * omega1
+    tunneling = delta <= 0.01 * omega1 * (1.0 + 1e-12)
+    mean_gamma = 0.5 * (np.asarray(params.gamma1) + params.gamma2)
+    return (symmetric & tunneling & (mean_gamma <= 0.5 * delta * (1.0 + 1e-12)))[()]
 
 
 def transport_report(result: NessResult, params: SystemParams, baths: BathParams) -> ThermoReport:
-    """Currents and EPR for a solved steady state."""
+    """Currents and EPR for a solved steady state (or a stack of them)."""
     lv = result.liouvillian
-    v = sector_vector(result.rho)
-    populations = np.stack([lv.bath1 @ v, lv.bath2 @ v])[:, :DIM].real
-    charges = np.stack([np.diag(number_operator()), np.diag(lv.hamiltonian).real])
-    (i1, j1), (i2, j2) = (populations @ charges.T).tolist()
+    v = sector_vector(result.rho)[..., None]
+    flows = np.stack([lv.bath1 @ v, lv.bath2 @ v], axis=-3)[..., :DIM, 0].real
+    energies = np.diagonal(lv.hamiltonian, axis1=-2, axis2=-1)
+    charges = np.stack(np.broadcast_arrays(np.diag(number_operator()), energies), axis=-1)
+    currents = flows @ charges  # (..., bath, particle/energy)
+    i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
     return ThermoReport(
         i1=i1,
         i2=i2,

@@ -4,6 +4,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fermijunction import sweep, verify
@@ -129,6 +130,15 @@ def test_sweep_invalid_config_exit_code(tmp_path, capsys):
     assert "both fixed and swept" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "point"])
+def test_malformed_yaml_exit_code(command, tmp_path, capsys):
+    path = tmp_path / "malformed.yaml"
+    path.write_text("system:\n  omega1: [1.0\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     assert main(["verify"]) == 0
     first = capsys.readouterr().out
@@ -143,7 +153,7 @@ def test_verify_transport_checks_solve_each_grid_once(monkeypatch):
     calls = []
 
     def counting_solve(params, baths):
-        calls.append(params.delta)
+        calls.append((np.shape(params.delta), np.unique(params.delta).tolist()))
         return solve_ness(params, baths)
 
     monkeypatch.setattr(sweep, "solve_ness", counting_solve)
@@ -151,7 +161,8 @@ def test_verify_transport_checks_solve_each_grid_once(monkeypatch):
     checks = dict(verify.CHECKS)
     assert checks["current-conservation"]()[0]
     assert checks["epr-positivity"]()[0]
-    assert len(calls) == 882  # the delta = 0.005 and 0.05 grids, 441 points each
+    # one grid-sized solve each for the delta = 0.005 and 0.05 grids
+    assert calls == [((441,), [0.005]), ((441,), [0.05])]
 
 
 def test_paper_claims_check_runs_the_shipped_config():

@@ -167,6 +167,22 @@ def test_uncoupled_generator_is_degenerate():
         steady_state_svd(lv)
 
 
+def test_degenerate_generator_without_exact_zero_pivot():
+    # dressed mode 1 has no coupling here, so the null space is
+    # two-dimensional, but LU meets no exact zero pivot: the solve must
+    # still refuse to pick an arbitrary null vector, alone and in a stack
+    params = SystemParams(omega1=1.0, omega2=1.03, delta=0.005, gamma1=0.0, gamma2=0.002)
+    baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
+    lv = build_liouvillian(diagonalize(params), baths, params)
+    with pytest.raises(DegenerateNullSpaceError) as err:
+        steady_state(lv)
+    assert err.value.dimension == 2
+    stacked = SystemParams(**{**vars(params), "gamma1": np.array([0.0, 0.002])})
+    result = solve_ness(stacked, baths)
+    assert np.isnan(result.residual[0]) and np.isnan(result.rho[0]).all()
+    assert result.residual[1] < 1e-10
+
+
 def test_decoupled_sites_thermalize_to_own_reservoirs():
     # delta = 0 with distinct site energies: each site equilibrates with
     # its own bath, populations factorize over the two occupations

@@ -133,13 +133,17 @@ def test_qfi_drops_numerically_empty_levels():
 def test_qfi_rank_change_detected(monkeypatch):
     # a level sitting at zero with a sizable derivative cannot be
     # differentiated through; fabricate that situation directly
-    def fake_decompose(params, baths, delta):
-        p4 = max(0.0, delta - 0.005) * 0.9
+    def fake_decompose(rho):
+        # the stencil states at delta - h, delta, delta + h (h = 1e-6)
+        assert rho.shape == (3, 4, 4)
+        delta = 0.005 + np.array([-1e-6, 0.0, 1e-6])
+        p4 = np.maximum(0.0, delta - 0.005) * 0.9
         rest = 1.0 - p4
         return SpectralDecomp(
-            p1=0.5 * rest, p2=0.3 * rest, p3=0.2 * rest, p4=p4, alpha=1.0, phi=0.0
+            p1=0.5 * rest, p2=0.3 * rest, p3=0.2 * rest, p4=p4,
+            alpha=np.ones(3), phi=np.zeros(3),
         )
 
-    monkeypatch.setattr("fermijunction.metrology._decompose_at", fake_decompose)
+    monkeypatch.setattr("fermijunction.metrology.spectral_decompose", fake_decompose)
     with pytest.raises(RankChangeError):
         qfi_spectral(SystemParams(delta=0.005), BathParams())

@@ -1,10 +1,15 @@
 """Sweep engine: validation, determinism, serialization round-trips."""
 import csv
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermijunction import (
     Axis,
@@ -15,8 +20,11 @@ from fermijunction import (
     run_sweep,
     sweep_spec_from_config,
 )
+from fermijunction import sweep
 from fermijunction.liouvillian import SteadyStateError
 from fermijunction.sweep import SweepResult
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EQ_FIXED = {
     "omega1": 1.0,
@@ -220,15 +228,16 @@ def test_invalid_parameter_point_is_recorded():
 
 
 def test_solver_failure_is_recorded(monkeypatch):
-    calls = {"n": 0}
+    sizes = []
 
     def failing(params, baths):
-        calls["n"] += 1
+        sizes.append(np.shape(params.delta))
         raise SteadyStateError("fabricated breakdown", residual=1.0)
 
     monkeypatch.setattr("fermijunction.sweep.solve_ness", failing)
     result = run_sweep(small_spec(observables=("thermo",)))
-    assert calls["n"] == 3
+    # one call for the 3-point grid, then each point alone
+    assert sizes == [(3,), (), (), ()]
     for row in result.rows:
         assert row["flags"].startswith("solver:SteadyStateError")
         assert "residual" not in row
@@ -288,3 +297,98 @@ def test_qfi_step_override_reaches_report():
     spec = SweepSpec(fixed=EQ_FIXED, observables=("qfi",), qfi_step=3e-6)
     result = run_sweep(spec)
     assert result.rows[0]["qfi_step"] == 3e-6
+
+
+def test_config_loaders_agree(tmp_path):
+    if not getattr(yaml, "__with_libyaml__", False):
+        pytest.skip("PyYAML is built without libyaml")
+    assert sweep._YAML_LOADER is yaml.CSafeLoader
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "sweepbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    paths = sorted((ROOT / "configs").glob("*.yaml"))
+    for name in workloads.WORKLOADS:
+        paths.append(tmp_path / f"{name}.yaml")
+        workloads.write_config(workloads.make_config(name, 0), paths[-1])
+    assert len(paths) == 8
+    for path in paths:
+        text = path.read_text()
+        reference = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == reference, path.name
+        assert load_config(str(path)) == reference, path.name
+
+
+_POPULATION_CELLS = ("current_n1", "current_n2", "current_e1", "current_e2", "epr",
+                     "coherence", "linear_entropy", "concurrence", "qmi",
+                     "classical_corr", "discord")
+_QFI_CELLS = ("qfi_total", "qfi_fe", "qfi_fn")
+
+
+def _alone(row):
+    """The same parameter point as a one-point sweep over every block."""
+    return run_sweep(SweepSpec(fixed={k: row[k] for k in EQ_FIXED})).rows[0]
+
+
+def _assert_matches_alone(row):
+    alone = _alone(row)
+    assert row["flags"] == alone["flags"]
+    assert set(row) == set(alone) | {ax for ax in ("dmu", "dT") if ax in row}
+    if row["flags"].startswith(("params:", "solver:")):
+        return
+    for got, want in zip(np.diag(row["rho"]).real, np.diag(alone["rho"]).real):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    for col, rel in [(c, 1e-12) for c in _POPULATION_CELLS] + [(c, 1e-8) for c in _QFI_CELLS]:
+        assert abs(row[col] - alone[col]) <= rel * max(abs(row[col]), abs(alone[col])), col
+
+
+@st.composite
+def biased_grids(draw):
+    """Detuned junctions with unequal couplings under a chemical and a
+    thermal bias at every grid point."""
+    omega1 = draw(st.floats(0.8, 1.2))
+    delta = draw(st.floats(0.003, 0.05))
+    fixed = {
+        "omega1": omega1,
+        "omega2": omega1 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.005, 0.05)),
+        "delta": delta,
+        "gamma1": delta * draw(st.floats(0.02, 0.1)),
+        "gamma2": delta * draw(st.floats(0.11, 0.2)),
+        "t1": draw(st.floats(0.1, 0.5)),
+        "mu2": draw(st.floats(0.2, 1.0)),
+    }
+    axes = (
+        Axis("dmu", draw(st.floats(0.05, 0.5)), draw(st.floats(0.6, 1.2)), 3),
+        Axis("dT", draw(st.floats(0.02, 0.1)), draw(st.floats(0.2, 0.5)), 2),
+    )
+    return SweepSpec(fixed=fixed, axes=axes)
+
+
+@settings(max_examples=15, deadline=None)
+@given(biased_grids())
+def test_grid_row_equals_the_point_alone(spec):
+    # populations, currents and correlations within 1e-12 relative, the
+    # finite-difference QFI within 1e-8
+    rows = run_sweep(spec).rows
+    assert len(rows) == 6 and all(r["flags"] == "" for r in rows)
+    for row in rows:
+        _assert_matches_alone(row)
+
+
+def test_mixed_failure_grid_flags_each_point_as_alone():
+    # gamma1 < 0 is a params error; gamma1 = gamma2 = 0 leaves the steady
+    # state not unique; both rates positive solves
+    spec = SweepSpec(
+        fixed={**fixed_without("gamma1", "gamma2"), "omega2": 1.03, "t2": 0.4, "mu1": 0.9},
+        axes=(Axis("gamma1", -0.002, 0.002, 3), Axis("gamma2", 0.0, 0.002, 2)),
+    )
+    rows = run_sweep(spec).rows
+    flags = [r["flags"] for r in rows]
+    assert all(f.startswith("params:decay rates") for f in flags[:2])
+    assert flags[2].startswith("solver:DegenerateNullSpaceError:")
+    assert flags[5] == ""
+    for row in rows:
+        _assert_matches_alone(row)
+        if row["flags"]:
+            assert "residual" not in row and "qfi_total" not in row
