@@ -334,7 +334,7 @@ def _failed(singular, residual, min_eig):
 
 def _failure(lv: Liouvillian, singular, residual, min_eig) -> SteadyStateError:
     """The typed error of one generator whose solve failed its checks."""
-    dim = _null_space_dimension(lv.matrix)
+    dim = _null_space_dimension(np.linalg.svd(lv.matrix, compute_uv=False))
     if dim > 1:
         return DegenerateNullSpaceError(dim)
     if singular:
@@ -349,9 +349,9 @@ def _failure(lv: Liouvillian, singular, residual, min_eig) -> SteadyStateError:
     )
 
 
-def _null_space_dimension(matrix: np.ndarray) -> int:
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(svals < 1e-10 * svals[0]))
+def _null_space_dimension(svals: np.ndarray) -> int:
+    # <=, so that an all-zero generator has every dimension null
+    return int(np.sum(svals <= 1e-10 * svals[0]))
 
 
 def _invert_each(a: np.ndarray) -> np.ndarray:
@@ -403,7 +403,7 @@ def steady_state_svd(lv: Liouvillian) -> np.ndarray:
     independent of the row-replacement path, used as the cross-check
     oracle."""
     _, svals, vh = np.linalg.svd(lv.matrix)
-    dim = int(np.sum(svals < 1e-10 * svals[0]))
+    dim = _null_space_dimension(svals)
     if dim > 1:
         raise DegenerateNullSpaceError(dim)
     v = vh[-1, :].conj()

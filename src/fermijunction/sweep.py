@@ -9,23 +9,26 @@ either a bare parameter name or one of the convenience names:
     dmu  assigns mu1 = mu2 + value (chemical bias on reservoir 1).
 
 Offsets (dT, dmu) resolve after all direct assignments, so e.g. axes
-(mu2, dmu) sweep both the common level and the bias.  Rows come in
+(mu2, dmu) sweep both the common level and the bias.  Points come in
 row-major order (first axis outer).  The whole grid is evaluated as one
 stack: each layer (solve, currents, correlations, discord, QFI) is one
-call on arrays with a leading grid axis.  A point that fails is
-evaluated again alone, so its row carries the typed error of that point
-in the ``flags`` column instead of being dropped.  Output is
-deterministic byte-for-byte.  A solved row also holds the steady state
-``rho`` and its dressed-mode ``basis``; they are not columns, so they are
-never emitted, but the single-point report reads them.
+call on arrays with a leading grid axis, and the result stays a table of
+columns up to the emitted bytes.  A point that fails is evaluated again
+alone and its cells are written back by index, so its ``flags`` cell
+carries the typed error of that point instead of the point being
+dropped.  Output is deterministic byte-for-byte.  The table also holds
+each solved point's steady state ``rho`` and dressed-mode ``basis``;
+they are not emitted, but the single-point report reads them.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 import yaml
@@ -202,21 +205,32 @@ class SweepSpec:
         return values
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
-    """Rows (dict per grid point) plus the column order for emission; a
-    solved row also holds ``rho`` and ``basis``, which are not emitted."""
+    """The grid as a column table: ``table[name][i]`` is the value of
+    point i, None where the point has none.  Besides the emitted
+    ``columns`` the table holds each solved point's ``rho`` and ``basis``."""
 
     spec: SweepSpec
     columns: tuple[str, ...]
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    table: dict[str, list] = field(default_factory=dict)
+
+    @functools.cached_property
+    def rows(self) -> tuple[Mapping[str, Any], ...]:
+        """Read-only dict per point, built on first access; a point's
+        missing cells are absent from its dict."""
+        names = tuple(self.table)
+        return tuple(
+            MappingProxyType({k: v for k, v in zip(names, cells) if v is not None})
+            for cells in zip(*self.table.values())
+        )
 
 
 _QFI_ERRORS = (QfiStepError, RankChangeError, SteadyStateError)
 
 
-def _flag(stage: str, err: Exception) -> dict[str, str]:
-    return {"flags": f"{stage}:{type(err).__name__}:{err}"}
+def _flag(stage: str, err: Exception) -> dict[str, list]:
+    return {"flags": [f"{stage}:{type(err).__name__}:{err}"]}
 
 
 def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
@@ -226,34 +240,44 @@ def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
     )
 
 
-def _rows(columns: dict[str, Any]) -> list[dict[str, Any]]:
-    """One dict per point from columns of per-point values; array values
-    become Python scalars, so the rows serialize as JSON."""
-    lists = [v if isinstance(v, list) else np.atleast_1d(v).tolist() for v in columns.values()]
-    return [dict(zip(columns, vals)) for vals in zip(*lists)]
+def _columns(arrays: dict[str, Any]) -> dict[str, list]:
+    """A list per column from per-point arrays; array values become
+    Python scalars, so the rows serialize as JSON."""
+    return {k: v if isinstance(v, list) else np.atleast_1d(v).tolist() for k, v in arrays.items()}
 
 
-def _qfi(spec: SweepSpec, params, baths, ness) -> tuple[dict[str, Any], dict[int, dict]]:
-    """QFI columns of solved points (a stack, or one point alone), and the
-    cells of each point whose QFI fails there, evaluated alone so that it
+def _scatter(table: dict[str, list], n: int, index, part: dict[str, list]) -> None:
+    """Write the cells of the points ``index`` (one per index, in
+    ``part``'s columns) into a table of n points."""
+    for name, values in part.items():
+        column = table.setdefault(name, [None] * n)
+        for i, v in zip(index, values):
+            column[i] = v
+
+
+def _qfi(spec: SweepSpec, params, baths, ness) -> dict[str, list]:
+    """QFI columns and flags of solved points (a stack, or one point
+    alone); a point whose QFI fails there is evaluated alone, so that it
     raises its typed error."""
+    n = np.size(params.delta)
     try:
         q = qfi_spectral(params, baths, h=spec.qfi_step, center=ness)
     except _QFI_ERRORS as err:
         if np.ndim(params.delta) == 0:
-            return {}, {0: _flag("qfi", err)}
-        cols, failed = {}, range(np.size(params.delta))
+            return _flag("qfi", err)
+        table, failed = {}, range(n)
     else:
-        cols = dict(qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=q.step)
+        table = _columns(dict(qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=q.step))
         failed = np.flatnonzero(np.isnan(q.f_total))
-    alone = {}
+    table["flags"] = [""] * n
     for i in failed:
-        point_cols, point_failure = _qfi(spec, take(params, i), take(baths, i), take(ness, i))
-        alone[i] = point_failure.get(0) or _rows(point_cols)[0]
-    return cols, alone
+        for column in table.values():
+            column[i] = None
+        _scatter(table, n, [i], _qfi(spec, take(params, i), take(baths, i), take(ness, i)))
+    return table
 
 
-def _observe(spec: SweepSpec, params, baths, ness) -> list[dict[str, Any]]:
+def _observe(spec: SweepSpec, params, baths, ness) -> dict[str, list]:
     """Cells of solved points: a stack, or one point alone."""
     cols: dict[str, Any] = {"residual": ness.residual}
     if "thermo" in spec.observables:
@@ -278,71 +302,65 @@ def _observe(spec: SweepSpec, params, baths, ness) -> list[dict[str, Any]]:
             # discord has already computed the same mutual information
             qmi=d.qmi if "discord" in spec.observables else mutual_information(rho),
         )
-    qfi_alone: dict[int, dict] = {}
+    table = _columns(cols)
     if "qfi" in spec.observables:
-        qfi_cols, qfi_alone = _qfi(spec, params, baths, ness)
-        cols.update(qfi_cols)
+        table.update(_qfi(spec, params, baths, ness))
+    else:
+        table["flags"] = [""] * np.size(ness.residual)
     bases = zip(*(np.atleast_1d(getattr(ness.basis, f.name)).tolist() for f in fields(EigenBasis)))
-    cols["flags"] = [""] * np.size(ness.residual)
-    cols["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
-    cols["basis"] = [EigenBasis(*b) for b in bases]
-    rows = _rows(cols)
-    for i, cells in qfi_alone.items():
-        for col in _QFI_COLUMNS:
-            rows[i].pop(col, None)
-        rows[i].update(cells)
-    return rows
+    table["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
+    table["basis"] = [EigenBasis(*b) for b in bases]
+    return table
 
 
-def _evaluate(spec: SweepSpec, params, baths) -> list[dict[str, Any]]:
-    """Cells of each point of a stack of valid points (or of one point,
-    unstacked): one solve for the stack, and each point it leaves
-    unsolved evaluated again alone, where the solve raises its typed
-    error."""
+def _evaluate(spec: SweepSpec, params, baths) -> dict[str, list]:
+    """Cells of a stack of valid points (or of one point, unstacked): one
+    solve for the stack, and each point it leaves unsolved evaluated
+    again alone, where the solve raises its typed error."""
     try:
         ness = solve_ness(params, baths)
     except SteadyStateError as err:
         if np.ndim(params.delta) == 0:
-            return [_flag("solver", err)]
+            return _flag("solver", err)
         solved = np.zeros(np.size(params.delta), dtype=bool)
     else:
         solved = ~np.isnan(np.atleast_1d(ness.residual))
     if solved.all():
         return _observe(spec, params, baths, ness)
-    cells: list[dict[str, Any]] = [{}] * solved.size
+    table: dict[str, list] = {}
     good = np.flatnonzero(solved)
     if good.size:
         subset = (take(x, good) for x in (params, baths, ness))
-        for i, row in zip(good, _observe(spec, *subset)):
-            cells[i] = row
+        _scatter(table, solved.size, good, _observe(spec, *subset))
     for i in np.flatnonzero(~solved):
-        cells[i] = _evaluate(spec, take(params, i), take(baths, i))[0]
-    return cells
+        _scatter(table, solved.size, [i], _evaluate(spec, take(params, i), take(baths, i)))
+    return table
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the whole grid as one stack; rows in row-major order."""
+    """Evaluate the whole grid as one stack; points in row-major order."""
     coords = spec.coordinates()
     n = coords[0].size if coords else 1
     resolved = spec.resolve(coords)
     values = {k: np.broadcast_to(np.asarray(resolved[k], dtype=float), (n,)) for k in BASE_PARAMS}
-    rows = _rows({**{ax.name: c for ax, c in zip(spec.axes, coords)}, **values})
+    table = _columns({**{ax.name: c for ax, c in zip(spec.axes, coords)}, **values})
     try:
         params, baths = _stack_params(values)
-        valid = np.arange(n)
     except ValueError:
-        valid = []
-        for i, row in enumerate(rows):
+        valid, flags = [], [None] * n
+        for i in range(n):
             try:
-                _stack_params(row)
+                _stack_params({k: table[k][i] for k in BASE_PARAMS})
                 valid.append(i)
             except ValueError as err:
-                row["flags"] = f"params:{err}"
-        params, baths = _stack_params({k: values[k][valid] for k in BASE_PARAMS})
-    if len(valid):
-        for i, cells in zip(valid, _evaluate(spec, params, baths)):
-            rows[i].update(cells)
-    return SweepResult(spec=spec, columns=spec.columns(), rows=rows)
+                flags[i] = f"params:{err}"
+        table["flags"] = flags
+        if valid:
+            params, baths = _stack_params({k: values[k][valid] for k in BASE_PARAMS})
+            _scatter(table, n, valid, _evaluate(spec, params, baths))
+    else:
+        table.update(_evaluate(spec, params, baths))
+    return SweepResult(spec=spec, columns=spec.columns(), table=table)
 
 
 def _format_cell(value: Any) -> str:
@@ -355,6 +373,27 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
+def _quote(text: str) -> str:
+    """One non-empty text field as ``csv.writer`` writes it: quoted when
+    it holds a delimiter, a quote or a line break."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,))
+    return buf.getvalue()[:-1]
+
+
+def _column_text(values: list) -> list[str]:
+    """The CSV cells of one column, each distinct value formatted once.
+    Zero cells are formatted one by one: 0.0 and -0.0 (and False) are
+    one key, but 0.0 prints 0 and -0.0 prints -0."""
+    text = {
+        v: _quote(v) if isinstance(v, str) and v else _format_cell(v)
+        for v in dict.fromkeys(values)
+    }
+    if 0.0 in text:
+        return [text[v] if v else _format_cell(v) for v in values]
+    return list(map(text.__getitem__, values))
+
+
 def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     """Serialize a sweep result.
 
@@ -363,12 +402,11 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     per line, missing values as null.  Both are byte-deterministic.
     """
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow([_format_cell(row.get(col)) for col in result.columns])
-        return buf.getvalue().encode()
+        n = len(next(iter(result.table.values()), ()))
+        blank = [None] * n
+        cells = [_column_text(result.table.get(col, blank)) for col in result.columns]
+        lines = [",".join(result.columns), *map(",".join, zip(*cells))]
+        return ("\n".join(lines) + "\n").encode()
     if fmt == "jsonl":
         lines = []
         for row in result.rows:
@@ -394,14 +432,18 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
+def _number(val: Any, where: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    return float(val)
+
+
 def _numeric_section(section: dict, allowed: set[str], where: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for key, val in section.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{where}.{key} must be a number")
-        out[key] = float(val)
+        out[key] = _number(val, f"{where}.{key}")
     return out
 
 
@@ -438,22 +480,26 @@ def sweep_spec_from_config(cfg: dict) -> SweepSpec:
         raise ConfigError(f"unknown keys {sorted(unknown)} in sweep")
     axes = []
     for i, ax_cfg in enumerate(sweep_cfg.get("axes", []) or []):
-        ax = _require_mapping(ax_cfg, f"sweep.axes[{i}]")
+        where = f"sweep.axes[{i}]"
+        ax = _require_mapping(ax_cfg, where)
         extra = set(ax) - {"name", "start", "stop", "count", "scale"}
         if extra:
-            raise ConfigError(f"unknown keys {sorted(extra)} in sweep.axes[{i}]")
-        try:
-            axes.append(
-                Axis(
-                    name=str(ax["name"]),
-                    start=float(ax["start"]),
-                    stop=float(ax["stop"]),
-                    count=int(ax["count"]),
-                    scale=str(ax.get("scale", "linear")),
-                )
+            raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
+        missing = [k for k in ("name", "start", "stop", "count") if k not in ax]
+        if missing:
+            raise ConfigError(f"{where} is missing {missing[0]!r}")
+        count = _number(ax["count"], f"{where}.count")
+        if not count.is_integer():
+            raise ConfigError(f"{where}.count must be a whole number")
+        axes.append(
+            Axis(
+                name=str(ax["name"]),
+                start=_number(ax["start"], f"{where}.start"),
+                stop=_number(ax["stop"], f"{where}.stop"),
+                count=int(count),
+                scale=str(ax.get("scale", "linear")),
             )
-        except KeyError as err:
-            raise ConfigError(f"sweep.axes[{i}] is missing {err.args[0]!r}") from None
+        )
     observables = sweep_cfg.get("observables")
     if observables is None:
         observables = OBSERVABLE_BLOCKS
@@ -463,7 +509,7 @@ def sweep_spec_from_config(cfg: dict) -> SweepSpec:
         raise ConfigError("sweep.observables must be a list")
     qfi_step = sweep_cfg.get("qfi_step")
     if qfi_step is not None:
-        qfi_step = float(qfi_step)
+        qfi_step = _number(qfi_step, "sweep.qfi_step")
     return SweepSpec(
         fixed=fixed, axes=tuple(axes), observables=observables, qfi_step=qfi_step
     )

@@ -130,6 +130,36 @@ def test_sweep_invalid_config_exit_code(tmp_path, capsys):
     assert "both fixed and swept" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("start", "true", "sweep.axes[0].start must be a number"),
+        ("start", "low", "sweep.axes[0].start must be a number"),
+        ("stop", "false", "sweep.axes[0].stop must be a number"),
+        ("stop", "[0.6]", "sweep.axes[0].stop must be a number"),
+        ("count", "true", "sweep.axes[0].count must be a number"),
+        ("count", "'3'", "sweep.axes[0].count must be a number"),
+        ("count", "3.9", "sweep.axes[0].count must be a whole number"),
+        ("count", ".nan", "sweep.axes[0].count must be a whole number"),
+    ],
+)
+def test_sweep_rejects_bad_axis_field(field, value, message, sweep_config, capsys):
+    # the axis fields are validated like the system and baths sections:
+    # a bool or a fractional count must not be coerced into a sweep
+    text = Path(sweep_config).read_text()
+    old = {"start": "start: 0.0", "stop": "stop: 0.6", "count": "count: 3"}[field]
+    Path(sweep_config).write_text(text.replace(old, f"{field}: {value}"))
+    assert main(["sweep", sweep_config]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_sweep_accepts_whole_float_count(sweep_config, capsysbinary):
+    Path(sweep_config).write_text(Path(sweep_config).read_text().replace("count: 3", "count: 3.0"))
+    assert main(["sweep", sweep_config, "--format", "jsonl"]) == 0
+    assert len(capsysbinary.readouterr().out.splitlines()) == 3
+
+
 @pytest.mark.parametrize("command", ["sweep", "point"])
 def test_malformed_yaml_exit_code(command, tmp_path, capsys):
     path = tmp_path / "malformed.yaml"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fermijunction import (
     BathParams,
     DegenerateNullSpaceError,
+    SweepSpec,
     SystemParams,
     build_liouvillian,
     diagonalize,
@@ -14,6 +15,7 @@ from fermijunction import (
     grand_canonical_state,
     hamiltonian,
     number_operator,
+    run_sweep,
     solve_ness,
     steady_state,
 )
@@ -164,6 +166,21 @@ def test_uncoupled_generator_is_degenerate():
         steady_state(lv)
     assert err.value.dimension > 1
     with pytest.raises(DegenerateNullSpaceError):
+        steady_state_svd(lv)
+
+
+def test_zero_generator_is_fully_degenerate():
+    # equal sites, no tunneling, no coupling: L = 0, every singular value
+    # is 0 and the whole 6-dim sector is stationary
+    fixed = dict(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.0, gamma2=0.0,
+                 t1=0.2, t2=0.2, mu1=0.5, mu2=0.5)
+    message = "stationary state is not unique: null space dimension 6"
+    row = run_sweep(SweepSpec(fixed=fixed)).rows[0]
+    assert row["flags"] == f"solver:DegenerateNullSpaceError:{message}"
+    params = SystemParams(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.0, gamma2=0.0)
+    lv = build_liouvillian(diagonalize(params), BathParams(), params)
+    assert not lv.matrix.any()
+    with pytest.raises(DegenerateNullSpaceError, match=message):
         steady_state_svd(lv)
 
 

@@ -3,12 +3,13 @@ import csv
 import importlib.util
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermijunction import (
@@ -202,12 +203,67 @@ def test_jsonl_round_trip_exact():
 
 def test_emit_empty_result():
     spec = small_spec()
-    empty = SweepResult(spec=spec, columns=spec.columns(), rows=[])
+    empty = SweepResult(spec=spec, columns=spec.columns(), table={c: [] for c in spec.columns()})
+    assert empty.rows == ()
     csv_payload = emit(empty, fmt="csv")
     assert csv_payload.decode().strip() == ",".join(spec.columns())
     assert emit(empty, fmt="jsonl") == b""
     with pytest.raises(ConfigError):
         emit(empty, fmt="parquet")
+
+
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "True" if value else "False"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _reference_csv(result):
+    """The CSV emit wrote row by row through csv.writer; the oracle for
+    the column-wise emit."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(result.columns)
+    for row in result.rows:
+        writer.writerow([_reference_cell(row.get(col)) for col in result.columns])
+    return buf.getvalue().encode()
+
+
+_EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, 0.1, 1.0)
+_CSV_SPECIALS = st.text(alphabet=st.sampled_from(list('ab:,"\n\r ')), max_size=6)
+
+
+@st.composite
+def cell_tables(draw):
+    """Column tables of n points: float columns drawn from a small pool,
+    so values repeat, with edge values; a bool column; free text flags
+    holding delimiters, quotes and line breaks; any cell may be missing."""
+    n = draw(st.integers(0, 12))
+    pools = st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(), min_size=1, max_size=4)
+
+    def column(values):
+        return draw(st.lists(st.none() | values, min_size=n, max_size=n))
+
+    table = {f"x{k}": column(st.sampled_from(draw(pools))) for k in range(draw(st.integers(1, 4)))}
+    table["ok"] = column(st.booleans())
+    table["flags"] = column(st.just("") | _CSV_SPECIALS | st.text(max_size=8))
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_tables(), st.booleans())
+@example({"x0": [0.0, -0.0, 0.0, -0.0, None], "ok": [False] * 5, "flags": [""] * 5}, False)
+@example({"x0": [-0.0, 0.0, math.nan, math.nan, 1e308], "ok": [True, False, None, True, False],
+          "flags": ["a,b", 'say "x"', "line\nbreak", "cr\r", ""]}, True)
+def test_emit_csv_matches_row_writer(table, absent_column):
+    # a column named but absent from the table emits empty cells
+    columns = tuple(table) + (("absent",) if absent_column else ())
+    result = SweepResult(spec=small_spec(), columns=columns, table=table)
+    assert emit(result) == _reference_csv(result)
 
 
 def test_invalid_parameter_point_is_recorded():
