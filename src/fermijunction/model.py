@@ -29,9 +29,15 @@ __all__ = [
 ]
 
 
+def _require_finite(params) -> None:
+    bad = [f.name for f in fields(params) if not np.isfinite(getattr(params, f.name)).all()]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
+
+
 @dataclass(frozen=True)
 class SystemParams:
-    """Junction parameters.
+    """Junction parameters, all finite.
 
     omega1, omega2 : bare site energies (> 0)
     delta          : tunneling amplitude between the sites (any real)
@@ -45,6 +51,7 @@ class SystemParams:
     gamma2: float = 0.002
 
     def __post_init__(self):
+        _require_finite(self)
         if not (np.all(np.greater(self.omega1, 0.0)) and np.all(np.greater(self.omega2, 0.0))):
             raise ValueError("site energies omega1, omega2 must be positive")
         if np.any(np.less(self.gamma1, 0.0)) or np.any(np.less(self.gamma2, 0.0)):
@@ -55,9 +62,9 @@ class SystemParams:
 class BathParams:
     """Reservoir parameters: temperatures and chemical potentials.
 
-    Temperatures must be strictly positive; the T -> 0 step function is
-    not supported (occupations would lose the smoothness the solver and
-    the finite-difference metrology rely on).
+    Every field must be finite and temperatures strictly positive; the
+    T -> 0 step function is not supported (occupations would lose the
+    smoothness the solver and the finite-difference metrology rely on).
     """
 
     t1: float = 0.2
@@ -66,6 +73,7 @@ class BathParams:
     mu2: float = 0.5
 
     def __post_init__(self):
+        _require_finite(self)
         if not (np.all(np.greater(self.t1, 0.0)) and np.all(np.greater(self.t2, 0.0))):
             raise ValueError("temperatures t1, t2 must be strictly positive")
 

@@ -51,9 +51,9 @@ _PERM = np.array([0, 2, 1, 3])
 
 _EIG_FLOOR = -1e-9  # most negative eigenvalue accepted as roundoff
 _X_TOL = 1e-10  # largest off-pattern entry still treated as an X state
-_SEARCH_GRID = 40  # cells of the discord search's polar-angle scan
-_POLISH_STEPS = 40  # golden-section steps; shrink the 2-cell bracket below 1e-9
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SEARCH_GRID = 40  # cells of the discord search's first polar-angle scan
+_REFINE_GRID = 16  # cells of each rescan of the two cells around the best angle
+_REFINE_STAGES = 9  # rescans; each narrows the bracket 8x, to below 1e-9
 _LN2 = math.log(2.0)
 
 
@@ -222,85 +222,72 @@ def _x_conditional_entropy(theta, diag, coh2):
 
     ``diag`` holds (rho11, rho22, rho33, rho44) and ``coh2`` is |rho23|^2.
     With x = cos(theta), outcome weight u = (1 + x)/2 leaves A in the 2x2
-    state w00 = u rho11 + (1-u) rho33, w11 = u rho22 + (1-u) rho44,
-    |w01|^2 = u (1-u) |rho23|^2; the other outcome swaps u and 1-u.
+    state w00 = u rho11 + v rho33, w11 = u rho22 + v rho44,
+    |w01|^2 = u v |rho23|^2 with v = 1 - u; the other outcome swaps u
+    and v.  Its eigenvalues are p (1 - q) and p q with p = w00 + w11 and
+
+        p^2 q (1 - q) = det w = u^2 rho11 rho22 + v^2 rho33 rho44
+                                + u v (rho11 rho44 + rho22 rho33 - |rho23|^2),
+
+    a sum of terms >= 0 for a state: unlike w00 w11 - |w01|^2 it cancels
+    at no angle, so q is accurate when small and smooth in theta.
     """
     r11, r22, r33, r44 = diag
     x = np.cos(theta)
-    # the two outcomes on a leading axis; 0.5 + x/2 rounds as (1 + x)/2
-    u = 0.5 + _HALF_SIGNS[x.ndim] * x
-    v = 1.0 - u
-    w00 = u * r11 + v * r33
-    w11 = u * r22 + v * r44
-    w01_sq = u * v * coh2
-    p = w00 + w11
+    # the two outcomes on a leading axis: u = (1 + x)/2, then v = (1 - x)/2
+    u = 0.5 + np.multiply.outer((0.5, -0.5), x)
+    v = u[::-1]
+    uu = u * u
+    uv = u[0] * u[1]
+    p = u * (r11 + r22) + v * (r33 + r44)
     live = p > 1e-15
-    # w/p has eigenvalues 1 - q and q <= 1/2; taking q from the
-    # determinant keeps it accurate when it is small
-    big = 0.5 * (p + np.sqrt((w00 - w11) ** 2 + 4.0 * w01_sq))
-    q = (w00 * w11 - w01_sq) / np.where(live, big * p, 1.0)
+    det = uu * (r11 * r22) + uu[::-1] * (r33 * r44) + uv * (r11 * r44 + (r22 * r33 - coh2))
+    spread = u * (r11 - r22) + v * (r33 - r44)  # w00 - w11
+    # q = det / (p big), big = p (1 - q) = (p + sqrt(spread^2 + 4 |w01|^2)) / 2
+    q = 2.0 * det / np.where(live, (p + np.sqrt(spread * spread + uv * (4.0 * coh2))) * p, 2.0)
     if ((q < _EIG_FLOOR) & live).any():
         worst = q[live].min()
         raise ValueError(f"conditional state has eigenvalue {worst:.3e}; not a state")
     mixed = live & (q > 0.0)
     q = np.where(mixed, q, 0.5)
-    h = q * np.log2(q) + (1.0 - q) * np.log1p(-q) / _LN2
+    h = q * np.log(q) + (1.0 - q) * np.log1p(-q)
     terms = np.where(mixed, p * h, 0.0)
-    return -(terms[0] + terms[1])
-
-
-# +-1/2, the signs of x in the outcome weights, shaped for x.ndim = 0, 1, 2
-_HALF_SIGNS = tuple(np.array([0.5, -0.5]).reshape((2,) + (1,) * n) for n in range(3))
-
-
-def _golden_section(f, lo, hi):
-    """Minima of a function unimodal on each bracket [lo, hi], elementwise,
-    as (value, argument), after a fixed number of golden-section steps;
-    deterministic, cannot fail."""
-    c = hi - _INV_GOLDEN * (hi - lo)
-    d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(_POLISH_STEPS):
-        left = fc < fd  # minimum in [lo, d]: the old c becomes the new d
-        lo = np.where(left, lo, c)
-        hi = np.where(left, d, hi)
-        span = _INV_GOLDEN * (hi - lo)
-        x = np.where(left, hi - span, lo + span)
-        fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    best = fc < fd
-    return np.where(best, fc, fd), np.where(best, c, d)
+    return (terms[0] + terms[1]) / -_LN2
 
 
 def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
     """Smallest conditional entropy of an X state and its polar angle.
 
     The conditional entropy does not depend on the azimuth and is the
-    same at theta and pi - theta, so a grid over theta in [0, pi/2]
-    (endpoints included) locates the minimum and a golden-section search
-    polishes the best cell; interior optima occur for X states and are
-    kept.  Searching theta rather than cos(theta) keeps the polish
-    resolved near theta = 0.  All states of a stack are searched together.
+    same at theta and pi - theta, so a scan of theta over [0, pi/2]
+    (endpoints included) locates the minimum; each later stage rescans
+    the two cells around the best angle on a grid 8x finer.  Interior
+    optima occur for X states and are kept.  The value only goes down
+    from stage to stage and the angle returned attains it.  All states
+    of a stack are searched together, the grid on a leading axis.
     """
-    diag = rho.diagonal(axis1=-2, axis2=-1).real
-    entries = tuple(diag[..., i] for i in range(4))
+    entries = np.moveaxis(rho.diagonal(axis1=-2, axis2=-1).real, -1, 0)
     coh2 = np.abs(rho[..., 1, 2]) ** 2
-    thetas = 0.5 * np.pi * np.arange(_SEARCH_GRID + 1) / _SEARCH_GRID
-    vals = _x_conditional_entropy(
-        np.broadcast_to(thetas, coh2.shape + thetas.shape),
-        tuple(e[..., None] for e in entries),
-        coh2[..., None],
-    )
-    k = vals.argmin(axis=-1)
-    best = np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
-    polished, theta = _golden_section(
-        lambda t: _x_conditional_entropy(t, entries, coh2),
-        thetas[np.maximum(k - 1, 0)],
-        thetas[np.minimum(k + 1, _SEARCH_GRID)],
-    )
-    improved = polished < best
-    return np.where(improved, polished, best), np.where(improved, theta, thetas[k])
+    leading = (-1,) + (1,) * coh2.ndim
+
+    def lowest(grid):
+        vals = _x_conditional_entropy(grid, entries, coh2)
+        k = vals.argmin(axis=0)[None]
+        return np.take_along_axis(vals, k, axis=0)[0], np.take_along_axis(grid, k, axis=0)[0]
+
+    cell = 0.5 * np.pi / _SEARCH_GRID
+    scan = cell * np.arange(_SEARCH_GRID + 1).reshape(leading)
+    value, theta = lowest(np.broadcast_to(scan, scan.shape[:1] + coh2.shape))
+    # the grid's centre is the best angle so far, whose value is known
+    offsets = np.delete(np.linspace(-cell, cell, _REFINE_GRID + 1), _REFINE_GRID // 2)
+    offsets = offsets.reshape(leading)
+    for _ in range(_REFINE_STAGES):
+        low, at = lowest(np.clip(theta + offsets, 0.0, 0.5 * np.pi))
+        better = low < value
+        value = np.where(better, low, value)
+        theta = np.where(better, at, theta)
+        offsets = offsets / (_REFINE_GRID // 2)
+    return value, theta
 
 
 def discord(rho: np.ndarray) -> DiscordResult:
@@ -310,9 +297,9 @@ def discord(rho: np.ndarray) -> DiscordResult:
     conditional entropy over projective measurements on B; the discord is
     the mutual information minus that.  The search is deterministic.  An
     X state needs only the polar angle: a 40-cell scan of theta over
-    [0, pi/2] with closed-form 2x2 eigenvalues, polished by 40
-    golden-section steps to an angle below 1e-9.  Raises ValueError on a
-    state that is not X-form.
+    [0, pi/2] with closed-form 2x2 eigenvalues, then nine 16-cell rescans
+    around the best angle, each 8x finer, down to a bracket below 1e-9.
+    Raises ValueError on a state that is not X-form.
     """
     _require_x_state(rho)
     rho_a, rho_b = reduced_states(rho)

@@ -26,6 +26,7 @@ import csv
 import functools
 import io
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -435,6 +436,8 @@ def _require_mapping(obj: Any, where: str) -> dict:
 def _number(val: Any, where: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number")
+    if not abs(val) <= sys.float_info.max:  # NaN, an infinity or an int past the float range
+        raise ConfigError(f"{where} must be a finite number")
     return float(val)
 
 

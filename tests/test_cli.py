@@ -140,7 +140,10 @@ def test_sweep_invalid_config_exit_code(tmp_path, capsys):
         ("count", "true", "sweep.axes[0].count must be a number"),
         ("count", "'3'", "sweep.axes[0].count must be a number"),
         ("count", "3.9", "sweep.axes[0].count must be a whole number"),
-        ("count", ".nan", "sweep.axes[0].count must be a whole number"),
+        ("count", ".nan", "sweep.axes[0].count must be a finite number"),
+        ("count", ".inf", "sweep.axes[0].count must be a finite number"),
+        ("start", ".nan", "sweep.axes[0].start must be a finite number"),
+        ("stop", "-.inf", "sweep.axes[0].stop must be a finite number"),
     ],
 )
 def test_sweep_rejects_bad_axis_field(field, value, message, sweep_config, capsys):
@@ -152,6 +155,29 @@ def test_sweep_rejects_bad_axis_field(field, value, message, sweep_config, capsy
     assert main(["sweep", sweep_config]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "point"])
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("delta: 0.005", "delta: .nan", "system.delta must be a finite number"),
+        ("mu2: 0.5", "mu2: .inf", "baths.mu2 must be a finite number"),
+        (
+            "  observables:",
+            "  qfi_step: .nan\n  observables:",
+            "sweep.qfi_step must be a finite number",
+        ),
+        ("gamma1: 0.002", "gamma1: 1" + "0" * 400, "system.gamma1 must be a finite number"),
+    ],
+    ids=["nan-delta", "inf-mu2", "nan-qfi_step", "int-overflow"],
+)
+def test_non_finite_number_is_validation_error(command, old, new, message, sweep_config, capsys):
+    # a non-finite number never reaches the solver: no SVD failure, no
+    # silently infinite entropy production
+    Path(sweep_config).write_text(Path(sweep_config).read_text().replace(old, new))
+    assert main([command, sweep_config]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sweep_accepts_whole_float_count(sweep_config, capsysbinary):

@@ -82,6 +82,20 @@ def test_params_validation():
         BathParams(t2=-0.2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(bad):
+    # a non-finite field fails with its name, before any sign check
+    # whose comparison a NaN would silently fail or pass
+    with pytest.raises(ValueError, match="^delta must be finite$"):
+        SystemParams(delta=bad)
+    with pytest.raises(ValueError, match="^omega2, gamma1 must be finite$"):
+        SystemParams(omega2=bad, gamma1=bad)
+    with pytest.raises(ValueError, match="^mu1 must be finite$"):
+        BathParams(mu1=bad)
+    with pytest.raises(ValueError, match="^t2 must be finite$"):
+        BathParams(t2=np.array([0.2, bad]))
+
+
 def test_fermi_occupation_basics():
     assert fermi_occupation(1.0, 0.5, 1.0) == pytest.approx(0.5)
     # complementary energies around mu sum to 1

@@ -24,6 +24,7 @@ from fermijunction.observables import (
     _entropy_bits,
     _measured_conditional_entropy,
     _x_conditional_entropy,
+    _x_state_search,
     concurrence_wootters,
     reduced_states,
     spectral_decompose,
@@ -208,6 +209,16 @@ def test_discord_coherence_phase_invariance():
         assert discord(rotated).discord == pytest.approx(base, abs=1e-8)
 
 
+def test_discord_takes_any_batch_shape():
+    rng = np.random.default_rng(308)
+    stack = np.array([random_x_state(rng) for _ in range(6)])
+    flat = discord(stack)
+    grid = discord(stack.reshape(2, 3, 4, 4))
+    assert np.shape(grid.discord) == (2, 3)
+    assert np.abs(np.ravel(grid.classical_corr) - flat.classical_corr).max() <= 1e-15
+    assert np.abs(np.ravel(grid.theta) - flat.theta).max() <= 1e-12
+
+
 def test_discord_is_deterministic():
     rng = np.random.default_rng(305)
     rho = random_x_state(rng)
@@ -243,6 +254,92 @@ def test_x_path_reaches_the_bloch_sphere_optimum(rho):
     attained = _measured_conditional_entropy(rho, np.array([d.theta]), np.array([d.phi]))
     assert abs(_entropy_bits(rho_a) - attained[0] - d.classical_corr) < 1e-12
     assert 0.0 <= d.theta <= math.pi / 2 and d.phi == 0.0
+
+
+def brent_conditional_entropy(diag, coh2):
+    """Smallest conditional entropy of one X state by an independent
+    route: a dense polar scan, then scipy's bounded Brent search on the
+    two cells around its best angle."""
+    from scipy.optimize import minimize_scalar
+
+    thetas = np.linspace(0.0, math.pi / 2, 2001)
+    vals = _x_conditional_entropy(thetas, diag, coh2)
+    k = int(vals.argmin())
+    res = minimize_scalar(
+        lambda t: float(_x_conditional_entropy(t, diag, coh2)),
+        bounds=(thetas[max(k - 1, 0)], thetas[min(k + 1, thetas.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return min(vals[k], res.fun)
+
+
+def assert_search_is_accurate(stack):
+    values, thetas = _x_state_search(stack)
+    # the state entries exactly as the search takes them: near a pure
+    # conditional state the entropy moves ~1e-15 with an ulp of |rho23|^2
+    diags = stack.diagonal(axis1=-2, axis2=-1).real
+    coh2s = np.abs(stack[:, 1, 2]) ** 2
+    scan = (0.5 * math.pi / 40) * np.arange(41)  # the search's first scan
+    for rho, d, coh2, value, theta in zip(stack, diags, coh2s, values, thetas):
+        diag = tuple(d)
+        assert abs(value - brent_conditional_entropy(diag, coh2)) <= 1e-15
+        assert value <= _x_conditional_entropy(scan, diag, coh2).min()
+        # the angle returned attains the value reported
+        assert abs(_x_conditional_entropy(theta, diag, coh2) - value) <= 1e-15
+        assert abs(_x_state_search(rho)[0] - value) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(x_states(), min_size=1, max_size=5))
+def test_x_state_search_matches_brent_oracle(states):
+    assert_search_is_accurate(np.array(states))
+
+
+def test_x_state_search_matches_brent_oracle_at_interior_optima():
+    # a dominant singly occupied population and a strong coherence put the
+    # optimum strictly inside (0, pi/2) by a dense scan; there the value
+    # rests on how far the rescans narrow the bracket
+    rng = np.random.default_rng(307)
+    n = 2000
+    weights = np.concatenate(
+        [rng.dirichlet([1, 20, 1, 1], n // 2), rng.dirichlet([1, 1, 20, 1], n // 2)]
+    )
+    stack = np.zeros((n, 4, 4), dtype=complex)
+    stack[:, range(4), range(4)] = weights
+    coh = rng.uniform(0.7, 0.9, n) * np.sqrt(weights[:, 1] * weights[:, 2])
+    stack[:, 1, 2] = stack[:, 2, 1] = coh
+    thetas = np.broadcast_to(np.linspace(0.0, math.pi / 2, 201)[:, None], (201, n))
+    k = _x_conditional_entropy(thetas, weights.T, coh**2).argmin(axis=0)
+    interior = stack[(k > 0) & (k < 200)]
+    assert len(interior) >= 30
+    assert_search_is_accurate(interior)
+
+
+def test_x_state_search_matches_brent_oracle_on_steady_states():
+    # detuned, biased, unequal-gamma junctions in the weak-coupling window
+    rng = np.random.default_rng(306)
+    n = 64
+    omega1 = rng.uniform(0.8, 1.2, n)
+    delta = np.exp(rng.uniform(math.log(0.003), math.log(0.05), n))
+    gamma = 0.4 * delta * rng.uniform(0.25, 1.0, n)
+    asym = rng.uniform(-0.6, 0.6, n)
+    params = SystemParams(
+        omega1=omega1,
+        omega2=omega1 + rng.uniform(-0.05, 0.05, n),
+        delta=delta,
+        gamma1=gamma * (1.0 + asym),
+        gamma2=gamma * (1.0 - asym),
+    )
+    t1, mu2 = rng.uniform(0.05, 0.5, n), rng.uniform(0.2, 1.2, n)
+    baths = BathParams(
+        t1=t1, t2=t1 + rng.uniform(0.0, 0.4, n), mu1=mu2 + rng.uniform(-1.0, 1.0, n), mu2=mu2
+    )
+    stack = solve_ness(params, baths).rho
+    _, thetas = _x_state_search(stack)
+    # the stack holds optima strictly inside (0, pi/2), not only the ends
+    assert ((thetas > 1e-6) & (thetas < math.pi / 2 - 1e-6)).sum() >= 3
+    assert_search_is_accurate(stack)
 
 
 def _non_x_states():

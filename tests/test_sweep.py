@@ -283,6 +283,20 @@ def test_invalid_parameter_point_is_recorded():
     assert payload[1].split(",")[spec.columns().index("epr")] == ""
 
 
+@pytest.mark.parametrize(("name", "value"), [("delta", math.nan), ("mu1", math.inf)])
+def test_non_finite_parameter_is_flagged_per_point(name, value):
+    # the Python API takes no config parser: the parameters themselves
+    # turn a non-finite value into a params flag on every point it reaches
+    spec = SweepSpec(
+        fixed={**fixed_without(name, "t2"), name: value},
+        axes=(Axis("t2", 0.1, 0.3, 2),),
+        observables=("thermo",),
+    )
+    rows = run_sweep(spec).rows
+    assert [row["flags"] for row in rows] == [f"params:{name} must be finite"] * 2
+    assert all("epr" not in row for row in rows)
+
+
 def test_solver_failure_is_recorded(monkeypatch):
     sizes = []
 
