@@ -68,7 +68,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    spec = SweepSpec(fixed=sweep_spec_from_config(load_config(args.config)).fixed)
+    cfg = sweep_spec_from_config(load_config(args.config))
+    spec = SweepSpec(fixed=cfg.fixed, qfi_step=cfg.qfi_step)
     row = run_sweep(spec).rows[0]
     flags = row["flags"]
     if flags.startswith("params:"):

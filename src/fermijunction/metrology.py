@@ -2,9 +2,10 @@
 
 Two independent numerical routes plus one closed form:
 
-* ``qfi_spectral``: finite differences of the steady state's spectral
-  data (eigenvalues and mixing angles), split into the population part
-  F^E and the basis-rotation part F^N.
+* ``qfi_spectral``: the SLD formula in closed form on the steady
+  state's charge-neutral sector vector v and its central difference
+  dv, split into the population part F^E and the basis-rotation part
+  F^N of the X state's eigenbasis.
 * ``qfi_fidelity_oracle``: Bures-distance estimate 8 (1 - A)/h^2 from
   the Uhlmann fidelity A of two nearby steady states, Richardson
   extrapolated.  Used as the cross-check of the spectral route.
@@ -18,9 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .liouvillian import NessResult, solve_ness
+from .liouvillian import NessResult, sector_vector, solve_ness, x_block, x_spectrum
 from .model import BathParams, SystemParams, fermi_occupation, take
-from .observables import spectral_decompose
 
 __all__ = [
     "QfiReport",
@@ -41,8 +41,8 @@ class QfiStepError(RuntimeError):
 
 
 class RankChangeError(RuntimeError):
-    """An eigenvalue crosses zero at this point; the spectral QFI formula
-    does not apply (rank-change singularity)."""
+    """An eigenvalue crosses zero at this point; the SLD formula does not
+    apply (rank-change singularity)."""
 
 
 @dataclass(frozen=True)
@@ -67,24 +67,29 @@ def qfi_spectral(
     *,
     center: NessResult | None = None,
 ) -> QfiReport:
-    """QFI for estimating the tunneling amplitude, from spectral data.
+    """QFI for estimating the tunneling amplitude, in closed form on the
+    charge-neutral sector.
 
-    Solves the steady state at delta - h, delta, delta + h, and applies
+    Solves the steady state at delta - h, delta, delta + h and takes
+    dv = (v(delta + h) - v(delta - h)) / 2h of the sector vector v.  The
+    X state's eigenvalues are rho00, rho33 and t/2 +- R with (t, b) the
+    trace and Bloch vector of the singly occupied block and R = |b|; by
+    Hellmann-Feynman their derivatives are d rho00, d rho33 and
+    dt/2 +- b.db/R.  The SLD formula 2 sum |<i|d rho|j>|^2 / (p_i + p_j)
+    then splits into
 
-        F = sum_i (dp_i)^2 / p_i
-            + ((p2 - p3)^2 / (p2 + p3)) [(d alpha)^2 + (d phi)^2 sin^2 alpha]
+        F^E = sum_i dp_i^2 / p_i,    F^N = 4 |b x db|^2 / (R^2 t).
 
-    with central differences.  Eigenvalues below 1e-12 whose derivative
-    is also negligible are dropped; a sizable derivative at a vanishing
-    eigenvalue raises RankChangeError.  The phase track is unwrapped
-    across the stencil before differencing.  ``center``, if given, must be
+    Eigenvalues below 1e-12 whose derivative is also negligible are
+    dropped; a sizable derivative at a vanishing eigenvalue raises
+    RankChangeError.  ``center``, if given, must be
     ``solve_ness(params, baths)``; its state is then reused instead of
     solving at delta again.
 
     For stacked parameters the two outer stencil points of every point
-    are one stacked solve and all three states one decomposition; a
-    point whose stencil fails gets NaN in every field, and evaluating it
-    alone raises its QfiStepError, RankChangeError or SteadyStateError.
+    are one stacked solve; a point whose stencil fails gets NaN in every
+    field, and evaluating it alone raises its QfiStepError,
+    RankChangeError or SteadyStateError.
     """
     if center is None:
         center = solve_ness(params, baths)
@@ -93,30 +98,31 @@ def qfi_spectral(
     shifts = np.array([-1.0, 1.0]).reshape((2,) + (1,) * delta.ndim)
     outer = replace(params, delta=delta + shifts * step)
     stencil = solve_ness(outer, baths)
-    lo, hi = stencil.rho
-    dec = spectral_decompose(np.stack([lo, center.rho, hi]))
+    v_lo, v_hi = sector_vector(stencil.rho)
+    changes = np.abs(v_hi - v_lo).max(axis=-1)
+    dv = (v_hi - v_lo) / (2.0 * step[..., None])
+    v = sector_vector(center.rho)
 
-    p = np.stack([dec.p1, dec.p2, dec.p3, dec.p4])  # (eigenvalue, stencil point, ...)
-    p_lo, p_mid, p_hi = p[:, 0], p[:, 1], p[:, 2]
-    alpha = dec.alpha
-    phis = np.unwrap(dec.phi, axis=0)
-    changes = np.maximum(
-        np.abs(p_hi - p_lo).max(axis=0),
-        np.maximum(np.abs(alpha[2] - alpha[0]), np.abs(phis[2] - phis[0])),
+    t, b = x_block(v)
+    dt, db = x_block(dv)
+    r = np.linalg.norm(b, axis=-1)
+    split = r > 0.0
+    # dR = b.db/R; a degenerate block (R = 0) splits along db, by |db|
+    d_r = np.where(
+        split, (b * db).sum(axis=-1) / np.where(split, r, 1.0), np.linalg.norm(db, axis=-1)
     )
-    dp = (p_hi - p_lo) / (2.0 * step)
-    empty = p_mid < _P_FLOOR
+    p = np.moveaxis(x_spectrum(v), -1, 0)
+    dp = np.stack([dv[..., 0].real, 0.5 * dt + d_r, 0.5 * dt - d_r, dv[..., 3].real])
+    empty = p < _P_FLOOR
     rank_change = empty & (np.abs(dp) >= _DP_FLOOR)
-    f_e = np.where(empty, 0.0, dp * dp / np.where(empty, 1.0, p_mid)).sum(axis=0)
+    f_e = np.where(empty, 0.0, dp * dp / np.where(empty, 1.0, p)).sum(axis=0)
 
-    p_sum = p_mid[1] + p_mid[2]
-    coherent = p_sum > _P_FLOOR
-    d_alpha = (alpha[2] - alpha[0]) / (2.0 * step)
-    d_phi = (phis[2] - phis[0]) / (2.0 * step)
-    sin_a = np.sin(alpha[1])
-    weight = (p_mid[1] - p_mid[2]) ** 2 / np.where(coherent, p_sum, 1.0)
+    coherent = split & (t > _P_FLOOR)
+    turn = np.cross(b, db)
     f_n = np.where(
-        coherent, weight * (d_alpha * d_alpha + d_phi * d_phi * sin_a * sin_a), 0.0
+        coherent,
+        4.0 * (turn * turn).sum(axis=-1) / np.where(coherent, r * r * t, 1.0),
+        0.0,
     )
 
     unsolved = np.isnan(stencil.residual).any(axis=0)
@@ -131,7 +137,7 @@ def qfi_spectral(
             )
         k = np.flatnonzero(rank_change)[0]
         raise RankChangeError(
-            f"eigenvalue {p_mid[k]:.3e} with derivative {dp[k]:.3e}: "
+            f"eigenvalue {p[k]:.3e} with derivative {dp[k]:.3e}: "
             "rank changes across the stencil"
         )
     f_e, f_n = np.where(failed, np.nan, f_e), np.where(failed, np.nan, f_n)

@@ -4,9 +4,8 @@ All functions take 4x4 density matrices in the mode occupation basis
 {|00>, |10>, |01>, |11>}.  Subsystem A is mode 1, subsystem B is mode 2,
 so correlation measures are between the two dressed modes.  In this
 (energy) basis the steady state is an X state with a single coherence
-between the two singly occupied states; ``spectral_decompose``,
-``concurrence`` and ``discord`` rely on that shape and raise ValueError
-on any other state.  ``site_basis_state`` rotates a state back to the
+between the two singly occupied states; ``concurrence`` and ``discord``
+rely on that shape and raise ValueError on any other state.  ``site_basis_state`` rotates a state back to the
 local site basis for questions about the physical site-site
 entanglement.  Every measure also takes a stack of states with leading
 batch axes and returns one value per state.
@@ -23,11 +22,8 @@ import numpy as np
 from .model import EigenBasis
 
 __all__ = [
-    "SpectralDecomp",
     "CorrelationReport",
     "DiscordResult",
-    "spectral_decompose",
-    "spectral_reconstruct",
     "coherence",
     "linear_entropy",
     "concurrence",
@@ -55,23 +51,6 @@ _SEARCH_GRID = 40  # cells of the discord search's first polar-angle scan
 _REFINE_GRID = 16  # cells of each rescan of the two cells around the best angle
 _REFINE_STAGES = 9  # rescans; each narrows the bracket 8x, to below 1e-9
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigendata of an X state with empty 1<->4 coherence.
-
-    p1 and p4 weight |00> and |11>; p2 >= p3 weight the two dressed
-    vectors of the singly occupied block, parameterized by the mixing
-    angle alpha in [0, pi] and the coherence phase phi in (-pi, pi].
-    """
-
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-    alpha: float
-    phi: float
 
 
 @dataclass(frozen=True)
@@ -113,46 +92,6 @@ def _require_x_state(rho: np.ndarray) -> None:
         raise ValueError(
             f"state is not X-form: off-pattern entry of magnitude {dev:.3e}"
         )
-
-
-def spectral_decompose(rho: np.ndarray) -> SpectralDecomp:
-    """Eigenvalues and mixing angles of an X state.
-
-    The singly occupied block diagonalizes as
-
-        p_{2,3} = (rho22 + rho33)/2 +- sqrt((rho22 - rho33)^2/4 + |rho23|^2)
-
-    with alpha = atan2(2 |rho23|, rho22 - rho33) and phi = arg(rho23)
-    (phi = 0 when the coherence vanishes and the phase is undefined).
-    Raises ValueError on a state that is not X-form.
-    """
-    _require_x_state(rho)
-    diag = rho.diagonal(axis1=-2, axis2=-1).real.copy()
-    d22, d33 = diag[..., 1], diag[..., 2]
-    coh = rho[..., 1, 2]
-    mag = np.abs(coh)
-    mid = 0.5 * (d22 + d33)
-    r = np.hypot(0.5 * (d22 - d33), mag)
-    alpha = np.arctan2(2.0 * mag, d22 - d33)
-    phi = np.where(mag > 0.0, np.arctan2(coh.imag, coh.real), 0.0)
-    return SpectralDecomp(
-        diag[..., 0][()], (mid + r)[()], (mid - r)[()], diag[..., 3][()], alpha[()], phi[()]
-    )
-
-
-def spectral_reconstruct(decomp: SpectralDecomp) -> np.ndarray:
-    """Rebuild the state from its decomposition (inverse of the above)."""
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = decomp.p1
-    rho[3, 3] = decomp.p4
-    c = math.cos(0.5 * decomp.alpha)
-    s = math.sin(0.5 * decomp.alpha)
-    ph = complex(math.cos(decomp.phi), math.sin(decomp.phi))
-    v2 = np.array([c * ph, s])
-    v3 = np.array([s * ph, -c])
-    block = decomp.p2 * np.outer(v2, v2.conj()) + decomp.p3 * np.outer(v3, v3.conj())
-    rho[1:3, 1:3] = block
-    return rho
 
 
 def coherence(rho: np.ndarray) -> float:

@@ -23,13 +23,7 @@ import numpy as np
 from .liouvillian import grand_canonical_state, solve_ness
 from .metrology import qfi_equilibrium_approx, qfi_fidelity_oracle, qfi_spectral
 from .model import BathParams, SystemParams
-from .observables import (
-    SpectralDecomp,
-    discord,
-    discord_brute_force,
-    spectral_decompose,
-    spectral_reconstruct,
-)
+from .observables import discord, discord_brute_force
 from .sweep import Axis, SweepSpec, run_sweep
 from .thermo import epr_leading_order, ness_leading_order
 
@@ -174,21 +168,6 @@ def _check_discord_oracle() -> tuple[bool, str]:
     return ok, f"max (grid - optimizer) = {worst_short:.3e}"
 
 
-def _check_spectral_roundtrip() -> tuple[bool, str]:
-    decomp = SpectralDecomp(p1=0.3, p2=0.35, p3=0.15, p4=0.2, alpha=1.1, phi=-2.0)
-    rho = spectral_reconstruct(decomp)
-    params = SystemParams(delta=0.01)
-    baths = BathParams(t1=0.15, t2=0.45, mu1=1.1, mu2=0.4)
-    result = solve_ness(params, baths)
-    back = spectral_reconstruct(spectral_decompose(result.rho))
-    dev = max(
-        float(np.abs(rho - spectral_reconstruct(spectral_decompose(rho))).max()),
-        float(np.abs(result.rho - back).max()),
-    )
-    ok = dev < 1e-12
-    return ok, f"reconstruction deviation {dev:.3e}"
-
-
 # The grid of configs/qfi_vs_epr.yaml: chemical bias at weak (delta ~
 # gamma) and strong (delta >> gamma) tunneling.
 PAPER_CLAIMS_SPEC = SweepSpec(
@@ -226,7 +205,6 @@ CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("epr-positivity", _check_epr_positivity),
     ("qfi-cross-routes", _check_qfi_cross),
     ("discord-oracle", _check_discord_oracle),
-    ("spectral-roundtrip", _check_spectral_roundtrip),
     ("paper-claims", _check_paper_claims),
 )
 

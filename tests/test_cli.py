@@ -103,6 +103,24 @@ def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
     assert "discord=" in out and "entropy production" in out
 
 
+def test_point_and_sweep_use_the_config_qfi_step(tmp_path, capsys):
+    # point is a one-point sweep of the same config: its qfi_step applies
+    path = tmp_path / "stepped.yaml"
+    path.write_text(
+        GOOD_POINT.replace("  t2: 0.2\n", "  t2: 0.4\n").replace("  mu1: 0.5\n", "  mu1: 0.9\n")
+        + "sweep:\n  qfi_step: 1.0e-4\n"
+    )
+    out = tmp_path / "stepped.csv"
+    assert main(["sweep", str(path), "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    cells = dict(zip(header, row))
+    assert float(cells["qfi_step"]) == 1e-4
+    assert main(["point", str(path)]) == 0
+    report = capsys.readouterr().out
+    assert f"qfi_total={float(cells['qfi_total']):.12g} " in report
+    assert "(step 1.000e-04)" in report
+
+
 def test_sweep_writes_deterministic_csv(sweep_config, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -201,7 +219,7 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert main(["verify"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert first.count("PASS") == 8
+    assert first.count("PASS") == 7
     assert "verification passed" in first
 
 

@@ -1,8 +1,12 @@
-"""Tunneling-amplitude QFI: spectral route, fidelity oracle, thermal form."""
+"""Tunneling-amplitude QFI: sector closed form, fidelity oracle, thermal form."""
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermijunction import (
     BathParams,
@@ -15,7 +19,6 @@ from fermijunction import (
     solve_ness,
 )
 from fermijunction.metrology import default_step, fidelity
-from fermijunction.observables import SpectralDecomp
 
 
 def test_fidelity_basic_properties():
@@ -133,17 +136,78 @@ def test_qfi_drops_numerically_empty_levels():
 def test_qfi_rank_change_detected(monkeypatch):
     # a level sitting at zero with a sizable derivative cannot be
     # differentiated through; fabricate that situation directly
-    def fake_decompose(rho):
-        # the stencil states at delta - h, delta, delta + h (h = 1e-6)
-        assert rho.shape == (3, 4, 4)
-        delta = 0.005 + np.array([-1e-6, 0.0, 1e-6])
+    def fake_solve(params, baths):
+        # |11> empties exactly at delta = 0.005 and fills above it
+        delta = np.asarray(params.delta)
         p4 = np.maximum(0.0, delta - 0.005) * 0.9
         rest = 1.0 - p4
-        return SpectralDecomp(
-            p1=0.5 * rest, p2=0.3 * rest, p3=0.2 * rest, p4=p4,
-            alpha=np.ones(3), phi=np.zeros(3),
-        )
+        rho = np.zeros(delta.shape + (4, 4), dtype=complex)
+        rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2] = 0.5 * rest, 0.3 * rest, 0.2 * rest
+        rho[..., 3, 3] = p4
+        rho[..., 1, 2] = rho[..., 2, 1] = 0.1 * rest
+        return SimpleNamespace(rho=rho, residual=np.zeros(delta.shape))
 
-    monkeypatch.setattr("fermijunction.metrology.spectral_decompose", fake_decompose)
+    monkeypatch.setattr("fermijunction.metrology.solve_ness", fake_solve)
     with pytest.raises(RankChangeError):
         qfi_spectral(SystemParams(delta=0.005), BathParams())
+
+
+def dense_sld_qfi(params, baths):
+    """(F, F^E, F^N) from 2 sum_ij |<i|d rho|j>|^2 / (p_i + p_j) in the
+    eigenbasis of the dense 4x4 centre state, with d rho the central
+    difference of the same stacked stencil solve ``qfi_spectral`` makes;
+    pairs with p_i + p_j below 2e-12 (empty levels) are left out."""
+    h = default_step(params.delta)
+    lo, hi = solve_ness(replace(params, delta=params.delta + np.array([-h, h])), baths).rho
+    p, u = np.linalg.eigh(solve_ness(params, baths).rho)
+    m = u.conj().T @ ((hi - lo) / (2.0 * h)) @ u
+    sums = p[:, None] + p[None, :]
+    live = sums >= 2e-12
+    terms = np.where(live, 2.0 * np.abs(m) ** 2 / np.where(live, sums, 1.0), 0.0)
+    f_e = float(np.trace(terms))
+    f_n = float(terms.sum() - f_e)
+    return f_e + f_n, f_e, f_n
+
+
+@st.composite
+def biased_junctions(draw):
+    """Detuned junctions with unequal couplings between biased baths,
+    inside the weak-coupling window."""
+    delta = draw(st.floats(3e-3, 0.1))
+    gammas = draw(st.lists(st.floats(1e-4, 0.2), min_size=2, max_size=2, unique=True))
+    params = SystemParams(
+        omega1=1.0,
+        omega2=draw(st.floats(0.9, 1.1).filter(lambda w: w != 1.0)),
+        delta=delta,
+        gamma1=gammas[0] * delta,
+        gamma2=gammas[1] * delta,
+    )
+    t1 = draw(st.floats(0.1, 0.5))
+    baths = BathParams(
+        t1=t1,
+        t2=t1 + draw(st.floats(0.0, 0.7)),
+        mu1=draw(st.floats(0.1, 1.5)),
+        mu2=draw(st.floats(0.1, 1.5)),
+    )
+    return params, baths
+
+
+@settings(max_examples=60, deadline=None)
+@given(biased_junctions())
+def test_qfi_matches_dense_sld(point):
+    params, baths = point
+    report = qfi_spectral(params, baths)
+    f, f_e, f_n = dense_sld_qfi(params, baths)
+    assert report.f_total == pytest.approx(f, rel=1e-12)
+    assert report.f_e == pytest.approx(f_e, rel=1e-12)
+    assert report.f_n == pytest.approx(f_n, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(biased_junctions())
+def test_qfi_coherent_part_is_exactly_zero_at_equilibrium(point):
+    # equal baths leave rho12 exactly 0 at every delta, so F^N must be an
+    # exact 0, not the roundoff of a cancelling difference
+    params, baths = point
+    equal = replace(baths, t2=baths.t1, mu2=baths.mu1)
+    assert qfi_spectral(params, equal).f_n == 0.0

@@ -27,10 +27,9 @@ from fermijunction.observables import (
     _x_state_search,
     concurrence_wootters,
     reduced_states,
-    spectral_decompose,
-    spectral_reconstruct,
     x_form_deviation,
 )
+from fermijunction.liouvillian import sector_vector, x_spectrum
 
 
 def random_x_state(rng):
@@ -87,33 +86,14 @@ def bell_diagonal_discord(p):
     return qmi, classical, qmi - classical
 
 
-def test_spectral_roundtrip_random():
+def test_x_spectrum_matches_eigvalsh():
     rng = np.random.default_rng(301)
-    for _ in range(300):
-        rho = random_x_state(rng)
-        dec = spectral_decompose(rho)
-        assert dec.p2 >= dec.p3
-        assert sum((dec.p1, dec.p2, dec.p3, dec.p4)) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(spectral_reconstruct(dec), rho, atol=1e-12)
-        # the block eigenvalues agree with the dense eigensolver
-        block = np.linalg.eigvalsh(rho[1:3, 1:3])
-        assert dec.p3 == pytest.approx(block[0], abs=1e-12)
-        assert dec.p2 == pytest.approx(block[1], abs=1e-12)
-
-
-def test_spectral_decompose_zero_coherence_phase():
-    rho = np.diag([0.4, 0.35, 0.15, 0.1]).astype(complex)
-    dec = spectral_decompose(rho)
-    assert dec.phi == 0.0
-    assert dec.alpha == pytest.approx(0.0)  # rho22 > rho33
-
-
-def test_spectral_decompose_rejects_non_x():
-    rho = np.diag([0.25] * 4).astype(complex)
-    rho[0, 3] = rho[3, 0] = 0.1
-    with pytest.raises(ValueError):
-        spectral_decompose(rho)
-    assert x_form_deviation(rho) == pytest.approx(0.1)
+    rhos = np.stack([random_x_state(rng) for _ in range(300)])
+    p = x_spectrum(sector_vector(rhos))
+    assert (p[:, 1] >= p[:, 2]).all()
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+    # the closed form agrees with the dense eigensolver
+    np.testing.assert_allclose(np.sort(p, axis=-1), np.linalg.eigvalsh(rhos), atol=1e-12)
 
 
 def test_concurrence_closed_form_matches_wootters():
@@ -354,9 +334,11 @@ def _non_x_states():
 
 
 @pytest.mark.parametrize("rho", _non_x_states(), ids=["rho14", "rho12"])
-@pytest.mark.parametrize("measure", [discord, concurrence, spectral_decompose])
+@pytest.mark.parametrize("measure", [discord, concurrence])
 def test_x_state_measures_reject_other_states(measure, rho):
     assert min(np.linalg.eigvalsh(rho)) > 0.0
+    # rho14 and rho12 are the only entries off the X pattern
+    assert x_form_deviation(rho) == max(abs(rho[0, 3]), abs(rho[0, 1]))
     with pytest.raises(ValueError, match="not X-form"):
         measure(rho)
 
