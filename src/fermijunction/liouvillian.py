@@ -36,8 +36,7 @@ charge-neutral sector
 
 into itself and never couples it to the other ten entries.  The trace
 lives in the sector, so the unique steady state does too, and it is an
-X state by construction, whose spectrum is closed form in v
-(``x_spectrum``).  Everything below is therefore the 6x6 block
+X state by construction.  Everything below is therefore the 6x6 block
 of the 16x16 superoperators.
 
 Every bracket is affine in the one occupation it carries, so the
@@ -65,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BathParams, EigenBasis, SystemParams, diagonalize, fermi_occupation
-from .observables import _EIG_FLOOR
+from .observables import _EIG_FLOOR, spectral_decompose
 
 __all__ = [
     "DIM",
@@ -79,8 +78,6 @@ __all__ = [
     "number_operator",
     "build_liouvillian",
     "sector_vector",
-    "x_block",
-    "x_spectrum",
     "steady_state",
     "steady_state_svd",
     "solve_ness",
@@ -316,40 +313,15 @@ def _x_state(v: np.ndarray) -> np.ndarray:
     return rho
 
 
-def x_block(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace t and Bloch vector b of the singly occupied block of the X
-    states with sector vectors v,
-
-        t = rho11 + rho22,   b = ((rho11 - rho22)/2, Re rho12, Im rho12),
-
-    b on the last axis (the block's Bloch vector up to the order and sign
-    of its components), so the block has eigenvalues t/2 +- |b|.  Linear
-    in v, so it maps dv/dx to (dt/dx, db/dx).
-    """
-    t = (v[..., 1] + v[..., 2]).real
-    b = np.stack(
-        [0.5 * (v[..., 1] - v[..., 2]).real, v[..., 4].real, v[..., 4].imag], axis=-1
-    )
-    return t, b
-
-
-def x_spectrum(v: np.ndarray) -> np.ndarray:
-    """Eigenvalues (rho00, t/2 + R, t/2 - R, rho33) of the X states with
-    sector vectors v, on the last axis, with R = |b| (see ``x_block``)."""
-    t, b = x_block(v)
-    r = np.linalg.norm(b, axis=-1)
-    return np.stack([v[..., 0].real, 0.5 * t + r, 0.5 * t - r, v[..., 3].real], axis=-1)
-
-
 def _finalize(v: np.ndarray, lv: Liouvillian):
     """Hermitized, normalized states of sector vectors v with their
     residuals ||L v|| and smallest eigenvalues."""
     rho = _x_state(v)
     rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
     rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-    v = sector_vector(rho)
-    residual = np.linalg.norm((lv.matrix @ v[..., None])[..., 0], axis=-1)
-    return rho, residual, x_spectrum(v).min(axis=-1)
+    lv_v = lv.matrix @ sector_vector(rho)[..., None]
+    residual = np.linalg.norm(lv_v[..., 0], axis=-1)
+    return rho, residual, spectral_decompose(rho)[0].min(axis=-1)
 
 
 def _failed(singular, residual, min_eig):

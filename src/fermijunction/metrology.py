@@ -2,10 +2,10 @@
 
 Two independent numerical routes plus one closed form:
 
-* ``qfi_spectral``: the SLD formula in closed form on the steady
-  state's charge-neutral sector vector v and its central difference
-  dv, split into the population part F^E and the basis-rotation part
-  F^N of the X state's eigenbasis.
+* ``qfi_spectral``: the SLD formula in closed form on the steady X
+  state and its central difference d rho (both live in the 6-entry
+  charge-neutral sector), split into the population part F^E and the
+  basis-rotation part F^N of the X state's eigenbasis.
 * ``qfi_fidelity_oracle``: Bures-distance estimate 8 (1 - A)/h^2 from
   the Uhlmann fidelity A of two nearby steady states, Richardson
   extrapolated.  Used as the cross-check of the spectral route.
@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .liouvillian import NessResult, sector_vector, solve_ness, x_block, x_spectrum
+from .liouvillian import NessResult, solve_ness
 from .model import BathParams, SystemParams, fermi_occupation, take
+from .observables import spectral_decompose
 
 __all__ = [
     "QfiReport",
@@ -71,9 +72,10 @@ def qfi_spectral(
     charge-neutral sector.
 
     Solves the steady state at delta - h, delta, delta + h and takes
-    dv = (v(delta + h) - v(delta - h)) / 2h of the sector vector v.  The
-    X state's eigenvalues are rho00, rho33 and t/2 +- R with (t, b) the
-    trace and Bloch vector of the singly occupied block and R = |b|; by
+    d rho = (rho(delta + h) - rho(delta - h)) / 2h.  The X state's
+    eigenvalues are rho00, rho33 and t/2 +- R with (t, b) the trace and
+    Bloch vector of the singly occupied block and R = |b|
+    (``spectral_decompose``, which also maps d rho to (dt, db)); by
     Hellmann-Feynman their derivatives are d rho00, d rho33 and
     dt/2 +- b.db/R.  The SLD formula 2 sum |<i|d rho|j>|^2 / (p_i + p_j)
     then splits into
@@ -87,9 +89,10 @@ def qfi_spectral(
     solving at delta again.
 
     For stacked parameters the two outer stencil points of every point
-    are one stacked solve; a point whose stencil fails gets NaN in every
-    field, and evaluating it alone raises its QfiStepError,
-    RankChangeError or SteadyStateError.
+    are one stacked solve and the centre states with d rho one
+    decomposition; a point whose stencil fails gets NaN in every field,
+    and evaluating it alone raises its QfiStepError, RankChangeError or
+    SteadyStateError.
     """
     if center is None:
         center = solve_ness(params, baths)
@@ -98,21 +101,20 @@ def qfi_spectral(
     shifts = np.array([-1.0, 1.0]).reshape((2,) + (1,) * delta.ndim)
     outer = replace(params, delta=delta + shifts * step)
     stencil = solve_ness(outer, baths)
-    v_lo, v_hi = sector_vector(stencil.rho)
-    changes = np.abs(v_hi - v_lo).max(axis=-1)
-    dv = (v_hi - v_lo) / (2.0 * step[..., None])
-    v = sector_vector(center.rho)
+    lo, hi = stencil.rho
+    changes = np.abs(hi - lo).max(axis=(-2, -1))
+    d_rho = (hi - lo) / (2.0 * step[..., None, None])
 
-    t, b = x_block(v)
-    dt, db = x_block(dv)
+    p, (t, dt), (b, db) = spectral_decompose(np.stack([center.rho, d_rho]))
     r = np.linalg.norm(b, axis=-1)
     split = r > 0.0
     # dR = b.db/R; a degenerate block (R = 0) splits along db, by |db|
     d_r = np.where(
         split, (b * db).sum(axis=-1) / np.where(split, r, 1.0), np.linalg.norm(db, axis=-1)
     )
-    p = np.moveaxis(x_spectrum(v), -1, 0)
-    dp = np.stack([dv[..., 0].real, 0.5 * dt + d_r, 0.5 * dt - d_r, dv[..., 3].real])
+    p = np.moveaxis(p[0], -1, 0)
+    d_diag = d_rho.diagonal(axis1=-2, axis2=-1).real
+    dp = np.stack([d_diag[..., 0], 0.5 * dt + d_r, 0.5 * dt - d_r, d_diag[..., 3]])
     empty = p < _P_FLOOR
     rank_change = empty & (np.abs(dp) >= _DP_FLOOR)
     f_e = np.where(empty, 0.0, dp * dp / np.where(empty, 1.0, p)).sum(axis=0)

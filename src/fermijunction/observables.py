@@ -4,8 +4,9 @@ All functions take 4x4 density matrices in the mode occupation basis
 {|00>, |10>, |01>, |11>}.  Subsystem A is mode 1, subsystem B is mode 2,
 so correlation measures are between the two dressed modes.  In this
 (energy) basis the steady state is an X state with a single coherence
-between the two singly occupied states; ``concurrence`` and ``discord``
-rely on that shape and raise ValueError on any other state.  ``site_basis_state`` rotates a state back to the
+between the two singly occupied states; ``spectral_decompose``,
+``concurrence`` and ``discord`` rely on that shape and raise ValueError
+on any other state.  ``site_basis_state`` rotates a state back to the
 local site basis for questions about the physical site-site
 entanglement.  Every measure also takes a stack of states with leading
 batch axes and returns one value per state.
@@ -24,6 +25,7 @@ from .model import EigenBasis
 __all__ = [
     "CorrelationReport",
     "DiscordResult",
+    "spectral_decompose",
     "coherence",
     "linear_entropy",
     "concurrence",
@@ -92,6 +94,29 @@ def _require_x_state(rho: np.ndarray) -> None:
         raise ValueError(
             f"state is not X-form: off-pattern entry of magnitude {dev:.3e}"
         )
+
+
+def spectral_decompose(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form spectrum of X states.
+
+    The singly occupied block has trace and Bloch vector
+
+        t = rho11 + rho22,   b = ((rho11 - rho22)/2, Re rho12, Im rho12)
+
+    (up to the order and sign of the components), so the eigenvalues are
+    rho00, t/2 + R, t/2 - R and rho33 with R = |b|.  Returns (p, t, b),
+    the four eigenvalues and the three components of b on the last axis.
+    t and b are linear in rho, so on a derivative d rho they are (dt, db).
+    Raises ValueError on a state that is not X-form.
+    """
+    _require_x_state(rho)
+    diag = rho.diagonal(axis1=-2, axis2=-1).real
+    coh = rho[..., 1, 2]
+    t = diag[..., 1] + diag[..., 2]
+    b = np.stack([0.5 * (diag[..., 1] - diag[..., 2]), coh.real, coh.imag], axis=-1)
+    r = np.linalg.norm(b, axis=-1)
+    p = np.stack([diag[..., 0], 0.5 * t + r, 0.5 * t - r, diag[..., 3]], axis=-1)
+    return p, t, b
 
 
 def coherence(rho: np.ndarray) -> float:

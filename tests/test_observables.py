@@ -27,9 +27,9 @@ from fermijunction.observables import (
     _x_state_search,
     concurrence_wootters,
     reduced_states,
+    spectral_decompose,
     x_form_deviation,
 )
-from fermijunction.liouvillian import sector_vector, x_spectrum
 
 
 def random_x_state(rng):
@@ -86,14 +86,26 @@ def bell_diagonal_discord(p):
     return qmi, classical, qmi - classical
 
 
-def test_x_spectrum_matches_eigvalsh():
+def test_spectral_decompose_matches_eigvalsh():
     rng = np.random.default_rng(301)
     rhos = np.stack([random_x_state(rng) for _ in range(300)])
-    p = x_spectrum(sector_vector(rhos))
+    p, t, b = spectral_decompose(rhos)
+    # (t, b) rebuild the singly occupied block
+    paulis = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+    block = 0.5 * t[:, None, None] * np.eye(2) + np.einsum("nk,kij->nij", b, paulis)
+    np.testing.assert_allclose(block, rhos[:, 1:3, 1:3], atol=1e-15)
     assert (p[:, 1] >= p[:, 2]).all()
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
     # the closed form agrees with the dense eigensolver
     np.testing.assert_allclose(np.sort(p, axis=-1), np.linalg.eigvalsh(rhos), atol=1e-12)
+
+
+def test_spectral_decompose_rejects_non_x():
+    rho = np.diag([0.25] * 4).astype(complex)
+    rho[0, 3] = rho[3, 0] = 0.1
+    with pytest.raises(ValueError):
+        spectral_decompose(rho)
+    assert x_form_deviation(rho) == pytest.approx(0.1)
 
 
 def test_concurrence_closed_form_matches_wootters():
@@ -334,11 +346,9 @@ def _non_x_states():
 
 
 @pytest.mark.parametrize("rho", _non_x_states(), ids=["rho14", "rho12"])
-@pytest.mark.parametrize("measure", [discord, concurrence])
+@pytest.mark.parametrize("measure", [discord, concurrence, spectral_decompose])
 def test_x_state_measures_reject_other_states(measure, rho):
     assert min(np.linalg.eigvalsh(rho)) > 0.0
-    # rho14 and rho12 are the only entries off the X pattern
-    assert x_form_deviation(rho) == max(abs(rho[0, 3]), abs(rho[0, 1]))
     with pytest.raises(ValueError, match="not X-form"):
         measure(rho)
 
