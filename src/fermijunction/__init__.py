@@ -41,6 +41,7 @@ from .observables import (
     site_basis_state,
 )
 from .metrology import (
+    FrameFlipError,
     QfiReport,
     QfiStepError,
     RankChangeError,
@@ -78,6 +79,7 @@ __all__ = [
     "DegenerateNullSpaceError",
     "DiscordResult",
     "EigenBasis",
+    "FrameFlipError",
     "Liouvillian",
     "NessResult",
     "QfiReport",

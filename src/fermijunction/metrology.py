@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .liouvillian import NessResult, solve_ness
-from .model import BathParams, SystemParams, fermi_occupation, take
+from .model import BathParams, SystemParams, diagonalize, fermi_occupation, take
 from .observables import spectral_decompose
 
 __all__ = [
+    "FrameFlipError",
     "QfiReport",
     "QfiStepError",
     "RankChangeError",
@@ -39,6 +40,12 @@ _DP_FLOOR = 1e-8  # derivative magnitude separating "stays zero" from rank chang
 
 class QfiStepError(RuntimeError):
     """Finite-difference step produced no resolvable change; enlarge h."""
+
+
+class FrameFlipError(RuntimeError):
+    """The dressed-mode frame turns by more than a right angle across the
+    stencil (omega1 == omega2 with the stencil straddling delta = 0), so
+    the difference of the stencil states is the flip, not a derivative."""
 
 
 class RankChangeError(RuntimeError):
@@ -84,15 +91,16 @@ def qfi_spectral(
 
     Eigenvalues below 1e-12 whose derivative is also negligible are
     dropped; a sizable derivative at a vanishing eigenvalue raises
-    RankChangeError.  ``center``, if given, must be
+    RankChangeError, and a stencil across which the mode frame flips
+    raises FrameFlipError.  ``center``, if given, must be
     ``solve_ness(params, baths)``; its state is then reused instead of
     solving at delta again.
 
     For stacked parameters the two outer stencil points of every point
     are one stacked solve and the centre states with d rho one
     decomposition; a point whose stencil fails gets NaN in every field,
-    and evaluating it alone raises its QfiStepError, RankChangeError or
-    SteadyStateError.
+    and evaluating it alone raises its QfiStepError, FrameFlipError,
+    RankChangeError or SteadyStateError.
     """
     if center is None:
         center = solve_ness(params, baths)
@@ -127,11 +135,20 @@ def qfi_spectral(
         0.0,
     )
 
+    # a flip: the mode frames of the two stencil solves more than a right angle apart
+    frame = diagonalize(outer)
+    cos, sin = frame.cos_theta, frame.sin_theta
+    flipped = cos[0] * cos[1] + sin[0] * sin[1] < 0.0
     unsolved = np.isnan(stencil.residual).any(axis=0)
-    failed = unsolved | ~(changes >= 1e-13) | rank_change.any(axis=0)
+    failed = unsolved | flipped | ~(changes >= 1e-13) | rank_change.any(axis=0)
     if failed.ndim == 0 and failed:
         for k in np.flatnonzero(np.isnan(stencil.residual)):
             solve_ness(take(outer, k), baths)  # raises the typed solver error
+        if flipped:
+            raise FrameFlipError(
+                f"the mode frame flips between delta -+ h = {delta - step:.3e}, "
+                f"{delta + step:.3e}; no derivative across the degenerate point"
+            )
         if not changes >= 1e-13:
             raise QfiStepError(
                 f"no resolvable change across the stencil (step {step:.3e}); "

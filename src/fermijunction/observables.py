@@ -5,10 +5,10 @@ All functions take 4x4 density matrices in the mode occupation basis
 so correlation measures are between the two dressed modes.  In this
 (energy) basis the steady state is an X state with a single coherence
 between the two singly occupied states; ``spectral_decompose``,
-``concurrence`` and ``discord`` rely on that shape and raise ValueError
-on any other state.  ``site_basis_state`` rotates a state back to the
-local site basis for questions about the physical site-site
-entanglement.  Every measure also takes a stack of states with leading
+``concurrence``, ``mutual_information`` and ``discord`` rely on that
+shape and raise ValueError on any other state.  ``site_basis_state``
+rotates a state back to the local site basis for questions about the
+physical site-site entanglement.  Every measure also takes a stack of states with leading
 batch axes and returns one value per state.
 
 Entropies are in bits (log base 2).
@@ -29,7 +29,6 @@ __all__ = [
     "coherence",
     "linear_entropy",
     "concurrence",
-    "concurrence_wootters",
     "mutual_information",
     "reduced_states",
     "discord",
@@ -50,8 +49,7 @@ _PERM = np.array([0, 2, 1, 3])
 _EIG_FLOOR = -1e-9  # most negative eigenvalue accepted as roundoff
 _X_TOL = 1e-10  # largest off-pattern entry still treated as an X state
 _SEARCH_GRID = 40  # cells of the discord search's first polar-angle scan
-_REFINE_GRID = 16  # cells of each rescan of the two cells around the best angle
-_REFINE_STAGES = 9  # rescans; each narrows the bracket 8x, to below 1e-9
+_NEWTON_STEPS = 3  # safeguarded Newton steps on the polar angle after the scan
 _LN2 = math.log(2.0)
 
 
@@ -143,26 +141,32 @@ def concurrence(rho: np.ndarray) -> float:
     return (2.0 * np.maximum(0.0, inner))[()]
 
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)[np.ix_(_PERM, _PERM)].real
-
-
-def concurrence_wootters(rho: np.ndarray) -> float:
-    """General spin-flip concurrence max(0, l1 - l2 - l3 - l4)."""
-    tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    # abs() guards the sqrt against tiny negative roundoff eigenvalues
-    lam = np.sqrt(np.abs(np.linalg.eigvals(rho @ tilde).real))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
-
-
-def _entropy_bits(mat: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(mat)
+def _entropy_terms(eigs: np.ndarray) -> np.ndarray:
+    """-p log2 p for each eigenvalue p; ValueError if one is below the floor."""
     if eigs.min() < _EIG_FLOOR:
         raise ValueError(f"matrix has eigenvalue {eigs.min():.3e}; not a state")
     eigs = np.clip(eigs, 0.0, None)
-    plogp = eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0))
-    return (-plogp.sum(axis=-1))[()]
+    return -eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0))
+
+
+def _entropy_bits(mat: np.ndarray) -> float:
+    """Von Neumann entropy in bits from a dense eigensolve; any state."""
+    return _entropy_terms(np.linalg.eigvalsh(mat)).sum(axis=-1)[()]
+
+
+# diagonal of an X state -> (A empty, A occupied, B empty, B occupied):
+# the reduced states of an X state are diagonal
+_MARGINALS = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=float)
+
+
+def _x_entropies(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S(A), S(B) and S(AB) in bits of X states, from the closed-form
+    spectrum (rho00, rho33, t/2 +- R) and the diagonal reduced states.
+    Raises ValueError on a state that is not X-form or not a state."""
+    p, _, _ = spectral_decompose(rho)
+    marginals = rho.diagonal(axis1=-2, axis2=-1).real @ _MARGINALS
+    h = _entropy_terms(np.concatenate([p, marginals], axis=-1))
+    return h[..., 4:6].sum(axis=-1), h[..., 6:].sum(axis=-1), h[..., :4].sum(axis=-1)
 
 
 def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,9 +178,20 @@ def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mutual_information(rho: np.ndarray) -> float:
-    """Quantum mutual information S(A) + S(B) - S(AB) in bits."""
-    rho_a, rho_b = reduced_states(rho)
-    return _entropy_bits(rho_a) + _entropy_bits(rho_b) - _entropy_bits(rho)
+    """Quantum mutual information S(A) + S(B) - S(AB) in bits, in closed
+    form.  Raises ValueError on a state that is not X-form."""
+    s_a, s_b, s_ab = _x_entropies(rho)
+    return (s_a + s_b - s_ab)[()]
+
+
+def _x_state_entries(diag, coh2):
+    """The state-only sums and products ``_x_entropy`` reads, from
+    ``diag`` = (rho11, rho22, rho33, rho44) and ``coh2`` = |rho23|^2."""
+    r11, r22, r33, r44 = diag
+    a, c = r11 + r22, r33 + r44
+    e, f = r11 - r22, r33 - r44
+    return (a, c, r11 * r22, r33 * r44, r11 * r44 + (r22 * r33 - coh2), e, f,
+            4.0 * coh2, a - c, e - f)
 
 
 def _x_conditional_entropy(theta, diag, coh2):
@@ -196,27 +211,74 @@ def _x_conditional_entropy(theta, diag, coh2):
     a sum of terms >= 0 for a state: unlike w00 w11 - |w01|^2 it cancels
     at no angle, so q is accurate when small and smooth in theta.
     """
-    r11, r22, r33, r44 = diag
+    return _x_entropy(theta, _x_state_entries(diag, coh2))
+
+
+def _x_entropy(theta, entries, slopes=False):
+    """``_x_conditional_entropy`` on the entries of ``_x_state_entries``;
+    with ``slopes`` also its first and second derivative in theta.
+
+    Each outcome contributes p h(q) (in nats) with eigenvalues (p -+ r)/2,
+    where r^2 = g = s^2 + 4 u v |rho23|^2 and s = w00 - w11.  With
+    L1 = ln q + ln(1 - q), psi = (ln(1 - q) - ln q) / 2r and r' = g'/2r
+    its derivatives are
+
+        S'  = -p' L1 / 2 - psi g'/2,
+        S'' = -p'' L1 / 2 - psi (g''/2 - r'^2) - (p r' - p' r)^2 / (4 p det w),
+
+    from the logs the value already takes; u' = -+ sin(theta)/2 and
+    u'' = -+ cos(theta)/2 on the two outcomes.  Where r = 0 the limits
+    psi = 1/p and r' = 0 hold, since the entropy is even in r.  An
+    outcome that is empty or leaves A pure adds 0 to both; inside
+    (0, pi/2] that happens only where it does at every angle, and at
+    theta = 0 the slope is 0 by symmetry anyway.
+    """
+    a, c, aa, cc, ac, e, f, coh4, a_c, e_f = entries
     x = np.cos(theta)
     # the two outcomes on a leading axis: u = (1 + x)/2, then v = (1 - x)/2
     u = 0.5 + np.multiply.outer((0.5, -0.5), x)
     v = u[::-1]
     uu = u * u
     uv = u[0] * u[1]
-    p = u * (r11 + r22) + v * (r33 + r44)
+    p = u * a + v * c
     live = p > 1e-15
-    det = uu * (r11 * r22) + uu[::-1] * (r33 * r44) + uv * (r11 * r44 + (r22 * r33 - coh2))
-    spread = u * (r11 - r22) + v * (r33 - r44)  # w00 - w11
-    # q = det / (p big), big = p (1 - q) = (p + sqrt(spread^2 + 4 |w01|^2)) / 2
-    q = 2.0 * det / np.where(live, (p + np.sqrt(spread * spread + uv * (4.0 * coh2))) * p, 2.0)
-    if ((q < _EIG_FLOOR) & live).any():
-        worst = q[live].min()
+    det = uu * aa + uu[::-1] * cc + uv * ac
+    spread = u * e + v * f  # w00 - w11
+    r = np.sqrt(spread * spread + uv * coh4)
+    # q = det / (p big), big = p (1 - q) = (p + r) / 2
+    q = 2.0 * det / np.where(live, (p + r) * p, 2.0)
+    # the smaller eigenvalue p q of the outcome's unnormalized state
+    if ((p * q < _EIG_FLOOR) & live).any():
+        worst = (p * q)[live].min()
         raise ValueError(f"conditional state has eigenvalue {worst:.3e}; not a state")
     mixed = live & (q > 0.0)
     q = np.where(mixed, q, 0.5)
-    h = q * np.log(q) + (1.0 - q) * np.log1p(-q)
-    terms = np.where(mixed, p * h, 0.0)
-    return (terms[0] + terms[1]) / -_LN2
+    log_q, log_1q = np.log(q), np.log1p(-q)
+    terms = np.where(mixed, p * (q * log_q + (1.0 - q) * log_1q), 0.0)
+    value = (terms[0] + terms[1]) / -_LN2
+    if not slopes:
+        return value
+    y = np.sin(theta)
+    du = np.multiply.outer((-0.5, 0.5), y)
+    d2u = np.multiply.outer((-0.5, 0.5), x)
+    dp, d2p = du * a_c, d2u * a_c
+    ds, d2s = du * e_f, d2u * e_f
+    # half of g' and g'' for g = r^2 = s^2 + sin(theta)^2 |rho23|^2
+    g1 = spread * ds + (0.25 * x * y) * coh4
+    g2 = ds * ds + spread * d2s + (0.25 * (x * x - y * y)) * coh4
+    split = r > 0.0
+    inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=split)
+    psi = np.where(split, 0.5 * (log_1q - log_q) * inv_r, 1.0 / np.where(live, p, 1.0))
+    dr = g1 * inv_r
+    l1 = 0.5 * (log_q + log_1q)
+    bend = dr * p - dp * r
+    first = np.where(mixed, dp * l1 + psi * g1, 0.0)
+    second = np.where(
+        mixed,
+        d2p * l1 + psi * (g2 - dr * dr) + bend * bend / np.where(mixed, 4.0 * p * det, 1.0),
+        0.0,
+    )
+    return value, (first[0] + first[1]) / -_LN2, (second[0] + second[1]) / -_LN2
 
 
 def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
@@ -224,34 +286,40 @@ def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
 
     The conditional entropy does not depend on the azimuth and is the
     same at theta and pi - theta, so a scan of theta over [0, pi/2]
-    (endpoints included) locates the minimum; each later stage rescans
-    the two cells around the best angle on a grid 8x finer.  Interior
-    optima occur for X states and are kept.  The value only goes down
-    from stage to stage and the angle returned attains it.  All states
-    of a stack are searched together, the grid on a leading axis.
+    (endpoints included) brackets the minimum by the cells next to the
+    best angle.  The search starts at the vertex of the parabola through
+    the best angle and its two neighbours (mirrored at 0 and pi/2, where
+    the entropy is even) and takes safeguarded Newton steps on the
+    closed-form slope and curvature: each step shrinks the bracket by the
+    sign of the slope and bisects it when the curvature is not positive
+    or the step leaves it.  Interior optima occur for X states and are
+    kept.  The final angle replaces the best scan angle only if its value
+    is strictly lower, so the value never exceeds the scan's and the
+    angle returned attains it.  All states of a stack are searched
+    together, the scan on a leading axis.
     """
-    entries = np.moveaxis(rho.diagonal(axis1=-2, axis2=-1).real, -1, 0)
-    coh2 = np.abs(rho[..., 1, 2]) ** 2
-    leading = (-1,) + (1,) * coh2.ndim
-
-    def lowest(grid):
-        vals = _x_conditional_entropy(grid, entries, coh2)
-        k = vals.argmin(axis=0)[None]
-        return np.take_along_axis(vals, k, axis=0)[0], np.take_along_axis(grid, k, axis=0)[0]
-
+    diag = np.moveaxis(rho.diagonal(axis1=-2, axis2=-1).real, -1, 0)
+    entries = _x_state_entries(diag, np.abs(rho[..., 1, 2]) ** 2)
+    leading = (-1,) + (1,) * (rho.ndim - 2)
     cell = 0.5 * np.pi / _SEARCH_GRID
-    scan = cell * np.arange(_SEARCH_GRID + 1).reshape(leading)
-    value, theta = lowest(np.broadcast_to(scan, scan.shape[:1] + coh2.shape))
-    # the grid's centre is the best angle so far, whose value is known
-    offsets = np.delete(np.linspace(-cell, cell, _REFINE_GRID + 1), _REFINE_GRID // 2)
-    offsets = offsets.reshape(leading)
-    for _ in range(_REFINE_STAGES):
-        low, at = lowest(np.clip(theta + offsets, 0.0, 0.5 * np.pi))
-        better = low < value
-        value = np.where(better, low, value)
-        theta = np.where(better, at, theta)
-        offsets = offsets / (_REFINE_GRID // 2)
-    return value, theta
+    vals = _x_entropy(cell * np.arange(_SEARCH_GRID + 1).reshape(leading), entries)
+    k = vals.argmin(axis=0)
+    mirrored = np.concatenate([vals[1:2], vals, vals[-2:-1]])
+    below, value, above = np.take_along_axis(mirrored, k + np.arange(3).reshape(leading), 0)
+    second = below - 2.0 * value + above  # >= 0 at the best angle
+    shift = np.divide(below - above, 2.0 * second, out=np.zeros_like(second), where=second > 0.0)
+    at = cell * k
+    theta = at + cell * shift
+    lo, hi = np.maximum(at - cell, 0.0), np.minimum(at + cell, 0.5 * np.pi)
+    for _ in range(_NEWTON_STEPS):
+        _, slope, curv = _x_entropy(theta, entries, slopes=True)
+        lo = np.where(slope < 0.0, theta, lo)
+        hi = np.where(slope > 0.0, theta, hi)
+        step = theta - slope / np.where(curv > 0.0, curv, 1.0)
+        theta = np.where((curv > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    polished = _x_entropy(theta, entries)
+    better = polished < value
+    return np.where(better, polished, value)[()], np.where(better, theta, at)[()]
 
 
 def discord(rho: np.ndarray) -> DiscordResult:
@@ -259,22 +327,22 @@ def discord(rho: np.ndarray) -> DiscordResult:
 
     The classical correlation is S(A) minus the smallest average
     conditional entropy over projective measurements on B; the discord is
-    the mutual information minus that.  The search is deterministic.  An
+    the mutual information minus that.  S(A), S(B) and S(AB) come from
+    the X state's closed-form spectrum.  The search is deterministic.  An
     X state needs only the polar angle: a 40-cell scan of theta over
-    [0, pi/2] with closed-form 2x2 eigenvalues, then nine 16-cell rescans
-    around the best angle, each 8x finer, down to a bracket below 1e-9.
+    [0, pi/2] with closed-form 2x2 eigenvalues, then three safeguarded
+    Newton steps on the closed-form derivatives inside the cells around
+    the best angle, 45 evaluations of the conditional entropy per state.
     Raises ValueError on a state that is not X-form.
     """
-    _require_x_state(rho)
-    rho_a, rho_b = reduced_states(rho)
-    s_a = _entropy_bits(rho_a)
-    qmi = s_a + _entropy_bits(rho_b) - _entropy_bits(rho)
+    s_a, s_b, s_ab = _x_entropies(rho)
+    qmi = s_a + s_b - s_ab
     cond, theta = _x_state_search(rho)
     classical = s_a - cond
     return DiscordResult(
         classical_corr=classical[()],
         discord=(qmi - classical)[()],
-        qmi=qmi,
+        qmi=qmi[()],
         theta=theta[()],
         phi=np.zeros_like(theta)[()],
     )

@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from .liouvillian import SteadyStateError, solve_ness
-from .metrology import QfiStepError, RankChangeError, qfi_spectral
+from .metrology import FrameFlipError, QfiStepError, RankChangeError, qfi_spectral
 from .model import BathParams, EigenBasis, SystemParams, take
 from .observables import (
     coherence,
@@ -227,7 +227,7 @@ class SweepResult:
         )
 
 
-_QFI_ERRORS = (QfiStepError, RankChangeError, SteadyStateError)
+_QFI_ERRORS = (QfiStepError, FrameFlipError, RankChangeError, SteadyStateError)
 
 
 def _flag(stage: str, err: Exception) -> dict[str, list]:

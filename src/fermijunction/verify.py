@@ -89,15 +89,11 @@ def _check_conservation() -> tuple[bool, str]:
 def _check_epr_positivity() -> tuple[bool, str]:
     lowest = min(r["epr"] for r in _weak_grid_rows(0.005))
     rng = np.random.default_rng(20240814)
-    lead_min = math.inf
-    for _ in range(10_000):
-        baths = BathParams(
-            t1=float(rng.uniform(0.05, 1.0)),
-            t2=float(rng.uniform(0.05, 1.0)),
-            mu1=float(rng.uniform(0.0, 2.0)),
-            mu2=float(rng.uniform(0.0, 2.0)),
-        )
-        lead_min = min(lead_min, epr_leading_order(baths, float(rng.uniform(0.5, 2.0))))
+    # one row per draw of (t1, t2, mu1, mu2, omega)
+    t1, t2, mu1, mu2, omega = rng.uniform(
+        [0.05, 0.05, 0.0, 0.0, 0.5], [1.0, 1.0, 2.0, 2.0, 2.0], size=(10_000, 5)
+    ).T
+    lead_min = epr_leading_order(BathParams(t1=t1, t2=t2, mu1=mu1, mu2=mu2), omega).min()
     ok = lowest > -1e-10 and lead_min >= 0.0
     return ok, (
         f"min numeric EPR {lowest:.3e} (>-1e-10) over 441 points, "

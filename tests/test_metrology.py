@@ -9,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermijunction import (
+    Axis,
     BathParams,
+    FrameFlipError,
     QfiStepError,
     RankChangeError,
+    SweepSpec,
     SystemParams,
     qfi_equilibrium_approx,
     qfi_fidelity_oracle,
     qfi_spectral,
+    run_sweep,
     solve_ness,
 )
 from fermijunction.metrology import default_step, fidelity
@@ -120,6 +124,38 @@ def test_qfi_step_underflow_raises():
     baths = BathParams()
     with pytest.raises(QfiStepError):
         qfi_spectral(params, baths, h=1e-16)
+
+
+# omega1 == omega2 and delta = 0: the mode angle atan2(2 delta, 0) jumps
+# from -pi/2 to +pi/2 between delta - h and delta + h
+_DEGENERATE = dict(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.002, gamma2=0.002)
+_BIASED = dict(t1=0.2, t2=0.7, mu1=1.0, mu2=0.5)
+
+
+def test_qfi_frame_flip_at_the_degenerate_point_is_typed():
+    baths = BathParams(**_BIASED)
+    with pytest.raises(FrameFlipError):
+        qfi_spectral(SystemParams(**_DEGENERATE), baths)
+    # in a stack only that point fails; a stencil ending on delta = 0
+    # does not straddle the flip
+    stacked = replace(SystemParams(**_DEGENERATE), delta=np.array([0.0, -1e-6, 1e-6, 0.005]))
+    f = qfi_spectral(stacked, baths).f_total
+    assert np.isnan(f[:2]).all() and np.isfinite(f[2:]).all()
+
+
+def test_qfi_frame_flip_is_flagged_in_a_sweep():
+    spec = SweepSpec(fixed={**_DEGENERATE, **_BIASED}, observables=("qfi",))
+    (row,) = run_sweep(spec).rows
+    assert row["flags"].startswith("qfi:FrameFlipError:")
+    assert "qfi_total" not in row
+    # one axis whose grid crosses the degenerate point
+    spec = SweepSpec(
+        fixed={k: v for k, v in {**_DEGENERATE, **_BIASED}.items() if k != "delta"},
+        axes=(Axis("delta", -0.01, 0.01, 3),),
+        observables=("qfi",),
+    )
+    flags = [row["flags"] for row in run_sweep(spec).rows]
+    assert flags[0] == flags[2] == "" and flags[1].startswith("qfi:FrameFlipError:")
 
 
 def test_qfi_drops_numerically_empty_levels():
