@@ -5,20 +5,7 @@ The two dressed fermionic modes span a 4-dimensional Fock space ordered as
     {|00>, |10>, |01>, |11>}
 
 (occupations of mode 1, mode 2; index 0 is the empty state, index 3 the
-doubly occupied one).  Mode operators follow the Jordan-Wigner
-construction
-
-    zeta1 = lower (x) I,     zeta2 = Z (x) lower,
-
-with ``lower`` the 2x2 lowering matrix and ``Z`` the parity matrix, so
-zeta2_dag |10> = -|11> (the sign every anticommutation check below relies
-on).
-
-Superoperators act on column-stacked density matrices:
-
-    vec(A rho B) = kron(B.T, A) vec(rho),
-
-so entry (i, j) of rho sits at vec index 4*j + i.  The full generator is
+doubly occupied one).  The generator is
 
     d rho / dt = i [rho, H] - (N1 + S1) - (N2 + S2)
 
@@ -32,24 +19,41 @@ reservoir l.
 Total particle number is a weak symmetry of the generator: L maps the
 charge-neutral sector
 
-    v = (rho00, rho11, rho22, rho33, rho12, rho21)  (vec indices 0, 5, 10, 15, 9, 6)
+    v = (rho00, rho11, rho22, rho33, rho12, rho21)
 
-into itself and never couples it to the other ten entries.  The trace
-lives in the sector, so the unique steady state does too, and it is an
-X state by construction.  Everything below is therefore the 6x6 block
-of the 16x16 superoperators.
+into itself and never couples it to the other ten entries of rho.  The
+trace lives in the sector, so the unique steady state does too, and it
+is an X state by construction.  On v the generator is a rate equation.
+A level's partner under mode a is the level with mode a's occupation
+flipped; n is a reservoir's occupation at that mode's energy, and
+c = rho12 + rho21.
 
-Every bracket is affine in the one occupation it carries, so the
-generator is a fixed linear combination of constant 6x6 matrices,
+- Thermal bracket of mode a: population leaves each level with mode a
+  filled for its partner at 2(1 - n), and comes back at 2n.  Both
+  coherences decay at 1.
+- Cross line of mode a: c moves population out of each level with the
+  other mode filled into its partner, at 1 - n where mode a is empty
+  and at n where it is filled.  Each coherence gains n times the
+  populations with mode a empty and loses 1 - n times those with mode
+  a filled.
+- Unitary part: rho12 rotates at -i(omega'_1 - omega'_2), rho21 at
+  +i(omega'_1 - omega'_2).
 
-    L = omega'_1 U_1 + omega'_2 U_2 + sum_{l,k} c_{lk} M_k,
+Bath l weights mode a's thermal bracket by gamma_a |U_la|^2, with
+|U_la|^2 = (1 +- cos theta)/2, and its cross line by (+-1/2) gamma_a
+sin theta.  The global-approach rate is gamma_l |U_la|^2 (Hofer et al.,
+NJP 19, 123037 (2017)); the two agree at gamma_1 = gamma_2.  At
+delta = 0 the populations relax at 2 gamma_1 and 2 gamma_2 and the
+coherence at gamma_1 + gamma_2: each gamma is the self-energy -i gamma
+of a site, whose level width is Gamma = 2 gamma.
 
-with U_a the commutator with mode a's number operator and M_k (k < 8)
-the value at zero occupation and the occupation slope of the two
-thermal brackets and the two cross-bracket lines.  Both sets are built
-once at import, as sector slices of the full brackets; a generator
-build only computes the 2x8 coefficients c_{lk} (rates x angular
-weights x occupations) and one matrix product.
+Each bracket is affine in its occupation, so
+
+    L = (omega'_1 - omega'_2) R + sum_{l,k} c_{lk} M_k
+
+with R the rotation and M_k (k < 8) the brackets' values at n = 0 and
+slopes in n, as decay rates (constant small-integer matrices).  A build
+computes only the 2x8 coefficients c_{lk} and one matrix product.
 
 Parameters, bases, generators and states may carry leading batch axes
 (see ``model``): a whole sweep grid is diagonalized, built and solved by
@@ -68,12 +72,10 @@ from .observables import _EIG_FLOOR, spectral_decompose
 
 __all__ = [
     "DIM",
-    "SECTOR",
     "Liouvillian",
     "NessResult",
     "SteadyStateError",
     "DegenerateNullSpaceError",
-    "mode_operators",
     "hamiltonian",
     "number_operator",
     "build_liouvillian",
@@ -92,29 +94,54 @@ _RESIDUAL_TOL = 1e-10  # largest ||L v|| accepted from a steady-state solve
 # point it then measures >= 1e18 when LU finds no exact zero pivot.
 _COND_LIMIT = 1e14
 
-# vec indices of the charge-neutral sector v = (rho00, rho11, rho22,
-# rho33, rho12, rho21), and the trace as a functional on v.
-SECTOR = np.array([0, 5, 10, 15, 9, 6])
-_SECTOR_ROWS, _SECTOR_COLS = SECTOR % DIM, SECTOR // DIM
+# Entries (row, column) of rho in the charge-neutral sector v = (rho00,
+# rho11, rho22, rho33, rho12, rho21), and the trace as a functional on v.
+_SECTOR_ROWS = np.array([0, 1, 2, 3, 1, 2])
+_SECTOR_COLS = np.array([0, 1, 2, 3, 2, 1])
 _TRACE_ROW = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
-_PARITY = np.diag([1.0, -1.0])
-_I2 = np.eye(2)
-
-# Spec'd basis order {|00>,|10>,|01>,|11>} vs the kron order
-# {|00>,|01>,|10>,|11>}: swap the middle two indices.
-_PERM = np.array([0, 2, 1, 3])
+# Populations of v by mode: _LEVELS[a] = (levels with mode a empty,
+# their partners with it filled), the pair with the other mode empty
+# first.  The coherences are v[4:].
+_LEVELS = (([0, 2], [1, 3]), ([0, 1], [2, 3]))
 
 
-def mode_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Annihilation/creation matrices (zeta1, zeta2, zeta1_dag, zeta2_dag)."""
-    z1 = np.kron(_LOWER, _I2)[np.ix_(_PERM, _PERM)]
-    z2 = np.kron(_PARITY, _LOWER)[np.ix_(_PERM, _PERM)]
-    return z1, z2, z1.conj().T, z2.conj().T
+def _thermal_rates(a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(value at n = 0, slope in n) of mode a's thermal bracket."""
+    empty, filled = _LEVELS[a]
+    at_zero, slope = np.zeros((2, 6, 6))
+    # filled -> empty at 2(1 - n)
+    at_zero[filled, filled], at_zero[empty, filled] = 2.0, -2.0
+    slope[filled, filled], slope[empty, filled] = -2.0, 2.0
+    # empty -> filled at 2n
+    slope[empty, empty], slope[filled, empty] = 2.0, -2.0
+    # both coherences decay at 1
+    at_zero[[4, 5], [4, 5]] = 1.0
+    return at_zero, slope
 
 
-_Z1, _Z2, _Z1D, _Z2D = mode_operators()
+def _cross_rates(a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(value at n = 0, slope in n) of mode a's cross line."""
+    empty, filled = _LEVELS[a]
+    into, out_of = _LEVELS[1 - a]  # the other mode's empty / filled levels
+    at_zero, slope = np.zeros((2, 6, 6))
+    # c moves out_of[i] -> into[i] at 1 - n for i = 0 (mode a empty), n for i = 1
+    at_zero[out_of[0], 4:], at_zero[into[0], 4:] = 1.0, -1.0
+    slope[out_of, 4:], slope[into, 4:] = [[-1.0], [1.0]], [[1.0], [-1.0]]
+    # each coherence loses 1 - n of the filled levels and gains n of the empty
+    at_zero[4:, filled] = 1.0
+    slope[4:, :4] = -1.0
+    return at_zero, slope
+
+
+# Rows: thermal bracket of mode 1, of mode 2, cross line 1, cross line 2,
+# each as (value at zero occupation, slope).
+_BATH_STACK = np.stack(
+    [m for rates in (_thermal_rates, _cross_rates) for a in (0, 1) for m in rates(a)]
+).reshape(8, 36)
+
+# The unitary part i[rho, H] per unit of omega'_1 - omega'_2.
+_ROTATION = np.diag([0.0, 0.0, 0.0, 0.0, -1.0, 1.0]) * 1j
 
 
 def hamiltonian(basis: EigenBasis) -> np.ndarray:
@@ -148,93 +175,6 @@ class DegenerateNullSpaceError(SteadyStateError):
         self.dimension = dimension
 
 
-def _sup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> a @ rho @ b under column stacking."""
-    return np.kron(b.T, a)
-
-
-def _bracket_plus_hc(terms) -> np.ndarray:
-    """Sum coef * A rho B over terms, plus the Hermitian conjugate images."""
-    out = np.zeros((DIM * DIM, DIM * DIM))
-    for coef, a, b in terms:
-        out += coef * _sup(a, b)
-        out += coef * _sup(b.conj().T, a.conj().T)
-    return out
-
-
-def _thermal_bracket(z: np.ndarray, occ: float) -> np.ndarray:
-    """Single-mode thermalization bracket (before the rate prefactor).
-
-    (1-n)(zd z rho - z rho zd) + n (z zd rho - zd rho z) + h.c.
-    """
-    zd = z.conj().T
-    return _bracket_plus_hc(
-        [
-            (1.0 - occ, zd @ z, np.eye(DIM)),
-            (-(1.0 - occ), z, zd),
-            (occ, z @ zd, np.eye(DIM)),
-            (-occ, zd, z),
-        ]
-    )
-
-
-def _cross_bracket(occ1: float, occ2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-mode bracket coupling populations to the 2<->3 coherence.
-
-    First line exchanges through mode 1's occupation, second through
-    mode 2's; both lines plus their Hermitian conjugates.
-    """
-    eye = np.eye(DIM)
-    line1 = _bracket_plus_hc(
-        [
-            (1.0 - occ1, _Z2D @ _Z1, eye),
-            (-(1.0 - occ1), _Z1, _Z2D),
-            (occ1, _Z2 @ _Z1D, eye),
-            (-occ1, _Z1D, _Z2),
-        ]
-    )
-    line2 = _bracket_plus_hc(
-        [
-            (1.0 - occ2, _Z1D @ _Z2, eye),
-            (-(1.0 - occ2), _Z1, _Z2D),
-            (occ2, _Z1 @ _Z2D, eye),
-            (-occ2, _Z1D, _Z2),
-        ]
-    )
-    return line1, line2
-
-
-def _affine_pair(bracket) -> tuple[np.ndarray, np.ndarray]:
-    """(value at occupation 0, slope in the occupation) of an affine bracket."""
-    at_zero = bracket(0.0)
-    return at_zero, bracket(1.0) - at_zero
-
-
-def _sector(superop: np.ndarray) -> np.ndarray:
-    """The charge-neutral block of a 16x16 superoperator."""
-    return superop[np.ix_(SECTOR, SECTOR)]
-
-
-# Rows: thermal bracket of mode 1, of mode 2, cross line 1, cross line 2,
-# each as (value at zero occupation, slope).
-_BATH_STACK = np.stack(
-    [
-        _sector(m)
-        for m in (
-            *_affine_pair(lambda n: _thermal_bracket(_Z1, n)),
-            *_affine_pair(lambda n: _thermal_bracket(_Z2, n)),
-            *_affine_pair(lambda n: _cross_bracket(n, 0.0)[0]),
-            *_affine_pair(lambda n: _cross_bracket(0.0, n)[1]),
-        )
-    ]
-).reshape(8, SECTOR.size**2)
-
-# i (rho h_a - h_a rho) for the mode number operators h_1, h_2.
-_UNITARY_1, _UNITARY_2 = (
-    _sector(1j * (_sup(np.eye(DIM), h) - _sup(h, np.eye(DIM))))
-    for h in (_Z1D @ _Z1, _Z2D @ _Z2)
-)
-
 _BATH_SIGN = np.array([-1.0, 1.0])  # bath 1, bath 2
 
 
@@ -246,7 +186,7 @@ def _bath_coefficients(
 
     N_l thermalizes each dressed mode against reservoir l with the
     angular weights (1 +- cos theta)/2; S_l holds the nonsecular
-    cross-mode terms, weighted by (+-1/2) Gamma sin theta.
+    cross-mode terms, weighted by (+-1/2) gamma_a sin theta.
     """
     sign = _BATH_SIGN
     ct, st, g1, g2 = (
@@ -277,27 +217,22 @@ class Liouvillian:
     matrix: np.ndarray
     bath1: np.ndarray
     bath2: np.ndarray
-    hamiltonian: np.ndarray
 
 
 def build_liouvillian(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> Liouvillian:
     """Build the full generator d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
-    unitary = (
-        np.asarray(basis.omega_p1)[..., None, None] * _UNITARY_1
-        + np.asarray(basis.omega_p2)[..., None, None] * _UNITARY_2
-    )
+    split = np.asarray(basis.omega_p1) - basis.omega_p2
     coeffs = _bath_coefficients(basis, baths, params)
     pieces = (coeffs.reshape(-1, _BATH_STACK.shape[0]) @ _BATH_STACK).reshape(
-        coeffs.shape[:-1] + (SECTOR.size, SECTOR.size)
+        coeffs.shape[:-1] + _ROTATION.shape
     ).astype(complex)
     bath1, bath2 = pieces[..., 0, :, :], pieces[..., 1, :, :]
     return Liouvillian(
-        matrix=unitary + bath1 + bath2,
+        matrix=split[..., None, None] * _ROTATION + bath1 + bath2,
         bath1=bath1,
         bath2=bath2,
-        hamiltonian=hamiltonian(basis),
     )
 
 

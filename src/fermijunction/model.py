@@ -41,7 +41,9 @@ class SystemParams:
 
     omega1, omega2 : bare site energies (> 0)
     delta          : tunneling amplitude between the sites (any real)
-    gamma1, gamma2 : wide-band decay rates into reservoir 1 and 2 (>= 0)
+    gamma1, gamma2 : wide-band couplings to reservoir 1 and 2 (>= 0): the
+                     self-energy -i gamma_l of site l, so its level width
+                     is Gamma_l = 2 gamma_l
     """
 
     omega1: float = 1.0
@@ -84,15 +86,14 @@ class EigenBasis:
 
     omega_p1 >= omega_p2 are the dressed mode energies and
     (cos_theta, sin_theta) fix the 2x2 rotation from site to mode
-    operators.  ``degenerate`` marks the point omega1 == omega2,
-    delta == 0 where the angle is a pure convention (theta = pi/2).
+    operators.  At omega1 == omega2, delta == 0 the angle is a pure
+    convention (theta = pi/2).
     """
 
     omega_p1: float
     omega_p2: float
     cos_theta: float
     sin_theta: float
-    degenerate: bool = False
 
 
 def take(stack, index):
@@ -133,7 +134,6 @@ def diagonalize(params: SystemParams) -> EigenBasis:
         omega_p2=(half_sum - 0.5 * split)[()],
         cos_theta=np.where(degenerate, 0.0, np.cos(theta))[()],
         sin_theta=np.where(degenerate, 1.0, np.sin(theta))[()],
-        degenerate=degenerate[()],
     )
 
 

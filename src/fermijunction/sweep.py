@@ -184,12 +184,6 @@ class SweepSpec:
         arrays = [ax.values() for ax in self.axes]
         return tuple(m.ravel() for m in np.meshgrid(*arrays, indexing="ij"))
 
-    def grid(self) -> list[tuple[float, ...]]:
-        """Axis coordinates in row-major order."""
-        if not self.axes:
-            return [()]
-        return list(zip(*(c.tolist() for c in self.coordinates())))
-
     def resolve(self, coords: tuple[float, ...]) -> dict[str, float]:
         """Full parameter map for one grid point, or for many when each
         coordinate is an array."""

@@ -23,10 +23,22 @@ from fermijunction.liouvillian import (
     _TRACE_ROW,
     DIM,
     _x_state,
-    mode_operators,
     sector_vector,
     steady_state_svd,
 )
+
+
+def mode_operators():
+    """Jordan-Wigner annihilation/creation matrices (zeta1, zeta2,
+    zeta1_dag, zeta2_dag) in the order {|00>, |10>, |01>, |11>}:
+    zeta1 = lower (x) I, zeta2 = Z (x) lower, so zeta2_dag |10> = -|11>."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    parity = np.diag([1.0, -1.0])
+    # kron order is {|00>, |01>, |10>, |11>}: swap the middle two indices
+    perm = np.array([0, 2, 1, 3])
+    z1 = np.kron(lower, np.eye(2))[np.ix_(perm, perm)]
+    z2 = np.kron(parity, lower)[np.ix_(perm, perm)]
+    return z1, z2, z1.conj().T, z2.conj().T
 
 
 def random_state(rng):
@@ -83,6 +95,24 @@ def test_hamiltonian_counts_mode_energies():
     np.testing.assert_allclose(np.diag(h).imag, 0.0)
     assert h[3, 3] == pytest.approx(basis.omega_p1 + basis.omega_p2)
     assert np.allclose(h @ number_operator(), number_operator() @ h)
+
+
+@pytest.mark.parametrize(
+    "omega1, omega2, gamma1, gamma2", [(0.9, 1.2, 3e-3, 1e-3), (1.3, 1.0, 2e-3, 5e-3)]
+)
+def test_decoupled_sites_pin_the_gamma_convention(omega1, omega2, gamma1, gamma2):
+    # delta = 0: a site's populations relax at Gamma_l = 2 gamma_l and the
+    # coherence at (Gamma_1 + Gamma_2)/2, so gamma_l is the self-energy
+    # -i gamma_l of site l; compared as a set, whichever mode a site is
+    params = SystemParams(omega1=omega1, omega2=omega2, delta=0.0, gamma1=gamma1, gamma2=gamma2)
+    baths = BathParams(t1=0.2, t2=0.7, mu1=1.0, mu2=0.5)
+    lv = build_liouvillian(diagonalize(params), baths, params)
+    rotation = 1j * abs(omega1 - omega2)
+    expected = [0.0, -2 * gamma1, -2 * gamma2, -2 * (gamma1 + gamma2),
+                -(gamma1 + gamma2) + rotation, -(gamma1 + gamma2) - rotation]
+    distance = np.abs(np.linalg.eigvals(lv.matrix)[:, None] - np.array(expected))
+    assert distance.min(axis=0).max() < 1e-15
+    assert distance.min(axis=1).max() < 1e-15
 
 
 def test_generator_preserves_trace_and_hermiticity():

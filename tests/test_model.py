@@ -50,12 +50,10 @@ def test_diagonalize_symmetric_sites():
     assert basis.omega_p2 == pytest.approx(0.995)
     assert basis.cos_theta == pytest.approx(0.0, abs=1e-15)
     assert basis.sin_theta == pytest.approx(1.0)
-    assert not basis.degenerate
 
 
 def test_diagonalize_fully_degenerate_point():
     basis = diagonalize(SystemParams(omega1=1.0, omega2=1.0, delta=0.0))
-    assert basis.degenerate
     assert basis.omega_p1 == basis.omega_p2 == 1.0
     assert (basis.cos_theta, basis.sin_theta) == (0.0, 1.0)
 

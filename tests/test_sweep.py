@@ -102,7 +102,8 @@ def test_grid_row_major_order():
         axes=(Axis("mu1", 0.0, 1.0, 2), Axis("t2", 0.2, 0.4, 2)),
         observables=("correlations",),
     )
-    assert spec.grid() == [(0.0, 0.2), (0.0, 0.4), (1.0, 0.2), (1.0, 0.4)]
+    mu1, t2 = spec.coordinates()
+    assert list(zip(mu1.tolist(), t2.tolist())) == [(0.0, 0.2), (0.0, 0.4), (1.0, 0.2), (1.0, 0.4)]
 
 
 def test_resolve_offset_axes_after_direct():
