@@ -144,17 +144,25 @@ _BATH_STACK = np.stack(
 _ROTATION = np.diag([0.0, 0.0, 0.0, 0.0, -1.0, 1.0]) * 1j
 
 
+# Particle number of each level: the diagonal of number_operator().
+_NUMBERS = np.array([0.0, 1.0, 1.0, 2.0])
+
+
+def _level_energies(basis: EigenBasis) -> np.ndarray:
+    """Energies (0, omega'_1, omega'_2, omega'_1 + omega'_2) of the four
+    levels, on the last axis."""
+    w1, w2 = np.asarray(basis.omega_p1), np.asarray(basis.omega_p2)
+    return np.stack([np.zeros_like(w1), w1, w2, w1 + w2], axis=-1)
+
+
 def hamiltonian(basis: EigenBasis) -> np.ndarray:
     """System Hamiltonian, diagonal in the mode occupation basis."""
-    w1, w2 = np.asarray(basis.omega_p1), np.asarray(basis.omega_p2)
-    h = np.zeros(w1.shape + (DIM, DIM))
-    h[..., 1, 1], h[..., 2, 2], h[..., 3, 3] = w1, w2, w1 + w2
-    return h
+    return _level_energies(basis)[..., None] * np.eye(DIM)
 
 
 def number_operator() -> np.ndarray:
     """Total particle number zeta1_dag zeta1 + zeta2_dag zeta2."""
-    return np.diag([0.0, 1.0, 1.0, 2.0])
+    return np.diag(_NUMBERS)
 
 
 class SteadyStateError(RuntimeError):
@@ -367,15 +375,13 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:
-    """Grand-canonical Gibbs state exp(-(H - mu N)/t)/Z of the two modes.
+    """Grand-canonical Gibbs state exp(-(H - mu N)/t)/Z of the two modes,
+    for each point of a stacked basis (t and mu broadcast against it).
 
     This is the exact stationary state whenever both reservoirs share
     (t, mu), for any coupling strength.
     """
-    energies = np.array(
-        [0.0, basis.omega_p1, basis.omega_p2, basis.omega_p1 + basis.omega_p2]
-    )
-    numbers = np.array([0.0, 1.0, 1.0, 2.0])
-    log_w = -(energies - mu * numbers) / t
-    w = np.exp(log_w - log_w.max())
-    return np.diag(w / w.sum()).astype(complex)
+    t, mu = np.asarray(t)[..., None], np.asarray(mu)[..., None]
+    log_w = -(_level_energies(basis) - mu * _NUMBERS) / t
+    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    return (w / w.sum(axis=-1, keepdims=True))[..., None] * np.eye(DIM, dtype=complex)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .liouvillian import NessResult, solve_ness
-from .model import BathParams, SystemParams, diagonalize, fermi_occupation, take
+from .model import BathParams, SystemParams, fermi_occupation, take
 from .observables import spectral_decompose
 
 __all__ = [
@@ -136,8 +136,7 @@ def qfi_spectral(
     )
 
     # a flip: the mode frames of the two stencil solves more than a right angle apart
-    frame = diagonalize(outer)
-    cos, sin = frame.cos_theta, frame.sin_theta
+    cos, sin = stencil.basis.cos_theta, stencil.basis.sin_theta
     flipped = cos[0] * cos[1] + sin[0] * sin[1] < 0.0
     unsolved = np.isnan(stencil.residual).any(axis=0)
     failed = unsolved | flipped | ~(changes >= 1e-13) | rank_change.any(axis=0)

@@ -266,7 +266,9 @@ def _x_entropy(theta, entries, slopes=False):
     # half of g' and g'' for g = r^2 = s^2 + sin(theta)^2 |rho23|^2
     g1 = spread * ds + (0.25 * x * y) * coh4
     g2 = ds * ds + spread * d2s + (0.25 * (x * x - y * y)) * coh4
-    split = r > 0.0
+    # below r = 1e-8 p the log difference in psi is roundoff, and the r = 0
+    # limits hold to O(r/p)
+    split = r > 1e-8 * p
     inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=split)
     psi = np.where(split, 0.5 * (log_1q - log_q) * inv_r, 1.0 / np.where(live, p, 1.0))
     dr = g1 * inv_r

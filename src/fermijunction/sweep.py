@@ -10,15 +10,17 @@ either a bare parameter name or one of the convenience names:
 
 Offsets (dT, dmu) resolve after all direct assignments, so e.g. axes
 (mu2, dmu) sweep both the common level and the bias.  Points come in
-row-major order (first axis outer).  The whole grid is evaluated as one
-stack: each layer (solve, currents, correlations, discord, QFI) is one
-call on arrays with a leading grid axis, and the result stays a table of
-columns up to the emitted bytes.  A point that fails is evaluated again
-alone and its cells are written back by index, so its ``flags`` cell
-carries the typed error of that point instead of the point being
-dropped.  Output is deterministic byte-for-byte.  The table also holds
-each solved point's steady state ``rho`` and dressed-mode ``basis``;
-they are not emitted, but the single-point report reads them.
+row-major order (first axis outer).  The valid points of the grid are
+evaluated as one stack: each layer (solve, currents, correlations,
+discord, QFI) is one call on arrays with a leading grid axis, and the
+result stays a table of columns up to the emitted bytes.  Each point the
+stack leaves unfinished (invalid parameters, a NaN ``residual`` or a NaN
+``qfi_total``) is then evaluated once, alone, where the stage that fails
+raises its typed error and that error becomes the point's ``flags``
+cell.  So a flagged row is the row that its one-point sweep writes.
+Output is deterministic byte-for-byte.  The table also holds each
+solved point's steady state ``rho`` and dressed-mode ``basis``; they are
+not emitted, but the single-point report reads them.
 """
 from __future__ import annotations
 
@@ -221,11 +223,8 @@ class SweepResult:
         )
 
 
-_QFI_ERRORS = (QfiStepError, FrameFlipError, RankChangeError, SteadyStateError)
-
-
-def _flag(stage: str, err: Exception) -> dict[str, list]:
-    return {"flags": [f"{stage}:{type(err).__name__}:{err}"]}
+# The typed errors of one point's solve (SteadyStateError) and of its QFI.
+_POINT_ERRORS = (QfiStepError, FrameFlipError, RankChangeError, SteadyStateError)
 
 
 def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
@@ -233,6 +232,14 @@ def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
         SystemParams(**{k: values[k] for k in _SYSTEM_KEYS}),
         BathParams(**{k: values[k] for k in _BATH_KEYS}),
     )
+
+
+def _valid(values: dict[str, Any]) -> bool:
+    try:
+        _stack_params(values)
+    except ValueError:
+        return False
+    return True
 
 
 def _columns(arrays: dict[str, Any]) -> dict[str, list]:
@@ -250,34 +257,14 @@ def _scatter(table: dict[str, list], n: int, index, part: dict[str, list]) -> No
             column[i] = v
 
 
-def _qfi(spec: SweepSpec, params, baths, ness) -> dict[str, list]:
-    """QFI columns and flags of solved points (a stack, or one point
-    alone); a point whose QFI fails there is evaluated alone, so that it
-    raises its typed error."""
-    n = np.size(params.delta)
-    try:
-        q = qfi_spectral(params, baths, h=spec.qfi_step, center=ness)
-    except _QFI_ERRORS as err:
-        if np.ndim(params.delta) == 0:
-            return _flag("qfi", err)
-        table, failed = {}, range(n)
-    else:
-        table = _columns(dict(qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=q.step))
-        failed = np.flatnonzero(np.isnan(q.f_total))
-    table["flags"] = [""] * n
-    for i in failed:
-        for column in table.values():
-            column[i] = None
-        _scatter(table, n, [i], _qfi(spec, take(params, i), take(baths, i), take(ness, i)))
-    return table
-
-
-def _observe(spec: SweepSpec, params, baths, ness) -> dict[str, list]:
-    """Cells of solved points: a stack, or one point alone."""
-    cols: dict[str, Any] = {"residual": ness.residual}
+def _observe(spec: SweepSpec, params, baths, ness, cells: dict[str, Any]) -> None:
+    """Write the cells of solved points (a stack, or one point alone)
+    into ``cells``, the QFI last: of these stages only the QFI raises, on
+    one point alone, and the cells written before it stay."""
+    cells["residual"] = ness.residual
     if "thermo" in spec.observables:
         report = transport_report(ness, params, baths)
-        cols.update(
+        cells.update(
             current_n1=report.i1,
             current_n2=report.i2,
             current_e1=report.j1,
@@ -288,73 +275,77 @@ def _observe(spec: SweepSpec, params, baths, ness) -> dict[str, list]:
     rho = ness.rho
     if "discord" in spec.observables:
         d = discord(rho)
-        cols.update(classical_corr=d.classical_corr, discord=d.discord)
+        cells.update(classical_corr=d.classical_corr, discord=d.discord)
     if "correlations" in spec.observables:
-        cols.update(
+        cells.update(
             coherence=coherence(rho),
             linear_entropy=linear_entropy(rho),
             concurrence=concurrence(rho),
             # discord has already computed the same mutual information
             qmi=d.qmi if "discord" in spec.observables else mutual_information(rho),
         )
-    table = _columns(cols)
-    if "qfi" in spec.observables:
-        table.update(_qfi(spec, params, baths, ness))
-    else:
-        table["flags"] = [""] * np.size(ness.residual)
     bases = zip(*(np.atleast_1d(getattr(ness.basis, f.name)).tolist() for f in fields(EigenBasis)))
-    table["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
-    table["basis"] = [EigenBasis(*b) for b in bases]
-    return table
+    cells["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
+    cells["basis"] = [EigenBasis(*b) for b in bases]
+    if "qfi" in spec.observables:
+        q = qfi_spectral(params, baths, h=spec.qfi_step, center=ness)
+        cells.update(qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=q.step)
 
 
-def _evaluate(spec: SweepSpec, params, baths) -> dict[str, list]:
-    """Cells of a stack of valid points (or of one point, unstacked): one
-    solve for the stack, and each point it leaves unsolved evaluated
-    again alone, where the solve raises its typed error."""
+def _evaluate(spec: SweepSpec, values: dict[str, float]) -> dict[str, list]:
+    """Cells of one point evaluated alone.  Its parameter, solver and QFI
+    stages raise their typed errors; the error of the stage that fails
+    becomes the point's ``flags`` cell (``params:<message>``, or
+    ``solver:`` / ``qfi:`` then ``<error type>:<message>``), and the
+    cells of the stages before it stay."""
+    try:
+        params, baths = _stack_params(values)
+    except ValueError as err:
+        return _columns({"flags": f"params:{err}"})
+    cells: dict[str, Any] = {"flags": ""}
+    stage = "solver"
     try:
         ness = solve_ness(params, baths)
-    except SteadyStateError as err:
-        if np.ndim(params.delta) == 0:
-            return _flag("solver", err)
-        solved = np.zeros(np.size(params.delta), dtype=bool)
-    else:
-        solved = ~np.isnan(np.atleast_1d(ness.residual))
-    if solved.all():
-        return _observe(spec, params, baths, ness)
-    table: dict[str, list] = {}
-    good = np.flatnonzero(solved)
-    if good.size:
-        subset = (take(x, good) for x in (params, baths, ness))
-        _scatter(table, solved.size, good, _observe(spec, *subset))
-    for i in np.flatnonzero(~solved):
-        _scatter(table, solved.size, [i], _evaluate(spec, take(params, i), take(baths, i)))
-    return table
+        stage = "qfi"
+        _observe(spec, params, baths, ness, cells)
+    except _POINT_ERRORS as err:
+        cells["flags"] = f"{stage}:{type(err).__name__}:{err}"
+    return _columns(cells)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the whole grid as one stack; points in row-major order."""
+    """Evaluate the grid of valid points as one stack, then each point the
+    stack leaves unfinished once, alone; points in row-major order."""
     coords = spec.coordinates()
     n = coords[0].size if coords else 1
     resolved = spec.resolve(coords)
     values = {k: np.broadcast_to(np.asarray(resolved[k], dtype=float), (n,)) for k in BASE_PARAMS}
     table = _columns({**{ax.name: c for ax, c in zip(spec.axes, coords)}, **values})
+    table["flags"] = [""] * n
+    stacked = np.arange(n)  # the grid points held in the stack
     try:
         params, baths = _stack_params(values)
     except ValueError:
-        valid, flags = [], [None] * n
-        for i in range(n):
-            try:
-                _stack_params({k: table[k][i] for k in BASE_PARAMS})
-                valid.append(i)
-            except ValueError as err:
-                flags[i] = f"params:{err}"
-        table["flags"] = flags
-        if valid:
-            params, baths = _stack_params({k: values[k][valid] for k in BASE_PARAMS})
-            _scatter(table, n, valid, _evaluate(spec, params, baths))
+        stacked = np.flatnonzero([_valid({k: v[i] for k, v in values.items()}) for i in range(n)])
+        params, baths = _stack_params({k: v[stacked] for k, v in values.items()})
+    cells: dict[str, Any] = {}
+    if stacked.size:
+        ness = solve_ness(params, baths)
+        solved = ~np.isnan(ness.residual)
+        if not solved.all():
+            stacked = stacked[solved]
+            params, baths, ness = (take(x, solved) for x in (params, baths, ness))
+    if stacked.size:
+        _observe(spec, params, baths, ness, cells)
+    finished = ~np.isnan(cells.get("qfi_total", np.zeros(stacked.size)))
+    if finished.size == n and finished.all():
+        table.update(_columns(cells))
     else:
-        table.update(_evaluate(spec, params, baths))
+        done = np.flatnonzero(finished)
+        part = {k: [v[j] for j in done] for k, v in _columns(cells).items()}
+        _scatter(table, n, stacked[done], part)
+        for i in np.setdiff1d(np.arange(n), stacked[done]):
+            _scatter(table, n, [i], _evaluate(spec, {k: v[i] for k, v in values.items()}))
     return SweepResult(spec=spec, columns=spec.columns(), table=table)
 
 

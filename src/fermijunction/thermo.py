@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import DIM, NessResult, number_operator, sector_vector
+from .liouvillian import _NUMBERS, DIM, NessResult, _level_energies, sector_vector
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation, occupation_moments
 
 __all__ = [
@@ -76,9 +76,7 @@ def transport_report(result: NessResult, params: SystemParams, baths: BathParams
     lv = result.liouvillian
     v = sector_vector(result.rho)[..., None]
     flows = np.stack([lv.bath1 @ v, lv.bath2 @ v], axis=-3)[..., :DIM, 0].real
-    w1, w2 = np.asarray(result.basis.omega_p1), np.asarray(result.basis.omega_p2)
-    energies = np.stack([np.zeros_like(w1), w1, w2, w1 + w2], axis=-1)
-    charges = np.stack(np.broadcast_arrays(np.diag(number_operator()), energies), axis=-1)
+    charges = np.stack(np.broadcast_arrays(_NUMBERS, _level_energies(result.basis)), axis=-1)
     currents = flows @ charges  # (..., bath, particle/energy)
     i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
     return ThermoReport(

@@ -10,6 +10,7 @@ import pytest
 from fermijunction import sweep, verify
 from fermijunction.cli import main
 from fermijunction.liouvillian import SteadyStateError, solve_ness
+from fermijunction.metrology import QfiReport
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -94,6 +95,10 @@ def test_point_solver_failure_exit_code(tmp_path, capsys):
 
 def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
     def failing_qfi(params, baths, h=None, center=None):
+        # as the real layer does: NaN on a stack, the typed error alone
+        if np.ndim(params.delta):
+            nan = np.full(np.shape(params.delta), np.nan)
+            return QfiReport(f_total=nan, f_e=nan, f_n=nan, step=nan)
         raise SteadyStateError("stencil solve failed", residual=1.0)
 
     monkeypatch.setattr(sweep, "qfi_spectral", failing_qfi)

@@ -26,6 +26,7 @@ from fermijunction.liouvillian import (
     sector_vector,
     steady_state_svd,
 )
+from fermijunction.model import take
 
 
 def mode_operators():
@@ -149,13 +150,20 @@ def test_gibbs_state_is_stationary_at_equilibrium():
 def test_grand_canonical_state_matches_expm():
     from scipy.linalg import expm
 
+    def direct(basis, t, mu):
+        rho = expm(-(hamiltonian(basis) - mu * number_operator()) / t)
+        return rho / np.trace(rho)
+
     basis = diagonalize(SystemParams(omega1=1.3, omega2=0.8, delta=0.07))
-    t, mu = 0.35, 0.6
-    direct = expm(-(hamiltonian(basis) - mu * number_operator()) / t)
-    direct = direct / np.trace(direct)
     np.testing.assert_allclose(
-        grand_canonical_state(basis, t, mu), direct, atol=1e-14
+        grand_canonical_state(basis, 0.35, 0.6), direct(basis, 0.35, 0.6), atol=1e-14
     )
+    # a stacked basis gives the state of each point
+    stacked = diagonalize(SystemParams(delta=np.array([0.005, 0.01])))
+    states = grand_canonical_state(stacked, 0.2, 0.5)
+    assert states.shape == (2, DIM, DIM)
+    for i, state in enumerate(states):
+        np.testing.assert_allclose(state, direct(take(stacked, i), 0.2, 0.5), atol=1e-14)
 
 
 def test_steady_state_matches_svd_oracle():

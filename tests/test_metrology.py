@@ -16,6 +16,7 @@ from fermijunction import (
     RankChangeError,
     SweepSpec,
     SystemParams,
+    diagonalize,
     qfi_equilibrium_approx,
     qfi_fidelity_oracle,
     qfi_spectral,
@@ -181,7 +182,9 @@ def test_qfi_rank_change_detected(monkeypatch):
         rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2] = 0.5 * rest, 0.3 * rest, 0.2 * rest
         rho[..., 3, 3] = p4
         rho[..., 1, 2] = rho[..., 2, 1] = 0.1 * rest
-        return SimpleNamespace(rho=rho, residual=np.zeros(delta.shape))
+        return SimpleNamespace(
+            rho=rho, residual=np.zeros(delta.shape), basis=diagonalize(params)
+        )
 
     monkeypatch.setattr("fermijunction.metrology.solve_ness", fake_solve)
     with pytest.raises(RankChangeError):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermijunction import (
@@ -289,12 +289,17 @@ _SLOPE_EDGE_STATES = [
     )
 ]
 
+# a singly occupied block split by roundoff only (R = 1e-16)
+_ROUNDOFF_SPLIT = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+_ROUNDOFF_SPLIT[1, 2] = _ROUNDOFF_SPLIT[2, 1] = 1e-16
+
 
 @settings(max_examples=80, deadline=None)
 @given(
     x_states() | st.sampled_from(_SLOPE_EDGE_STATES),
     st.floats(0.05, math.pi / 2) | st.just(math.pi / 2),
 )
+@example(_ROUNDOFF_SPLIT, math.pi / 2)
 def test_x_entropy_slopes_match_central_differences(rho, theta):
     diag = tuple(rho.diagonal().real)
     coh2 = abs(rho[1, 2]) ** 2

@@ -22,7 +22,7 @@ from fermijunction import (
     sweep_spec_from_config,
 )
 from fermijunction import sweep
-from fermijunction.liouvillian import SteadyStateError
+from fermijunction.liouvillian import NessResult, SteadyStateError
 from fermijunction.sweep import SweepResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -302,8 +302,14 @@ def test_solver_failure_is_recorded(monkeypatch):
     sizes = []
 
     def failing(params, baths):
-        sizes.append(np.shape(params.delta))
-        raise SteadyStateError("fabricated breakdown", residual=1.0)
+        # as the real solver does: NaN state and residual on a stack, the
+        # typed error when called alone
+        shape = np.shape(params.delta)
+        sizes.append(shape)
+        if not shape:
+            raise SteadyStateError("fabricated breakdown", residual=1.0)
+        return NessResult(rho=np.full(shape + (4, 4), np.nan), liouvillian=None,
+                          basis=None, residual=np.full(shape, np.nan))
 
     monkeypatch.setattr("fermijunction.sweep.solve_ness", failing)
     result = run_sweep(small_spec(observables=("thermo",)))
@@ -402,11 +408,18 @@ def _alone(row):
     return run_sweep(SweepSpec(fixed={k: row[k] for k in EQ_FIXED})).rows[0]
 
 
+def _exact(cells):
+    """Cells as bytes: repr of each value, the buffer of each array."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in cells.items()}
+
+
 def _assert_matches_alone(row):
     alone = _alone(row)
     assert row["flags"] == alone["flags"]
     assert set(row) == set(alone) | {ax for ax in ("dmu", "dT") if ax in row}
-    if row["flags"].startswith(("params:", "solver:")):
+    if row["flags"]:
+        # a flagged row is the row its one-point sweep writes, cell for cell
+        assert _exact({k: row[k] for k in alone}) == _exact(alone)
         return
     for got, want in zip(np.diag(row["rho"]).real, np.diag(alone["rho"]).real):
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -447,19 +460,33 @@ def test_grid_row_equals_the_point_alone(spec):
         _assert_matches_alone(row)
 
 
-def test_mixed_failure_grid_flags_each_point_as_alone():
-    # gamma1 < 0 is a params error; gamma1 = gamma2 = 0 leaves the steady
-    # state not unique; both rates positive solves
-    spec = SweepSpec(
-        fixed={**fixed_without("gamma1", "gamma2"), "omega2": 1.03, "t2": 0.4, "mu1": 0.9},
-        axes=(Axis("gamma1", -0.002, 0.002, 3), Axis("gamma2", 0.0, 0.002, 2)),
-    )
-    rows = run_sweep(spec).rows
-    flags = [r["flags"] for r in rows]
-    assert all(f.startswith("params:decay rates") for f in flags[:2])
-    assert flags[2].startswith("solver:DegenerateNullSpaceError:")
-    assert flags[5] == ""
+@pytest.mark.parametrize(
+    ("fixed", "axes", "expected"),
+    [
+        # gamma1 < 0 is a params error; gamma1 = gamma2 = 0 leaves the
+        # steady state not unique; both rates positive solves
+        (
+            {**fixed_without("gamma1", "gamma2"), "omega2": 1.03, "t2": 0.4, "mu1": 0.9},
+            (Axis("gamma1", -0.002, 0.002, 3), Axis("gamma2", 0.0, 0.002, 2)),
+            {0: "params:decay rates", 1: "params:decay rates",
+             2: "solver:DegenerateNullSpaceError:", 5: ""},
+        ),
+        # omega1 = omega2 under biased baths: at delta = 0 the QFI stencil
+        # straddles the flip of the mode frame
+        (
+            {**fixed_without("delta", "gamma1"), "t2": 0.4, "mu1": 0.9},
+            (Axis("delta", -0.01, 0.01, 3), Axis("gamma1", 0.001, 0.002, 2)),
+            {0: "", 1: "", 2: "qfi:FrameFlipError:", 3: "qfi:FrameFlipError:", 4: "", 5: ""},
+        ),
+    ],
+    ids=["couplings", "frame-flip"],
+)
+def test_mixed_failure_grid_flags_each_point_as_alone(fixed, axes, expected):
+    rows = run_sweep(SweepSpec(fixed=fixed, axes=axes)).rows
+    for i, want in expected.items():
+        assert rows[i]["flags"].startswith(want) and bool(rows[i]["flags"]) == bool(want)
     for row in rows:
         _assert_matches_alone(row)
         if row["flags"]:
-            assert "residual" not in row and "qfi_total" not in row
+            assert "qfi_total" not in row
+            assert ("residual" in row) == row["flags"].startswith("qfi:")
