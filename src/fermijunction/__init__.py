@@ -43,7 +43,6 @@ from .observables import (
 from .metrology import (
     FrameFlipError,
     QfiReport,
-    QfiStepError,
     RankChangeError,
     qfi_equilibrium_approx,
     qfi_fidelity_oracle,
@@ -83,7 +82,6 @@ __all__ = [
     "Liouvillian",
     "NessResult",
     "QfiReport",
-    "QfiStepError",
     "RankChangeError",
     "SteadyStateError",
     "SweepResult",

@@ -6,9 +6,9 @@ Subcommands:
   CSV (default) or line-delimited JSON.
 * ``point CONFIG``  evaluate a single parameter point and print a
   human-readable report.  The point is a one-point sweep over every
-  observable block; the report formats its row, whose ``rho`` and
-  ``basis`` entries (not emitted by ``sweep``) give the dressed modes
-  and populations.
+  observable block; the report formats its row (whose ``rho`` entry,
+  not emitted by ``sweep``, gives the populations) and the dressed
+  modes that ``diagonalize`` gives for its system parameters.
 * ``verify``        run the analytic-limit verification battery.
 
 Exit codes: 0 success, 1 validation/config error (or a failed
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
+from .model import SystemParams, diagonalize
 from .sweep import (
     ConfigError,
     SweepSpec,
@@ -69,8 +71,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     cfg = sweep_spec_from_config(load_config(args.config))
-    spec = SweepSpec(fixed=cfg.fixed, qfi_step=cfg.qfi_step)
-    row = run_sweep(spec).rows[0]
+    row = run_sweep(SweepSpec(fixed=cfg.fixed)).rows[0]
     flags = row["flags"]
     if flags.startswith("params:"):
         raise ConfigError(flags.removeprefix("params:"))
@@ -78,7 +79,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
         print(f"solver failure: {flags.split(':', 2)[2]}", file=sys.stderr)
         return 2
     rho = row["rho"]
-    basis = row["basis"]
+    basis = diagonalize(SystemParams(**{f.name: row[f.name] for f in fields(SystemParams)}))
     out = []
     out.append("parameters")
     out.append(

@@ -357,13 +357,15 @@ def steady_state_svd(lv: Liouvillian) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NessResult:
-    """Steady state plus the objects that produced it, stacked like the
-    parameters they were solved for."""
+    """Steady state plus the parameters it was solved for and the objects
+    that produced it, all stacked alike."""
 
     rho: np.ndarray
     liouvillian: Liouvillian
     basis: EigenBasis
     residual: float
+    params: SystemParams
+    baths: BathParams
 
 
 def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
@@ -371,7 +373,9 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     rho, residual = steady_state(lv)
-    return NessResult(rho=rho, liouvillian=lv, basis=basis, residual=residual)
+    return NessResult(
+        rho=rho, liouvillian=lv, basis=basis, residual=residual, params=params, baths=baths
+    )
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

@@ -18,9 +18,9 @@ stack leaves unfinished (invalid parameters, a NaN ``residual`` or a NaN
 ``qfi_total``) is then evaluated once, alone, where the stage that fails
 raises its typed error and that error becomes the point's ``flags``
 cell.  So a flagged row is the row that its one-point sweep writes.
-Output is deterministic byte-for-byte.  The table also holds each
-solved point's steady state ``rho`` and dressed-mode ``basis``; they are
-not emitted, but the single-point report reads them.
+Output is deterministic byte-for-byte.  The layers after the solve
+read only the solved state, which carries its parameters; the table
+also holds its ``rho`` for the single-point report (not emitted).
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -37,8 +37,8 @@ import numpy as np
 import yaml
 
 from .liouvillian import SteadyStateError, solve_ness
-from .metrology import FrameFlipError, QfiStepError, RankChangeError, qfi_spectral
-from .model import BathParams, EigenBasis, SystemParams, take
+from .metrology import FrameFlipError, RankChangeError, qfi_spectral
+from .model import BathParams, SystemParams, take
 from .observables import (
     coherence,
     concurrence,
@@ -119,7 +119,6 @@ class SweepSpec:
     fixed: dict[str, float]
     axes: tuple[Axis, ...] = ()
     observables: tuple[str, ...] = OBSERVABLE_BLOCKS
-    qfi_step: float | None = None
 
     def __post_init__(self):
         if len(self.axes) > 2:
@@ -161,8 +160,6 @@ class SweepSpec:
             raise ConfigError(f"unknown observable blocks {bad}")
         if not self.observables:
             raise ConfigError("at least one observable block is required")
-        if self.qfi_step is not None and not self.qfi_step > 0.0:
-            raise ConfigError("qfi_step must be positive")
 
     def columns(self) -> tuple[str, ...]:
         # derived axis coordinates (mu, T, dT, dmu) get their own column;
@@ -206,7 +203,7 @@ class SweepSpec:
 class SweepResult:
     """The grid as a column table: ``table[name][i]`` is the value of
     point i, None where the point has none.  Besides the emitted
-    ``columns`` the table holds each solved point's ``rho`` and ``basis``."""
+    ``columns`` the table holds each solved point's ``rho``."""
 
     spec: SweepSpec
     columns: tuple[str, ...]
@@ -224,7 +221,7 @@ class SweepResult:
 
 
 # The typed errors of one point's solve (SteadyStateError) and of its QFI.
-_POINT_ERRORS = (QfiStepError, FrameFlipError, RankChangeError, SteadyStateError)
+_POINT_ERRORS = (FrameFlipError, RankChangeError, SteadyStateError)
 
 
 def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
@@ -257,13 +254,13 @@ def _scatter(table: dict[str, list], n: int, index, part: dict[str, list]) -> No
             column[i] = v
 
 
-def _observe(spec: SweepSpec, params, baths, ness, cells: dict[str, Any]) -> None:
+def _observe(spec: SweepSpec, ness, cells: dict[str, Any]) -> None:
     """Write the cells of solved points (a stack, or one point alone)
     into ``cells``, the QFI last: of these stages only the QFI raises, on
     one point alone, and the cells written before it stay."""
     cells["residual"] = ness.residual
     if "thermo" in spec.observables:
-        report = transport_report(ness, params, baths)
+        report = transport_report(ness)
         cells.update(
             current_n1=report.i1,
             current_n2=report.i2,
@@ -284,11 +281,9 @@ def _observe(spec: SweepSpec, params, baths, ness, cells: dict[str, Any]) -> Non
             # discord has already computed the same mutual information
             qmi=d.qmi if "discord" in spec.observables else mutual_information(rho),
         )
-    bases = zip(*(np.atleast_1d(getattr(ness.basis, f.name)).tolist() for f in fields(EigenBasis)))
     cells["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
-    cells["basis"] = [EigenBasis(*b) for b in bases]
     if "qfi" in spec.observables:
-        q = qfi_spectral(params, baths, h=spec.qfi_step, center=ness)
+        q = qfi_spectral(ness)
         cells.update(qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=q.step)
 
 
@@ -307,7 +302,7 @@ def _evaluate(spec: SweepSpec, values: dict[str, float]) -> dict[str, list]:
     try:
         ness = solve_ness(params, baths)
         stage = "qfi"
-        _observe(spec, params, baths, ness, cells)
+        _observe(spec, ness, cells)
     except _POINT_ERRORS as err:
         cells["flags"] = f"{stage}:{type(err).__name__}:{err}"
     return _columns(cells)
@@ -334,9 +329,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         solved = ~np.isnan(ness.residual)
         if not solved.all():
             stacked = stacked[solved]
-            params, baths, ness = (take(x, solved) for x in (params, baths, ness))
+            ness = take(ness, solved)
     if stacked.size:
-        _observe(spec, params, baths, ness, cells)
+        _observe(spec, ness, cells)
     finished = ~np.isnan(cells.get("qfi_total", np.zeros(stacked.size)))
     if finished.size == n and finished.all():
         table.update(_columns(cells))
@@ -409,7 +404,7 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
 _CONFIG_SECTIONS = {"system", "baths", "sweep"}
 _SYSTEM_KEYS = {"omega1", "omega2", "delta", "gamma1", "gamma2"}
 _BATH_KEYS = {"t1", "t2", "mu1", "mu2"}
-_SWEEP_KEYS = {"axes", "observables", "qfi_step"}
+_SWEEP_KEYS = {"axes", "observables"}
 
 
 def _require_mapping(obj: Any, where: str) -> dict:
@@ -495,9 +490,4 @@ def sweep_spec_from_config(cfg: dict) -> SweepSpec:
         observables = tuple(str(b) for b in observables)
     else:
         raise ConfigError("sweep.observables must be a list")
-    qfi_step = sweep_cfg.get("qfi_step")
-    if qfi_step is not None:
-        qfi_step = _number(qfi_step, "sweep.qfi_step")
-    return SweepSpec(
-        fixed=fixed, axes=tuple(axes), observables=observables, qfi_step=qfi_step
-    )
+    return SweepSpec(fixed=fixed, axes=tuple(axes), observables=observables)

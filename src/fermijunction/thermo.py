@@ -71,12 +71,12 @@ def epr_regime_ok(params: SystemParams) -> bool:
     return (symmetric & tunneling & (mean_gamma <= 0.5 * delta * (1.0 + 1e-12)))[()]
 
 
-def transport_report(result: NessResult, params: SystemParams, baths: BathParams) -> ThermoReport:
+def transport_report(ness: NessResult) -> ThermoReport:
     """Currents and EPR for a solved steady state (or a stack of them)."""
-    lv = result.liouvillian
-    v = sector_vector(result.rho)[..., None]
+    lv = ness.liouvillian
+    v = sector_vector(ness.rho)[..., None]
     flows = np.stack([lv.bath1 @ v, lv.bath2 @ v], axis=-3)[..., :DIM, 0].real
-    charges = np.stack(np.broadcast_arrays(_NUMBERS, _level_energies(result.basis)), axis=-1)
+    charges = np.stack(np.broadcast_arrays(_NUMBERS, _level_energies(ness.basis)), axis=-1)
     currents = flows @ charges  # (..., bath, particle/energy)
     i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
     return ThermoReport(
@@ -84,8 +84,8 @@ def transport_report(result: NessResult, params: SystemParams, baths: BathParams
         i2=i2,
         j1=j1,
         j2=j2,
-        epr=entropy_production_rate(j1, i1, baths),
-        epr_regime_ok=epr_regime_ok(params),
+        epr=entropy_production_rate(j1, i1, ness.baths),
+        epr_regime_ok=epr_regime_ok(ness.params),
     )
 
 

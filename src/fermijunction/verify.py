@@ -115,7 +115,7 @@ def _check_qfi_cross() -> tuple[bool, str]:
             mu1=float(rng.uniform(0.1, 1.5)),
             mu2=float(rng.uniform(0.1, 1.5)),
         )
-        spectral = qfi_spectral(params, baths).f_total
+        spectral = qfi_spectral(solve_ness(params, baths)).f_total
         oracle = qfi_fidelity_oracle(params, baths)
         worst = max(worst, abs(spectral - oracle) / abs(spectral))
     eq_dev = 0.0
@@ -127,7 +127,7 @@ def _check_qfi_cross() -> tuple[bool, str]:
                 baths = BathParams(t1=t, t2=t, mu1=mu, mu2=mu)
                 approx = qfi_equilibrium_approx(params, t, mu)
                 for value in (
-                    qfi_spectral(params, baths).f_total,
+                    qfi_spectral(solve_ness(params, baths)).f_total,
                     qfi_fidelity_oracle(params, baths),
                 ):
                     eq_dev = max(eq_dev, abs(value - approx) / approx)

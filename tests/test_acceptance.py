@@ -23,7 +23,7 @@ def _bias_sweep_states():
     for dmu in np.linspace(0.0, 1.0, 21):
         baths = fj.BathParams(t1=0.1, t2=0.1, mu1=0.5 + float(dmu), mu2=0.5)
         result = fj.solve_ness(params, baths)
-        rep = fj.transport_report(result, params, baths)
+        rep = fj.transport_report(result)
         out.append((float(dmu), result, rep))
     return params, out
 
@@ -66,7 +66,7 @@ def test_criterion_6_weak_tunneling_enhancement():
     rows = []
     for dmu, result, rep in sweep:
         baths = fj.BathParams(t1=0.1, t2=0.1, mu1=0.5 + dmu, mu2=0.5)
-        q = fj.qfi_spectral(params, baths)
+        q = fj.qfi_spectral(fj.solve_ness(params, baths))
         rows.append((rep.epr, q.f_total, q.f_n, dmu))
     rows.sort(key=lambda r: r[0])
     qfis = [r[1] for r in rows]
@@ -88,8 +88,8 @@ def test_criterion_7_strong_tunneling_suppression():
     params = fj.SystemParams(delta=0.05, gamma1=0.002, gamma2=0.002)
     equal = fj.BathParams(t1=0.1, t2=0.1, mu1=0.5, mu2=0.5)
     biased = fj.BathParams(t1=0.1, t2=1.1, mu1=0.5, mu2=0.5)
-    q_eq = fj.qfi_spectral(params, equal).f_total
-    q_hot = fj.qfi_spectral(params, biased).f_total
+    q_eq = fj.qfi_spectral(fj.solve_ness(params, equal)).f_total
+    q_hot = fj.qfi_spectral(fj.solve_ness(params, biased)).f_total
     elapsed = time.perf_counter() - start
     ok = q_hot < q_eq
     _conclude(

@@ -10,7 +10,7 @@ import pytest
 from fermijunction import sweep, verify
 from fermijunction.cli import main
 from fermijunction.liouvillian import SteadyStateError, solve_ness
-from fermijunction.metrology import QfiReport
+from fermijunction.metrology import QfiReport, default_step
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -94,11 +94,13 @@ def test_point_solver_failure_exit_code(tmp_path, capsys):
 
 
 def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
-    def failing_qfi(params, baths, h=None, center=None):
-        # as the real layer does: NaN on a stack, the typed error alone
-        if np.ndim(params.delta):
-            nan = np.full(np.shape(params.delta), np.nan)
-            return QfiReport(f_total=nan, f_e=nan, f_n=nan, step=nan)
+    def failing_qfi(ness):
+        # as the real layer does: NaN values (the step stays finite) on a
+        # stack, the typed error alone
+        delta = ness.params.delta
+        if np.ndim(delta):
+            nan = np.full(np.shape(delta), np.nan)
+            return QfiReport(f_total=nan, f_e=nan, f_n=nan, step=default_step(delta))
         raise SteadyStateError("stencil solve failed", residual=1.0)
 
     monkeypatch.setattr(sweep, "qfi_spectral", failing_qfi)
@@ -106,24 +108,6 @@ def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "qfi unavailable: stencil solve failed" in out
     assert "discord=" in out and "entropy production" in out
-
-
-def test_point_and_sweep_use_the_config_qfi_step(tmp_path, capsys):
-    # point is a one-point sweep of the same config: its qfi_step applies
-    path = tmp_path / "stepped.yaml"
-    path.write_text(
-        GOOD_POINT.replace("  t2: 0.2\n", "  t2: 0.4\n").replace("  mu1: 0.5\n", "  mu1: 0.9\n")
-        + "sweep:\n  qfi_step: 1.0e-4\n"
-    )
-    out = tmp_path / "stepped.csv"
-    assert main(["sweep", str(path), "--out", str(out)]) == 0
-    header, row = (line.split(",") for line in out.read_text().splitlines())
-    cells = dict(zip(header, row))
-    assert float(cells["qfi_step"]) == 1e-4
-    assert main(["point", str(path)]) == 0
-    report = capsys.readouterr().out
-    assert f"qfi_total={float(cells['qfi_total']):.12g} " in report
-    assert "(step 1.000e-04)" in report
 
 
 def test_sweep_writes_deterministic_csv(sweep_config, tmp_path):
@@ -186,14 +170,9 @@ def test_sweep_rejects_bad_axis_field(field, value, message, sweep_config, capsy
     [
         ("delta: 0.005", "delta: .nan", "system.delta must be a finite number"),
         ("mu2: 0.5", "mu2: .inf", "baths.mu2 must be a finite number"),
-        (
-            "  observables:",
-            "  qfi_step: .nan\n  observables:",
-            "sweep.qfi_step must be a finite number",
-        ),
         ("gamma1: 0.002", "gamma1: 1" + "0" * 400, "system.gamma1 must be a finite number"),
     ],
-    ids=["nan-delta", "inf-mu2", "nan-qfi_step", "int-overflow"],
+    ids=["nan-delta", "inf-mu2", "int-overflow"],
 )
 def test_non_finite_number_is_validation_error(command, old, new, message, sweep_config, capsys):
     # a non-finite number never reaches the solver: no SVD failure, no
@@ -201,6 +180,16 @@ def test_non_finite_number_is_validation_error(command, old, new, message, sweep
     Path(sweep_config).write_text(Path(sweep_config).read_text().replace(old, new))
     assert main([command, sweep_config]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "point"])
+@pytest.mark.parametrize("value", ["1.0e-4", ".nan"])
+def test_config_qfi_step_is_rejected(command, value, sweep_config, capsys):
+    # the QFI stencil step is not a setting: a config naming it is invalid
+    # (the sweep section ends the file)
+    Path(sweep_config).write_text(Path(sweep_config).read_text() + f"  qfi_step: {value}\n")
+    assert main([command, sweep_config]) == 1
+    assert capsys.readouterr().err == "error: unknown keys ['qfi_step'] in sweep\n"
 
 
 def test_sweep_accepts_whole_float_count(sweep_config, capsysbinary):

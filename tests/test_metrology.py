@@ -12,7 +12,6 @@ from fermijunction import (
     Axis,
     BathParams,
     FrameFlipError,
-    QfiStepError,
     RankChangeError,
     SweepSpec,
     SystemParams,
@@ -23,7 +22,12 @@ from fermijunction import (
     run_sweep,
     solve_ness,
 )
+from fermijunction import metrology
 from fermijunction.metrology import default_step, fidelity
+
+
+def qfi(params, baths):
+    return qfi_spectral(solve_ness(params, baths))
 
 
 def test_fidelity_basic_properties():
@@ -81,7 +85,7 @@ def test_equilibrium_approx_requires_symmetric_junction():
 def test_qfi_equilibrium_three_routes_agree():
     params = SystemParams(delta=0.005, gamma1=2e-4, gamma2=2e-4)
     baths = BathParams(t1=0.2, t2=0.2, mu1=0.5, mu2=0.5)
-    report = qfi_spectral(params, baths)
+    report = qfi(params, baths)
     oracle = qfi_fidelity_oracle(params, baths)
     approx = qfi_equilibrium_approx(params, 0.2, 0.5)
     assert report.f_total == pytest.approx(report.f_e + report.f_n)
@@ -93,38 +97,90 @@ def test_qfi_equilibrium_three_routes_agree():
 def test_qfi_nonequilibrium_cross_route():
     params = SystemParams(delta=0.005)
     baths = BathParams(t1=0.1, t2=0.1, mu1=1.1, mu2=0.5)
-    report = qfi_spectral(params, baths)
+    report = qfi(params, baths)
     assert report.f_n > 0.0
     assert report.f_e > 0.0
     oracle = qfi_fidelity_oracle(params, baths)
     assert oracle == pytest.approx(report.f_total, rel=1e-4)
 
 
-def test_qfi_explicit_step_consistent_with_default():
+def test_qfi_explicit_step_consistent_with_default(monkeypatch):
     params = SystemParams(delta=0.005)
     baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
-    auto = qfi_spectral(params, baths)
-    pinned = qfi_spectral(params, baths, h=2e-6)
+    auto = qfi(params, baths)
+    monkeypatch.setattr(metrology, "default_step", lambda delta: np.full(np.shape(delta), 2e-6))
+    pinned = qfi(params, baths)
     assert pinned.step == 2e-6
     assert pinned.f_total == pytest.approx(auto.f_total, rel=1e-6)
     oracle_pinned = qfi_fidelity_oracle(params, baths, h=1e-3)
     assert oracle_pinned == pytest.approx(auto.f_total, rel=1e-3)
 
 
-def test_qfi_center_reuse_is_identical():
-    # a detuned, unequal-rate, biased point: passing the already solved
-    # state at delta must not change a single bit of the report
-    params = SystemParams(omega1=1.0, omega2=1.1, delta=0.02, gamma1=0.001, gamma2=0.003)
-    baths = BathParams(t1=0.15, t2=0.5, mu1=0.9, mu2=0.4)
-    center = solve_ness(params, baths)
-    assert qfi_spectral(params, baths, center=center) == qfi_spectral(params, baths)
+def gibbs_qfi(omega1, omega2, delta, t, mu):
+    """Exact QFI of the equal-bath state, Gibbs in the mode frame with no
+    coherence: F = sum_i p_i (d ln p_i)^2 with d ln p_i = -(dE_i - <dE>)/T
+    and d omega'_{1,2} = +-2 delta / sqrt((omega1 - omega2)^2 + 4 delta^2)."""
+    split = math.hypot(omega1 - omega2, 2.0 * delta)
+    w1, w2 = 0.5 * (omega1 + omega2 + split), 0.5 * (omega1 + omega2 - split)
+    log_w = -(np.array([0.0, w1, w2, w1 + w2]) - mu * np.array([0, 1, 1, 2])) / t
+    p = np.exp(log_w - log_w.max())
+    p /= p.sum()
+    d_e = np.array([0.0, 1.0, -1.0, 0.0]) * 2.0 * delta / split
+    d_ln_p = -(d_e - p @ d_e) / t
+    return float(p @ d_ln_p**2)
 
 
-def test_qfi_step_underflow_raises():
-    params = SystemParams()
-    baths = BathParams()
-    with pytest.raises(QfiStepError):
-        qfi_spectral(params, baths, h=1e-16)
+def _frozen_draws(n):
+    """n cold equal-bath points, tuned or detuned, with unequal couplings,
+    whose stencil moves the state by less than 1e-13 (frozen): the mode-2
+    level sits 15 to 30 temperatures above the chemical potential."""
+    rng = np.random.default_rng(1404)
+    draws = []
+    while len(draws) < n:
+        delta = float(np.exp(rng.uniform(np.log(3e-3), np.log(0.1))))
+        gamma1, gamma2 = rng.uniform(1e-4, 0.2, size=2) * delta
+        params = SystemParams(
+            omega1=1.0,
+            omega2=float(rng.choice([1.0, rng.uniform(0.9, 1.1)])),
+            delta=delta,
+            gamma1=float(gamma1),
+            gamma2=float(gamma2),
+        )
+        t = float(rng.uniform(0.01, 0.05))
+        mu = float(diagonalize(params).omega_p2 - t * rng.uniform(15.0, 30.0))
+        baths = BathParams(t1=t, t2=t, mu1=mu, mu2=mu)
+        h = default_step(delta)
+        lo, hi = solve_ness(replace(params, delta=delta + np.array([-h, h])), baths).rho
+        if np.abs(hi - lo).max() < 1e-13:
+            draws.append((params, baths))
+    return draws
+
+
+FROZEN = _frozen_draws(12)
+
+
+@pytest.mark.parametrize("params, baths", FROZEN)
+def test_qfi_of_frozen_state_matches_gibbs(params, baths):
+    report = qfi(params, baths)
+    exact = gibbs_qfi(params.omega1, params.omega2, params.delta, baths.t1, baths.mu1)
+    assert report.f_total == pytest.approx(exact, abs=1e-7)
+    assert report.f_n == 0.0
+
+
+def test_qfi_of_frozen_states_in_a_stacked_sweep():
+    # a detuned junction with unequal couplings over a cold grid: every
+    # point evaluates in the stack, none is flagged
+    fixed = dict(omega1=1.0, omega2=1.03, delta=0.004, gamma1=0.0003, gamma2=0.0011)
+    spec = SweepSpec(
+        fixed=fixed,
+        axes=(Axis("T", 0.02, 0.035, 3), Axis("mu", 0.1, 0.3, 3)),
+        observables=("qfi",),
+    )
+    rows = run_sweep(spec).rows
+    assert [row["flags"] for row in rows] == [""] * 9
+    for row in rows:
+        exact = gibbs_qfi(1.0, 1.03, 0.004, row["t1"], row["mu1"])
+        assert row["qfi_total"] == pytest.approx(exact, abs=1e-7)
 
 
 # omega1 == omega2 and delta = 0: the mode angle atan2(2 delta, 0) jumps
@@ -136,12 +192,14 @@ _BIASED = dict(t1=0.2, t2=0.7, mu1=1.0, mu2=0.5)
 def test_qfi_frame_flip_at_the_degenerate_point_is_typed():
     baths = BathParams(**_BIASED)
     with pytest.raises(FrameFlipError):
-        qfi_spectral(SystemParams(**_DEGENERATE), baths)
+        qfi(SystemParams(**_DEGENERATE), baths)
     # in a stack only that point fails; a stencil ending on delta = 0
     # does not straddle the flip
     stacked = replace(SystemParams(**_DEGENERATE), delta=np.array([0.0, -1e-6, 1e-6, 0.005]))
-    f = qfi_spectral(stacked, baths).f_total
-    assert np.isnan(f[:2]).all() and np.isfinite(f[2:]).all()
+    report = qfi(stacked, baths)
+    assert np.isnan(report.f_total[:2]).all() and np.isfinite(report.f_total[2:]).all()
+    # a failed point keeps its step
+    assert np.array_equal(report.step, default_step(stacked.delta))
 
 
 def test_qfi_frame_flip_is_flagged_in_a_sweep():
@@ -165,7 +223,7 @@ def test_qfi_drops_numerically_empty_levels():
     # the empty level is skipped, not fatal
     params = SystemParams(delta=0.005)
     baths = BathParams(t1=0.03, t2=0.03, mu1=0.5, mu2=0.5)
-    report = qfi_spectral(params, baths)
+    report = qfi(params, baths)
     assert math.isfinite(report.f_total)
     assert report.f_total > 0.0
 
@@ -183,12 +241,16 @@ def test_qfi_rank_change_detected(monkeypatch):
         rho[..., 3, 3] = p4
         rho[..., 1, 2] = rho[..., 2, 1] = 0.1 * rest
         return SimpleNamespace(
-            rho=rho, residual=np.zeros(delta.shape), basis=diagonalize(params)
+            rho=rho,
+            residual=np.zeros(delta.shape),
+            basis=diagonalize(params),
+            params=params,
+            baths=baths,
         )
 
     monkeypatch.setattr("fermijunction.metrology.solve_ness", fake_solve)
     with pytest.raises(RankChangeError):
-        qfi_spectral(SystemParams(delta=0.005), BathParams())
+        qfi_spectral(fake_solve(SystemParams(delta=0.005), BathParams()))
 
 
 def dense_sld_qfi(params, baths):
@@ -235,7 +297,7 @@ def biased_junctions(draw):
 @given(biased_junctions())
 def test_qfi_matches_dense_sld(point):
     params, baths = point
-    report = qfi_spectral(params, baths)
+    report = qfi(params, baths)
     f, f_e, f_n = dense_sld_qfi(params, baths)
     assert report.f_total == pytest.approx(f, rel=1e-12)
     assert report.f_e == pytest.approx(f_e, rel=1e-12)
@@ -249,4 +311,4 @@ def test_qfi_coherent_part_is_exactly_zero_at_equilibrium(point):
     # exact 0, not the roundoff of a cancelling difference
     params, baths = point
     equal = replace(baths, t2=baths.t1, mu2=baths.mu1)
-    assert qfi_spectral(params, equal).f_n == 0.0
+    assert qfi(params, equal).f_n == 0.0

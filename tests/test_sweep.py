@@ -92,8 +92,6 @@ def test_spec_validation_errors():
         SweepSpec(fixed=EQ_FIXED, observables=("thermo", "entropy"))
     with pytest.raises(ConfigError, match="observable"):
         SweepSpec(fixed=EQ_FIXED, observables=())
-    with pytest.raises(ConfigError, match="qfi_step"):
-        SweepSpec(fixed=EQ_FIXED, qfi_step=0.0)
 
 
 def test_grid_row_major_order():
@@ -309,7 +307,8 @@ def test_solver_failure_is_recorded(monkeypatch):
         if not shape:
             raise SteadyStateError("fabricated breakdown", residual=1.0)
         return NessResult(rho=np.full(shape + (4, 4), np.nan), liouvillian=None,
-                          basis=None, residual=np.full(shape, np.nan))
+                          basis=None, residual=np.full(shape, np.nan),
+                          params=params, baths=baths)
 
     monkeypatch.setattr("fermijunction.sweep.solve_ness", failing)
     result = run_sweep(small_spec(observables=("thermo",)))
@@ -340,11 +339,9 @@ def test_config_round_trip(tmp_path):
         "      stop: 1.0\n"
         "      count: 4\n"
         "  observables: [thermo]\n"
-        "  qfi_step: 2.0e-6\n"
     )
     spec = sweep_spec_from_config(load_config(str(cfg_file)))
     assert spec.axes[0].name == "dmu"
-    assert spec.qfi_step == 2e-6
     assert spec.observables == ("thermo",)
     result = run_sweep(spec)
     assert len(result.rows) == 4
@@ -368,12 +365,6 @@ def test_config_rejects_unknown_structure(tmp_path):
     bad4.write_text("sweep:\n  axes:\n    - name: mu1\n      start: 0.0\n")
     with pytest.raises(ConfigError, match="missing"):
         sweep_spec_from_config(load_config(str(bad4)))
-
-
-def test_qfi_step_override_reaches_report():
-    spec = SweepSpec(fixed=EQ_FIXED, observables=("qfi",), qfi_step=3e-6)
-    result = run_sweep(spec)
-    assert result.rows[0]["qfi_step"] == 3e-6
 
 
 def test_config_loaders_agree(tmp_path):
@@ -417,6 +408,8 @@ def _assert_matches_alone(row):
     alone = _alone(row)
     assert row["flags"] == alone["flags"]
     assert set(row) == set(alone) | {ax for ax in ("dmu", "dT") if ax in row}
+    # besides the emitted columns a row holds only its steady state
+    assert set(alone) - set(SweepSpec(fixed=EQ_FIXED).columns()) <= {"rho"}
     if row["flags"]:
         # a flagged row is the row its one-point sweep writes, cell for cell
         assert _exact({k: row[k] for k in alone}) == _exact(alone)

@@ -23,7 +23,7 @@ from fermijunction.liouvillian import _x_state, sector_vector
 
 
 def report_at(params, baths):
-    return transport_report(solve_ness(params, baths), params, baths)
+    return transport_report(solve_ness(params, baths))
 
 
 def test_unitary_part_moves_no_charge():
