@@ -114,7 +114,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     if "qfi_total" in row:
         out.append(
             f"  qfi_total={row['qfi_total']:.12g} f_e={row['qfi_fe']:.12g} "
-            f"f_n={row['qfi_fn']:.12g} (step {row['qfi_step']:.3e})"
+            f"f_n={row['qfi_fn']:.12g}"
         )
     else:
         # the only flag left on a solved point is qfi:<ErrorType>:<message>

@@ -53,7 +53,10 @@ Each bracket is affine in its occupation, so
 
 with R the rotation and M_k (k < 8) the brackets' values at n = 0 and
 slopes in n, as decay rates (constant small-integer matrices).  A build
-computes only the 2x8 coefficients c_{lk} and one matrix product.
+computes only the 2x8 coefficients c_{lk} and one matrix product.  The
+same product of their closed-form delta-derivatives, plus the rotation
+times d(omega'_1 - omega'_2), is d L / d delta; with the inverse the
+solve keeps it gives the exact d rho / d delta of the steady state.
 
 Parameters, bases, generators and states may carry leading batch axes
 (see ``model``): a whole sweep grid is diagonalized, built and solved by
@@ -79,10 +82,12 @@ __all__ = [
     "hamiltonian",
     "number_operator",
     "build_liouvillian",
+    "generator_derivative",
     "sector_vector",
     "steady_state",
     "steady_state_svd",
     "solve_ness",
+    "state_derivative",
     "grand_canonical_state",
 ]
 
@@ -186,6 +191,34 @@ class DegenerateNullSpaceError(SteadyStateError):
 _BATH_SIGN = np.array([-1.0, 1.0])  # bath 1, bath 2
 
 
+def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams):
+    """Weights (n1, n2, s1, s2) of the thermal brackets and cross lines of
+    modes 1 and 2, each (..., 2) with bath l on the last axis:
+    gamma_a (unit +- cos theta)/2 and (+-1/2) gamma_a sin theta.  With
+    unit = 1 these are the weights; with unit = 0 and the derivatives of
+    cos theta and sin theta they are the weights' derivatives."""
+    sign = _BATH_SIGN
+    ct, st, g1, g2 = (
+        np.asarray(x)[..., None] for x in (cos_theta, sin_theta, params.gamma1, params.gamma2)
+    )
+    return (
+        g1 * 0.5 * (unit + sign * ct),
+        g2 * 0.5 * (unit - sign * ct),
+        -sign * 0.5 * st * g1,
+        -sign * 0.5 * st * g2,
+    )
+
+
+def _occupations(basis: EigenBasis, baths: BathParams):
+    """Occupations of modes 1 and 2 in each reservoir, and the reservoirs'
+    temperatures, each (..., 2) with bath l on the last axis."""
+    t = np.stack(np.broadcast_arrays(baths.t1, baths.t2), axis=-1)
+    mu = np.stack(np.broadcast_arrays(baths.mu1, baths.mu2), axis=-1)
+    occ1 = fermi_occupation(np.asarray(basis.omega_p1)[..., None], t, mu)
+    occ2 = fermi_occupation(np.asarray(basis.omega_p2)[..., None], t, mu)
+    return occ1, occ2, t
+
+
 def _bath_coefficients(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> np.ndarray:
@@ -196,21 +229,17 @@ def _bath_coefficients(
     angular weights (1 +- cos theta)/2; S_l holds the nonsecular
     cross-mode terms, weighted by (+-1/2) gamma_a sin theta.
     """
-    sign = _BATH_SIGN
-    ct, st, g1, g2 = (
-        np.asarray(x)[..., None]
-        for x in (basis.cos_theta, basis.sin_theta, params.gamma1, params.gamma2)
-    )
-    t = np.stack(np.broadcast_arrays(baths.t1, baths.t2), axis=-1)
-    mu = np.stack(np.broadcast_arrays(baths.mu1, baths.mu2), axis=-1)
-    occ1 = fermi_occupation(np.asarray(basis.omega_p1)[..., None], t, mu)
-    occ2 = fermi_occupation(np.asarray(basis.omega_p2)[..., None], t, mu)
-    n1 = g1 * 0.5 * (1.0 + sign * ct)
-    n2 = g2 * 0.5 * (1.0 - sign * ct)
-    s1 = -sign * 0.5 * st * g1
-    s2 = -sign * 0.5 * st * g2
+    n1, n2, s1, s2 = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
+    occ1, occ2, _ = _occupations(basis, baths)
     terms = (n1, n1 * occ1, n2, n2 * occ2, s1, s1 * occ1, s2, s2 * occ2)
     return -np.stack(np.broadcast_arrays(*terms), axis=-1)
+
+
+def _bath_product(coeffs: np.ndarray) -> np.ndarray:
+    """The 6x6 matrices sum_k c_k M_k of coefficients (..., 8)."""
+    return (coeffs.reshape(-1, _BATH_STACK.shape[0]) @ _BATH_STACK).reshape(
+        coeffs.shape[:-1] + _ROTATION.shape
+    )
 
 
 @dataclass(frozen=True)
@@ -232,16 +261,55 @@ def build_liouvillian(
 ) -> Liouvillian:
     """Build the full generator d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
     split = np.asarray(basis.omega_p1) - basis.omega_p2
-    coeffs = _bath_coefficients(basis, baths, params)
-    pieces = (coeffs.reshape(-1, _BATH_STACK.shape[0]) @ _BATH_STACK).reshape(
-        coeffs.shape[:-1] + _ROTATION.shape
-    ).astype(complex)
+    pieces = _bath_product(_bath_coefficients(basis, baths, params)).astype(complex)
     bath1, bath2 = pieces[..., 0, :, :], pieces[..., 1, :, :]
     return Liouvillian(
         matrix=split[..., None, None] * _ROTATION + bath1 + bath2,
         bath1=bath1,
         bath2=bath2,
     )
+
+
+def generator_derivative(
+    basis: EigenBasis, baths: BathParams, params: SystemParams
+) -> np.ndarray:
+    """d L / d delta of the sector generator in the mode frame of
+    ``basis`` (the frame ``build_liouvillian`` works in), (..., 6, 6).
+
+    With s = omega'_1 - omega'_2 = hypot(omega1 - omega2, 2 delta) and
+    theta = atan2(2 delta, omega2 - omega1),
+
+        d omega'_1 = -d omega'_2 = 2 delta / s,
+        d theta = 2 (omega2 - omega1) / s^2,
+
+    so d cos theta = -sin theta d theta, d sin theta = cos theta d theta,
+    and each Fermi occupation moves by d n = -n (1 - n) d omega'_a / T.
+    L is linear in s and in the bath coefficients c_{lk}, so d L is the
+    rotation times d s plus the same _BATH_STACK product of d c_{lk}.
+    Where s = 0 (omega1 == omega2 and delta == 0) the mode frame is
+    undefined and the derivative is NaN.
+    """
+    delta = np.asarray(params.delta)
+    detuning = np.asarray(params.omega2) - params.omega1
+    split = np.hypot(detuning, 2.0 * delta)
+    defined = split > 0.0
+    safe = np.where(defined, split, 1.0)
+    d_w1 = np.where(defined, 2.0 * delta / safe, np.nan)
+    d_theta = 2.0 * detuning / safe / safe  # 0 wherever omega1 == omega2
+    ct, st = basis.cos_theta, basis.sin_theta
+    n1, n2, s1, s2 = _angular_weights(1.0, ct, st, params)
+    dn1, dn2, ds1, ds2 = _angular_weights(0.0, -st * d_theta, ct * d_theta, params)
+    occ1, occ2, t = _occupations(basis, baths)
+    d_occ1 = -occ1 * (1.0 - occ1) / t * d_w1[..., None]
+    d_occ2 = occ2 * (1.0 - occ2) / t * d_w1[..., None]
+    terms = (
+        dn1, dn1 * occ1 + n1 * d_occ1,
+        dn2, dn2 * occ2 + n2 * d_occ2,
+        ds1, ds1 * occ1 + s1 * d_occ1,
+        ds2, ds2 * occ2 + s2 * d_occ2,
+    )
+    d_coeffs = -np.stack(np.broadcast_arrays(*terms), axis=-1).sum(axis=-2)
+    return (2.0 * d_w1)[..., None, None] * _ROTATION + _bath_product(d_coeffs)
 
 
 def sector_vector(rho: np.ndarray) -> np.ndarray:
@@ -304,14 +372,16 @@ def _invert_each(a: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float]:
-    """Unique stationary density matrix of the generator and its residual.
+def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray]:
+    """Unique stationary density matrix of the generator, its residual and
+    the inverse it was solved with.
 
     Replaces the first row of the sector generator with the trace
-    constraint and solves the 6x6 system, for every generator of a stack
-    in one call.  Returns the pair (rho, ||L v||) with rho the 4x4 X
-    state.  An unstacked generator raises DegenerateNullSpaceError when
-    the stationary state is not unique (e.g. both couplings zero) and
+    constraint and inverts that 6x6 matrix A, for every generator of a
+    stack in one call.  Returns (rho, ||L v||, A^-1) with rho the 4x4 X
+    state, whose sector is the first column of A^-1.  An unstacked
+    generator raises DegenerateNullSpaceError when the stationary state
+    is not unique (e.g. both couplings zero) and
     SteadyStateError when the system is singular or its state misses the
     residual tolerance or positivity; in a stack such a point gets NaN
     state and residual, and solving it alone gives its error.
@@ -331,10 +401,10 @@ def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float]:
     if failed.ndim == 0:
         if failed:
             raise _failure(lv, singular, residual, min_eig)
-        return rho, float(residual)
+        return rho, float(residual), inverse
     rho[failed] = np.nan
     residual[failed] = np.nan
-    return rho, residual
+    return rho, residual, inverse
 
 
 def steady_state_svd(lv: Liouvillian) -> np.ndarray:
@@ -358,7 +428,8 @@ def steady_state_svd(lv: Liouvillian) -> np.ndarray:
 @dataclass(frozen=True)
 class NessResult:
     """Steady state plus the parameters it was solved for and the objects
-    that produced it, all stacked alike."""
+    that produced it, all stacked alike; ``inverse`` is the inverse of the
+    trace-replaced generator that ``steady_state`` solved with."""
 
     rho: np.ndarray
     liouvillian: Liouvillian
@@ -366,16 +437,34 @@ class NessResult:
     residual: float
     params: SystemParams
     baths: BathParams
+    inverse: np.ndarray
 
 
 def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    rho, residual = steady_state(lv)
-    return NessResult(
-        rho=rho, liouvillian=lv, basis=basis, residual=residual, params=params, baths=baths
-    )
+    rho, residual, inverse = steady_state(lv)
+    return NessResult(rho=rho, liouvillian=lv, basis=basis, residual=residual,
+                      params=params, baths=baths, inverse=inverse)
+
+
+def state_derivative(ness: NessResult) -> np.ndarray:
+    """d rho / d delta of solved steady states in their mode frame, as
+    4x4 X states, for each point of a stack.
+
+    The solve makes A v = (1, 0, ..., 0) hold at every delta, with A the
+    generator whose first row is the trace, so dv = -A^-1 (dA) v, where
+    dA is ``generator_derivative`` with that row zeroed (the trace row
+    does not depend on delta): two stacked matrix-vector products with
+    the inverse the solve kept.  NaN where the mode frame is undefined
+    (omega1 == omega2 and delta == 0).
+    """
+    v = sector_vector(ness.rho)[..., None]
+    d_lv = generator_derivative(ness.basis, ness.baths, ness.params) @ v
+    d_lv[..., 0, :] = 0.0
+    d_rho = _x_state(-(ness.inverse @ d_lv)[..., 0])
+    return 0.5 * (d_rho + np.swapaxes(d_rho, -1, -2).conj())
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

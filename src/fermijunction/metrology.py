@@ -3,9 +3,10 @@
 Two independent numerical routes plus one closed form:
 
 * ``qfi_spectral``: the SLD formula in closed form on a solved steady
-  X state and its central difference d rho at ``default_step(delta)``
-  (both live in the 6-entry charge-neutral sector), split into the
-  population part F^E and the basis-rotation part F^N of its eigenbasis.
+  X state and its exact derivative d rho / d delta (both live in the
+  6-entry charge-neutral sector; ``liouvillian.state_derivative``
+  differentiates the solve), split into the population part F^E and the
+  basis-rotation part F^N of its eigenbasis.
 * ``qfi_fidelity_oracle``: Bures-distance estimate 8 (1 - A)/h^2 from
   the Uhlmann fidelity A of two nearby steady states, Richardson
   extrapolated.  Used as the cross-check of the spectral route.
@@ -19,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .liouvillian import NessResult, solve_ness
-from .model import BathParams, SystemParams, fermi_occupation, take
+from .liouvillian import NessResult, solve_ness, state_derivative
+from .model import BathParams, SystemParams, fermi_occupation
 from .observables import spectral_decompose
 
 __all__ = [
@@ -38,67 +39,52 @@ _DP_FLOOR = 1e-8  # derivative magnitude separating "stays zero" from rank chang
 
 
 class FrameFlipError(RuntimeError):
-    """The dressed-mode frame turns by more than a right angle across the
-    stencil (omega1 == omega2 with the stencil straddling delta = 0), so
-    the difference of the stencil states is the flip, not a derivative."""
+    """The dressed-mode frame is undefined at this point (omega1 == omega2
+    and delta == 0: the mode angle is a convention there), so the state
+    has no derivative in delta in that frame."""
 
 
 class RankChangeError(RuntimeError):
-    """An eigenvalue crosses zero at this point; the SLD formula does not
-    apply (rank-change singularity)."""
+    """An eigenvalue of the state is zero or negative here with a sizable
+    derivative, so the SLD formula does not apply: the rank of the state
+    changes at this point, or the Redfield state lost positivity."""
 
 
 @dataclass(frozen=True)
 class QfiReport:
-    """QFI and its two contributions; step is the stencil spacing used."""
+    """QFI and its two contributions."""
 
     f_total: float
     f_e: float
     f_n: float
-    step: float
-
-
-def default_step(delta):
-    """Default central-difference step for d/d(delta)."""
-    return np.maximum(1e-6, 1e-4 * np.abs(delta))[()]
 
 
 def qfi_spectral(ness: NessResult) -> QfiReport:
     """QFI for estimating the tunneling amplitude, in closed form on the
     charge-neutral sector, for a solved steady state (or a stack of them).
 
-    Solves the steady state at delta -+ h with h = ``default_step(delta)``
-    and takes d rho = (rho(delta + h) - rho(delta - h)) / 2h.  The X
-    state's eigenvalues are rho00, rho33 and t/2 +- R with (t, b) the
-    trace and Bloch vector of the singly occupied block and R = |b|
-    (``spectral_decompose``, which also maps d rho to (dt, db)); by
-    Hellmann-Feynman their derivatives are d rho00, d rho33 and
-    dt/2 +- b.db/R.  The SLD formula 2 sum |<i|d rho|j>|^2 / (p_i + p_j)
-    then splits into
+    d rho is the exact derivative in delta of the solved state
+    (``state_derivative``: one matrix-vector product with the inverse the
+    solve kept, no second solve).  The X state's eigenvalues are rho00,
+    rho33 and t/2 +- R with (t, b) the trace and Bloch vector of the
+    singly occupied block and R = |b| (``spectral_decompose``, which also
+    maps d rho to (dt, db)); by Hellmann-Feynman their derivatives are
+    d rho00, d rho33 and dt/2 +- b.db/R.  The SLD formula
+    2 sum |<i|d rho|j>|^2 / (p_i + p_j) then splits into
 
         F^E = sum_i dp_i^2 / p_i,    F^N = 4 |b x db|^2 / (R^2 t).
 
     Eigenvalues below 1e-12 whose derivative is also negligible are
-    dropped; a sizable derivative at a vanishing eigenvalue raises
-    RankChangeError, and a stencil across which the mode frame flips
-    raises FrameFlipError.  A cold, nearly frozen state gets its small
-    value, 0 where the stencil leaves the state unchanged.
+    dropped, so a cold, nearly frozen state gets its small true value; a
+    sizable derivative at a vanishing or negative eigenvalue raises
+    RankChangeError, and a point where the mode frame is undefined
+    (omega1 == omega2, delta == 0) raises FrameFlipError.
 
-    For a stack the two outer stencil points of every point are one
-    stacked solve and the centre states with d rho one decomposition; a
-    point whose stencil fails gets NaN in ``f_total``, ``f_e`` and
-    ``f_n`` (its ``step`` stays finite), and evaluating it alone raises
-    its FrameFlipError, RankChangeError or SteadyStateError.
+    For a stack every point is one stacked derivative and decomposition;
+    a point that fails gets NaN in ``f_total``, ``f_e`` and ``f_n``, and
+    evaluating it alone raises its FrameFlipError or RankChangeError.
     """
-    params, baths = ness.params, ness.baths
-    delta = np.asarray(params.delta)
-    step = np.asarray(default_step(delta))
-    shifts = np.array([-1.0, 1.0]).reshape((2,) + (1,) * delta.ndim)
-    outer = replace(params, delta=delta + shifts * step)
-    stencil = solve_ness(outer, baths)
-    lo, hi = stencil.rho
-    d_rho = (hi - lo) / (2.0 * step[..., None, None])
-
+    d_rho = state_derivative(ness)
     p, (t, dt), (b, db) = spectral_decompose(np.stack([ness.rho, d_rho]))
     r = np.linalg.norm(b, axis=-1)
     split = r > 0.0
@@ -121,26 +107,23 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
         0.0,
     )
 
-    # a flip: the mode frames of the two stencil solves more than a right angle apart
-    cos, sin = stencil.basis.cos_theta, stencil.basis.sin_theta
-    flipped = cos[0] * cos[1] + sin[0] * sin[1] < 0.0
-    unsolved = np.isnan(stencil.residual).any(axis=0)
-    failed = unsolved | flipped | rank_change.any(axis=0)
+    undefined = np.isnan(dp).any(axis=0)
+    failed = undefined | rank_change.any(axis=0)
     if failed.ndim == 0 and failed:
-        for k in np.flatnonzero(np.isnan(stencil.residual)):
-            solve_ness(take(outer, k), baths)  # raises the typed solver error
-        if flipped:
+        if undefined:
             raise FrameFlipError(
-                f"the mode frame flips between delta -+ h = {delta - step:.3e}, "
-                f"{delta + step:.3e}; no derivative across the degenerate point"
+                "the dressed-mode frame is undefined at omega1 == omega2, delta = 0; "
+                "the state has no derivative in delta there"
             )
         k = np.flatnonzero(rank_change)[0]
-        raise RankChangeError(
-            f"eigenvalue {p[k]:.3e} with derivative {dp[k]:.3e}: "
-            "rank changes across the stencil"
+        cause = (
+            "the Redfield state lost positivity"
+            if p[k] < 0.0
+            else "the rank of the state changes at this point"
         )
+        raise RankChangeError(f"eigenvalue {p[k]:.3e} with derivative {dp[k]:.3e}: {cause}")
     f_e, f_n = np.where(failed, np.nan, f_e), np.where(failed, np.nan, f_n)
-    return QfiReport(f_total=(f_e + f_n)[()], f_e=f_e[()], f_n=f_n[()], step=step[()])
+    return QfiReport(f_total=(f_e + f_n)[()], f_e=f_e[()], f_n=f_n[()])
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:

@@ -284,7 +284,10 @@ def _observe(spec: SweepSpec, ness, cells: dict[str, Any]) -> None:
     cells["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)
-        cells.update(qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=q.step)
+        # the derivative is exact: no step
+        cells.update(
+            qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=np.zeros_like(q.f_total)
+        )
 
 
 def _evaluate(spec: SweepSpec, values: dict[str, float]) -> dict[str, list]:

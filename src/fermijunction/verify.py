@@ -101,20 +101,37 @@ def _check_epr_positivity() -> tuple[bool, str]:
     )
 
 
+def _biased_baths(rng: np.random.Generator) -> BathParams:
+    t1 = float(rng.uniform(0.1, 0.5))
+    return BathParams(
+        t1=t1,
+        t2=t1 + float(rng.uniform(0.0, 0.7)),
+        mu1=float(rng.uniform(0.1, 1.5)),
+        mu2=float(rng.uniform(0.1, 1.5)),
+    )
+
+
 def _check_qfi_cross() -> tuple[bool, str]:
     rng = np.random.default_rng(20240815)
-    worst = 0.0
-    for _ in range(100):
+    draws = []
+    for _ in range(100):  # omega1 == omega2
         delta = float(np.exp(rng.uniform(np.log(3e-3), np.log(0.1))))
         gamma1, gamma2 = np.exp(rng.uniform(np.log(5e-4), np.log(5e-3), size=2))
-        t1 = float(rng.uniform(0.1, 0.5))
         params = SystemParams(delta=delta, gamma1=float(gamma1), gamma2=float(gamma2))
-        baths = BathParams(
-            t1=t1,
-            t2=t1 + float(rng.uniform(0.0, 0.7)),
-            mu1=float(rng.uniform(0.1, 1.5)),
-            mu2=float(rng.uniform(0.1, 1.5)),
+        draws.append((params, _biased_baths(rng)))
+    for _ in range(20):  # detuned, with unequal couplings: mean(gamma) <= 0.4 delta
+        delta = float(np.exp(rng.uniform(np.log(3e-3), np.log(0.1))))
+        gamma_mean = 0.4 * delta * float(rng.uniform(0.25, 1.0))
+        asym = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 0.6))
+        params = SystemParams(
+            omega2=1.0 + float(rng.choice((-1.0, 1.0)) * rng.uniform(0.005, 0.05)),
+            delta=delta,
+            gamma1=gamma_mean * (1.0 + asym),
+            gamma2=gamma_mean * (1.0 - asym),
         )
+        draws.append((params, _biased_baths(rng)))
+    worst = 0.0
+    for params, baths in draws:
         spectral = qfi_spectral(solve_ness(params, baths)).f_total
         oracle = qfi_fidelity_oracle(params, baths)
         worst = max(worst, abs(spectral - oracle) / abs(spectral))
@@ -133,7 +150,8 @@ def _check_qfi_cross() -> tuple[bool, str]:
                     eq_dev = max(eq_dev, abs(value - approx) / approx)
     ok = worst < 1e-3 and eq_dev < 1e-2
     return ok, (
-        f"max cross-route rel dev {worst:.3e} (<1e-3) over 100 points, "
+        f"max cross-route rel dev {worst:.3e} (<1e-3) over {len(draws)} points "
+        "(20 detuned), "
         f"equilibrium closed-form dev {eq_dev:.3e} (<1e-2) over 18 points"
     )
 

@@ -9,8 +9,8 @@ import pytest
 
 from fermijunction import sweep, verify
 from fermijunction.cli import main
-from fermijunction.liouvillian import SteadyStateError, solve_ness
-from fermijunction.metrology import QfiReport, default_step
+from fermijunction.liouvillian import solve_ness
+from fermijunction.metrology import QfiReport, RankChangeError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -95,18 +95,17 @@ def test_point_solver_failure_exit_code(tmp_path, capsys):
 
 def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
     def failing_qfi(ness):
-        # as the real layer does: NaN values (the step stays finite) on a
-        # stack, the typed error alone
+        # as the real layer does: NaN values on a stack, the typed error alone
         delta = ness.params.delta
         if np.ndim(delta):
             nan = np.full(np.shape(delta), np.nan)
-            return QfiReport(f_total=nan, f_e=nan, f_n=nan, step=default_step(delta))
-        raise SteadyStateError("stencil solve failed", residual=1.0)
+            return QfiReport(f_total=nan, f_e=nan, f_n=nan)
+        raise RankChangeError("fabricated rank change")
 
     monkeypatch.setattr(sweep, "qfi_spectral", failing_qfi)
     assert main(["point", point_config]) == 0
     out = capsys.readouterr().out
-    assert "qfi unavailable: stencil solve failed" in out
+    assert "qfi unavailable: fabricated rank change" in out
     assert "discord=" in out and "entropy production" in out
 
 
@@ -185,7 +184,7 @@ def test_non_finite_number_is_validation_error(command, old, new, message, sweep
 @pytest.mark.parametrize("command", ["sweep", "point"])
 @pytest.mark.parametrize("value", ["1.0e-4", ".nan"])
 def test_config_qfi_step_is_rejected(command, value, sweep_config, capsys):
-    # the QFI stencil step is not a setting: a config naming it is invalid
+    # the QFI takes no step setting: a config naming it is invalid
     # (the sweep section ends the file)
     Path(sweep_config).write_text(Path(sweep_config).read_text() + f"  qfi_step: {value}\n")
     assert main([command, sweep_config]) == 1

@@ -1,5 +1,6 @@
 """Tunneling-amplitude QFI: sector closed form, fidelity oracle, thermal form."""
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -23,7 +24,8 @@ from fermijunction import (
     solve_ness,
 )
 from fermijunction import metrology
-from fermijunction.metrology import default_step, fidelity
+from fermijunction.liouvillian import state_derivative
+from fermijunction.metrology import fidelity
 
 
 def qfi(params, baths):
@@ -53,12 +55,6 @@ def test_fidelity_commuting_states_closed_form():
     # symmetry in the arguments
     rev = fidelity(np.diag(q).astype(complex), np.diag(p).astype(complex))
     assert rev == pytest.approx(got, abs=1e-12)
-
-
-def test_default_step():
-    assert default_step(0.005) == pytest.approx(1e-6)
-    assert default_step(0.5) == pytest.approx(5e-5)
-    assert default_step(0.0) == pytest.approx(1e-6)
 
 
 def test_equilibrium_approx_equals_exponential_form():
@@ -102,18 +98,9 @@ def test_qfi_nonequilibrium_cross_route():
     assert report.f_e > 0.0
     oracle = qfi_fidelity_oracle(params, baths)
     assert oracle == pytest.approx(report.f_total, rel=1e-4)
-
-
-def test_qfi_explicit_step_consistent_with_default(monkeypatch):
-    params = SystemParams(delta=0.005)
-    baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
-    auto = qfi(params, baths)
-    monkeypatch.setattr(metrology, "default_step", lambda delta: np.full(np.shape(delta), 2e-6))
-    pinned = qfi(params, baths)
-    assert pinned.step == 2e-6
-    assert pinned.f_total == pytest.approx(auto.f_total, rel=1e-6)
-    oracle_pinned = qfi_fidelity_oracle(params, baths, h=1e-3)
-    assert oracle_pinned == pytest.approx(auto.f_total, rel=1e-3)
+    # the oracle with its step pinned instead of searched
+    pinned = qfi_fidelity_oracle(params, baths, h=1e-3)
+    assert pinned == pytest.approx(report.f_total, rel=1e-3)
 
 
 def gibbs_qfi(omega1, omega2, delta, t, mu):
@@ -132,8 +119,8 @@ def gibbs_qfi(omega1, omega2, delta, t, mu):
 
 def _frozen_draws(n):
     """n cold equal-bath points, tuned or detuned, with unequal couplings,
-    whose stencil moves the state by less than 1e-13 (frozen): the mode-2
-    level sits 15 to 30 temperatures above the chemical potential."""
+    whose state moves by less than 5e-8 per unit of delta (frozen): the
+    mode-2 level sits 15 to 30 temperatures above the chemical potential."""
     rng = np.random.default_rng(1404)
     draws = []
     while len(draws) < n:
@@ -149,9 +136,7 @@ def _frozen_draws(n):
         t = float(rng.uniform(0.01, 0.05))
         mu = float(diagonalize(params).omega_p2 - t * rng.uniform(15.0, 30.0))
         baths = BathParams(t1=t, t2=t, mu1=mu, mu2=mu)
-        h = default_step(delta)
-        lo, hi = solve_ness(replace(params, delta=delta + np.array([-h, h])), baths).rho
-        if np.abs(hi - lo).max() < 1e-13:
+        if np.abs(state_derivative(solve_ness(params, baths))).max() < 5e-8:
             draws.append((params, baths))
     return draws
 
@@ -183,23 +168,25 @@ def test_qfi_of_frozen_states_in_a_stacked_sweep():
         assert row["qfi_total"] == pytest.approx(exact, abs=1e-7)
 
 
-# omega1 == omega2 and delta = 0: the mode angle atan2(2 delta, 0) jumps
-# from -pi/2 to +pi/2 between delta - h and delta + h
+# omega1 == omega2 and delta = 0: the mode angle atan2(2 delta, 0) is a
+# convention there, so the mode frame has no derivative in delta
 _DEGENERATE = dict(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.002, gamma2=0.002)
 _BIASED = dict(t1=0.2, t2=0.7, mu1=1.0, mu2=0.5)
 
 
 def test_qfi_frame_flip_at_the_degenerate_point_is_typed():
     baths = BathParams(**_BIASED)
-    with pytest.raises(FrameFlipError):
-        qfi(SystemParams(**_DEGENERATE), baths)
-    # in a stack only that point fails; a stencil ending on delta = 0
-    # does not straddle the flip
-    stacked = replace(SystemParams(**_DEGENERATE), delta=np.array([0.0, -1e-6, 1e-6, 0.005]))
-    report = qfi(stacked, baths)
-    assert np.isnan(report.f_total[:2]).all() and np.isfinite(report.f_total[2:]).all()
-    # a failed point keeps its step
-    assert np.array_equal(report.step, default_step(stacked.delta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a split of 0 must not warn
+        with pytest.raises(FrameFlipError, match="frame is undefined"):
+            qfi(SystemParams(**_DEGENERATE), baths)
+        # in a stack only that point fails; its neighbours at delta = -+1e-6
+        # have true values, equal by the delta -> -delta symmetry
+        stacked = replace(SystemParams(**_DEGENERATE), delta=np.array([0.0, -1e-6, 1e-6, 0.005]))
+        report = qfi(stacked, baths)
+    assert np.isnan(report.f_total[0]) and np.isfinite(report.f_total[1:]).all()
+    assert report.f_total[1] == report.f_total[2]
+    assert report.f_total[1] == pytest.approx(14684.8676218, rel=1e-10)
 
 
 def test_qfi_frame_flip_is_flagged_in_a_sweep():
@@ -228,40 +215,53 @@ def test_qfi_drops_numerically_empty_levels():
     assert report.f_total > 0.0
 
 
+def _fabricated_state(p4, d_p4):
+    """An X state whose |11> population p4 moves at d_p4 per unit delta,
+    drawing on the other levels, and that d rho."""
+
+    def x_state(diag, coh):
+        rho = np.diag(np.asarray(diag, dtype=complex))
+        rho[1, 2] = rho[2, 1] = coh
+        return rho
+
+    rest = 1.0 - p4
+    rho = x_state([0.5 * rest, 0.3 * rest, 0.2 * rest, p4], 0.1 * rest)
+    return rho, d_p4 * x_state([-0.5, -0.3, -0.2, 1.0], -0.1)
+
+
 def test_qfi_rank_change_detected(monkeypatch):
     # a level sitting at zero with a sizable derivative cannot be
     # differentiated through; fabricate that situation directly
-    def fake_solve(params, baths):
-        # |11> empties exactly at delta = 0.005 and fills above it
-        delta = np.asarray(params.delta)
-        p4 = np.maximum(0.0, delta - 0.005) * 0.9
-        rest = 1.0 - p4
-        rho = np.zeros(delta.shape + (4, 4), dtype=complex)
-        rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2] = 0.5 * rest, 0.3 * rest, 0.2 * rest
-        rho[..., 3, 3] = p4
-        rho[..., 1, 2] = rho[..., 2, 1] = 0.1 * rest
-        return SimpleNamespace(
-            rho=rho,
-            residual=np.zeros(delta.shape),
-            basis=diagonalize(params),
-            params=params,
-            baths=baths,
-        )
+    rho, d_rho = _fabricated_state(0.0, 0.9)
+    monkeypatch.setattr(metrology, "state_derivative", lambda ness: d_rho)
+    with pytest.raises(RankChangeError, match=r"0\.000e\+00 with derivative 9\.000e-01: "
+                       "the rank of the state changes at this point$"):
+        qfi_spectral(SimpleNamespace(rho=rho))
+    # in a stack that point gets NaN and the others their values
+    filled, d_filled = _fabricated_state(0.1, 0.9)
+    monkeypatch.setattr(metrology, "state_derivative", lambda ness: np.stack([d_rho, d_filled]))
+    report = qfi_spectral(SimpleNamespace(rho=np.stack([rho, filled])))
+    assert np.isnan(report.f_total[0]) and np.isfinite(report.f_total[1])
 
-    monkeypatch.setattr("fermijunction.metrology.solve_ness", fake_solve)
-    with pytest.raises(RankChangeError):
-        qfi_spectral(fake_solve(SystemParams(delta=0.005), BathParams()))
+
+def test_qfi_negative_eigenvalue_reports_lost_positivity(monkeypatch):
+    # a Redfield state can pass the solve's -1e-9 floor with a negative
+    # population; the message names that, not a rank change
+    rho, d_rho = _fabricated_state(-4.7e-10, -2.7e-8)
+    monkeypatch.setattr(metrology, "state_derivative", lambda ness: d_rho)
+    with pytest.raises(RankChangeError, match=r"-4\.700e-10 with derivative -2\.700e-08: "
+                       "the Redfield state lost positivity$"):
+        qfi_spectral(SimpleNamespace(rho=rho))
 
 
 def dense_sld_qfi(params, baths):
     """(F, F^E, F^N) from 2 sum_ij |<i|d rho|j>|^2 / (p_i + p_j) in the
-    eigenbasis of the dense 4x4 centre state, with d rho the central
-    difference of the same stacked stencil solve ``qfi_spectral`` makes;
+    eigenbasis of the dense 4x4 state, with the exact d rho that
+    ``qfi_spectral`` uses, so that only the closed form is under test;
     pairs with p_i + p_j below 2e-12 (empty levels) are left out."""
-    h = default_step(params.delta)
-    lo, hi = solve_ness(replace(params, delta=params.delta + np.array([-h, h])), baths).rho
-    p, u = np.linalg.eigh(solve_ness(params, baths).rho)
-    m = u.conj().T @ ((hi - lo) / (2.0 * h)) @ u
+    ness = solve_ness(params, baths)
+    p, u = np.linalg.eigh(ness.rho)
+    m = u.conj().T @ state_derivative(ness) @ u
     sums = p[:, None] + p[None, :]
     live = sums >= 2e-12
     terms = np.where(live, 2.0 * np.abs(m) ** 2 / np.where(live, sums, 1.0), 0.0)
