@@ -23,8 +23,6 @@ from .liouvillian import (
     SteadyStateError,
     build_liouvillian,
     grand_canonical_state,
-    hamiltonian,
-    number_operator,
     solve_ness,
     steady_state,
 )
@@ -101,12 +99,10 @@ __all__ = [
     "epr_regime_ok",
     "fermi_occupation",
     "grand_canonical_state",
-    "hamiltonian",
     "linear_entropy",
     "load_config",
     "mutual_information",
     "ness_leading_order",
-    "number_operator",
     "occupation_moments",
     "qfi_equilibrium_approx",
     "qfi_fidelity_oracle",

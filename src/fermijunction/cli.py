@@ -13,6 +13,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation/config error (or a failed
 verification), 2 solver failure in point mode.
+
+The argument parser is built once, when this module is imported, and
+``main`` only parses with it: ``main`` may be called any number of times
+in one process, and each call starts from the parser's defaults.
 """
 from __future__ import annotations
 
@@ -54,6 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the analytic-limit verification suite")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -131,7 +138,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "sweep":
             return _cmd_sweep(args)

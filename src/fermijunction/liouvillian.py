@@ -79,13 +79,10 @@ __all__ = [
     "NessResult",
     "SteadyStateError",
     "DegenerateNullSpaceError",
-    "hamiltonian",
-    "number_operator",
     "build_liouvillian",
     "generator_derivative",
     "sector_vector",
     "steady_state",
-    "steady_state_svd",
     "solve_ness",
     "state_derivative",
     "grand_canonical_state",
@@ -149,7 +146,7 @@ _BATH_STACK = np.stack(
 _ROTATION = np.diag([0.0, 0.0, 0.0, 0.0, -1.0, 1.0]) * 1j
 
 
-# Particle number of each level: the diagonal of number_operator().
+# Particle number of each level.
 _NUMBERS = np.array([0.0, 1.0, 1.0, 2.0])
 
 
@@ -158,16 +155,6 @@ def _level_energies(basis: EigenBasis) -> np.ndarray:
     levels, on the last axis."""
     w1, w2 = np.asarray(basis.omega_p1), np.asarray(basis.omega_p2)
     return np.stack([np.zeros_like(w1), w1, w2, w1 + w2], axis=-1)
-
-
-def hamiltonian(basis: EigenBasis) -> np.ndarray:
-    """System Hamiltonian, diagonal in the mode occupation basis."""
-    return _level_energies(basis)[..., None] * np.eye(DIM)
-
-
-def number_operator() -> np.ndarray:
-    """Total particle number zeta1_dag zeta1 + zeta2_dag zeta2."""
-    return np.diag(_NUMBERS)
 
 
 class SteadyStateError(RuntimeError):
@@ -405,24 +392,6 @@ def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray]:
     rho[failed] = np.nan
     residual[failed] = np.nan
     return rho, residual, inverse
-
-
-def steady_state_svd(lv: Liouvillian) -> np.ndarray:
-    """Stationary state of one generator via the SVD null vector;
-    independent of the row-replacement path, used as the cross-check
-    oracle."""
-    _, svals, vh = np.linalg.svd(lv.matrix)
-    dim = _null_space_dimension(svals)
-    if dim > 1:
-        raise DegenerateNullSpaceError(dim)
-    v = vh[-1, :].conj()
-    tr = _TRACE_ROW @ v
-    if abs(tr) < 1e-12:
-        raise SteadyStateError("null vector is traceless; no valid state found")
-    rho, residual, min_eig = _finalize(v / tr, lv)
-    if _failed(False, residual, min_eig):
-        raise _failure(lv, False, residual, min_eig)
-    return rho
 
 
 @dataclass(frozen=True)

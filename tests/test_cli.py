@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, determinism."""
+import argparse
 import subprocess
 import sys
 import time
@@ -204,6 +205,56 @@ def test_malformed_yaml_exit_code(command, tmp_path, capsys):
     assert main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_shared_parser_is_reentrant(sweep_config, point_config, tmp_path, monkeypatch, capsys):
+    # main parses with the parser built at import: it builds none, and no
+    # call (a JSONL sweep, a usage error) changes what a later call writes
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    out = tmp_path / "out"
+
+    def sweep_bytes(*options):
+        assert main(["sweep", sweep_config, "--out", str(out), *options]) == 0
+        return out.read_bytes()
+
+    def sequence():
+        written = [sweep_bytes("--format", "jsonl"), sweep_bytes()]
+        for argv in (["sweep"], ["sweep", sweep_config, "--format", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "usage: fermijunction sweep" in capsys.readouterr().err
+        assert main(["point", point_config]) == 0
+        written.append(capsys.readouterr().out)
+        written.append(sweep_bytes())
+        return written
+
+    first = sequence()
+    assert first[0].startswith(b'{"dmu": 0.0') and first[1].startswith(b"dmu,omega1")
+    assert first[3] == first[1]  # CSV is the default again after the JSONL call
+    assert sequence() == first
+    assert built == []
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    # the parser is built when fermijunction.cli is imported; the library
+    # alone must not pay for it
+    script = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import fermijunction
+print("fermijunction.cli" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_passes_and_is_deterministic(capsys):

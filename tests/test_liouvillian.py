@@ -9,28 +9,60 @@ from hypothesis import strategies as st
 from fermijunction import (
     BathParams,
     DegenerateNullSpaceError,
+    SteadyStateError,
     SweepSpec,
     SystemParams,
     build_liouvillian,
     diagonalize,
     fermi_occupation,
     grand_canonical_state,
-    hamiltonian,
-    number_operator,
     run_sweep,
     solve_ness,
     steady_state,
 )
 from fermijunction.liouvillian import (
+    _NUMBERS,
     _TRACE_ROW,
     DIM,
+    _failed,
+    _failure,
+    _finalize,
+    _level_energies,
+    _null_space_dimension,
     _x_state,
     generator_derivative,
     sector_vector,
     state_derivative,
-    steady_state_svd,
 )
 from fermijunction.model import take
+
+
+def hamiltonian(basis):
+    """System Hamiltonian, diagonal in the mode occupation basis."""
+    return _level_energies(basis)[..., None] * np.eye(DIM)
+
+
+def number_operator():
+    """Total particle number zeta1_dag zeta1 + zeta2_dag zeta2."""
+    return np.diag(_NUMBERS)
+
+
+def steady_state_svd(lv):
+    """Stationary state of one generator via the SVD null vector;
+    independent of the row-replacement path, used as the cross-check
+    oracle."""
+    _, svals, vh = np.linalg.svd(lv.matrix)
+    dim = _null_space_dimension(svals)
+    if dim > 1:
+        raise DegenerateNullSpaceError(dim)
+    v = vh[-1, :].conj()
+    tr = _TRACE_ROW @ v
+    if abs(tr) < 1e-12:
+        raise SteadyStateError("null vector is traceless; no valid state found")
+    rho, residual, min_eig = _finalize(v / tr, lv)
+    if _failed(False, residual, min_eig):
+        raise _failure(lv, False, residual, min_eig)
+    return rho
 
 
 def mode_operators():
