@@ -39,7 +39,6 @@ from .observables import (
     site_basis_state,
 )
 from .metrology import (
-    FrameFlipError,
     QfiReport,
     RankChangeError,
     qfi_equilibrium_approx,
@@ -76,7 +75,6 @@ __all__ = [
     "DegenerateNullSpaceError",
     "DiscordResult",
     "EigenBasis",
-    "FrameFlipError",
     "Liouvillian",
     "NessResult",
     "QfiReport",

@@ -266,29 +266,27 @@ def generator_derivative(
     With s = omega'_1 - omega'_2 = hypot(omega1 - omega2, 2 delta) and
     theta = atan2(2 delta, omega2 - omega1),
 
-        d omega'_1 = -d omega'_2 = 2 delta / s,
-        d theta = 2 (omega2 - omega1) / s^2,
+        d omega'_1 = -d omega'_2 = 2 delta / s = sin theta,
+        d theta = 2 (omega2 - omega1) / s^2 = 2 cos theta / s,
 
     so d cos theta = -sin theta d theta, d sin theta = cos theta d theta,
     and each Fermi occupation moves by d n = -n (1 - n) d omega'_a / T.
     L is linear in s and in the bath coefficients c_{lk}, so d L is the
     rotation times d s plus the same _BATH_STACK product of d c_{lk}.
-    Where s = 0 (omega1 == omega2 and delta == 0) the mode frame is
-    undefined and the derivative is NaN.
+    Where s = 0 (omega1 == omega2 and delta == 0) ``diagonalize`` picks
+    theta = pi/2, the delta -> 0+ frame, and d theta is taken as 0 (it is
+    0 at every delta when omega1 == omega2): this is the one-sided
+    derivative from delta > 0.
     """
-    delta = np.asarray(params.delta)
-    detuning = np.asarray(params.omega2) - params.omega1
-    split = np.hypot(detuning, 2.0 * delta)
-    defined = split > 0.0
-    safe = np.where(defined, split, 1.0)
-    d_w1 = np.where(defined, 2.0 * delta / safe, np.nan)
-    d_theta = 2.0 * detuning / safe / safe  # 0 wherever omega1 == omega2
-    ct, st = basis.cos_theta, basis.sin_theta
+    ct, st = np.asarray(basis.cos_theta), np.asarray(basis.sin_theta)
+    split = np.asarray(basis.omega_p1) - basis.omega_p2
+    d_theta = 2.0 * ct / np.where(split > 0.0, split, np.inf)
     n1, n2, s1, s2 = _angular_weights(1.0, ct, st, params)
     dn1, dn2, ds1, ds2 = _angular_weights(0.0, -st * d_theta, ct * d_theta, params)
     occ1, occ2, t = _occupations(basis, baths)
-    d_occ1 = -occ1 * (1.0 - occ1) / t * d_w1[..., None]
-    d_occ2 = occ2 * (1.0 - occ2) / t * d_w1[..., None]
+    # d omega'_1 = sin theta
+    d_occ1 = -occ1 * (1.0 - occ1) / t * st[..., None]
+    d_occ2 = occ2 * (1.0 - occ2) / t * st[..., None]
     terms = (
         dn1, dn1 * occ1 + n1 * d_occ1,
         dn2, dn2 * occ2 + n2 * d_occ2,
@@ -296,7 +294,7 @@ def generator_derivative(
         ds2, ds2 * occ2 + s2 * d_occ2,
     )
     d_coeffs = -np.stack(np.broadcast_arrays(*terms), axis=-1).sum(axis=-2)
-    return (2.0 * d_w1)[..., None, None] * _ROTATION + _bath_product(d_coeffs)
+    return (2.0 * st)[..., None, None] * _ROTATION + _bath_product(d_coeffs)
 
 
 def sector_vector(rho: np.ndarray) -> np.ndarray:
@@ -426,8 +424,8 @@ def state_derivative(ness: NessResult) -> np.ndarray:
     generator whose first row is the trace, so dv = -A^-1 (dA) v, where
     dA is ``generator_derivative`` with that row zeroed (the trace row
     does not depend on delta): two stacked matrix-vector products with
-    the inverse the solve kept.  NaN where the mode frame is undefined
-    (omega1 == omega2 and delta == 0).
+    the inverse the solve kept.  At omega1 == omega2, delta == 0 it is
+    the derivative from delta > 0.
     """
     v = sector_vector(ness.rho)[..., None]
     d_lv = generator_derivative(ness.basis, ness.baths, ness.params) @ v

@@ -25,7 +25,6 @@ from .model import BathParams, SystemParams, fermi_occupation
 from .observables import spectral_decompose
 
 __all__ = [
-    "FrameFlipError",
     "QfiReport",
     "RankChangeError",
     "qfi_spectral",
@@ -36,12 +35,6 @@ __all__ = [
 
 _P_FLOOR = 1e-12  # eigenvalues below this count as zero rank
 _DP_FLOOR = 1e-8  # derivative magnitude separating "stays zero" from rank change
-
-
-class FrameFlipError(RuntimeError):
-    """The dressed-mode frame is undefined at this point (omega1 == omega2
-    and delta == 0: the mode angle is a convention there), so the state
-    has no derivative in delta in that frame."""
 
 
 class RankChangeError(RuntimeError):
@@ -77,12 +70,13 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     Eigenvalues below 1e-12 whose derivative is also negligible are
     dropped, so a cold, nearly frozen state gets its small true value; a
     sizable derivative at a vanishing or negative eigenvalue raises
-    RankChangeError, and a point where the mode frame is undefined
-    (omega1 == omega2, delta == 0) raises FrameFlipError.
+    RankChangeError.  At omega1 == omega2, delta == 0 the derivative is
+    the one from delta > 0 (see ``generator_derivative``), so the value
+    there is the delta -> 0 limit.
 
     For a stack every point is one stacked derivative and decomposition;
     a point that fails gets NaN in ``f_total``, ``f_e`` and ``f_n``, and
-    evaluating it alone raises its FrameFlipError or RankChangeError.
+    evaluating it alone raises its RankChangeError.
     """
     d_rho = state_derivative(ness)
     p, (t, dt), (b, db) = spectral_decompose(np.stack([ness.rho, d_rho]))
@@ -107,14 +101,8 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
         0.0,
     )
 
-    undefined = np.isnan(dp).any(axis=0)
-    failed = undefined | rank_change.any(axis=0)
+    failed = rank_change.any(axis=0)
     if failed.ndim == 0 and failed:
-        if undefined:
-            raise FrameFlipError(
-                "the dressed-mode frame is undefined at omega1 == omega2, delta = 0; "
-                "the state has no derivative in delta there"
-            )
         k = np.flatnonzero(rank_change)[0]
         cause = (
             "the Redfield state lost positivity"
@@ -152,26 +140,20 @@ def _fidelity_estimate(
     return 8.0 * loss / (h * h), loss
 
 
-def qfi_fidelity_oracle(
-    params: SystemParams, baths: BathParams, h: float | None = None
-) -> float:
+def qfi_fidelity_oracle(params: SystemParams, baths: BathParams) -> float:
     """Fidelity-based QFI estimate, Richardson extrapolated over (h, h/2).
 
-    With no explicit step the routine starts from 5% of |delta| and
-    doubles the step until the fidelity loss rises clearly above
-    roundoff (1e-9), so the quadratic loss is resolvable in double
-    precision; the extrapolation then removes the leading truncation
-    error.  Pass ``h`` to pin the step instead.
+    The routine starts from 5% of |delta| and doubles the step until the
+    fidelity loss rises clearly above roundoff (1e-9), so the quadratic
+    loss is resolvable in double precision; the extrapolation then removes
+    the leading truncation error.
     """
-    if h is None:
-        h = max(0.05 * abs(params.delta), 2e-5)
-        h_cap = max(abs(params.delta), 0.05)
+    h = max(0.05 * abs(params.delta), 2e-5)
+    h_cap = max(abs(params.delta), 0.05)
+    f_h, loss = _fidelity_estimate(params, baths, h)
+    while loss < 1e-9 and h < h_cap:
+        h = 2.0 * h
         f_h, loss = _fidelity_estimate(params, baths, h)
-        while loss < 1e-9 and h < h_cap:
-            h = 2.0 * h
-            f_h, loss = _fidelity_estimate(params, baths, h)
-    else:
-        f_h, _ = _fidelity_estimate(params, baths, h)
     f_half, _ = _fidelity_estimate(params, baths, 0.5 * h)
     return (4.0 * f_half - f_h) / 3.0
 

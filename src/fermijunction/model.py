@@ -66,7 +66,7 @@ class BathParams:
 
     Every field must be finite and temperatures strictly positive; the
     T -> 0 step function is not supported (occupations would lose the
-    smoothness the solver and the finite-difference metrology rely on).
+    smoothness the solver and the QFI's exact delta-derivative rely on).
     """
 
     t1: float = 0.2
@@ -86,8 +86,9 @@ class EigenBasis:
 
     omega_p1 >= omega_p2 are the dressed mode energies and
     (cos_theta, sin_theta) fix the 2x2 rotation from site to mode
-    operators.  At omega1 == omega2, delta == 0 the angle is a pure
-    convention (theta = pi/2).
+    operators.  At omega1 == omega2, delta == 0 the angle is a convention,
+    theta = pi/2: the delta -> 0+ limit, which the QFI's derivative there
+    uses.
     """
 
     omega_p1: float
@@ -121,13 +122,16 @@ def diagonalize(params: SystemParams) -> EigenBasis:
     and the rotation angle theta = atan2(2 delta, omega2 - omega1), so
     sin(theta) >= 0 for delta >= 0.  Mode 1 always carries the larger
     energy.  For delta -> 0 with omega2 > omega1 the rotation becomes the
-    swap (mode 1 is site 2); with omega1 > omega2 it is the identity.
+    swap (mode 1 is site 2); with omega1 > omega2 it is the identity.  At
+    omega1 == omega2, delta == 0 every angle diagonalizes, and theta = pi/2
+    is taken: the delta -> 0+ limit, so the QFI's derivative there is the
+    one from delta > 0.
     """
     omega1, omega2 = np.asarray(params.omega1), np.asarray(params.omega2)
     half_sum = 0.5 * (omega1 + omega2)
     split = np.hypot(omega1 - omega2, 2.0 * np.asarray(params.delta))
     theta = np.arctan2(2.0 * np.asarray(params.delta), omega2 - omega1)
-    # omega1 == omega2 and delta == 0: the rotation is arbitrary.
+    # omega1 == omega2 and delta == 0: any rotation; take the delta -> 0+ one
     degenerate = split == 0.0
     return EigenBasis(
         omega_p1=(half_sum + 0.5 * split)[()],

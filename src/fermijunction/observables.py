@@ -194,12 +194,12 @@ def _x_state_entries(diag, coh2):
             4.0 * coh2, a - c, e - f)
 
 
-def _x_conditional_entropy(theta, diag, coh2):
-    """Average post-measurement entropy of A for an X state measured on B
-    along polar angle theta (any azimuth), elementwise: theta has the
-    shape of the result and the state entries broadcast against it.
+def _x_entropy(theta, entries, slopes=False):
+    """Average post-measurement entropy of A (bits) for an X state
+    measured on B along polar angle theta (any azimuth), elementwise, from
+    the entries of ``_x_state_entries``; with ``slopes`` also its first
+    and second derivative in theta.
 
-    ``diag`` holds (rho11, rho22, rho33, rho44) and ``coh2`` is |rho23|^2.
     With x = cos(theta), outcome weight u = (1 + x)/2 leaves A in the 2x2
     state w00 = u rho11 + v rho33, w11 = u rho22 + v rho44,
     |w01|^2 = u v |rho23|^2 with v = 1 - u; the other outcome swaps u
@@ -210,13 +210,6 @@ def _x_conditional_entropy(theta, diag, coh2):
 
     a sum of terms >= 0 for a state: unlike w00 w11 - |w01|^2 it cancels
     at no angle, so q is accurate when small and smooth in theta.
-    """
-    return _x_entropy(theta, _x_state_entries(diag, coh2))
-
-
-def _x_entropy(theta, entries, slopes=False):
-    """``_x_conditional_entropy`` on the entries of ``_x_state_entries``;
-    with ``slopes`` also its first and second derivative in theta.
 
     Each outcome contributes p h(q) (in nats) with eigenvalues (p -+ r)/2,
     where r^2 = g = s^2 + 4 u v |rho23|^2 and s = w00 - w11.  With
@@ -420,23 +413,24 @@ def correlation_report(rho: np.ndarray) -> CorrelationReport:
 
 
 def site_basis_state(rho: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    """Rotate a mode-basis state to the local site basis.
+    """Rotate a mode-basis state to the local site basis, for each point
+    of a stack of states and a basis stacked alike.
 
     Only the singly occupied block changes; the empty and doubly
     occupied sectors are invariant under the single-particle rotation
     (the doubly occupied ket picks up the determinant sign, invisible
     for the X states this model produces).
     """
-    half_c = math.sqrt(max(0.0, 0.5 * (1.0 + basis.cos_theta)))
-    if half_c > 1e-8:
-        half_s = 0.5 * basis.sin_theta / half_c
-    else:
-        half_s, half_c = 1.0, 0.0
-    u = np.zeros((4, 4))
-    u[0, 0] = 1.0
-    u[1, 1] = half_s
-    u[2, 1] = half_c
-    u[1, 2] = half_c
-    u[2, 2] = -half_s
-    u[3, 3] = -1.0
-    return u.conj().T @ rho @ u
+    half_c = np.sqrt(np.maximum(0.0, 0.5 * (1.0 + np.asarray(basis.cos_theta))))
+    # cos theta = -1 (delta = 0, omega1 > omega2): the half angle is pi/2
+    turned = half_c > 1e-8
+    half_s = np.where(turned, 0.5 * basis.sin_theta / np.where(turned, half_c, 1.0), 1.0)
+    half_c = np.where(turned, half_c, 0.0)
+    u = np.zeros(half_c.shape + (4, 4))
+    u[..., 0, 0] = 1.0
+    u[..., 1, 1] = half_s
+    u[..., 2, 1] = half_c
+    u[..., 1, 2] = half_c
+    u[..., 2, 2] = -half_s
+    u[..., 3, 3] = -1.0
+    return np.swapaxes(u, -1, -2) @ rho @ u

@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from .liouvillian import SteadyStateError, solve_ness
-from .metrology import FrameFlipError, RankChangeError, qfi_spectral
+from .metrology import RankChangeError, qfi_spectral
 from .model import BathParams, SystemParams, take
 from .observables import (
     coherence,
@@ -221,7 +221,7 @@ class SweepResult:
 
 
 # The typed errors of one point's solve (SteadyStateError) and of its QFI.
-_POINT_ERRORS = (FrameFlipError, RankChangeError, SteadyStateError)
+_POINT_ERRORS = (RankChangeError, SteadyStateError)
 
 
 def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:

@@ -118,7 +118,7 @@ def ness_leading_order(
     return rho
 
 
-def epr_leading_order(baths: BathParams, omega: float, gamma: float | None = None) -> float:
+def epr_leading_order(baths: BathParams, omega: float) -> float:
     """Leading-order entropy production rate; manifestly nonnegative.
 
     Evaluates (ln A - ln B)(A - B) / [(e^{mu1 b1} + e^{omega b1})
@@ -131,9 +131,9 @@ def epr_leading_order(baths: BathParams, omega: float, gamma: float | None = Non
     Both factors share the sign of (mu1 b1 + omega b2) - (mu2 b2 + omega b1),
     so the product is >= 0 and vanishes exactly when that combination does.
 
-    With ``gamma`` omitted the result carries the conventional b1*b2
-    normalization; passing the coupling rate instead scales the result by
-    gamma, which is the quantity the numeric EPR converges to as g -> 0.
+    The result carries the conventional b1*b2 normalization; the numeric
+    EPR of a junction with couplings gamma converges to gamma / (b1 b2)
+    times it as g -> 0.
     """
     b1 = 1.0 / baths.t1
     b2 = 1.0 / baths.t2
@@ -141,5 +141,4 @@ def epr_leading_order(baths: BathParams, omega: float, gamma: float | None = Non
     occ_gap = fermi_occupation(omega, baths.t1, baths.mu1) - fermi_occupation(
         omega, baths.t2, baths.mu2
     )
-    scale = gamma if gamma is not None else b1 * b2
-    return scale * affinity * occ_gap
+    return b1 * b2 * affinity * occ_gap

@@ -391,7 +391,8 @@ def test_generator_matches_kron_reference(point):
 @st.composite
 def derivative_points(draw, tuned=False):
     """Detuned junctions, or tuned ones (omega1 == omega2) with |delta| >=
-    1e-3 away from the point where the mode frame is undefined, with
+    1e-3, away from delta = 0, where the mode frame flips (theta jumps
+    from -pi/2 to pi/2) and only a one-sided difference applies, with
     unequal couplings inside the weak-coupling window gamma_l <= 0.1 s
     (s = omega'_1 - omega'_2) between biased baths."""
     omega1 = draw(st.floats(0.8, 1.2))

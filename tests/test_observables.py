@@ -20,10 +20,10 @@ from fermijunction import (
     site_basis_state,
     solve_ness,
 )
+from fermijunction.model import take
 from fermijunction.observables import (
     _entropy_bits,
     _measured_conditional_entropy,
-    _x_conditional_entropy,
     _x_entropies,
     _x_entropy,
     _x_state_entries,
@@ -32,6 +32,13 @@ from fermijunction.observables import (
     spectral_decompose,
     x_form_deviation,
 )
+
+
+def _x_conditional_entropy(theta, diag, coh2):
+    """``_x_entropy`` of the state with ``diag`` = (rho11, rho22, rho33,
+    rho44) and ``coh2`` = |rho23|^2 at polar angles theta (the state
+    entries broadcast against theta)."""
+    return _x_entropy(theta, _x_state_entries(diag, coh2))
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -527,3 +534,20 @@ def test_site_basis_symmetric_junction_coherence():
     assert abs(site[1, 2]) == pytest.approx(0.1, abs=1e-12)
     assert site[1, 1].real == pytest.approx(0.4, abs=1e-12)
     assert site[2, 2].real == pytest.approx(0.4, abs=1e-12)
+
+
+def test_site_basis_state_takes_stacks():
+    # tuned, detuned, delta < 0, the degenerate point, and delta = 0 with
+    # omega1 > omega2 (cos theta = -1, the half-angle convention) or
+    # omega1 < omega2 (the identity): the stack equals each point alone
+    params = SystemParams(
+        omega1=np.array([1.0, 1.0, 1.0, 1.0, 1.05, 1.0]),
+        omega2=np.array([1.0, 1.02, 1.0, 1.0, 1.0, 1.03]),
+        delta=np.array([0.01, 0.005, -0.01, 0.0, 0.0, 0.0]),
+    )
+    ness = solve_ness(params, BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.3))
+    site = site_basis_state(ness.rho, ness.basis)
+    assert site.shape == (6, 4, 4)
+    for i in range(6):
+        alone = take(ness, i)
+        assert np.array_equal(site[i], site_basis_state(alone.rho, alone.basis))

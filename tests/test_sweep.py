@@ -463,12 +463,13 @@ def test_grid_row_equals_the_point_alone(spec):
             {0: "params:decay rates", 1: "params:decay rates",
              2: "solver:DegenerateNullSpaceError:", 5: ""},
         ),
-        # omega1 = omega2 under biased baths: at delta = 0 the mode frame
-        # is undefined, so the QFI has no derivative there
+        # omega1 = omega2 under biased baths, delta crossing 0 where the
+        # mode frame flips: the QFI at delta = 0 takes the delta -> 0+
+        # frame, so no point is flagged
         (
             {**fixed_without("delta", "gamma1"), "t2": 0.4, "mu1": 0.9},
             (Axis("delta", -0.01, 0.01, 3), Axis("gamma1", 0.001, 0.002, 2)),
-            {0: "", 1: "", 2: "qfi:FrameFlipError:", 3: "qfi:FrameFlipError:", 4: "", 5: ""},
+            {i: "" for i in range(6)},
         ),
     ],
     ids=["couplings", "frame-flip"],
