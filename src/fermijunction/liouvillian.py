@@ -267,20 +267,25 @@ def generator_derivative(
     theta = atan2(2 delta, omega2 - omega1),
 
         d omega'_1 = -d omega'_2 = 2 delta / s = sin theta,
-        d theta = 2 (omega2 - omega1) / s^2 = 2 cos theta / s,
+        d theta = 2 (omega2 - omega1) / s^2,
 
     so d cos theta = -sin theta d theta, d sin theta = cos theta d theta,
     and each Fermi occupation moves by d n = -n (1 - n) d omega'_a / T.
     L is linear in s and in the bath coefficients c_{lk}, so d L is the
     rotation times d s plus the same _BATH_STACK product of d c_{lk}.
-    Where s = 0 (omega1 == omega2 and delta == 0) ``diagonalize`` picks
-    theta = pi/2, the delta -> 0+ frame, and d theta is taken as 0 (it is
-    0 at every delta when omega1 == omega2): this is the one-sided
+    d theta is formed from the parameters, not as 2 cos theta / s: on the
+    tuned line cos(pi/2) rounds to 6e-17, and omega'_1 - omega'_2 rounds
+    in steps of ~1e-16, either of which would leave an O(1) d theta at
+    tiny delta where the exact value is 0.  Where s = 0 (omega1 ==
+    omega2 and delta == 0) ``diagonalize`` picks theta = pi/2, the
+    delta -> 0+ frame, and d theta is 0, so this is the one-sided
     derivative from delta > 0.
     """
     ct, st = np.asarray(basis.cos_theta), np.asarray(basis.sin_theta)
-    split = np.asarray(basis.omega_p1) - basis.omega_p2
-    d_theta = 2.0 * ct / np.where(split > 0.0, split, np.inf)
+    detuning = np.asarray(params.omega2) - params.omega1
+    split = np.hypot(detuning, 2.0 * np.asarray(params.delta))
+    safe = np.where(split > 0.0, split, np.inf)
+    d_theta = 2.0 * detuning / safe / safe  # exactly 0 wherever omega1 == omega2
     n1, n2, s1, s2 = _angular_weights(1.0, ct, st, params)
     dn1, dn2, ds1, ds2 = _angular_weights(0.0, -st * d_theta, ct * d_theta, params)
     occ1, occ2, t = _occupations(basis, baths)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermijunction import (
@@ -332,17 +332,21 @@ def test_generator_derivative_at_the_degenerate_point_is_one_sided(point):
 @settings(max_examples=60, deadline=None)
 @given(degenerate_junctions())
 def test_qfi_at_the_degenerate_point_is_its_delta_limit(point):
-    # F(0) against F(-+1e-10), one stack.  delta -> -delta is a symmetry,
-    # so the two neighbours are equal.  F has a term in |delta|, whose
-    # slope reaches 1.8e4 F per unit delta at gamma2 = 1e-4, and
-    # d theta = 2 cos theta / s carries the 6e-17 of cos(pi/2) over
-    # s = 2e-10: the relative gap was at most 1.3e-7 over 4000 random draws
-    # and 1.8e-6 on the corners and midpoints of the draw domain.
+    # F(0) against F(-+2^-53) and F(-+1e-10), one stack.  delta -> -delta
+    # is a symmetry, so each pair of neighbours is equal.  At 2^-53,
+    # omega'_1 - omega'_2 and cos(pi/2) are all roundoff, so an angle
+    # derivative formed from them would be O(1) instead of 0 (F then moved
+    # by ~1e-4).  F has a term in |delta|, whose slope reaches 1.9e4 F per
+    # unit delta at gamma = 1e-4: the relative gaps were at most 1.5e-13
+    # and 2.8e-7 over 4000 random draws, 4.6e-12 and 1.9e-6 on the
+    # corners and midpoints of the draw domain.
     params, baths = point
-    f = qfi(replace(params, delta=np.array([0.0, -1e-10, 1e-10])), baths).f_total
+    deltas = np.array([0.0, -(2.0**-53), 2.0**-53, -1e-10, 1e-10])
+    f = qfi(replace(params, delta=deltas), baths).f_total
     assert np.isfinite(f).all()
-    assert f[1] == f[2]
-    assert np.abs(f[1:] - f[0]).max() <= 5e-6 * f[0]
+    assert f[1] == f[2] and f[3] == f[4]
+    assert abs(f[1] - f[0]) <= 2e-11 * f[0]
+    assert abs(f[3] - f[0]) <= 3e-6 * f[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,38 +373,21 @@ def test_qfi_at_the_degenerate_point_matches_one_sided_site_frame_qfis(point):
 
 @settings(max_examples=30, deadline=None)
 @given(degenerate_junctions(equal_gammas=True))
+@example(
+    point=(
+        SystemParams(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.002, gamma2=0.002),
+        BathParams(t1=0.2, t2=0.7, mu1=1.0, mu2=0.5),
+    )
+)
 def test_qfi_at_the_degenerate_point_matches_a_central_difference(point):
     # equal couplings leave the site-frame state smooth through delta = 0,
     # so a central difference applies: Richardson's (4 D(h/2) - D(h)) / 3
     # with h = 0.003 gamma, since the state varies on the scale gamma (the
     # relative gap was at most 1.6e-9 over 1000 random draws and 1.2e-9 on
-    # the corners and midpoints of the draw domain)
+    # the corners and midpoints of the draw domain).  The example is the
+    # corner of the CI failure grid, where F(0) = 14684.874610037.
     params, baths = point
     h = 0.003 * params.gamma1
     at_0, hi, lo, hi_half, lo_half = site_states(params, baths, [0.0, h, -h, h / 2, -h / 2])
     richardson = (4.0 * (hi_half - lo_half) / h - (hi - lo) / (2.0 * h)) / 3.0
     assert sld_qfi(at_0, richardson)[0] == pytest.approx(qfi(params, baths).f_total, rel=1e-8)
-
-
-def test_degenerate_point_in_a_stacked_grid():
-    # delta in {-1e-6, 0, 1e-6} x gamma1 in {0.001, 0.002}: every cell is
-    # filled, and delta -> -delta is a symmetry, so the rows at -+1e-6 are
-    # equal
-    fixed = dict(omega1=1.0, omega2=1.0, gamma2=0.002, t1=0.2, t2=0.7, mu1=1.0, mu2=0.5)
-    spec = SweepSpec(
-        fixed=fixed,
-        axes=(Axis("delta", -1e-6, 1e-6, 3), Axis("gamma1", 0.001, 0.002, 2)),
-        observables=("qfi",),
-    )
-    rows = run_sweep(spec).rows
-    assert [row["flags"] for row in rows] == [""] * 6
-    cells = np.array([[row[k] for k in ("qfi_total", "qfi_fe", "qfi_fn")] for row in rows])
-    cells = cells.reshape(3, 2, 3)
-    assert np.isfinite(cells).all()
-    assert (cells[0] == cells[2]).all()
-    # equal couplings: a site-frame central difference converges to the
-    # same value (14684.875 at h = 1e-5)
-    assert cells[1, 1, 0] == pytest.approx(14684.874610037, rel=1e-10)
-    # F(0) sits within |delta| / gamma of its neighbours (gaps 1.2e-6 at
-    # gamma1 = 0.001 and 4.8e-7 at 0.002)
-    assert (np.abs(cells[0, :, 0] - cells[1, :, 0]) <= 3e-6 * cells[1, :, 0]).all()

@@ -471,8 +471,18 @@ def test_grid_row_equals_the_point_alone(spec):
             (Axis("delta", -0.01, 0.01, 3), Axis("gamma1", 0.001, 0.002, 2)),
             {i: "" for i in range(6)},
         ),
+        # cold biased baths: at delta = 0.0983 the Redfield state loses
+        # positivity (eigenvalue -7.4e-10) and the QFI raises
+        # RankChangeError; the stacked point is redone alone and keeps its
+        # residual, while its neighbours at smaller delta keep their cells
+        (
+            {"omega1": 1.0, "omega2": 1.0, "gamma1": 0.01159, "gamma2": 0.01729,
+             "t1": 0.0529, "t2": 0.0129, "mu1": 0.0653, "mu2": 0.7232},
+            (Axis("delta", 0.0783, 0.0983, 3),),
+            {0: "", 1: "", 2: "qfi:RankChangeError:"},
+        ),
     ],
-    ids=["couplings", "frame-flip"],
+    ids=["couplings", "frame-flip", "rank-change"],
 )
 def test_mixed_failure_grid_flags_each_point_as_alone(fixed, axes, expected):
     rows = run_sweep(SweepSpec(fixed=fixed, axes=axes)).rows
