@@ -14,7 +14,6 @@ from .model import (
     SystemParams,
     diagonalize,
     fermi_occupation,
-    occupation_moments,
 )
 from .liouvillian import (
     DegenerateNullSpaceError,
@@ -27,11 +26,9 @@ from .liouvillian import (
     steady_state,
 )
 from .observables import (
-    CorrelationReport,
     DiscordResult,
     coherence,
     concurrence,
-    correlation_report,
     discord,
     discord_brute_force,
     linear_entropy,
@@ -71,7 +68,6 @@ __all__ = [
     "Axis",
     "BathParams",
     "ConfigError",
-    "CorrelationReport",
     "DegenerateNullSpaceError",
     "DiscordResult",
     "EigenBasis",
@@ -87,7 +83,6 @@ __all__ = [
     "build_liouvillian",
     "coherence",
     "concurrence",
-    "correlation_report",
     "diagonalize",
     "discord",
     "discord_brute_force",
@@ -101,7 +96,6 @@ __all__ = [
     "load_config",
     "mutual_information",
     "ness_leading_order",
-    "occupation_moments",
     "qfi_equilibrium_approx",
     "qfi_fidelity_oracle",
     "qfi_spectral",

@@ -24,7 +24,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .model import SystemParams, diagonalize
+from .model import BathParams, SystemParams, diagonalize
 from .sweep import (
     ConfigError,
     SweepSpec,
@@ -87,17 +87,9 @@ def _cmd_point(args: argparse.Namespace) -> int:
         return 2
     rho = row["rho"]
     basis = diagonalize(SystemParams(**{f.name: row[f.name] for f in fields(SystemParams)}))
-    out = []
-    out.append("parameters")
-    out.append(
-        f"  omega1={row['omega1']:.12g} omega2={row['omega2']:.12g} "
-        f"delta={row['delta']:.12g} gamma1={row['gamma1']:.12g} "
-        f"gamma2={row['gamma2']:.12g}"
-    )
-    out.append(
-        f"  t1={row['t1']:.12g} t2={row['t2']:.12g} "
-        f"mu1={row['mu1']:.12g} mu2={row['mu2']:.12g}"
-    )
+    out = ["parameters"]
+    for group in (SystemParams, BathParams):
+        out.append("  " + " ".join(f"{f.name}={row[f.name]:.12g}" for f in fields(group)))
     out.append("dressed modes")
     out.append(
         f"  omega_p1={basis.omega_p1:.12g} omega_p2={basis.omega_p2:.12g} "

@@ -24,7 +24,6 @@ __all__ = [
     "EigenBasis",
     "diagonalize",
     "fermi_occupation",
-    "occupation_moments",
     "take",
 ]
 
@@ -152,26 +151,3 @@ def fermi_occupation(omega, t, mu):
     x = np.subtract(omega, mu) / t
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))[()]
-
-
-def occupation_moments(
-    basis: EigenBasis, baths: BathParams
-) -> tuple[float, float, float, float]:
-    """Half-sum and half-difference of the two reservoir occupations.
-
-    Returns (n1p, n2p, n1m, n2m) where
-
-        n_{a,p/m} = [n(omega'_a, T1, mu1) +- n(omega'_a, T2, mu2)] / 2
-
-    for mode a = 1, 2.  The p-moments drive the leading-order NESS
-    populations, the m-moments its coherence and the currents.
-    """
-    n1_b1 = fermi_occupation(basis.omega_p1, baths.t1, baths.mu1)
-    n1_b2 = fermi_occupation(basis.omega_p1, baths.t2, baths.mu2)
-    n2_b1 = fermi_occupation(basis.omega_p2, baths.t1, baths.mu1)
-    n2_b2 = fermi_occupation(basis.omega_p2, baths.t2, baths.mu2)
-    n1p = 0.5 * (n1_b1 + n1_b2)
-    n2p = 0.5 * (n2_b1 + n2_b2)
-    n1m = 0.5 * (n1_b1 - n1_b2)
-    n2m = 0.5 * (n2_b1 - n2_b2)
-    return n1p, n2p, n1m, n2m

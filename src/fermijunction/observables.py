@@ -23,7 +23,6 @@ import numpy as np
 from .model import EigenBasis
 
 __all__ = [
-    "CorrelationReport",
     "DiscordResult",
     "spectral_decompose",
     "coherence",
@@ -33,7 +32,6 @@ __all__ = [
     "reduced_states",
     "discord",
     "discord_brute_force",
-    "correlation_report",
     "site_basis_state",
     "x_form_deviation",
 ]
@@ -51,18 +49,6 @@ _X_TOL = 1e-10  # largest off-pattern entry still treated as an X state
 _SEARCH_GRID = 40  # cells of the discord search's first polar-angle scan
 _NEWTON_STEPS = 3  # safeguarded Newton steps on the polar angle after the scan
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Scalar correlation measures for one state (entropies in bits)."""
-
-    coherence: float
-    linear_entropy: float
-    concurrence: float
-    qmi: float
-    classical_corr: float
-    discord: float
 
 
 @dataclass(frozen=True)
@@ -399,19 +385,6 @@ def discord_brute_force(rho: np.ndarray, resolution: int = 400) -> DiscordResult
     )
 
 
-def correlation_report(rho: np.ndarray) -> CorrelationReport:
-    """All correlation scalars for one state, discord included."""
-    d = discord(rho)
-    return CorrelationReport(
-        coherence=coherence(rho),
-        linear_entropy=linear_entropy(rho),
-        concurrence=concurrence(rho),
-        qmi=d.qmi,
-        classical_corr=d.classical_corr,
-        discord=d.discord,
-    )
-
-
 def site_basis_state(rho: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Rotate a mode-basis state to the local site basis, for each point
     of a stack of states and a basis stacked alike.
@@ -421,11 +394,16 @@ def site_basis_state(rho: np.ndarray, basis: EigenBasis) -> np.ndarray:
     (the doubly occupied ket picks up the determinant sign, invisible
     for the X states this model produces).
     """
-    half_c = np.sqrt(np.maximum(0.0, 0.5 * (1.0 + np.asarray(basis.cos_theta))))
-    # cos theta = -1 (delta = 0, omega1 > omega2): the half angle is pi/2
-    turned = half_c > 1e-8
-    half_s = np.where(turned, 0.5 * basis.sin_theta / np.where(turned, half_c, 1.0), 1.0)
-    half_c = np.where(turned, half_c, 0.0)
+    ct, st = np.asarray(basis.cos_theta), np.asarray(basis.sin_theta)
+    # The larger half-angle component from its root, the other from
+    # sin theta = 2 sin(theta/2) cos(theta/2): the root of (1 + cos theta)/2
+    # alone would cancel near cos theta = -1.  cos theta = -1 with
+    # sin theta = 0 (delta = 0, omega1 > omega2) turns by pi/2.
+    big = np.sqrt(0.5 * (1.0 + np.abs(ct)))  # >= sqrt(1/2)
+    other = 0.5 * st / big
+    flipped = ct < 0.0
+    half_c = np.where(flipped, np.abs(other), big)
+    half_s = np.where(flipped, np.copysign(big, st), other)
     u = np.zeros(half_c.shape + (4, 4))
     u[..., 0, 0] = 1.0
     u[..., 1, 1] = half_s

@@ -29,7 +29,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -38,7 +38,7 @@ import yaml
 
 from .liouvillian import SteadyStateError, solve_ness
 from .metrology import RankChangeError, qfi_spectral
-from .model import BathParams, SystemParams, take
+from .model import BathParams, SystemParams
 from .observables import (
     coherence,
     concurrence,
@@ -59,17 +59,9 @@ __all__ = [
     "sweep_spec_from_config",
 ]
 
-BASE_PARAMS = (
-    "omega1",
-    "omega2",
-    "delta",
-    "gamma1",
-    "gamma2",
-    "t1",
-    "t2",
-    "mu1",
-    "mu2",
-)
+_SYSTEM_KEYS = tuple(f.name for f in fields(SystemParams))
+_BATH_KEYS = tuple(f.name for f in fields(BathParams))
+BASE_PARAMS = _SYSTEM_KEYS + _BATH_KEYS
 
 # name -> (parameters the axis assigns, parameters it additionally reads)
 _DIRECT_AXES = {name: ((name,), ()) for name in BASE_PARAMS}
@@ -192,10 +184,9 @@ class SweepSpec:
                 for target in _DIRECT_AXES[ax.name][0]:
                     values[target] = v
         for ax, v in zip(self.axes, coords):
-            if ax.name == "dT":
-                values["t2"] = values["t1"] + v
-            elif ax.name == "dmu":
-                values["mu1"] = values["mu2"] + v
+            if ax.name in _OFFSET_AXES:
+                (target,), (base,) = _OFFSET_AXES[ax.name]
+                values[target] = values[base] + v
         return values
 
 
@@ -257,7 +248,8 @@ def _scatter(table: dict[str, list], n: int, index, part: dict[str, list]) -> No
 def _observe(spec: SweepSpec, ness, cells: dict[str, Any]) -> None:
     """Write the cells of solved points (a stack, or one point alone)
     into ``cells``, the QFI last: of these stages only the QFI raises, on
-    one point alone, and the cells written before it stay."""
+    one point alone, and the cells written before it stay.  A stacked
+    point whose solve failed carries its NaN state and residual through."""
     cells["residual"] = ness.residual
     if "thermo" in spec.observables:
         report = transport_report(ness)
@@ -327,15 +319,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         stacked = np.flatnonzero([_valid({k: v[i] for k, v in values.items()}) for i in range(n)])
         params, baths = _stack_params({k: v[stacked] for k, v in values.items()})
     cells: dict[str, Any] = {}
+    finished = np.zeros(stacked.size, dtype=bool)
     if stacked.size:
-        ness = solve_ness(params, baths)
-        solved = ~np.isnan(ness.residual)
-        if not solved.all():
-            stacked = stacked[solved]
-            ness = take(ness, solved)
-    if stacked.size:
-        _observe(spec, ness, cells)
-    finished = ~np.isnan(cells.get("qfi_total", np.zeros(stacked.size)))
+        # a failed solve or QFI leaves NaN in the point's residual or qfi_total
+        _observe(spec, solve_ness(params, baths), cells)
+        finished = ~(np.isnan(cells["residual"]) | np.isnan(cells.get("qfi_total", 0.0)))
     if finished.size == n and finished.all():
         table.update(_columns(cells))
     else:
@@ -405,8 +393,6 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
 # ---------------------------------------------------------------------------
 
 _CONFIG_SECTIONS = {"system", "baths", "sweep"}
-_SYSTEM_KEYS = {"omega1", "omega2", "delta", "gamma1", "gamma2"}
-_BATH_KEYS = {"t1", "t2", "mu1", "mu2"}
 _SWEEP_KEYS = {"axes", "observables"}
 
 
@@ -424,7 +410,7 @@ def _number(val: Any, where: str) -> float:
     return float(val)
 
 
-def _numeric_section(section: dict, allowed: set[str], where: str) -> dict[str, float]:
+def _numeric_section(section: dict, allowed: tuple[str, ...], where: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for key, val in section.items():
         if key not in allowed:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import _NUMBERS, DIM, NessResult, _level_energies, sector_vector
-from .model import BathParams, EigenBasis, SystemParams, fermi_occupation, occupation_moments
+from .liouvillian import _NUMBERS, DIM, NessResult, _level_energies, _occupations, sector_vector
+from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
 
 __all__ = [
     "ThermoReport",
@@ -94,9 +94,10 @@ def ness_leading_order(
 ) -> np.ndarray:
     """Analytic steady state to first order in g = coupling / tunneling.
 
-    Populations factorize over the two modes through the half-sum
-    occupations; the single coherence is -i (n1m + n2m) g / 2.  Valid for
-    |g| << 1; a warning is emitted above |g| = 0.2.
+    With n_{a,p/m} = [n(omega'_a, T1, mu1) +- n(omega'_a, T2, mu2)] / 2
+    for mode a, the populations factorize over the two modes through the
+    half-sums n_{a,p}, and the single coherence is -i (n1m + n2m) g / 2.
+    Valid for |g| << 1; a warning is emitted above |g| = 0.2.
     """
     if params.delta == 0.0:
         raise ValueError("leading-order solution requires nonzero tunneling")
@@ -107,7 +108,9 @@ def ness_leading_order(
             "first-order accuracy degrades above 0.2",
             stacklevel=2,
         )
-    n1p, n2p, n1m, n2m = occupation_moments(basis, baths)
+    occ = np.stack(_occupations(basis, baths)[:2])  # (mode, bath)
+    n1p, n2p = 0.5 * (occ[:, 0] + occ[:, 1])
+    n1m, n2m = 0.5 * (occ[:, 0] - occ[:, 1])
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = (1.0 - n1p) * (1.0 - n2p)
     rho[1, 1] = n1p * (1.0 - n2p)

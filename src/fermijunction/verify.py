@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import warnings
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -223,14 +222,12 @@ CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def run_verification(stream: TextIO | None = None) -> bool:
+def run_verification() -> bool:
     """Run all checks, print one line per check, return overall success."""
-    if stream is None:
-        stream = sys.stdout
     all_ok = True
     for name, check in CHECKS:
         ok, detail = check()
         all_ok = all_ok and ok
-        stream.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
-    stream.write("verification " + ("passed" if all_ok else "FAILED") + "\n")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    print("verification " + ("passed" if all_ok else "FAILED"))
     return all_ok

@@ -9,7 +9,6 @@ from fermijunction import (
     SystemParams,
     diagonalize,
     fermi_occupation,
-    occupation_moments,
 )
 
 
@@ -105,14 +104,3 @@ def test_fermi_occupation_basics():
     assert fermi_occupation(-1e4, 0.1, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         fermi_occupation(1.0, 0.0, 0.5)
-
-
-def test_occupation_moments_equilibrium():
-    basis = diagonalize(SystemParams())
-    baths = BathParams(t1=0.2, t2=0.2, mu1=0.5, mu2=0.5)
-    n1p, n2p, n1m, n2m = occupation_moments(basis, baths)
-    assert n1m == 0.0 and n2m == 0.0
-    assert n1p == pytest.approx(fermi_occupation(basis.omega_p1, 0.2, 0.5))
-    assert n2p == pytest.approx(fermi_occupation(basis.omega_p2, 0.2, 0.5))
-    # the lower mode is always at least as occupied
-    assert n2p >= n1p

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from fermijunction import (
     BathParams,
     SystemParams,
-    coherence,
     concurrence,
-    correlation_report,
     diagonalize,
     discord,
     discord_brute_force,
@@ -210,13 +208,17 @@ def test_discord_matches_bell_diagonal_closed_form():
 
 def test_discord_brute_force_agrees_with_optimizer():
     rng = np.random.default_rng(303)
-    for _ in range(5):
-        rho = random_x_state(rng)
+    # and the steady state of a chemically biased junction
+    biased = solve_ness(SystemParams(), BathParams(t1=0.1, t2=0.1, mu1=1.2, mu2=0.5)).rho
+    for rho in [random_x_state(rng) for _ in range(5)] + [biased]:
         opt = discord(rho)
         ref = discord_brute_force(rho, resolution=250)
         # the optimizer may only improve on the finite grid
         assert opt.classical_corr >= ref.classical_corr - 1e-6
         assert abs(opt.discord - ref.discord) < 1e-4
+        assert opt.qmi == mutual_information(rho)
+        assert opt.discord == opt.qmi - opt.classical_corr
+    assert opt.qmi > 0.0 and opt.discord > 0.0
 
 
 def test_discord_coherence_phase_invariance():
@@ -490,17 +492,6 @@ def test_x_state_measures_reject_other_states(measure, rho):
         measure(rho)
 
 
-def test_correlation_report_fields_consistent():
-    params = SystemParams()
-    baths = BathParams(t1=0.1, t2=0.1, mu1=1.2, mu2=0.5)
-    rho = solve_ness(params, baths).rho
-    rep = correlation_report(rho)
-    assert rep.coherence == pytest.approx(coherence(rho))
-    assert rep.qmi == pytest.approx(mutual_information(rho), abs=1e-12)
-    assert rep.discord == pytest.approx(rep.qmi - rep.classical_corr, abs=1e-12)
-    assert rep.qmi > 0.0 and rep.discord > 0.0
-
-
 def test_correlations_are_between_the_dressed_modes():
     # at equilibrium the mode-basis state is a product over the dressed
     # modes; the same state split between the two sites is correlated
@@ -539,15 +530,26 @@ def test_site_basis_symmetric_junction_coherence():
 def test_site_basis_state_takes_stacks():
     # tuned, detuned, delta < 0, the degenerate point, and delta = 0 with
     # omega1 > omega2 (cos theta = -1, the half-angle convention) or
-    # omega1 < omega2 (the identity): the stack equals each point alone
+    # omega1 < omega2 (the identity); then |delta| from 1e-12 to 0.3 at
+    # omega 1.1/1.0, where cos theta -> -1 as delta -> 0, and at 1.0/1.1,
+    # where cos theta -> 1: the stack equals each point alone, keeps the
+    # trace and rotates orthogonally
+    sweep = np.concatenate([[-1e-6, -1e-9, 0.0, 1e-9, 2e-9], np.geomspace(1e-12, 0.3, 24)])
+    k = sweep.size
     params = SystemParams(
-        omega1=np.array([1.0, 1.0, 1.0, 1.0, 1.05, 1.0]),
-        omega2=np.array([1.0, 1.02, 1.0, 1.0, 1.0, 1.03]),
-        delta=np.array([0.01, 0.005, -0.01, 0.0, 0.0, 0.0]),
+        omega1=np.concatenate([[1.0, 1.0, 1.0, 1.0, 1.05, 1.0], np.full(k, 1.1), np.full(k, 1.0)]),
+        omega2=np.concatenate([[1.0, 1.02, 1.0, 1.0, 1.0, 1.03], np.full(k, 1.0), np.full(k, 1.1)]),
+        delta=np.concatenate([[0.01, 0.005, -0.01, 0.0, 0.0, 0.0], sweep, sweep]),
     )
+    n = 6 + 2 * k
     ness = solve_ness(params, BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.3))
     site = site_basis_state(ness.rho, ness.basis)
-    assert site.shape == (6, 4, 4)
-    for i in range(6):
+    assert site.shape == (n, 4, 4)
+    for i in range(n):
         alone = take(ness, i)
         assert np.array_equal(site[i], site_basis_state(alone.rho, alone.basis))
+    trace = np.trace(site, axis1=-2, axis2=-1)
+    assert np.abs(trace - 1.0).max() <= 1e-15
+    # U^T 1 U = 1 for the rotation U the state is turned with
+    unit = site_basis_state(np.broadcast_to(np.eye(4), (n, 4, 4)), ness.basis)
+    assert np.abs(unit - np.eye(4)).max() <= 1e-15

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from fermijunction import (
     sweep_spec_from_config,
 )
 from fermijunction import sweep
-from fermijunction.liouvillian import NessResult, SteadyStateError
+from fermijunction.liouvillian import SteadyStateError, solve_ness
 from fermijunction.sweep import SweepResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -306,12 +307,13 @@ def test_solver_failure_is_recorded(monkeypatch):
         sizes.append(shape)
         if not shape:
             raise SteadyStateError("fabricated breakdown", residual=1.0)
-        return NessResult(rho=np.full(shape + (4, 4), np.nan), liouvillian=None,
-                          basis=None, residual=np.full(shape, np.nan),
-                          params=params, baths=baths, inverse=None)
+        ness = solve_ness(params, baths)
+        return replace(ness, rho=np.full_like(ness.rho, np.nan),
+                       residual=np.full_like(ness.residual, np.nan))
 
     monkeypatch.setattr("fermijunction.sweep.solve_ness", failing)
-    result = run_sweep(small_spec(observables=("thermo",)))
+    # every observable block reads the failed stack
+    result = run_sweep(small_spec(observables=sweep.OBSERVABLE_BLOCKS))
     # one call for the 3-point grid, then each point alone
     assert sizes == [(3,), (), (), ()]
     for row in result.rows:
@@ -482,7 +484,7 @@ def test_grid_row_equals_the_point_alone(spec):
             {0: "", 1: "", 2: "qfi:RankChangeError:"},
         ),
     ],
-    ids=["couplings", "frame-flip", "rank-change"],
+    ids=["couplings", "delta-through-zero", "rank-change"],
 )
 def test_mixed_failure_grid_flags_each_point_as_alone(fixed, axes, expected):
     rows = run_sweep(SweepSpec(fixed=fixed, axes=axes)).rows

@@ -13,6 +13,7 @@ from fermijunction import (
     epr_leading_order,
     epr_regime_ok,
     fermi_occupation,
+    grand_canonical_state,
     ness_leading_order,
     solve_ness,
     transport_report,
@@ -143,6 +144,24 @@ def test_ness_leading_order_saturates_at_extreme_bias():
     g = 0.002 / 0.005
     np.testing.assert_allclose(np.diag(rho).real, [0.25] * 4, atol=1e-8)
     assert rho[1, 2] == pytest.approx(-0.5j * g, abs=1e-8)
+
+
+def test_ness_leading_order_at_equal_baths_is_gibbs():
+    # equal baths: the half-sum occupations are each mode's Fermi
+    # occupation, so the populations are the grand-canonical ones, and the
+    # half-differences that source the coherence vanish
+    for params in (
+        SystemParams(delta=0.005, gamma1=2e-4, gamma2=2e-4),
+        SystemParams(omega1=1.0, omega2=1.02, delta=0.01, gamma1=2e-4, gamma2=4e-4),
+    ):
+        basis = diagonalize(params)
+        for t, mu in ((0.2, 0.5), (0.05, 1.1), (1.5, -0.3)):
+            rho = ness_leading_order(basis, BathParams(t1=t, t2=t, mu1=mu, mu2=mu), params)
+            gibbs = grand_canonical_state(basis, t, mu)
+            np.testing.assert_allclose(np.diag(rho).real, np.diag(gibbs).real, rtol=1e-14)
+            assert rho[1, 2] == 0.0 and rho[2, 1] == 0.0
+            # the lower mode is at least as occupied
+            assert rho[2, 2].real >= rho[1, 1].real
 
 
 def test_ness_leading_order_guards():
