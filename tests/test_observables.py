@@ -1,5 +1,6 @@
 """Correlation measures: decomposition, concurrence, entropies, discord."""
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from hypothesis import strategies as st
 
 from fermijunction import (
     BathParams,
+    SweepSpec,
     SystemParams,
+    coherence,
     concurrence,
     diagonalize,
     discord,
     discord_brute_force,
     linear_entropy,
     mutual_information,
+    run_sweep,
     site_basis_state,
     solve_ness,
 )
@@ -490,6 +494,18 @@ def test_x_state_measures_reject_other_states(measure, rho):
     assert min(np.linalg.eigvalsh(rho)) > 0.0
     with pytest.raises(ValueError, match="not X-form"):
         measure(rho)
+
+
+def test_correlation_report_fields_consistent():
+    # the sweep's correlation and discord cells of a chemically biased
+    # junction agree with the measures computed on its state alone
+    fixed = {**asdict(SystemParams()), **asdict(BathParams(t1=0.1, t2=0.1, mu1=1.2, mu2=0.5))}
+    row = run_sweep(SweepSpec(fixed=fixed, observables=("correlations", "discord"))).rows[0]
+    rho = np.asarray(row["rho"])
+    assert row["coherence"] == pytest.approx(coherence(rho))
+    assert row["qmi"] == pytest.approx(mutual_information(rho), abs=1e-12)
+    assert row["discord"] == pytest.approx(row["qmi"] - row["classical_corr"], abs=1e-12)
+    assert row["qmi"] > 0.0 and row["discord"] > 0.0
 
 
 def test_correlations_are_between_the_dressed_modes():
