@@ -197,28 +197,28 @@ def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams):
 
 
 def _occupations(basis: EigenBasis, baths: BathParams):
-    """Occupations of modes 1 and 2 in each reservoir, and the reservoirs'
-    temperatures, each (..., 2) with bath l on the last axis."""
+    """((occupations of modes 1 and 2 in each reservoir), the reservoirs'
+    temperatures), each (..., 2) with bath l on the last axis."""
     t = np.stack(np.broadcast_arrays(baths.t1, baths.t2), axis=-1)
     mu = np.stack(np.broadcast_arrays(baths.mu1, baths.mu2), axis=-1)
     occ1 = fermi_occupation(np.asarray(basis.omega_p1)[..., None], t, mu)
     occ2 = fermi_occupation(np.asarray(basis.omega_p2)[..., None], t, mu)
-    return occ1, occ2, t
+    return (occ1, occ2), t
 
 
-def _bath_coefficients(
-    basis: EigenBasis, baths: BathParams, params: SystemParams
-) -> np.ndarray:
+def _bath_coefficients(weights, occupations, unit=1.0) -> np.ndarray:
     """Weights c_{lk} of the rows of _BATH_STACK in D_l = -(N_l + S_l),
-    shape (..., 2, 8) with bath l on the second-to-last axis.
+    shape (..., 2, 8) with bath l on the second-to-last axis: each of
+    the angular weights (n1, n2, s1, s2) times unit and times its mode's
+    occupation in (occ1, occ2).
 
     N_l thermalizes each dressed mode against reservoir l with the
     angular weights (1 +- cos theta)/2; S_l holds the nonsecular
     cross-mode terms, weighted by (+-1/2) gamma_a sin theta.
     """
-    n1, n2, s1, s2 = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
-    occ1, occ2, _ = _occupations(basis, baths)
-    terms = (n1, n1 * occ1, n2, n2 * occ2, s1, s1 * occ1, s2, s2 * occ2)
+    n1, n2, s1, s2 = weights
+    occ1, occ2 = occupations
+    terms = (n1 * unit, n1 * occ1, n2 * unit, n2 * occ2, s1 * unit, s1 * occ1, s2 * unit, s2 * occ2)
     return -np.stack(np.broadcast_arrays(*terms), axis=-1)
 
 
@@ -248,7 +248,9 @@ def build_liouvillian(
 ) -> Liouvillian:
     """Build the full generator d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
     split = np.asarray(basis.omega_p1) - basis.omega_p2
-    pieces = _bath_product(_bath_coefficients(basis, baths, params)).astype(complex)
+    weights = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
+    coeffs = _bath_coefficients(weights, _occupations(basis, baths)[0])
+    pieces = _bath_product(coeffs).astype(complex)
     bath1, bath2 = pieces[..., 0, :, :], pieces[..., 1, :, :]
     return Liouvillian(
         matrix=split[..., None, None] * _ROTATION + bath1 + bath2,
@@ -263,43 +265,23 @@ def generator_derivative(
     """d L / d delta of the sector generator in the mode frame of
     ``basis`` (the frame ``build_liouvillian`` works in), (..., 6, 6).
 
-    With s = omega'_1 - omega'_2 = hypot(omega1 - omega2, 2 delta) and
-    theta = atan2(2 delta, omega2 - omega1),
-
-        d omega'_1 = -d omega'_2 = 2 delta / s = sin theta,
-        d theta = 2 (omega2 - omega1) / s^2,
-
-    so d cos theta = -sin theta d theta, d sin theta = cos theta d theta,
-    and each Fermi occupation moves by d n = -n (1 - n) d omega'_a / T.
-    L is linear in s and in the bath coefficients c_{lk}, so d L is the
-    rotation times d s plus the same _BATH_STACK product of d c_{lk}.
-    d theta is formed from the parameters, not as 2 cos theta / s: on the
-    tuned line cos(pi/2) rounds to 6e-17, and omega'_1 - omega'_2 rounds
-    in steps of ~1e-16, either of which would leave an O(1) d theta at
-    tiny delta where the exact value is 0.  Where s = 0 (omega1 ==
-    omega2 and delta == 0) ``diagonalize`` picks theta = pi/2, the
-    delta -> 0+ frame, and d theta is 0, so this is the one-sided
-    derivative from delta > 0.
+    d omega'_1 = -d omega'_2 = sin theta, the frame turns at the basis's
+    d theta, and each Fermi occupation moves by d n = -n (1 - n) d omega'_a
+    / T.  L is linear in s = omega'_1 - omega'_2 and in the coefficients
+    c_{lk} = weight x (1 or occupation), so d L is the rotation times d s
+    plus the _BATH_STACK product of d c_{lk}, by the product rule: the
+    weights' derivatives with the occupations, plus the weights with the
+    occupations' derivatives and unit 0.  At s = 0 d theta is 0 in the
+    delta -> 0+ frame, so this is the one-sided derivative from delta > 0.
     """
-    ct, st = np.asarray(basis.cos_theta), np.asarray(basis.sin_theta)
-    detuning = np.asarray(params.omega2) - params.omega1
-    split = np.hypot(detuning, 2.0 * np.asarray(params.delta))
-    safe = np.where(split > 0.0, split, np.inf)
-    d_theta = 2.0 * detuning / safe / safe  # exactly 0 wherever omega1 == omega2
-    n1, n2, s1, s2 = _angular_weights(1.0, ct, st, params)
-    dn1, dn2, ds1, ds2 = _angular_weights(0.0, -st * d_theta, ct * d_theta, params)
-    occ1, occ2, t = _occupations(basis, baths)
-    # d omega'_1 = sin theta
-    d_occ1 = -occ1 * (1.0 - occ1) / t * st[..., None]
-    d_occ2 = occ2 * (1.0 - occ2) / t * st[..., None]
-    terms = (
-        dn1, dn1 * occ1 + n1 * d_occ1,
-        dn2, dn2 * occ2 + n2 * d_occ2,
-        ds1, ds1 * occ1 + s1 * d_occ1,
-        ds2, ds2 * occ2 + s2 * d_occ2,
-    )
-    d_coeffs = -np.stack(np.broadcast_arrays(*terms), axis=-1).sum(axis=-2)
-    return (2.0 * st)[..., None, None] * _ROTATION + _bath_product(d_coeffs)
+    ct, st, d_theta = (np.asarray(x) for x in (basis.cos_theta, basis.sin_theta, basis.d_theta))
+    weights = _angular_weights(1.0, ct, st, params)
+    d_weights = _angular_weights(0.0, -st * d_theta, ct * d_theta, params)
+    occ, t = _occupations(basis, baths)
+    # d omega'_1 = -d omega'_2 = sin theta
+    d_occ = [sign * n * (1.0 - n) / t * st[..., None] for sign, n in zip((-1.0, 1.0), occ)]
+    d_coeffs = _bath_coefficients(d_weights, occ) + _bath_coefficients(weights, d_occ, 0.0)
+    return (2.0 * st)[..., None, None] * _ROTATION + _bath_product(d_coeffs.sum(axis=-2))
 
 
 def sector_vector(rho: np.ndarray) -> np.ndarray:

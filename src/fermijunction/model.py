@@ -87,13 +87,15 @@ class EigenBasis:
     (cos_theta, sin_theta) fix the 2x2 rotation from site to mode
     operators.  At omega1 == omega2, delta == 0 the angle is a convention,
     theta = pi/2: the delta -> 0+ limit, which the QFI's derivative there
-    uses.
+    uses.  d_theta is the rate d theta / d delta at which the mode frame
+    turns against the fixed site frame (see ``diagonalize``).
     """
 
     omega_p1: float
     omega_p2: float
     cos_theta: float
     sin_theta: float
+    d_theta: float
 
 
 def take(stack, index):
@@ -124,19 +126,26 @@ def diagonalize(params: SystemParams) -> EigenBasis:
     swap (mode 1 is site 2); with omega1 > omega2 it is the identity.  At
     omega1 == omega2, delta == 0 every angle diagonalizes, and theta = pi/2
     is taken: the delta -> 0+ limit, so the QFI's derivative there is the
-    one from delta > 0.
+    one from delta > 0.  The frame turns at d theta = 2 (omega2 - omega1)
+    / s^2 per unit delta, s = omega'_1 - omega'_2, formed from the
+    parameters: 2 cos theta / s would be O(1) at tiny delta on the tuned
+    line (cos(pi/2) and omega'_1 - omega'_2 are roundoff there), where it
+    is exactly 0, s = 0 included.
     """
     omega1, omega2 = np.asarray(params.omega1), np.asarray(params.omega2)
     half_sum = 0.5 * (omega1 + omega2)
-    split = np.hypot(omega1 - omega2, 2.0 * np.asarray(params.delta))
-    theta = np.arctan2(2.0 * np.asarray(params.delta), omega2 - omega1)
+    detuning = omega2 - omega1
+    split = np.hypot(detuning, 2.0 * np.asarray(params.delta))
+    theta = np.arctan2(2.0 * np.asarray(params.delta), detuning)
     # omega1 == omega2 and delta == 0: any rotation; take the delta -> 0+ one
     degenerate = split == 0.0
+    safe = np.where(degenerate, np.inf, split)
     return EigenBasis(
         omega_p1=(half_sum + 0.5 * split)[()],
         omega_p2=(half_sum - 0.5 * split)[()],
         cos_theta=np.where(degenerate, 0.0, np.cos(theta))[()],
         sin_theta=np.where(degenerate, 1.0, np.sin(theta))[()],
+        d_theta=(2.0 * detuning / safe / safe)[()],
     )
 
 

@@ -63,25 +63,21 @@ _SYSTEM_KEYS = tuple(f.name for f in fields(SystemParams))
 _BATH_KEYS = tuple(f.name for f in fields(BathParams))
 BASE_PARAMS = _SYSTEM_KEYS + _BATH_KEYS
 
-# name -> (parameters the axis assigns, parameters it additionally reads)
-_DIRECT_AXES = {name: ((name,), ()) for name in BASE_PARAMS}
-_DIRECT_AXES["mu"] = (("mu1", "mu2"), ())
-_DIRECT_AXES["T"] = (("t1", "t2"), ())
-_OFFSET_AXES = {"dT": (("t2",), ("t1",)), "dmu": (("mu1",), ("mu2",))}
+# name -> the parameters the axis assigns its value to
+_DIRECT_AXES = {name: (name,) for name in BASE_PARAMS}
+_DIRECT_AXES["mu"] = ("mu1", "mu2")
+_DIRECT_AXES["T"] = ("t1", "t2")
+# name -> (the parameter the axis assigns, the parameter its value offsets)
+_OFFSET_AXES = {"dT": ("t2", "t1"), "dmu": ("mu1", "mu2")}
 
-OBSERVABLE_BLOCKS = ("thermo", "correlations", "discord", "qfi")
-
-_QFI_COLUMNS = ("qfi_total", "qfi_fe", "qfi_fn", "qfi_step")
-_CORR_COLUMNS = ("coherence", "linear_entropy", "concurrence", "qmi")
-_DISCORD_COLUMNS = ("classical_corr", "discord")
-_THERMO_COLUMNS = (
-    "current_n1",
-    "current_n2",
-    "current_e1",
-    "current_e2",
-    "epr",
-    "epr_regime_ok",
-)
+# observable block -> its columns, in column order
+_BLOCK_COLUMNS = {
+    "qfi": ("qfi_total", "qfi_fe", "qfi_fn", "qfi_step"),
+    "correlations": ("coherence", "linear_entropy", "concurrence", "qmi"),
+    "discord": ("classical_corr", "discord"),
+    "thermo": ("current_n1", "current_n2", "current_e1", "current_e2", "epr", "epr_regime_ok"),
+}
+OBSERVABLE_BLOCKS = tuple(_BLOCK_COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -125,7 +121,7 @@ class SweepSpec:
                 raise ConfigError(f"axis {ax.name!r}: scale must be linear or log")
             if ax.scale == "log" and (ax.start <= 0.0 or ax.stop <= 0.0):
                 raise ConfigError(f"axis {ax.name!r}: log scale needs positive bounds")
-            targets, _ = (_DIRECT_AXES.get(ax.name) or _OFFSET_AXES[ax.name])
+            targets = _DIRECT_AXES.get(ax.name) or _OFFSET_AXES[ax.name][:1]
             overlap = assigned.intersection(targets)
             if overlap:
                 raise ConfigError(f"axes assign {sorted(overlap)} more than once")
@@ -138,12 +134,9 @@ class SweepSpec:
             raise ConfigError(f"parameters {sorted(clash)} are both fixed and swept")
         for ax in self.axes:
             if ax.name in _OFFSET_AXES:
-                _, reads = _OFFSET_AXES[ax.name]
-                for name in reads:
-                    if name not in self.fixed and name not in assigned:
-                        raise ConfigError(
-                            f"axis {ax.name!r} needs parameter {name!r} to be set"
-                        )
+                base = _OFFSET_AXES[ax.name][1]
+                if base not in self.fixed and base not in assigned:
+                    raise ConfigError(f"axis {ax.name!r} needs parameter {base!r} to be set")
         missing = set(BASE_PARAMS) - set(self.fixed) - assigned
         if missing:
             raise ConfigError(f"parameters {sorted(missing)} are neither fixed nor swept")
@@ -158,14 +151,9 @@ class SweepSpec:
         # a bare parameter axis is already covered by the parameter block
         cols: list[str] = [ax.name for ax in self.axes if ax.name not in BASE_PARAMS]
         cols.extend(BASE_PARAMS)
-        if "qfi" in self.observables:
-            cols.extend(_QFI_COLUMNS)
-        if "correlations" in self.observables:
-            cols.extend(_CORR_COLUMNS)
-        if "discord" in self.observables:
-            cols.extend(_DISCORD_COLUMNS)
-        if "thermo" in self.observables:
-            cols.extend(_THERMO_COLUMNS)
+        for block, names in _BLOCK_COLUMNS.items():
+            if block in self.observables:
+                cols.extend(names)
         cols.extend(("residual", "flags"))
         return tuple(cols)
 
@@ -180,12 +168,11 @@ class SweepSpec:
         coordinate is an array."""
         values = dict(self.fixed)
         for ax, v in zip(self.axes, coords):
-            if ax.name in _DIRECT_AXES:
-                for target in _DIRECT_AXES[ax.name][0]:
-                    values[target] = v
+            for target in _DIRECT_AXES.get(ax.name, ()):
+                values[target] = v
         for ax, v in zip(self.axes, coords):
             if ax.name in _OFFSET_AXES:
-                (target,), (base,) = _OFFSET_AXES[ax.name]
+                target, base = _OFFSET_AXES[ax.name]
                 values[target] = values[base] + v
         return values
 
@@ -338,8 +325,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 def _format_cell(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "True" if value else "False"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

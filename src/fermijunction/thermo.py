@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import _NUMBERS, DIM, NessResult, _level_energies, _occupations, sector_vector
+from .liouvillian import (
+    _NUMBERS, DIM, NessResult, _level_energies, _occupations, _x_state, sector_vector,
+)
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
 
 __all__ = [
@@ -108,17 +110,14 @@ def ness_leading_order(
             "first-order accuracy degrades above 0.2",
             stacklevel=2,
         )
-    occ = np.stack(_occupations(basis, baths)[:2])  # (mode, bath)
+    occ = np.stack(_occupations(basis, baths)[0])  # (mode, bath)
     n1p, n2p = 0.5 * (occ[:, 0] + occ[:, 1])
     n1m, n2m = 0.5 * (occ[:, 0] - occ[:, 1])
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = (1.0 - n1p) * (1.0 - n2p)
-    rho[1, 1] = n1p * (1.0 - n2p)
-    rho[2, 2] = n2p * (1.0 - n1p)
-    rho[3, 3] = n1p * n2p
-    rho[1, 2] = -0.5j * (n1m + n2m) * g
-    rho[2, 1] = np.conj(rho[1, 2])
-    return rho
+    coherence = -0.5j * (n1m + n2m) * g
+    return _x_state(np.array([
+        (1.0 - n1p) * (1.0 - n2p), n1p * (1.0 - n2p), n2p * (1.0 - n1p), n1p * n2p,
+        coherence, np.conj(coherence),
+    ]))
 
 
 def epr_leading_order(baths: BathParams, omega: float) -> float:
