@@ -1,15 +1,20 @@
 """Quantum Fisher information with respect to the tunneling amplitude.
 
-Two independent numerical routes plus one closed form:
+The QFI is that of the state in the fixed site frame.  The solver works
+in the dressed-mode frame, which turns with delta whenever omega1 !=
+omega2; a state's QFI in a frame that moves with the parameter misses
+that turn.  Two independent numerical routes plus one closed form:
 
 * ``qfi_spectral``: the SLD formula in closed form on a solved steady
   X state and its exact derivative d rho / d delta (both live in the
   6-entry charge-neutral sector; ``liouvillian.state_derivative``
-  differentiates the solve), split into the population part F^E and the
-  basis-rotation part F^N of its eigenbasis.
+  differentiates the solve in the mode frame, and the frame's turn
+  ``EigenBasis.d_theta`` is added), split into the population part F^E
+  and the basis-rotation part F^N of its eigenbasis.
 * ``qfi_fidelity_oracle``: Bures-distance estimate 8 (1 - A)/h^2 from
-  the Uhlmann fidelity A of two nearby steady states, Richardson
-  extrapolated.  Used as the cross-check of the spectral route.
+  the Uhlmann fidelity A of two nearby steady states taken to the site
+  frame (``site_basis_state``), Richardson extrapolated.  Used as the
+  cross-check of the spectral route; it shares no frame term with it.
 * ``qfi_equilibrium_approx``: weak-tunneling closed form valid for a
   symmetric junction with equal reservoirs.
 """
@@ -22,7 +27,7 @@ import numpy as np
 
 from .liouvillian import NessResult, solve_ness, state_derivative
 from .model import BathParams, SystemParams, fermi_occupation
-from .observables import spectral_decompose
+from .observables import site_basis_state, spectral_decompose
 
 __all__ = [
     "QfiReport",
@@ -35,6 +40,7 @@ __all__ = [
 
 _P_FLOOR = 1e-12  # eigenvalues below this count as zero rank
 _DP_FLOOR = 1e-8  # derivative magnitude separating "stays zero" from rank change
+_AXIS = np.array([0.0, 0.0, 1.0])  # Bloch axis the mode frame turns about
 
 
 class RankChangeError(RuntimeError):
@@ -62,10 +68,14 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     rho33 and t/2 +- R with (t, b) the trace and Bloch vector of the
     singly occupied block and R = |b| (``spectral_decompose``, which also
     maps d rho to (dt, db)); by Hellmann-Feynman their derivatives are
-    d rho00, d rho33 and dt/2 +- b.db/R.  The SLD formula
-    2 sum |<i|d rho|j>|^2 / (p_i + p_j) then splits into
+    d rho00, d rho33 and dt/2 +- b.db/R.  That d rho is in the mode frame;
+    in the fixed site frame b also turns with the frame, at d theta
+    (``EigenBasis.d_theta``) about its third axis e_3, which moves no
+    eigenvalue.  The SLD formula 2 sum |<i|d rho|j>|^2 / (p_i + p_j) of
+    the site-frame state then splits into
 
-        F^E = sum_i dp_i^2 / p_i,    F^N = 4 |b x db|^2 / (R^2 t).
+        F^E = sum_i dp_i^2 / p_i,
+        F^N = 4 |b x (db + d theta e_3 x b)|^2 / (R^2 t).
 
     Eigenvalues below 1e-12 whose derivative is also negligible are
     dropped, so a cold, nearly frozen state gets its small true value; a
@@ -94,7 +104,8 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     f_e = np.where(empty, 0.0, dp * dp / np.where(empty, 1.0, p)).sum(axis=0)
 
     coherent = split & (t > _P_FLOOR)
-    turn = np.cross(b, db)
+    # in the site frame b also turns with the mode frame, about its third axis
+    turn = np.cross(b, db + np.asarray(ness.basis.d_theta)[..., None] * np.cross(_AXIS, b))
     f_n = np.where(
         coherent,
         4.0 * (turn * turn).sum(axis=-1) / np.where(coherent, r * r * t, 1.0),
@@ -125,7 +136,8 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def _rho_at(params: SystemParams, baths: BathParams, delta: float) -> np.ndarray:
-    return solve_ness(replace(params, delta=delta), baths).rho
+    ness = solve_ness(replace(params, delta=delta), baths)
+    return site_basis_state(ness.rho, ness.basis)
 
 
 def _fidelity_estimate(
@@ -141,7 +153,8 @@ def _fidelity_estimate(
 
 
 def qfi_fidelity_oracle(params: SystemParams, baths: BathParams) -> float:
-    """Fidelity-based QFI estimate, Richardson extrapolated over (h, h/2).
+    """Fidelity-based QFI estimate, Richardson extrapolated over (h, h/2),
+    from the site-frame states at delta -+ h/2.
 
     The routine starts from 5% of |delta| and doubles the step until the
     fidelity loss rises clearly above roundoff (1e-9), so the quadratic

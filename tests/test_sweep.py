@@ -137,11 +137,19 @@ def test_columns_layout():
         fixed=fixed_without("mu2", "mu1"),
         axes=(Axis("mu2", 0.2, 0.4, 2), Axis("dmu", 0.0, 1.0, 3)),
     )
-    cols = spec.columns()
-    assert cols[0] == "dmu"  # derived axis gets a column, bare mu2 does not
-    assert cols.count("mu2") == 1
-    assert cols[-2:] == ("residual", "flags")
-    assert "qfi_total" in cols and "discord" in cols and "epr" in cols
+    # derived axis gets a column, bare mu2 does not; the blocks follow in
+    # one fixed order, whatever order the spec lists them in
+    assert spec.columns() == (
+        "dmu",
+        "omega1", "omega2", "delta", "gamma1", "gamma2", "t1", "t2", "mu1", "mu2",
+        "qfi_total", "qfi_fe", "qfi_fn", "qfi_step",
+        "coherence", "linear_entropy", "concurrence", "qmi",
+        "classical_corr", "discord",
+        "current_n1", "current_n2", "current_e1", "current_e2", "epr", "epr_regime_ok",
+        "residual", "flags",
+    )
+    reordered = SweepSpec(fixed=spec.fixed, axes=spec.axes, observables=("thermo", "qfi"))
+    assert reordered.columns() == spec.columns()[:14] + spec.columns()[-8:]
 
 
 def test_single_point_sweep_at_equilibrium():

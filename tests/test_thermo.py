@@ -1,5 +1,6 @@
 """Currents, entropy production and the leading-order analytic forms."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ def test_ness_leading_order_guards():
     strong = SystemParams(delta=0.005, gamma1=0.01, gamma2=0.01)
     with pytest.warns(UserWarning):
         ness_leading_order(diagonalize(strong), baths, strong)
+    # the warning starts at g = mean(gamma) / delta = 0.2, which is
+    # mean(gamma) / (2 delta) = 0.1
+    inside = SystemParams(delta=0.01, gamma1=0.0018, gamma2=0.002)  # g = 0.19
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ness_leading_order(diagonalize(inside), baths, inside)
+    outside = SystemParams(delta=0.01, gamma1=0.002, gamma2=0.0022)  # g = 0.21
+    with pytest.warns(UserWarning, match="g = 0.210"):
+        ness_leading_order(diagonalize(outside), baths, outside)
 
 
 def test_epr_leading_order_matches_expanded_form():
