@@ -62,7 +62,8 @@ Parameters, bases, generators and states may carry leading batch axes
 (see ``model``): a whole sweep grid is diagonalized, built and solved by
 one call each.  A point that fails its solve fails alone: an unstacked
 solve raises the typed error, a stacked one returns NaN in that point's
-state and residual and solves the other points.
+state and residual, that error in its ``errors`` cell, and solves the
+other points.
 """
 from __future__ import annotations
 
@@ -311,9 +312,9 @@ def _failed(singular, residual, min_eig):
     return singular | ~(residual < _RESIDUAL_TOL) | (min_eig < _EIG_FLOOR)
 
 
-def _failure(lv: Liouvillian, singular, residual, min_eig) -> SteadyStateError:
-    """The typed error of one generator whose solve failed its checks."""
-    dim = _null_space_dimension(np.linalg.svd(lv.matrix, compute_uv=False))
+def _failure(matrix: np.ndarray, singular, residual, min_eig) -> SteadyStateError:
+    """The typed error of one generator matrix whose solve failed its checks."""
+    dim = _null_space_dimension(np.linalg.svd(matrix, compute_uv=False))
     if dim > 1:
         return DegenerateNullSpaceError(dim)
     if singular:
@@ -344,19 +345,21 @@ def _invert_each(a: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray]:
-    """Unique stationary density matrix of the generator, its residual and
-    the inverse it was solved with.
+def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Unique stationary density matrix of the generator, its residual,
+    the inverse it was solved with and the typed error of each failed solve.
 
     Replaces the first row of the sector generator with the trace
     constraint and inverts that 6x6 matrix A, for every generator of a
-    stack in one call.  Returns (rho, ||L v||, A^-1) with rho the 4x4 X
-    state, whose sector is the first column of A^-1.  An unstacked
-    generator raises DegenerateNullSpaceError when the stationary state
-    is not unique (e.g. both couplings zero) and
-    SteadyStateError when the system is singular or its state misses the
-    residual tolerance or positivity; in a stack such a point gets NaN
-    state and residual, and solving it alone gives its error.
+    stack in one call.  Returns (rho, ||L v||, A^-1, errors) with rho the
+    4x4 X state, whose sector is the first column of A^-1.  A solve fails
+    with DegenerateNullSpaceError when the stationary state is not
+    unique (e.g. both couplings zero) and with SteadyStateError when the
+    system is singular or its state misses the residual tolerance or
+    positivity.  An unstacked generator raises that error; in a stack
+    such a point gets NaN state and residual and its error in
+    ``errors``, an object array shaped like the stack that holds None
+    where the solve passed.
     """
     a = lv.matrix.copy()
     a[..., 0, :] = _TRACE_ROW
@@ -370,20 +373,25 @@ def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         rho, residual, min_eig = _finalize(v, lv)
     failed = _failed(singular, residual, min_eig)
+    errors = np.full(failed.shape, None, dtype=object)
+    for i in map(tuple, np.argwhere(failed)):
+        errors[i] = _failure(lv.matrix[i], singular[i], residual[i], min_eig[i])
     if failed.ndim == 0:
         if failed:
-            raise _failure(lv, singular, residual, min_eig)
-        return rho, float(residual), inverse
+            raise errors[()]
+        return rho, float(residual), inverse, errors
     rho[failed] = np.nan
     residual[failed] = np.nan
-    return rho, residual, inverse
+    return rho, residual, inverse, errors
 
 
 @dataclass(frozen=True)
 class NessResult:
     """Steady state plus the parameters it was solved for and the objects
     that produced it, all stacked alike; ``inverse`` is the inverse of the
-    trace-replaced generator that ``steady_state`` solved with."""
+    trace-replaced generator that ``steady_state`` solved with, and
+    ``errors`` holds each failed point's typed error (None where the
+    solve passed)."""
 
     rho: np.ndarray
     liouvillian: Liouvillian
@@ -392,15 +400,16 @@ class NessResult:
     params: SystemParams
     baths: BathParams
     inverse: np.ndarray
+    errors: np.ndarray
 
 
 def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    rho, residual, inverse = steady_state(lv)
+    rho, residual, inverse, errors = steady_state(lv)
     return NessResult(rho=rho, liouvillian=lv, basis=basis, residual=residual,
-                      params=params, baths=baths, inverse=inverse)
+                      params=params, baths=baths, inverse=inverse, errors=errors)
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:

@@ -51,11 +51,13 @@ class RankChangeError(RuntimeError):
 
 @dataclass(frozen=True)
 class QfiReport:
-    """QFI and its two contributions."""
+    """QFI and its two contributions; ``errors`` holds each failed point's
+    RankChangeError (None where the QFI is defined)."""
 
     f_total: float
     f_e: float
     f_n: float
+    errors: np.ndarray
 
 
 def qfi_spectral(ness: NessResult) -> QfiReport:
@@ -79,14 +81,17 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
 
     Eigenvalues below 1e-12 whose derivative is also negligible are
     dropped, so a cold, nearly frozen state gets its small true value; a
-    sizable derivative at a vanishing or negative eigenvalue raises
-    RankChangeError.  At omega1 == omega2, delta == 0 the derivative is
-    the one from delta > 0 (see ``generator_derivative``), so the value
-    there is the delta -> 0 limit.
+    sizable derivative at a vanishing or negative eigenvalue is a
+    RankChangeError.  Where the singly occupied block's trace t is below
+    1e-12, F^N is left out whole, its site-frame term too: that term is
+    about t d theta^2, so at most 1e-12 d theta^2.  At omega1 == omega2,
+    delta == 0 the derivative is the one from delta > 0 (see
+    ``generator_derivative``), so the value there is the delta -> 0 limit.
 
     For a stack every point is one stacked derivative and decomposition;
-    a point that fails gets NaN in ``f_total``, ``f_e`` and ``f_n``, and
-    evaluating it alone raises its RankChangeError.
+    a point that fails gets NaN in ``f_total``, ``f_e`` and ``f_n`` and
+    its RankChangeError in ``errors``, an object array shaped like the
+    stack.  An unstacked state raises that error.
     """
     d_rho = state_derivative(ness)
     p, (t, dt), (b, db) = spectral_decompose(np.stack([ness.rho, d_rho]))
@@ -113,16 +118,19 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     )
 
     failed = rank_change.any(axis=0)
-    if failed.ndim == 0 and failed:
-        k = np.flatnonzero(rank_change)[0]
+    errors = np.full(failed.shape, None, dtype=object)
+    for i in map(tuple, np.argwhere(failed)):
+        k = (rank_change[(slice(None), *i)].argmax(), *i)  # the point's first such level
         cause = (
             "the Redfield state lost positivity"
             if p[k] < 0.0
             else "the rank of the state changes at this point"
         )
-        raise RankChangeError(f"eigenvalue {p[k]:.3e} with derivative {dp[k]:.3e}: {cause}")
+        errors[i] = RankChangeError(f"eigenvalue {p[k]:.3e} with derivative {dp[k]:.3e}: {cause}")
+    if failed.ndim == 0 and failed:
+        raise errors[()]
     f_e, f_n = np.where(failed, np.nan, f_e), np.where(failed, np.nan, f_n)
-    return QfiReport(f_total=(f_e + f_n)[()], f_e=f_e[()], f_n=f_n[()])
+    return QfiReport(f_total=(f_e + f_n)[()], f_e=f_e[()], f_n=f_n[()], errors=errors)
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:

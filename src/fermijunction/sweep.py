@@ -13,14 +13,14 @@ Offsets (dT, dmu) resolve after all direct assignments, so e.g. axes
 row-major order (first axis outer).  The valid points of the grid are
 evaluated as one stack: each layer (solve, currents, correlations,
 discord, QFI) is one call on arrays with a leading grid axis, and the
-result stays a table of columns up to the emitted bytes.  Each point the
-stack leaves unfinished (invalid parameters, a NaN ``residual`` or a NaN
-``qfi_total``) is then evaluated once, alone, where the stage that fails
-raises its typed error and that error becomes the point's ``flags``
-cell.  So a flagged row is the row that its one-point sweep writes.
-Output is deterministic byte-for-byte.  The layers after the solve
-read only the solved state, which carries its parameters; the table
-also holds its ``rho`` for the single-point report (not emitted).
+result stays a table of columns up to the emitted bytes.  The solve and
+the QFI return the typed error of each point that fails them, and the
+error of the stage that failed becomes the point's ``flags`` cell, as
+does the message of invalid parameters.  So a flagged row is the row
+that its one-point sweep writes.  Output is deterministic
+byte-for-byte.  The layers after the solve read only the solved state,
+which carries its parameters; the table also holds its ``rho`` for the
+single-point report (not emitted).
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from typing import Any, Mapping
 import numpy as np
 import yaml
 
-from .liouvillian import SteadyStateError, solve_ness
-from .metrology import RankChangeError, qfi_spectral
+from .liouvillian import solve_ness
+from .metrology import qfi_spectral
 from .model import BathParams, SystemParams
 from .observables import (
     coherence,
@@ -198,23 +198,11 @@ class SweepResult:
         )
 
 
-# The typed errors of one point's solve (SteadyStateError) and of its QFI.
-_POINT_ERRORS = (RankChangeError, SteadyStateError)
-
-
 def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
     return (
         SystemParams(**{k: values[k] for k in _SYSTEM_KEYS}),
         BathParams(**{k: values[k] for k in _BATH_KEYS}),
     )
-
-
-def _valid(values: dict[str, Any]) -> bool:
-    try:
-        _stack_params(values)
-    except ValueError:
-        return False
-    return True
 
 
 def _columns(arrays: dict[str, Any]) -> dict[str, list]:
@@ -223,21 +211,13 @@ def _columns(arrays: dict[str, Any]) -> dict[str, list]:
     return {k: v if isinstance(v, list) else np.atleast_1d(v).tolist() for k, v in arrays.items()}
 
 
-def _scatter(table: dict[str, list], n: int, index, part: dict[str, list]) -> None:
-    """Write the cells of the points ``index`` (one per index, in
-    ``part``'s columns) into a table of n points."""
-    for name, values in part.items():
-        column = table.setdefault(name, [None] * n)
-        for i, v in zip(index, values):
-            column[i] = v
-
-
-def _observe(spec: SweepSpec, ness, cells: dict[str, Any]) -> None:
-    """Write the cells of solved points (a stack, or one point alone)
-    into ``cells``, the QFI last: of these stages only the QFI raises, on
-    one point alone, and the cells written before it stay.  A stacked
-    point whose solve failed carries its NaN state and residual through."""
-    cells["residual"] = ness.residual
+def _observe(spec: SweepSpec, ness) -> dict[str, list]:
+    """The cells of a stack of solved points.  A point whose solve failed
+    keeps none of them, a point whose QFI failed keeps all but the QFI
+    cells, and the typed error of the stage that failed becomes the
+    point's ``flags`` cell: ``solver:`` or ``qfi:``, then ``<error
+    type>:<message>``."""
+    cells: dict[str, Any] = {"residual": ness.residual}
     if "thermo" in spec.observables:
         report = transport_report(ness)
         cells.update(
@@ -261,64 +241,54 @@ def _observe(spec: SweepSpec, ness, cells: dict[str, Any]) -> None:
             qmi=d.qmi if "discord" in spec.observables else mutual_information(rho),
         )
     cells["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
+    stages = [("solver", ness.errors)]
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)
         # the derivative is exact: no step
         cells.update(
             qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=np.zeros_like(q.f_total)
         )
-
-
-def _evaluate(spec: SweepSpec, values: dict[str, float]) -> dict[str, list]:
-    """Cells of one point evaluated alone.  Its parameter, solver and QFI
-    stages raise their typed errors; the error of the stage that fails
-    becomes the point's ``flags`` cell (``params:<message>``, or
-    ``solver:`` / ``qfi:`` then ``<error type>:<message>``), and the
-    cells of the stages before it stay."""
-    try:
-        params, baths = _stack_params(values)
-    except ValueError as err:
-        return _columns({"flags": f"params:{err}"})
-    cells: dict[str, Any] = {"flags": ""}
-    stage = "solver"
-    try:
-        ness = solve_ness(params, baths)
-        stage = "qfi"
-        _observe(spec, ness, cells)
-    except _POINT_ERRORS as err:
-        cells["flags"] = f"{stage}:{type(err).__name__}:{err}"
-    return _columns(cells)
+        # flagged first, so that a point's solver error is the one that stands
+        stages.insert(0, ("qfi", q.errors))
+    cells = _columns(cells)
+    lost = {"qfi": _BLOCK_COLUMNS["qfi"], "solver": tuple(cells)}
+    flags = [""] * len(cells["residual"])
+    for stage, errors in stages:
+        for i in np.flatnonzero(errors != None):  # noqa: E711 (elementwise)
+            flags[i] = f"{stage}:{type(errors[i]).__name__}:{errors[i]}"
+            for name in lost[stage]:
+                cells[name][i] = None
+    cells["flags"] = flags
+    return cells
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid of valid points as one stack, then each point the
-    stack leaves unfinished once, alone; points in row-major order."""
+    """Evaluate the grid's points with valid parameters as one stack, in
+    row-major order."""
     coords = spec.coordinates()
     n = coords[0].size if coords else 1
     resolved = spec.resolve(coords)
     values = {k: np.broadcast_to(np.asarray(resolved[k], dtype=float), (n,)) for k in BASE_PARAMS}
     table = _columns({**{ax.name: c for ax, c in zip(spec.axes, coords)}, **values})
     table["flags"] = [""] * n
-    stacked = np.arange(n)  # the grid points held in the stack
+    stacked = range(n)  # the grid points held in the stack
     try:
         params, baths = _stack_params(values)
     except ValueError:
-        stacked = np.flatnonzero([_valid({k: v[i] for k, v in values.items()}) for i in range(n)])
+        for i in range(n):
+            try:
+                _stack_params({k: v[i] for k, v in values.items()})
+            except ValueError as err:
+                table["flags"][i] = f"params:{err}"
+        stacked = [i for i, flag in enumerate(table["flags"]) if not flag]
         params, baths = _stack_params({k: v[stacked] for k, v in values.items()})
-    cells: dict[str, Any] = {}
-    finished = np.zeros(stacked.size, dtype=bool)
-    if stacked.size:
-        # a failed solve or QFI leaves NaN in the point's residual or qfi_total
-        _observe(spec, solve_ness(params, baths), cells)
-        finished = ~(np.isnan(cells["residual"]) | np.isnan(cells.get("qfi_total", 0.0)))
-    if finished.size == n and finished.all():
-        table.update(_columns(cells))
-    else:
-        done = np.flatnonzero(finished)
-        part = {k: [v[j] for j in done] for k, v in _columns(cells).items()}
-        _scatter(table, n, stacked[done], part)
-        for i in np.setdiff1d(np.arange(n), stacked[done]):
-            _scatter(table, n, [i], _evaluate(spec, {k: v[i] for k, v in values.items()}))
+    if len(stacked) == n:
+        table.update(_observe(spec, solve_ness(params, baths)))
+    elif stacked:
+        for name, column in _observe(spec, solve_ness(params, baths)).items():
+            full = table.setdefault(name, [None] * n)
+            for i, v in zip(stacked, column):
+                full[i] = v
     return SweepResult(spec=spec, columns=spec.columns(), table=table)
 
 

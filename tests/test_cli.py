@@ -96,12 +96,11 @@ def test_point_solver_failure_exit_code(tmp_path, capsys):
 
 def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
     def failing_qfi(ness):
-        # as the real layer does: NaN values on a stack, the typed error alone
-        delta = ness.params.delta
-        if np.ndim(delta):
-            nan = np.full(np.shape(delta), np.nan)
-            return QfiReport(f_total=nan, f_e=nan, f_n=nan)
-        raise RankChangeError("fabricated rank change")
+        # as the real layer does on a stack: NaN values and the typed errors
+        shape = np.shape(ness.params.delta)
+        nan = np.full(shape, np.nan)
+        errors = np.full(shape, RankChangeError("fabricated rank change"), dtype=object)
+        return QfiReport(f_total=nan, f_e=nan, f_n=nan, errors=errors)
 
     monkeypatch.setattr(sweep, "qfi_spectral", failing_qfi)
     assert main(["point", point_config]) == 0

@@ -61,7 +61,7 @@ def steady_state_svd(lv):
         raise SteadyStateError("null vector is traceless; no valid state found")
     rho, residual, min_eig = _finalize(v / tr, lv)
     if _failed(False, residual, min_eig):
-        raise _failure(lv, False, residual, min_eig)
+        raise _failure(lv.matrix, False, residual, min_eig)
     return rho
 
 
@@ -272,6 +272,41 @@ def test_degenerate_generator_without_exact_zero_pivot():
     result = solve_ness(stacked, baths)
     assert np.isnan(result.residual[0]) and np.isnan(result.rho[0]).all()
     assert result.residual[1] < 1e-10
+
+
+@pytest.mark.parametrize(
+    ("params", "baths"),
+    [
+        # the couplings grid: a zero coupling leaves the stationary state
+        # not unique, both couplings positive solve
+        (
+            SystemParams(omega2=1.03, gamma1=np.array([0.0, 0.0, 0.002, 0.002]),
+                         gamma2=np.array([0.0, 0.002, 0.0, 0.002])),
+            BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5),
+        ),
+        # cold, strongly biased baths: at the larger delta the Redfield
+        # state loses positivity
+        (
+            SystemParams(delta=np.array([0.05, 0.0758]), gamma1=0.01159, gamma2=0.01729),
+            BathParams(t1=0.02, t2=0.0129, mu1=0.0653, mu2=0.7232),
+        ),
+    ],
+    ids=["couplings", "positivity"],
+)
+def test_stacked_solve_returns_the_error_each_point_raises_alone(params, baths):
+    result = solve_ness(params, baths)
+    assert result.errors.shape == result.residual.shape
+    assert any(e is None for e in result.errors) and any(e is not None for e in result.errors)
+    for i, error in enumerate(result.errors):
+        point = take(params, i)
+        if error is None:
+            assert result.residual[i] < 1e-10
+            solve_ness(point, baths)
+            continue
+        assert np.isnan(result.residual[i]) and np.isnan(result.rho[i]).all()
+        with pytest.raises(SteadyStateError) as alone:
+            solve_ness(point, baths)
+        assert type(error) is type(alone.value) and str(error) == str(alone.value)
 
 
 def test_decoupled_sites_thermalize_to_own_reservoirs():

@@ -26,6 +26,7 @@ from fermijunction import (
 from fermijunction import metrology
 from fermijunction.liouvillian import generator_derivative, state_derivative
 from fermijunction.metrology import fidelity
+from fermijunction.model import take
 
 
 def qfi(params, baths):
@@ -231,6 +232,25 @@ def test_qfi_negative_eigenvalue_reports_lost_positivity(monkeypatch):
     with pytest.raises(RankChangeError, match=r"-4\.700e-10 with derivative -2\.700e-08: "
                        "the Redfield state lost positivity$"):
         qfi_spectral(SimpleNamespace(rho=rho, basis=UNTURNED))
+
+
+def test_stacked_qfi_returns_the_error_each_point_raises_alone():
+    # cold, strongly biased baths: at delta = 0.0983 the Redfield state has
+    # an eigenvalue of -7.4e-10 with a sizable derivative
+    params = SystemParams(delta=np.array([0.0783, 0.0883, 0.0983]),
+                          gamma1=0.01159, gamma2=0.01729)
+    baths = BathParams(t1=0.0529, t2=0.0129, mu1=0.0653, mu2=0.7232)
+    report = qfi_spectral(solve_ness(params, baths))
+    assert [e is None for e in report.errors] == [True, True, False]
+    for i, error in enumerate(report.errors):
+        alone = solve_ness(take(params, i), baths)
+        if error is None:
+            assert qfi_spectral(alone).f_total == pytest.approx(report.f_total[i], rel=1e-12)
+            continue
+        assert np.isnan([report.f_total[i], report.f_e[i], report.f_n[i]]).all()
+        with pytest.raises(RankChangeError) as raised:
+            qfi_spectral(alone)
+        assert type(error) is type(raised.value) and str(error) == str(raised.value)
 
 
 def sld_qfi(rho, d_rho):

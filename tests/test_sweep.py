@@ -309,21 +309,21 @@ def test_solver_failure_is_recorded(monkeypatch):
     sizes = []
 
     def failing(params, baths):
-        # as the real solver does: NaN state and residual on a stack, the
-        # typed error when called alone
+        # as the real solver does on a stack: NaN state and residual, and
+        # each point's typed error
         shape = np.shape(params.delta)
         sizes.append(shape)
-        if not shape:
-            raise SteadyStateError("fabricated breakdown", residual=1.0)
         ness = solve_ness(params, baths)
+        error = SteadyStateError("fabricated breakdown", residual=1.0)
         return replace(ness, rho=np.full_like(ness.rho, np.nan),
-                       residual=np.full_like(ness.residual, np.nan))
+                       residual=np.full_like(ness.residual, np.nan),
+                       errors=np.full(shape, error, dtype=object))
 
     monkeypatch.setattr("fermijunction.sweep.solve_ness", failing)
     # every observable block reads the failed stack
     result = run_sweep(small_spec(observables=sweep.OBSERVABLE_BLOCKS))
-    # one call for the 3-point grid, then each point alone
-    assert sizes == [(3,), (), (), ()]
+    # one call for the 3-point grid
+    assert sizes == [(3,)]
     for row in result.rows:
         assert row["flags"].startswith("solver:SteadyStateError")
         assert "residual" not in row
@@ -459,6 +459,27 @@ def test_grid_row_equals_the_point_alone(spec):
     rows = run_sweep(spec).rows
     assert len(rows) == 6 and all(r["flags"] == "" for r in rows)
     for row in rows:
+        _assert_matches_alone(row)
+
+
+def test_cold_grid_is_solved_once(monkeypatch):
+    # cold, strongly biased baths: about half the points lose positivity,
+    # in the solve or, with a sizable derivative, in the QFI
+    calls = []
+
+    def counting_solve(params, baths):
+        calls.append(np.shape(params.delta))
+        return solve_ness(params, baths)
+
+    monkeypatch.setattr(sweep, "solve_ness", counting_solve)
+    fixed = {"omega1": 1.0, "omega2": 1.0, "gamma1": 0.01159, "gamma2": 0.01729,
+             "t2": 0.0129, "mu1": 0.0653, "mu2": 0.7232}
+    axes = (Axis("delta", 0.05, 0.12, 20), Axis("t1", 0.02, 0.08, 20))
+    rows = run_sweep(SweepSpec(fixed=fixed, axes=axes)).rows
+    assert calls == [(400,)]
+    kinds = {row["flags"].split(":")[0] for row in rows}
+    assert kinds == {row["flags"].split(":")[0] for row in rows[::17]} == {"", "qfi", "solver"}
+    for row in rows[::17]:
         _assert_matches_alone(row)
 
 
