@@ -234,14 +234,13 @@ def _bath_product(coeffs: np.ndarray) -> np.ndarray:
 class Liouvillian:
     """Generator and its per-bath pieces on the charge-neutral sector, 6x6.
 
-    matrix = unitary + bath1 + bath2 with bath_l = -(N_l + S_l) and the
-    unitary part i[rho, H]; the bath pieces are the per-reservoir
-    contributions traced against observables for currents.
+    matrix = i[rho, H] + D_1 + D_2; ``dissipators`` stacks the real
+    D_l = -(N_l + S_l), (..., 2, 6, 6) with bath l on axis -3, which the
+    currents trace against observables.
     """
 
     matrix: np.ndarray
-    bath1: np.ndarray
-    bath2: np.ndarray
+    dissipators: np.ndarray
 
 
 def build_liouvillian(
@@ -250,13 +249,10 @@ def build_liouvillian(
     """Build the full generator d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
     split = np.asarray(basis.omega_p1) - basis.omega_p2
     weights = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
-    coeffs = _bath_coefficients(weights, _occupations(basis, baths)[0])
-    pieces = _bath_product(coeffs).astype(complex)
-    bath1, bath2 = pieces[..., 0, :, :], pieces[..., 1, :, :]
+    dissipators = _bath_product(_bath_coefficients(weights, _occupations(basis, baths)[0]))
     return Liouvillian(
-        matrix=split[..., None, None] * _ROTATION + bath1 + bath2,
-        bath1=bath1,
-        bath2=bath2,
+        matrix=split[..., None, None] * _ROTATION + dissipators.sum(axis=-3),
+        dissipators=dissipators,
     )
 
 
@@ -388,15 +384,17 @@ def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray, np.nda
 @dataclass(frozen=True)
 class NessResult:
     """Steady state plus the parameters it was solved for and the objects
-    that produced it, all stacked alike; ``inverse`` is the inverse of the
-    trace-replaced generator that ``steady_state`` solved with, and
-    ``errors`` holds each failed point's typed error (None where the
-    solve passed)."""
+    that produced it, all stacked alike: ``dissipators`` are the real
+    per-bath pieces of ``Liouvillian`` (the generator is not kept),
+    ``residual`` is ||L v|| (an array for a stack), ``inverse`` is the
+    inverse of the trace-replaced generator that ``steady_state`` solved
+    with, and ``errors`` holds each failed point's typed error (None where
+    the solve passed)."""
 
     rho: np.ndarray
-    liouvillian: Liouvillian
+    dissipators: np.ndarray
     basis: EigenBasis
-    residual: float
+    residual: float | np.ndarray
     params: SystemParams
     baths: BathParams
     inverse: np.ndarray
@@ -408,7 +406,7 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     rho, residual, inverse, errors = steady_state(lv)
-    return NessResult(rho=rho, liouvillian=lv, basis=basis, residual=residual,
+    return NessResult(rho=rho, dissipators=lv.dissipators, basis=basis, residual=residual,
                       params=params, baths=baths, inverse=inverse, errors=errors)
 
 

@@ -4,7 +4,8 @@ Currents are traces of per-bath generator pieces against the number and
 energy operators: I_l = Tr(D_l[rho] N) and J_l = Tr(D_l[rho] H) with
 D_l = -(N_l + S_l), the part of d rho/dt owned by reservoir l.  N and H
 are diagonal, so each current is a fixed row functional of the
-populations of D_l[rho] = bath_l v on the charge-neutral sector.  Positive
+populations of D_l[rho] = D_l v on the charge-neutral sector, with D_l
+the real 6x6 matrices a solve keeps in ``NessResult.dissipators``.  Positive
 values mean flow from the reservoir into the system.  The unitary
 commutator contributes nothing because [N, H] = 0 (a unit test guards
 this basis/sign convention).
@@ -75,9 +76,8 @@ def epr_regime_ok(params: SystemParams) -> bool:
 
 def transport_report(ness: NessResult) -> ThermoReport:
     """Currents and EPR for a solved steady state (or a stack of them)."""
-    lv = ness.liouvillian
-    v = sector_vector(ness.rho)[..., None]
-    flows = np.stack([lv.bath1 @ v, lv.bath2 @ v], axis=-3)[..., :DIM, 0].real
+    v = sector_vector(ness.rho)[..., None, :, None]
+    flows = (ness.dissipators @ v)[..., :DIM, 0].real  # (..., bath, level)
     charges = np.stack(np.broadcast_arrays(_NUMBERS, _level_energies(ness.basis)), axis=-1)
     currents = flows @ charges  # (..., bath, particle/energy)
     i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
@@ -94,30 +94,33 @@ def transport_report(ness: NessResult) -> ThermoReport:
 def ness_leading_order(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> np.ndarray:
-    """Analytic steady state to first order in g = coupling / tunneling.
+    """Analytic steady state to first order in g = coupling / tunneling,
+    for each point of a stack.
 
     With n_{a,p/m} = [n(omega'_a, T1, mu1) +- n(omega'_a, T2, mu2)] / 2
     for mode a, the populations factorize over the two modes through the
     half-sums n_{a,p}, and the single coherence is -i (n1m + n2m) g / 2.
-    Valid for |g| << 1; a warning is emitted above |g| = 0.2.
+    Valid for |g| << 1; a warning naming the largest |g| is emitted
+    when any point lies above |g| = 0.2.
     """
-    if params.delta == 0.0:
+    delta = np.asarray(params.delta)
+    if np.any(delta == 0.0):
         raise ValueError("leading-order solution requires nonzero tunneling")
-    g = 0.5 * (params.gamma1 + params.gamma2) / params.delta
-    if abs(g) > 0.2:
+    g = 0.5 * (np.asarray(params.gamma1) + params.gamma2) / delta
+    if np.any(np.abs(g) > 0.2):
         warnings.warn(
-            f"leading-order state requested at g = {g:.3f}; "
+            f"leading-order state requested at g = {np.abs(g).max():.3f} (largest |g|); "
             "first-order accuracy degrades above 0.2",
             stacklevel=2,
         )
-    occ = np.stack(_occupations(basis, baths)[0])  # (mode, bath)
-    n1p, n2p = 0.5 * (occ[:, 0] + occ[:, 1])
-    n1m, n2m = 0.5 * (occ[:, 0] - occ[:, 1])
+    occ = np.stack(_occupations(basis, baths)[0])  # (mode, ..., bath)
+    n1p, n2p = 0.5 * (occ[..., 0] + occ[..., 1])
+    n1m, n2m = 0.5 * (occ[..., 0] - occ[..., 1])
     coherence = -0.5j * (n1m + n2m) * g
-    return _x_state(np.array([
+    return _x_state(np.stack(np.broadcast_arrays(
         (1.0 - n1p) * (1.0 - n2p), n1p * (1.0 - n2p), n2p * (1.0 - n1p), n1p * n2p,
         coherence, np.conj(coherence),
-    ]))
+    ), axis=-1))
 
 
 def epr_leading_order(baths: BathParams, omega: float) -> float:

@@ -170,12 +170,16 @@ def test_sweep_rejects_bad_axis_field(field, value, message, sweep_config, capsy
         ("delta: 0.005", "delta: .nan", "system.delta must be a finite number"),
         ("mu2: 0.5", "mu2: .inf", "baths.mu2 must be a finite number"),
         ("gamma1: 0.002", "gamma1: 1" + "0" * 400, "system.gamma1 must be a finite number"),
+        (GOOD_POINT.split("baths:")[0], "system: [1, 2]\n", "system must be a mapping"),
+        ("count: 3\n", "count: 3\n      step: 1\n", "unknown keys ['step'] in sweep.axes[0]"),
+        ("observables: [thermo, correlations]", "observables: qfi",
+         "sweep.observables must be a list"),
     ],
-    ids=["nan-delta", "inf-mu2", "int-overflow"],
+    ids=["nan-delta", "inf-mu2", "int-overflow", "system-list", "axis-step", "observables-str"],
 )
 def test_non_finite_number_is_validation_error(command, old, new, message, sweep_config, capsys):
     # a non-finite number never reaches the solver: no SVD failure, no
-    # silently infinite entropy production
+    # silently infinite entropy production; nor does a malformed section
     Path(sweep_config).write_text(Path(sweep_config).read_text().replace(old, new))
     assert main([command, sweep_config]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,5 +1,5 @@
 """Generator construction and steady-state solving."""
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermijunction import (
+    Axis,
     BathParams,
     DegenerateNullSpaceError,
     SteadyStateError,
@@ -24,6 +25,7 @@ from fermijunction.liouvillian import (
     _NUMBERS,
     _TRACE_ROW,
     DIM,
+    Liouvillian,
     _failed,
     _failure,
     _finalize,
@@ -309,6 +311,63 @@ def test_stacked_solve_returns_the_error_each_point_raises_alone(params, baths):
         assert type(error) is type(alone.value) and str(error) == str(alone.value)
 
 
+@pytest.mark.parametrize(
+    ("limit", "message"),
+    [("_COND_LIMIT", "steady-state linear solve is singular"),
+     ("_RESIDUAL_TOL", "steady-state residual ")],
+    ids=["singular", "residual"],
+)
+def test_forced_solve_failure_is_the_same_stacked_alone_and_swept(monkeypatch, limit, message):
+    # no physical point reaches these two branches of the solver's error:
+    # a zero limit forces every solve through them
+    monkeypatch.setattr(f"fermijunction.liouvillian.{limit}", 0.0)
+    fixed = dict(omega1=1.0, omega2=1.03, gamma1=0.001, gamma2=0.003,
+                 t1=0.2, t2=0.5, mu1=1.0, mu2=0.5)
+    axis = Axis("delta", 0.005, 0.02, 2)
+    params = SystemParams(**{k: fixed[k] for k in ("omega1", "omega2", "gamma1", "gamma2")},
+                          delta=axis.values())
+    baths = BathParams(**{k: fixed[k] for k in ("t1", "t2", "mu1", "mu2")})
+    errors = solve_ness(params, baths).errors
+    rows = run_sweep(SweepSpec(fixed=fixed, axes=(axis,))).rows
+    for i, (error, row) in enumerate(zip(errors, rows)):
+        with pytest.raises(SteadyStateError) as alone:
+            solve_ness(take(params, i), baths)
+        assert type(error) is type(alone.value) is SteadyStateError
+        assert str(error) == str(alone.value) and str(error).startswith(message)
+        assert row["flags"] == f"solver:SteadyStateError:{error}"
+        assert set(row) == {*fixed, "delta", "flags"}
+
+
+def test_stacked_solve_keeps_real_dissipators_and_no_generator():
+    # per point: the state, the inverse, the two real D_l and the
+    # parameters, 1536 bytes; a kept complex generator would add 576
+    n = 1000
+    rng = np.random.default_rng(21)
+    params = SystemParams(omega1=rng.uniform(0.9, 1.1, n), omega2=rng.uniform(0.9, 1.1, n),
+                          delta=rng.uniform(0.005, 0.05, n), gamma1=rng.uniform(1e-4, 1e-3, n),
+                          gamma2=rng.uniform(1e-4, 1e-3, n))
+    baths = BathParams(t1=rng.uniform(0.1, 0.5, n), t2=rng.uniform(0.1, 0.5, n),
+                       mu1=rng.uniform(0.0, 1.0, n), mu2=rng.uniform(0.0, 1.0, n))
+    ness = solve_ness(params, baths)
+    assert [f.name for f in fields(Liouvillian)] == ["matrix", "dissipators"]
+    assert ness.dissipators.dtype == np.float64 and ness.dissipators.shape == (n, 2, 6, 6)
+    buffers = {}
+
+    def collect(obj):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            assert not isinstance(value, Liouvillian)
+            if is_dataclass(value):
+                collect(value)
+            elif isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                buffers[id(value)] = value.nbytes
+
+    collect(ness)
+    assert sum(buffers.values()) / n <= 1600
+
+
 def test_decoupled_sites_thermalize_to_own_reservoirs():
     # delta = 0 with distinct site energies: each site equilibrates with
     # its own bath, populations factorize over the two occupations
@@ -410,14 +469,14 @@ def generator_points(draw):
 def test_generator_matches_kron_reference(point):
     params, baths = point
     lv = build_liouvillian(diagonalize(params), baths, params)
-    ref_matrix, ref_bath1, ref_bath2 = kron_reference_generator(params, baths)
+    ref_matrix, *ref_baths = kron_reference_generator(params, baths)
     tol = 1e-14 * np.abs(ref_matrix).max()
-    for got, ref in ((lv.matrix, ref_matrix), (lv.bath1, ref_bath1), (lv.bath2, ref_bath2)):
+    for got, ref in zip((lv.matrix, *lv.dissipators), (ref_matrix, *ref_baths)):
         # particle number is a weak symmetry: the sector is closed both ways
         assert not ref[np.ix_(_SECTOR, _COMPLEMENT)].any()
         assert not ref[np.ix_(_COMPLEMENT, _SECTOR)].any()
         assert np.abs(got - ref[np.ix_(_SECTOR, _SECTOR)]).max() <= tol
-    for bath in (lv.bath1, lv.bath2):
+    for bath in lv.dissipators:
         # trace preserving, and B[rho^dag] = B[rho]^dag
         assert np.abs(_TRACE_ROW @ bath).max() <= tol
         assert np.abs(bath.conj() - _DAGGER @ bath @ _DAGGER).max() <= tol

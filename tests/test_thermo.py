@@ -40,7 +40,7 @@ def test_unitary_part_moves_no_charge():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        unitary = lv.matrix - lv.bath1 - lv.bath2
+        unitary = lv.matrix - lv.dissipators[0] - lv.dissipators[1]
         flow = _x_state(unitary @ sector_vector(rho))
         number = np.diag(_NUMBERS)
         hamiltonian = np.diag(_level_energies(diagonalize(params)))
