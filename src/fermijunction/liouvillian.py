@@ -17,27 +17,26 @@ currents is D_l = -(N_l + S_l), which is the part of d rho/dt owned by
 reservoir l.
 
 Total particle number is a weak symmetry of the generator: L maps the
-charge-neutral sector
+charge-neutral sector into itself and never couples it to the other ten
+entries of rho.  The trace lives in the sector, so the unique steady
+state does too, and it is an X state by construction.  With rho21 =
+conj(rho12) the sector is six real numbers,
 
-    v = (rho00, rho11, rho22, rho33, rho12, rho21)
+    v = (rho00, rho11, rho22, rho33, Re rho12, Im rho12),
 
-into itself and never couples it to the other ten entries of rho.  The
-trace lives in the sector, so the unique steady state does too, and it
-is an X state by construction.  On v the generator is a rate equation.
-A level's partner under mode a is the level with mode a's occupation
-flipped; n is a reservoir's occupation at that mode's energy, and
-c = rho12 + rho21.
+on which the generator is a real rate equation.  A level's partner
+under mode a is the level with mode a's occupation flipped; n is a
+reservoir's occupation at that mode's energy, and c = 2 Re rho12.
 
 - Thermal bracket of mode a: population leaves each level with mode a
-  filled for its partner at 2(1 - n), and comes back at 2n.  Both
-  coherences decay at 1.
+  filled for its partner at 2(1 - n), and comes back at 2n.  Re rho12
+  and Im rho12 decay at 1.
 - Cross line of mode a: c moves population out of each level with the
   other mode filled into its partner, at 1 - n where mode a is empty
-  and at n where it is filled.  Each coherence gains n times the
-  populations with mode a empty and loses 1 - n times those with mode
-  a filled.
-- Unitary part: rho12 rotates at -i(omega'_1 - omega'_2), rho21 at
-  +i(omega'_1 - omega'_2).
+  and at n where it is filled.  Re rho12 gains n times the populations
+  with mode a empty and loses 1 - n times those with mode a filled.
+- Unitary part: rho12 rotates at -i s, s = omega'_1 - omega'_2, so
+  d Re rho12 = s Im rho12 and d Im rho12 = -s Re rho12.
 
 Bath l weights mode a's thermal bracket by gamma_a |U_la|^2, with
 |U_la|^2 = (1 +- cos theta)/2, and its cross line by (+-1/2) gamma_a
@@ -97,15 +96,12 @@ _RESIDUAL_TOL = 1e-10  # largest ||L v|| accepted from a steady-state solve
 # point it then measures >= 1e18 when LU finds no exact zero pivot.
 _COND_LIMIT = 1e14
 
-# Entries (row, column) of rho in the charge-neutral sector v = (rho00,
-# rho11, rho22, rho33, rho12, rho21), and the trace as a functional on v.
-_SECTOR_ROWS = np.array([0, 1, 2, 3, 1, 2])
-_SECTOR_COLS = np.array([0, 1, 2, 3, 2, 1])
+# The trace as a functional on the sector v.
 _TRACE_ROW = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 # Populations of v by mode: _LEVELS[a] = (levels with mode a empty,
 # their partners with it filled), the pair with the other mode empty
-# first.  The coherences are v[4:].
+# first.  The coherence is v[4:].
 _LEVELS = (([0, 2], [1, 3]), ([0, 1], [2, 3]))
 
 
@@ -118,7 +114,7 @@ def _thermal_rates(a: int) -> tuple[np.ndarray, np.ndarray]:
     slope[filled, filled], slope[empty, filled] = -2.0, 2.0
     # empty -> filled at 2n
     slope[empty, empty], slope[filled, empty] = 2.0, -2.0
-    # both coherences decay at 1
+    # Re rho12 and Im rho12 decay at 1
     at_zero[[4, 5], [4, 5]] = 1.0
     return at_zero, slope
 
@@ -129,11 +125,11 @@ def _cross_rates(a: int) -> tuple[np.ndarray, np.ndarray]:
     into, out_of = _LEVELS[1 - a]  # the other mode's empty / filled levels
     at_zero, slope = np.zeros((2, 6, 6))
     # c moves out_of[i] -> into[i] at 1 - n for i = 0 (mode a empty), n for i = 1
-    at_zero[out_of[0], 4:], at_zero[into[0], 4:] = 1.0, -1.0
-    slope[out_of, 4:], slope[into, 4:] = [[-1.0], [1.0]], [[1.0], [-1.0]]
-    # each coherence loses 1 - n of the filled levels and gains n of the empty
-    at_zero[4:, filled] = 1.0
-    slope[4:, :4] = -1.0
+    at_zero[out_of[0], 4], at_zero[into[0], 4] = 2.0, -2.0
+    slope[out_of, 4], slope[into, 4] = [-2.0, 2.0], [2.0, -2.0]
+    # Re rho12 loses 1 - n of the filled levels and gains n of the empty
+    at_zero[4, filled] = 1.0
+    slope[4, :4] = -1.0
     return at_zero, slope
 
 
@@ -144,7 +140,8 @@ _BATH_STACK = np.stack(
 ).reshape(8, 36)
 
 # The unitary part i[rho, H] per unit of omega'_1 - omega'_2.
-_ROTATION = np.diag([0.0, 0.0, 0.0, 0.0, -1.0, 1.0]) * 1j
+_ROTATION = np.zeros((6, 6))
+_ROTATION[4, 5], _ROTATION[5, 4] = 1.0, -1.0
 
 
 # Particle number of each level.
@@ -232,9 +229,9 @@ def _bath_product(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Generator and its per-bath pieces on the charge-neutral sector, 6x6.
+    """Real generator and its per-bath pieces on the charge-neutral sector.
 
-    matrix = i[rho, H] + D_1 + D_2; ``dissipators`` stacks the real
+    matrix = i[rho, H] + D_1 + D_2; ``dissipators`` stacks the
     D_l = -(N_l + S_l), (..., 2, 6, 6) with bath l on axis -3, which the
     currents trace against observables.
     """
@@ -282,25 +279,27 @@ def generator_derivative(
 
 
 def sector_vector(rho: np.ndarray) -> np.ndarray:
-    """The charge-neutral sector v of a 4x4 density matrix."""
-    return rho[..., _SECTOR_ROWS, _SECTOR_COLS]
+    """The charge-neutral sector v of a 4x4 Hermitian density matrix."""
+    entries = rho[..., (0, 1, 2, 3, 1), (0, 1, 2, 3, 2)]  # populations, rho12
+    return np.concatenate([entries.real, entries[..., 4:].imag], axis=-1)
 
 
 def _x_state(v: np.ndarray) -> np.ndarray:
     """The 4x4 X state whose charge-neutral sector is v."""
     rho = np.zeros(v.shape[:-1] + (DIM, DIM), dtype=complex)
-    rho[..., _SECTOR_ROWS, _SECTOR_COLS] = v
+    rho[..., range(DIM), range(DIM)] = v[..., :DIM]
+    rho[..., 1, 2] = v[..., 4] + 1j * v[..., 5]
+    rho[..., 2, 1] = rho[..., 1, 2].conj()
     return rho
 
 
 def _finalize(v: np.ndarray, lv: Liouvillian):
-    """Hermitized, normalized states of sector vectors v with their
-    residuals ||L v|| and smallest eigenvalues."""
+    """Normalized states of sector vectors v with their residuals ||L v||
+    and smallest eigenvalues."""
+    # a sum, not v @ _TRACE_ROW, whose rounding depends on the stack size
+    v = v / v[..., :DIM].sum(axis=-1, keepdims=True)
     rho = _x_state(v)
-    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
-    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-    lv_v = lv.matrix @ sector_vector(rho)[..., None]
-    residual = np.linalg.norm(lv_v[..., 0], axis=-1)
+    residual = np.linalg.norm((lv.matrix @ v[..., None])[..., 0], axis=-1)
     return rho, residual, spectral_decompose(rho)[0].min(axis=-1)
 
 
@@ -332,7 +331,7 @@ def _null_space_dimension(svals: np.ndarray) -> int:
 
 def _invert_each(a: np.ndarray) -> np.ndarray:
     """Invert the stacked matrices one by one: NaN where LU fails."""
-    inverse = np.full(a.shape, np.nan, dtype=complex)
+    inverse = np.full(a.shape, np.nan)
     for i in np.ndindex(a.shape[:-2]):
         try:
             inverse[i] = np.linalg.inv(a[i])
@@ -424,8 +423,7 @@ def state_derivative(ness: NessResult) -> np.ndarray:
     v = sector_vector(ness.rho)[..., None]
     d_lv = generator_derivative(ness.basis, ness.baths, ness.params) @ v
     d_lv[..., 0, :] = 0.0
-    d_rho = _x_state(-(ness.inverse @ d_lv)[..., 0])
-    return 0.5 * (d_rho + np.swapaxes(d_rho, -1, -2).conj())
+    return _x_state(-(ness.inverse @ d_lv)[..., 0])
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

@@ -77,7 +77,7 @@ def epr_regime_ok(params: SystemParams) -> bool:
 def transport_report(ness: NessResult) -> ThermoReport:
     """Currents and EPR for a solved steady state (or a stack of them)."""
     v = sector_vector(ness.rho)[..., None, :, None]
-    flows = (ness.dissipators @ v)[..., :DIM, 0].real  # (..., bath, level)
+    flows = (ness.dissipators @ v)[..., :DIM, 0]  # (..., bath, level)
     charges = np.stack(np.broadcast_arrays(_NUMBERS, _level_energies(ness.basis)), axis=-1)
     currents = flows @ charges  # (..., bath, particle/energy)
     i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
@@ -116,10 +116,9 @@ def ness_leading_order(
     occ = np.stack(_occupations(basis, baths)[0])  # (mode, ..., bath)
     n1p, n2p = 0.5 * (occ[..., 0] + occ[..., 1])
     n1m, n2m = 0.5 * (occ[..., 0] - occ[..., 1])
-    coherence = -0.5j * (n1m + n2m) * g
     return _x_state(np.stack(np.broadcast_arrays(
         (1.0 - n1p) * (1.0 - n2p), n1p * (1.0 - n2p), n2p * (1.0 - n1p), n1p * n2p,
-        coherence, np.conj(coherence),
+        0.0, -0.5 * (n1m + n2m) * g,
     ), axis=-1))
 
 
