@@ -6,7 +6,7 @@ Subcommands:
   CSV (default) or line-delimited JSON.
 * ``point CONFIG``  evaluate a single parameter point and print a
   human-readable report.  The point is a one-point sweep over every
-  observable block; the report formats its row (whose ``rho`` entry,
+  observable block; the report formats its row (whose sector ``v``,
   not emitted by ``sweep``, gives the populations) and the dressed
   modes that ``diagonalize`` gives for its system parameters.
 * ``verify``        run the analytic-limit verification battery.
@@ -85,7 +85,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     if flags.startswith("solver:"):
         print(f"solver failure: {flags.split(':', 2)[2]}", file=sys.stderr)
         return 2
-    rho = row["rho"]
+    v = row["v"]
     basis = diagonalize(SystemParams(**{f.name: row[f.name] for f in fields(SystemParams)}))
     out = ["parameters"]
     for group in (SystemParams, BathParams):
@@ -96,7 +96,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
         f"cos_theta={basis.cos_theta:.12g}"
     )
     out.append("steady state")
-    diag = ", ".join(f"{rho[i, i].real:.12g}" for i in range(4))
+    diag = ", ".join(f"{p:.12g}" for p in v[:4])
     out.append(f"  populations: {diag}")
     out.append(f"  coherence |rho23| = {row['coherence']:.12g}")
     out.append(f"  residual = {row['residual']:.3e}")

@@ -24,7 +24,9 @@ conj(rho12) the sector is six real numbers,
 
     v = (rho00, rho11, rho22, rho33, Re rho12, Im rho12),
 
-on which the generator is a real rate equation.  A level's partner
+on which the generator is a real rate equation.  The solve returns v,
+the state format every measure takes; ``observables.x_state`` builds
+the 4x4 X state where a dense oracle needs it.  A level's partner
 under mode a is the level with mode a's occupation flipped; n is a
 reservoir's occupation at that mode's energy, and c = 2 Re rho12.
 
@@ -55,7 +57,7 @@ slopes in n, as decay rates (constant small-integer matrices).  A build
 computes only the 2x8 coefficients c_{lk} and one matrix product.  The
 same product of their closed-form delta-derivatives, plus the rotation
 times d(omega'_1 - omega'_2), is d L / d delta; with the inverse the
-solve keeps it gives the exact d rho / d delta of the steady state.
+solve keeps it gives the exact dv / d delta of the steady state.
 
 Parameters, bases, generators and states may carry leading batch axes
 (see ``model``): a whole sweep grid is diagonalized, built and solved by
@@ -71,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BathParams, EigenBasis, SystemParams, diagonalize, fermi_occupation
-from .observables import _EIG_FLOOR, spectral_decompose
+from .observables import _EIG_FLOOR, spectral_decompose, x_state
 
 __all__ = [
     "DIM",
@@ -81,7 +83,6 @@ __all__ = [
     "DegenerateNullSpaceError",
     "build_liouvillian",
     "generator_derivative",
-    "sector_vector",
     "steady_state",
     "solve_ness",
     "state_derivative",
@@ -278,29 +279,13 @@ def generator_derivative(
     return (2.0 * st)[..., None, None] * _ROTATION + _bath_product(d_coeffs.sum(axis=-2))
 
 
-def sector_vector(rho: np.ndarray) -> np.ndarray:
-    """The charge-neutral sector v of a 4x4 Hermitian density matrix."""
-    entries = rho[..., (0, 1, 2, 3, 1), (0, 1, 2, 3, 2)]  # populations, rho12
-    return np.concatenate([entries.real, entries[..., 4:].imag], axis=-1)
-
-
-def _x_state(v: np.ndarray) -> np.ndarray:
-    """The 4x4 X state whose charge-neutral sector is v."""
-    rho = np.zeros(v.shape[:-1] + (DIM, DIM), dtype=complex)
-    rho[..., range(DIM), range(DIM)] = v[..., :DIM]
-    rho[..., 1, 2] = v[..., 4] + 1j * v[..., 5]
-    rho[..., 2, 1] = rho[..., 1, 2].conj()
-    return rho
-
-
 def _finalize(v: np.ndarray, lv: Liouvillian):
-    """Normalized states of sector vectors v with their residuals ||L v||
-    and smallest eigenvalues."""
+    """Normalized sector vectors v with their residuals ||L v|| and
+    smallest eigenvalues."""
     # a sum, not v @ _TRACE_ROW, whose rounding depends on the stack size
     v = v / v[..., :DIM].sum(axis=-1, keepdims=True)
-    rho = _x_state(v)
     residual = np.linalg.norm((lv.matrix @ v[..., None])[..., 0], axis=-1)
-    return rho, residual, spectral_decompose(rho)[0].min(axis=-1)
+    return v, residual, spectral_decompose(v)[0].min(axis=-1)
 
 
 def _failed(singular, residual, min_eig):
@@ -341,13 +326,13 @@ def _invert_each(a: np.ndarray) -> np.ndarray:
 
 
 def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Unique stationary density matrix of the generator, its residual,
-    the inverse it was solved with and the typed error of each failed solve.
+    """Unique stationary state of the generator, its residual, the
+    inverse it was solved with and the typed error of each failed solve.
 
     Replaces the first row of the sector generator with the trace
     constraint and inverts that 6x6 matrix A, for every generator of a
-    stack in one call.  Returns (rho, ||L v||, A^-1, errors) with rho the
-    4x4 X state, whose sector is the first column of A^-1.  A solve fails
+    stack in one call.  Returns (v, ||L v||, A^-1, errors) with v the
+    state's sector, the first column of A^-1.  A solve fails
     with DegenerateNullSpaceError when the stationary state is not
     unique (e.g. both couplings zero) and with SteadyStateError when the
     system is singular or its state misses the residual tolerance or
@@ -366,7 +351,7 @@ def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray, np.nda
     cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
     singular = ~(cond < _COND_LIMIT)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho, residual, min_eig = _finalize(v, lv)
+        v, residual, min_eig = _finalize(v, lv)
     failed = _failed(singular, residual, min_eig)
     errors = np.full(failed.shape, None, dtype=object)
     for i in map(tuple, np.argwhere(failed)):
@@ -374,23 +359,24 @@ def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray, np.nda
     if failed.ndim == 0:
         if failed:
             raise errors[()]
-        return rho, float(residual), inverse, errors
-    rho[failed] = np.nan
+        return v, float(residual), inverse, errors
+    v[failed] = np.nan
     residual[failed] = np.nan
-    return rho, residual, inverse, errors
+    return v, residual, inverse, errors
 
 
 @dataclass(frozen=True)
 class NessResult:
     """Steady state plus the parameters it was solved for and the objects
-    that produced it, all stacked alike: ``dissipators`` are the real
-    per-bath pieces of ``Liouvillian`` (the generator is not kept),
-    ``residual`` is ||L v|| (an array for a stack), ``inverse`` is the
-    inverse of the trace-replaced generator that ``steady_state`` solved
-    with, and ``errors`` holds each failed point's typed error (None where
-    the solve passed)."""
+    that produced it, all stacked alike: ``v`` is the state's real
+    charge-neutral sector (..., 6), which every measure takes,
+    ``dissipators`` are the real per-bath pieces of ``Liouvillian`` (the
+    generator is not kept), ``residual`` is ||L v|| (an array for a
+    stack), ``inverse`` is the inverse of the trace-replaced generator
+    that ``steady_state`` solved with, and ``errors`` holds each failed
+    point's typed error (None where the solve passed)."""
 
-    rho: np.ndarray
+    v: np.ndarray
     dissipators: np.ndarray
     basis: EigenBasis
     residual: float | np.ndarray
@@ -399,19 +385,24 @@ class NessResult:
     inverse: np.ndarray
     errors: np.ndarray
 
+    @property
+    def rho(self) -> np.ndarray:
+        """The 4x4 X state of ``v``, for the dense oracles."""
+        return x_state(self.v)
+
 
 def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    rho, residual, inverse, errors = steady_state(lv)
-    return NessResult(rho=rho, dissipators=lv.dissipators, basis=basis, residual=residual,
+    v, residual, inverse, errors = steady_state(lv)
+    return NessResult(v=v, dissipators=lv.dissipators, basis=basis, residual=residual,
                       params=params, baths=baths, inverse=inverse, errors=errors)
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:
-    """d rho / d delta of solved steady states in their mode frame, as
-    4x4 X states, for each point of a stack.
+    """d v / d delta of solved steady states in their mode frame, for
+    each point of a stack.
 
     The solve makes A v = (1, 0, ..., 0) hold at every delta, with A the
     generator whose first row is the trace, so dv = -A^-1 (dA) v, where
@@ -420,10 +411,9 @@ def state_derivative(ness: NessResult) -> np.ndarray:
     the inverse the solve kept.  At omega1 == omega2, delta == 0 it is
     the derivative from delta > 0.
     """
-    v = sector_vector(ness.rho)[..., None]
-    d_lv = generator_derivative(ness.basis, ness.baths, ness.params) @ v
+    d_lv = generator_derivative(ness.basis, ness.baths, ness.params) @ ness.v[..., None]
     d_lv[..., 0, :] = 0.0
-    return _x_state(-(ness.inverse @ d_lv)[..., 0])
+    return -(ness.inverse @ d_lv)[..., 0]
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

@@ -6,11 +6,11 @@ omega2; a state's QFI in a frame that moves with the parameter misses
 that turn.  Two independent numerical routes plus one closed form:
 
 * ``qfi_spectral``: the SLD formula in closed form on a solved steady
-  X state and its exact derivative d rho / d delta (both live in the
-  6-entry charge-neutral sector; ``liouvillian.state_derivative``
-  differentiates the solve in the mode frame, and the frame's turn
-  ``EigenBasis.d_theta`` is added), split into the population part F^E
-  and the basis-rotation part F^N of its eigenbasis.
+  X state's charge-neutral sector v and its exact derivative dv / d
+  delta (``liouvillian.state_derivative`` differentiates the solve in
+  the mode frame, and the frame's turn ``EigenBasis.d_theta`` is
+  added), split into the population part F^E and the basis-rotation
+  part F^N of its eigenbasis.
 * ``qfi_fidelity_oracle``: Bures-distance estimate 8 (1 - A)/h^2 from
   the Uhlmann fidelity A of two nearby steady states taken to the site
   frame (``site_basis_state``), Richardson extrapolated.  Used as the
@@ -64,13 +64,13 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     """QFI for estimating the tunneling amplitude, in closed form on the
     charge-neutral sector, for a solved steady state (or a stack of them).
 
-    d rho is the exact derivative in delta of the solved state
+    dv is the exact derivative in delta of the solved state's sector v
     (``state_derivative``: one matrix-vector product with the inverse the
     solve kept, no second solve).  The X state's eigenvalues are rho00,
     rho33 and t/2 +- R with (t, b) the trace and Bloch vector of the
     singly occupied block and R = |b| (``spectral_decompose``, which also
-    maps d rho to (dt, db)); by Hellmann-Feynman their derivatives are
-    d rho00, d rho33 and dt/2 +- b.db/R.  That d rho is in the mode frame;
+    maps dv to (dt, db)); by Hellmann-Feynman their derivatives are
+    d rho00, d rho33 and dt/2 +- b.db/R.  That dv is in the mode frame;
     in the fixed site frame b also turns with the frame, at d theta
     (``EigenBasis.d_theta``) about its third axis e_3, which moves no
     eigenvalue.  The SLD formula 2 sum |<i|d rho|j>|^2 / (p_i + p_j) of
@@ -93,8 +93,8 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     its RankChangeError in ``errors``, an object array shaped like the
     stack.  An unstacked state raises that error.
     """
-    d_rho = state_derivative(ness)
-    p, (t, dt), (b, db) = spectral_decompose(np.stack([ness.rho, d_rho]))
+    dv = state_derivative(ness)
+    p, (t, dt), (b, db) = spectral_decompose(np.stack([ness.v, dv]))
     r = np.linalg.norm(b, axis=-1)
     split = r > 0.0
     # dR = b.db/R; a degenerate block (R = 0) splits along db, by |db|
@@ -102,8 +102,7 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
         split, (b * db).sum(axis=-1) / np.where(split, r, 1.0), np.linalg.norm(db, axis=-1)
     )
     p = np.moveaxis(p[0], -1, 0)
-    d_diag = d_rho.diagonal(axis1=-2, axis2=-1).real
-    dp = np.stack([d_diag[..., 0], 0.5 * dt + d_r, 0.5 * dt - d_r, d_diag[..., 3]])
+    dp = np.stack([dv[..., 0], 0.5 * dt + d_r, 0.5 * dt - d_r, dv[..., 3]])
     empty = p < _P_FLOOR
     rank_change = empty & (np.abs(dp) >= _DP_FLOOR)
     f_e = np.where(empty, 0.0, dp * dp / np.where(empty, 1.0, p)).sum(axis=0)

@@ -1,14 +1,20 @@
 """State-level quantities for the two-mode junction.
 
-All functions take 4x4 density matrices in the mode occupation basis
-{|00>, |10>, |01>, |11>}.  Subsystem A is mode 1, subsystem B is mode 2,
-so correlation measures are between the two dressed modes.  In this
-(energy) basis the steady state is an X state with a single coherence
-between the two singly occupied states; ``spectral_decompose``,
-``concurrence``, ``mutual_information`` and ``discord`` rely on that
-shape and raise ValueError on any other state.  ``site_basis_state``
-rotates a state back to the local site basis for questions about the
-physical site-site entanglement.  Every measure also takes a stack of states with leading
+States are in the mode occupation basis {|00>, |10>, |01>, |11>}.
+Subsystem A is mode 1, subsystem B is mode 2, so correlation measures
+are between the two dressed modes.  In this (energy) basis the steady
+state is an X state with a single coherence between the two singly
+occupied states, so the measures take its charge-neutral sector
+
+    v = (rho00, rho11, rho22, rho33, Re rho12, Im rho12),
+
+six real numbers on the last axis, which cannot hold any other shape.
+``x_state`` builds the 4x4 X state of v, and ``sector_vector`` takes a
+4x4 state back to v, raising ValueError on one that is not X-form.
+The dense oracles (``reduced_states``, ``discord_brute_force``) and
+``site_basis_state``, which rotates a state back to the local site
+basis for questions about the physical site-site entanglement, take
+4x4 states.  Every function also takes a stack of states with leading
 batch axes and returns one value per state.
 
 Entropies are in bits (log base 2).
@@ -32,8 +38,9 @@ __all__ = [
     "reduced_states",
     "discord",
     "discord_brute_force",
+    "sector_vector",
     "site_basis_state",
-    "x_form_deviation",
+    "x_state",
 ]
 
 # Entries the X states this model produces leave empty: all but the
@@ -67,20 +74,26 @@ class DiscordResult:
     phi: float
 
 
-def x_form_deviation(rho: np.ndarray) -> float:
-    """Largest magnitude among entries an X state must leave empty."""
-    return np.abs(rho[..., _OFF_X]).max(axis=-1)[()]
-
-
-def _require_x_state(rho: np.ndarray) -> None:
-    dev = np.max(x_form_deviation(rho))
+def sector_vector(rho: np.ndarray) -> np.ndarray:
+    """The charge-neutral sector v of 4x4 X states.  Raises ValueError
+    on a state with an entry the X form leaves empty."""
+    dev = np.abs(rho[..., _OFF_X]).max(initial=0.0)
     if dev > _X_TOL:
-        raise ValueError(
-            f"state is not X-form: off-pattern entry of magnitude {dev:.3e}"
-        )
+        raise ValueError(f"state is not X-form: off-pattern entry of magnitude {dev:.3e}")
+    entries = rho[..., (0, 1, 2, 3, 1), (0, 1, 2, 3, 2)]  # populations, rho12
+    return np.concatenate([entries.real, entries[..., 4:].imag], axis=-1)
 
 
-def spectral_decompose(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def x_state(v: np.ndarray) -> np.ndarray:
+    """The 4x4 X states whose charge-neutral sectors are v."""
+    rho = np.zeros(v.shape[:-1] + (4, 4), dtype=complex)
+    rho.real[..., range(4), range(4)] = v[..., :4]
+    rho.real[..., (1, 2), (2, 1)] = v[..., 4:5]
+    rho.imag[..., (1, 2), (2, 1)] = v[..., 5:] * [1.0, -1.0]  # rho21 = conj(rho12)
+    return rho
+
+
+def spectral_decompose(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form spectrum of X states.
 
     The singly occupied block has trace and Bloch vector
@@ -90,40 +103,35 @@ def spectral_decompose(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     (up to the order and sign of the components), so the eigenvalues are
     rho00, t/2 + R, t/2 - R and rho33 with R = |b|.  Returns (p, t, b),
     the four eigenvalues and the three components of b on the last axis.
-    t and b are linear in rho, so on a derivative d rho they are (dt, db).
-    Raises ValueError on a state that is not X-form.
+    t and b are linear in v, so on a derivative dv they are (dt, db).
     """
-    _require_x_state(rho)
-    diag = rho.diagonal(axis1=-2, axis2=-1).real
-    coh = rho[..., 1, 2]
-    t = diag[..., 1] + diag[..., 2]
-    b = np.stack([0.5 * (diag[..., 1] - diag[..., 2]), coh.real, coh.imag], axis=-1)
+    t = v[..., 1] + v[..., 2]
+    b = np.stack([0.5 * (v[..., 1] - v[..., 2]), v[..., 4], v[..., 5]], axis=-1)
     r = np.linalg.norm(b, axis=-1)
-    p = np.stack([diag[..., 0], 0.5 * t + r, 0.5 * t - r, diag[..., 3]], axis=-1)
+    p = np.stack([v[..., 0], 0.5 * t + r, 0.5 * t - r, v[..., 3]], axis=-1)
     return p, t, b
 
 
-def coherence(rho: np.ndarray) -> float:
+def coherence(v: np.ndarray) -> float:
     """Magnitude of the coherence between the singly occupied states."""
-    return np.abs(rho[..., 1, 2])[()]
+    return np.abs(v[..., 4] + 1j * v[..., 5])[()]
 
 
-def linear_entropy(rho: np.ndarray) -> float:
+def linear_entropy(v: np.ndarray) -> float:
     """Normalized linear entropy (4/3)(1 - Tr rho^2): 0 pure, 1 maximally mixed."""
-    purity = np.einsum("...ij,...ij->...", rho.conj(), rho).real
+    c2 = v[..., 4] * v[..., 4] + v[..., 5] * v[..., 5]
+    # Tr rho^2 summed entry by entry in row-major order
+    purity = v[..., 0] ** 2 + v[..., 1] ** 2 + c2 + c2 + v[..., 2] ** 2 + v[..., 3] ** 2
     return ((4.0 / 3.0) * (1.0 - purity))[()]
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(v: np.ndarray) -> float:
     """Two-qubit concurrence of an X state with empty 1<->4 coherence,
 
         E = 2 max(0, |rho23| - sqrt(rho11 rho44)).
-
-    Raises ValueError on a state that is not X-form.
     """
-    _require_x_state(rho)
-    corners = np.maximum(rho[..., 0, 0].real, 0.0) * np.maximum(rho[..., 3, 3].real, 0.0)
-    inner = np.abs(rho[..., 1, 2]) - np.sqrt(corners)
+    corners = np.maximum(v[..., 0], 0.0) * np.maximum(v[..., 3], 0.0)
+    inner = coherence(v) - np.sqrt(corners)
     return (2.0 * np.maximum(0.0, inner))[()]
 
 
@@ -145,12 +153,12 @@ def _entropy_bits(mat: np.ndarray) -> float:
 _MARGINALS = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=float)
 
 
-def _x_entropies(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _x_entropies(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S(A), S(B) and S(AB) in bits of X states, from the closed-form
     spectrum (rho00, rho33, t/2 +- R) and the diagonal reduced states.
-    Raises ValueError on a state that is not X-form or not a state."""
-    p, _, _ = spectral_decompose(rho)
-    marginals = rho.diagonal(axis1=-2, axis2=-1).real @ _MARGINALS
+    Raises ValueError on a sector that is not a state."""
+    p, _, _ = spectral_decompose(v)
+    marginals = v[..., :4] @ _MARGINALS
     h = _entropy_terms(np.concatenate([p, marginals], axis=-1))
     return h[..., 4:6].sum(axis=-1), h[..., 6:].sum(axis=-1), h[..., :4].sum(axis=-1)
 
@@ -163,10 +171,10 @@ def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho_a, rho_b
 
 
-def mutual_information(rho: np.ndarray) -> float:
+def mutual_information(v: np.ndarray) -> float:
     """Quantum mutual information S(A) + S(B) - S(AB) in bits, in closed
-    form.  Raises ValueError on a state that is not X-form."""
-    s_a, s_b, s_ab = _x_entropies(rho)
+    form."""
+    s_a, s_b, s_ab = _x_entropies(v)
     return (s_a + s_b - s_ab)[()]
 
 
@@ -262,7 +270,7 @@ def _x_entropy(theta, entries, slopes=False):
     return value, (first[0] + first[1]) / -_LN2, (second[0] + second[1]) / -_LN2
 
 
-def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
+def _x_state_search(v: np.ndarray) -> tuple[float, float]:
     """Smallest conditional entropy of an X state and its polar angle.
 
     The conditional entropy does not depend on the azimuth and is the
@@ -279,9 +287,8 @@ def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
     angle returned attains it.  All states of a stack are searched
     together, the scan on a leading axis.
     """
-    diag = np.moveaxis(rho.diagonal(axis1=-2, axis2=-1).real, -1, 0)
-    entries = _x_state_entries(diag, np.abs(rho[..., 1, 2]) ** 2)
-    leading = (-1,) + (1,) * (rho.ndim - 2)
+    entries = _x_state_entries(np.moveaxis(v[..., :4], -1, 0), coherence(v) ** 2)
+    leading = (-1,) + (1,) * (v.ndim - 1)
     cell = 0.5 * np.pi / _SEARCH_GRID
     vals = _x_entropy(cell * np.arange(_SEARCH_GRID + 1).reshape(leading), entries)
     k = vals.argmin(axis=0)
@@ -303,7 +310,7 @@ def _x_state_search(rho: np.ndarray) -> tuple[float, float]:
     return np.where(better, polished, value)[()], np.where(better, theta, at)[()]
 
 
-def discord(rho: np.ndarray) -> DiscordResult:
+def discord(v: np.ndarray) -> DiscordResult:
     """Classical correlation and quantum discord via one-sided measurement.
 
     The classical correlation is S(A) minus the smallest average
@@ -314,11 +321,10 @@ def discord(rho: np.ndarray) -> DiscordResult:
     [0, pi/2] with closed-form 2x2 eigenvalues, then three safeguarded
     Newton steps on the closed-form derivatives inside the cells around
     the best angle, 45 evaluations of the conditional entropy per state.
-    Raises ValueError on a state that is not X-form.
     """
-    s_a, s_b, s_ab = _x_entropies(rho)
+    s_a, s_b, s_ab = _x_entropies(v)
     qmi = s_a + s_b - s_ab
-    cond, theta = _x_state_search(rho)
+    cond, theta = _x_state_search(v)
     classical = s_a - cond
     return DiscordResult(
         classical_corr=classical[()],

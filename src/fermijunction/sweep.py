@@ -19,7 +19,8 @@ error of the stage that failed becomes the point's ``flags`` cell, as
 does the message of invalid parameters.  So a flagged row is the row
 that its one-point sweep writes.  Output is deterministic
 byte-for-byte.  The layers after the solve read only the solved state,
-which carries its parameters; the table also holds its ``rho`` for the
+which carries its parameters, and the measures take its charge-neutral
+sector ``v``; the table also holds each point's ``v`` for the
 single-point report (not emitted).
 """
 from __future__ import annotations
@@ -181,7 +182,7 @@ class SweepSpec:
 class SweepResult:
     """The grid as a column table: ``table[name][i]`` is the value of
     point i, None where the point has none.  Besides the emitted
-    ``columns`` the table holds each solved point's ``rho``."""
+    ``columns`` the table holds each solved point's sector ``v``."""
 
     spec: SweepSpec
     columns: tuple[str, ...]
@@ -228,19 +229,19 @@ def _observe(spec: SweepSpec, ness) -> dict[str, list]:
             epr=report.epr,
             epr_regime_ok=report.epr_regime_ok,
         )
-    rho = ness.rho
+    v = ness.v
     if "discord" in spec.observables:
-        d = discord(rho)
+        d = discord(v)
         cells.update(classical_corr=d.classical_corr, discord=d.discord)
     if "correlations" in spec.observables:
         cells.update(
-            coherence=coherence(rho),
-            linear_entropy=linear_entropy(rho),
-            concurrence=concurrence(rho),
+            coherence=coherence(v),
+            linear_entropy=linear_entropy(v),
+            concurrence=concurrence(v),
             # discord has already computed the same mutual information
-            qmi=d.qmi if "discord" in spec.observables else mutual_information(rho),
+            qmi=d.qmi if "discord" in spec.observables else mutual_information(v),
         )
-    cells["rho"] = list(np.reshape(rho, (-1,) + rho.shape[-2:]))
+    cells["v"] = list(np.reshape(v, (-1, v.shape[-1])))
     stages = [("solver", ness.errors)]
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import (
-    _NUMBERS, DIM, NessResult, _level_energies, _occupations, _x_state, sector_vector,
-)
+from .liouvillian import _NUMBERS, DIM, NessResult, _level_energies, _occupations
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
 
 __all__ = [
@@ -76,8 +74,7 @@ def epr_regime_ok(params: SystemParams) -> bool:
 
 def transport_report(ness: NessResult) -> ThermoReport:
     """Currents and EPR for a solved steady state (or a stack of them)."""
-    v = sector_vector(ness.rho)[..., None, :, None]
-    flows = (ness.dissipators @ v)[..., :DIM, 0]  # (..., bath, level)
+    flows = (ness.dissipators @ ness.v[..., None, :, None])[..., :DIM, 0]  # (..., bath, level)
     charges = np.stack(np.broadcast_arrays(_NUMBERS, _level_energies(ness.basis)), axis=-1)
     currents = flows @ charges  # (..., bath, particle/energy)
     i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
@@ -95,7 +92,7 @@ def ness_leading_order(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> np.ndarray:
     """Analytic steady state to first order in g = coupling / tunneling,
-    for each point of a stack.
+    as its charge-neutral sector v, for each point of a stack.
 
     With n_{a,p/m} = [n(omega'_a, T1, mu1) +- n(omega'_a, T2, mu2)] / 2
     for mode a, the populations factorize over the two modes through the
@@ -116,10 +113,10 @@ def ness_leading_order(
     occ = np.stack(_occupations(basis, baths)[0])  # (mode, ..., bath)
     n1p, n2p = 0.5 * (occ[..., 0] + occ[..., 1])
     n1m, n2m = 0.5 * (occ[..., 0] - occ[..., 1])
-    return _x_state(np.stack(np.broadcast_arrays(
+    return np.stack(np.broadcast_arrays(
         (1.0 - n1p) * (1.0 - n2p), n1p * (1.0 - n2p), n2p * (1.0 - n1p), n1p * n2p,
         0.0, -0.5 * (n1m + n2m) * g,
-    ), axis=-1))
+    ), axis=-1)
 
 
 def epr_leading_order(baths: BathParams, omega: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from .liouvillian import grand_canonical_state, solve_ness
 from .metrology import qfi_equilibrium_approx, qfi_fidelity_oracle, qfi_spectral
 from .model import BathParams, SystemParams
-from .observables import discord, discord_brute_force
+from .observables import coherence, discord, discord_brute_force, x_state
 from .sweep import Axis, SweepSpec, run_sweep
 from .thermo import epr_leading_order, ness_leading_order
 
@@ -35,10 +35,8 @@ def _check_equilibrium_gibbs() -> tuple[bool, str]:
     baths = BathParams(t1=0.2, t2=0.2, mu1=0.5, mu2=0.5)
     result = solve_ness(params, baths)
     gibbs = grand_canonical_state(result.basis, 0.2, 0.5)
-    diag_dev = float(
-        np.max(np.abs(np.diag(result.rho) - np.diag(gibbs)) / np.diag(gibbs).real)
-    )
-    coh = abs(result.rho[1, 2])
+    diag_dev = float(np.max(np.abs(result.v[:4] - np.diag(gibbs)) / np.diag(gibbs).real))
+    coh = coherence(result.v)
     ok = diag_dev < 1e-4 and coh < 1e-8
     return ok, f"diagonal rel dev {diag_dev:.3e} (<1e-4), coherence {coh:.3e} (<1e-8)"
 
@@ -53,7 +51,7 @@ def _check_leading_order_slope() -> tuple[bool, str]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # largest gamma sits at g = 0.4
         ref = ness_leading_order(result.basis, baths, params)
-    devs = np.abs(result.rho - ref).max(axis=(1, 2, 3, 4))
+    devs = np.abs(result.rho - x_state(ref)).max(axis=(1, 2, 3, 4))
     slope = float(np.polyfit(np.log(gammas.ravel()), np.log(devs), 1)[0])
     ok = 1.7 <= slope <= 2.3
     return ok, (f"deviation slope {slope:.3f} (want 2 +- 0.3) "
@@ -151,27 +149,22 @@ def _check_qfi_cross() -> tuple[bool, str]:
     )
 
 
-def _random_x_state(rng: np.random.Generator) -> np.ndarray:
+def _random_x_sector(rng: np.random.Generator) -> np.ndarray:
+    """The sector v of an X state: random populations and a coherence
+    within |rho12|^2 <= rho11 rho22."""
     p = rng.dirichlet(np.ones(4))
     mag = rng.uniform(0.0, math.sqrt(p[1] * p[2]))
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    decomp_free = np.zeros((4, 4), dtype=complex)
-    decomp_free[0, 0] = p[0]
-    decomp_free[1, 1] = p[1]
-    decomp_free[2, 2] = p[2]
-    decomp_free[3, 3] = p[3]
-    decomp_free[1, 2] = mag * np.exp(1j * phase)
-    decomp_free[2, 1] = np.conj(decomp_free[1, 2])
-    return decomp_free
+    coh = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return np.concatenate([p, [coh.real, coh.imag]])
 
 
 def _check_discord_oracle() -> tuple[bool, str]:
     rng = np.random.default_rng(20240813)
     worst_short = 0.0
     for _ in range(3):
-        rho = _random_x_state(rng)
-        opt = discord(rho).classical_corr
-        grid = discord_brute_force(rho, resolution=200).classical_corr
+        v = _random_x_sector(rng)
+        opt = discord(v).classical_corr
+        grid = discord_brute_force(x_state(v), resolution=200).classical_corr
         worst_short = max(worst_short, grid - opt)
     ok = worst_short < 1e-6
     return ok, f"max (grid - optimizer) = {worst_short:.3e}"

@@ -9,6 +9,7 @@ import numpy as np
 
 import fermijunction as fj
 from fermijunction import verify
+from fermijunction.observables import sector_vector
 
 
 def _conclude(tag, ok, detail):
@@ -105,8 +106,8 @@ def test_criterion_8_correlation_structure():
     _, sweep = _bias_sweep_states()
     quantities = []
     for dmu, result, rep in sweep:
-        d = fj.discord(result.rho)
-        quantities.append((rep.epr, d.qmi, d.discord, fj.concurrence(result.rho)))
+        d = fj.discord(result.v)
+        quantities.append((rep.epr, d.qmi, d.discord, fj.concurrence(result.v)))
     zero_epr = min(quantities, key=lambda r: r[0])
     max_epr = max(quantities, key=lambda r: r[0])
     zero_ok = abs(zero_epr[1]) < 1e-9 and abs(zero_epr[2]) < 1e-9
@@ -120,7 +121,7 @@ def test_criterion_8_correlation_structure():
             baths = fj.BathParams(t1=0.1, t2=0.1, mu1=mu + float(dmu), mu2=mu)
             result = fj.solve_ness(strong, baths)
             site = fj.site_basis_state(result.rho, result.basis)
-            site_best = max(site_best, fj.concurrence(site))
+            site_best = max(site_best, fj.concurrence(sector_vector(site)))
     elapsed = time.perf_counter() - start
     ok = zero_ok and grow_ok and conc_weak == 0.0 and site_best > 1e-4
     _conclude(
@@ -145,7 +146,7 @@ def test_criterion_9_discord_oracle_agreement():
         bound = np.sqrt(diag[1] * diag[2])
         coh = rng.uniform(0.0, bound) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         rho[1, 2], rho[2, 1] = coh, np.conj(coh)
-        opt = fj.discord(rho)
+        opt = fj.discord(sector_vector(rho))
         ref = fj.discord_brute_force(rho, resolution=400)
         # the grid can only underestimate the classical correlation, so
         # the optimizer must reach at least the grid value (within 1e-6)

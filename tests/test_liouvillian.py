@@ -31,12 +31,11 @@ from fermijunction.liouvillian import (
     _finalize,
     _level_energies,
     _null_space_dimension,
-    _x_state,
     generator_derivative,
-    sector_vector,
     state_derivative,
 )
 from fermijunction.model import take
+from fermijunction.observables import _OFF_X, sector_vector, x_state
 
 
 def hamiltonian(basis):
@@ -61,10 +60,10 @@ def steady_state_svd(lv):
     tr = _TRACE_ROW @ v
     if abs(tr) < 1e-12:
         raise SteadyStateError("null vector is traceless; no valid state found")
-    rho, residual, min_eig = _finalize(v / tr, lv)
+    v, residual, min_eig = _finalize(v / tr, lv)
     if _failed(False, residual, min_eig):
         raise _failure(lv.matrix, False, residual, min_eig)
-    return rho
+    return v
 
 
 def mode_operators():
@@ -81,9 +80,11 @@ def mode_operators():
 
 
 def random_state(rng):
+    """A random density matrix, with the entries outside its charge-neutral
+    sector dropped: the generator never couples them to the sector."""
     a = rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))
     rho = a @ a.conj().T
-    return rho / np.trace(rho)
+    return np.where(_OFF_X, 0.0, rho / np.trace(rho))
 
 
 def random_setup(rng):
@@ -154,15 +155,16 @@ def test_decoupled_sites_pin_the_gamma_convention(omega1, omega2, gamma1, gamma2
     assert distance.min(axis=1).max() < 1e-15
 
 
-def test_generator_preserves_trace_and_hermiticity():
+def test_generator_preserves_trace():
+    # Hermiticity needs no check here: the real sector holds only Hermitian
+    # states (test_generator_matches_kron_reference checks the generator's)
     rng = np.random.default_rng(201)
     for _ in range(25):
         params, baths = random_setup(rng)
         lv = build_liouvillian(diagonalize(params), baths, params)
         rho = random_state(rng)
-        drho = _x_state(lv.matrix @ sector_vector(rho))
+        drho = x_state(lv.matrix @ sector_vector(rho))
         assert abs(np.trace(drho)) < 1e-14
-        np.testing.assert_allclose(drho, drho.conj().T, atol=1e-14)
 
 
 def test_gibbs_state_is_stationary_at_equilibrium():
@@ -209,8 +211,8 @@ def test_steady_state_matches_svd_oracle():
     for _ in range(20):
         params, baths = random_setup(rng)
         lv = build_liouvillian(diagonalize(params), baths, params)
-        rho_a = steady_state(lv)[0]
-        rho_b = steady_state_svd(lv)
+        rho_a = x_state(steady_state(lv)[0])
+        rho_b = x_state(steady_state_svd(lv))
         np.testing.assert_allclose(rho_a, rho_b, atol=1e-10)
 
 
@@ -272,7 +274,7 @@ def test_degenerate_generator_without_exact_zero_pivot():
     assert err.value.dimension == 2
     stacked = SystemParams(**{**vars(params), "gamma1": np.array([0.0, 0.002])})
     result = solve_ness(stacked, baths)
-    assert np.isnan(result.residual[0]) and np.isnan(result.rho[0]).all()
+    assert np.isnan(result.residual[0]) and np.isnan(result.v[0]).all()
     assert result.residual[1] < 1e-10
 
 
@@ -305,7 +307,7 @@ def test_stacked_solve_returns_the_error_each_point_raises_alone(params, baths):
             assert result.residual[i] < 1e-10
             solve_ness(point, baths)
             continue
-        assert np.isnan(result.residual[i]) and np.isnan(result.rho[i]).all()
+        assert np.isnan(result.residual[i]) and np.isnan(result.v[i]).all()
         with pytest.raises(SteadyStateError) as alone:
             solve_ness(point, baths)
         assert type(error) is type(alone.value) and str(error) == str(alone.value)
@@ -349,9 +351,9 @@ def random_stack(rng, n):
 
 
 def test_stacked_solve_keeps_real_dissipators_and_no_generator():
-    # the solver is real: per point the complex state (256 bytes), the
+    # the solver is real: per point the state's sector (48 bytes), the
     # real inverse (288), the two real D_l (576) and the parameters with
-    # their basis, 1248 bytes; a kept generator would add 288
+    # their basis, 1040 bytes; a kept generator would add 288
     n = 1000
     params, baths = random_stack(np.random.default_rng(21), n)
     ness = solve_ness(params, baths)
@@ -360,7 +362,7 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     for real in (lv.matrix, lv.dissipators, generator_derivative(basis, baths, params),
-                 ness.dissipators, ness.inverse):
+                 ness.v, ness.dissipators, ness.inverse):
         assert real.dtype == np.float64
     buffers = {}
 
@@ -387,12 +389,12 @@ def test_stacked_solve_is_bit_identical_to_each_point_alone():
     params, baths = random_stack(np.random.default_rng(22), n)
     ness = solve_ness(params, baths)
     assert all(error is None for error in ness.errors)
-    d_rho = state_derivative(ness)
+    d_v = state_derivative(ness)
     for i in range(n):
         alone = solve_ness(take(params, i), take(baths, i))
-        for stacked, single in ((ness.rho[i], alone.rho), (ness.residual[i], alone.residual),
+        for stacked, single in ((ness.v[i], alone.v), (ness.residual[i], alone.residual),
                                 (ness.inverse[i], alone.inverse),
-                                (d_rho[i], state_derivative(alone))):
+                                (d_v[i], state_derivative(alone))):
             assert np.asarray(stacked).tobytes() == np.asarray(single).tobytes(), i
 
 
@@ -580,7 +582,7 @@ def test_state_derivative_matches_richardson_difference(point):
     # 1.1e-9), largest on cold states with a small derivative, where the
     # roundoff of the difference dominates.
     params, baths = point
-    exact = state_derivative(solve_ness(params, baths))
+    exact = x_state(state_derivative(solve_ness(params, baths)))
     h = 1e-3 * np.hypot(params.omega1 - params.omega2, 2.0 * params.delta)
     lo, hi, lo_half, hi_half = solve_ness(_at_deltas(params, [-h, h, -h / 2, h / 2]), baths).rho
     richardson = (4.0 * (hi_half - lo_half) / h - (hi - lo) / (2.0 * h)) / 3.0

@@ -27,6 +27,7 @@ from fermijunction import metrology
 from fermijunction.liouvillian import generator_derivative, state_derivative
 from fermijunction.metrology import fidelity
 from fermijunction.model import take
+from fermijunction.observables import sector_vector, x_state
 
 
 def qfi(params, baths):
@@ -142,7 +143,7 @@ def _frozen_draws(n):
         t = float(rng.uniform(0.01, 0.05))
         mu = float(diagonalize(params).omega_p2 - t * rng.uniform(15.0, 30.0))
         baths = BathParams(t1=t, t2=t, mu1=mu, mu2=mu)
-        if np.abs(state_derivative(solve_ness(params, baths))).max() < 5e-8:
+        if np.abs(x_state(state_derivative(solve_ness(params, baths)))).max() < 5e-8:
             draws.append((params, baths))
     return draws
 
@@ -212,26 +213,26 @@ UNTURNED = SimpleNamespace(d_theta=0.0)
 def test_qfi_rank_change_detected(monkeypatch):
     # a level sitting at zero with a sizable derivative cannot be
     # differentiated through; fabricate that situation directly
-    rho, d_rho = _fabricated_state(0.0, 0.9)
-    monkeypatch.setattr(metrology, "state_derivative", lambda ness: d_rho)
+    v, d_v = map(sector_vector, _fabricated_state(0.0, 0.9))
+    monkeypatch.setattr(metrology, "state_derivative", lambda ness: d_v)
     with pytest.raises(RankChangeError, match=r"0\.000e\+00 with derivative 9\.000e-01: "
                        "the rank of the state changes at this point$"):
-        qfi_spectral(SimpleNamespace(rho=rho, basis=UNTURNED))
+        qfi_spectral(SimpleNamespace(v=v, basis=UNTURNED))
     # in a stack that point gets NaN and the others their values
-    filled, d_filled = _fabricated_state(0.1, 0.9)
-    monkeypatch.setattr(metrology, "state_derivative", lambda ness: np.stack([d_rho, d_filled]))
-    report = qfi_spectral(SimpleNamespace(rho=np.stack([rho, filled]), basis=UNTURNED))
+    filled, d_filled = map(sector_vector, _fabricated_state(0.1, 0.9))
+    monkeypatch.setattr(metrology, "state_derivative", lambda ness: np.stack([d_v, d_filled]))
+    report = qfi_spectral(SimpleNamespace(v=np.stack([v, filled]), basis=UNTURNED))
     assert np.isnan(report.f_total[0]) and np.isfinite(report.f_total[1])
 
 
 def test_qfi_negative_eigenvalue_reports_lost_positivity(monkeypatch):
     # a Redfield state can pass the solve's -1e-9 floor with a negative
     # population; the message names that, not a rank change
-    rho, d_rho = _fabricated_state(-4.7e-10, -2.7e-8)
-    monkeypatch.setattr(metrology, "state_derivative", lambda ness: d_rho)
+    v, d_v = map(sector_vector, _fabricated_state(-4.7e-10, -2.7e-8))
+    monkeypatch.setattr(metrology, "state_derivative", lambda ness: d_v)
     with pytest.raises(RankChangeError, match=r"-4\.700e-10 with derivative -2\.700e-08: "
                        "the Redfield state lost positivity$"):
-        qfi_spectral(SimpleNamespace(rho=rho, basis=UNTURNED))
+        qfi_spectral(SimpleNamespace(v=v, basis=UNTURNED))
 
 
 def test_stacked_qfi_returns_the_error_each_point_raises_alone():
@@ -284,7 +285,7 @@ def dense_sld_qfi(params, baths):
     du = np.zeros((4, 4))
     du[1:3, 1:3] = [[0.5 * c, -0.5 * s], [-0.5 * s, -0.5 * c]]
     rho = ness.rho
-    d_rho = u.T @ state_derivative(ness) @ u + d_theta * (du.T @ rho @ u + u.T @ rho @ du)
+    d_rho = u.T @ x_state(state_derivative(ness)) @ u + d_theta * (du.T @ rho @ u + u.T @ rho @ du)
     return sld_qfi(u.T @ rho @ u, d_rho)
 
 

@@ -31,8 +31,9 @@ from fermijunction.observables import (
     _x_state_entries,
     _x_state_search,
     reduced_states,
+    sector_vector,
     spectral_decompose,
-    x_form_deviation,
+    x_state,
 )
 
 
@@ -115,7 +116,7 @@ def bell_diagonal_discord(p):
 def test_spectral_decompose_matches_eigvalsh():
     rng = np.random.default_rng(301)
     rhos = np.stack([random_x_state(rng) for _ in range(300)])
-    p, t, b = spectral_decompose(rhos)
+    p, t, b = spectral_decompose(sector_vector(rhos))
     # (t, b) rebuild the singly occupied block
     paulis = np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
     block = 0.5 * t[:, None, None] * np.eye(2) + np.einsum("nk,kij->nij", b, paulis)
@@ -126,19 +127,11 @@ def test_spectral_decompose_matches_eigvalsh():
     np.testing.assert_allclose(np.sort(p, axis=-1), np.linalg.eigvalsh(rhos), atol=1e-12)
 
 
-def test_spectral_decompose_rejects_non_x():
-    rho = np.diag([0.25] * 4).astype(complex)
-    rho[0, 3] = rho[3, 0] = 0.1
-    with pytest.raises(ValueError):
-        spectral_decompose(rho)
-    assert x_form_deviation(rho) == pytest.approx(0.1)
-
-
 def test_concurrence_closed_form_matches_wootters():
     rng = np.random.default_rng(302)
     for _ in range(1000):
         rho = random_x_state(rng)
-        assert concurrence(rho) == pytest.approx(
+        assert concurrence(sector_vector(rho)) == pytest.approx(
             concurrence_wootters(rho), abs=1e-10
         )
 
@@ -146,12 +139,12 @@ def test_concurrence_closed_form_matches_wootters():
 def test_concurrence_known_states():
     # maximally entangled inner block
     bell = inner_bell_mixture(1.0)
-    assert concurrence(bell) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence(sector_vector(bell)) == pytest.approx(1.0, abs=1e-12)
     # separable mixtures
-    assert concurrence(np.diag([0.25] * 4).astype(complex)) == 0.0
-    assert concurrence(inner_bell_mixture(1 / 3)) == pytest.approx(0.0, abs=1e-12)
+    assert concurrence(sector_vector(np.diag([0.25] * 4).astype(complex))) == 0.0
+    assert concurrence(sector_vector(inner_bell_mixture(1 / 3))) == pytest.approx(0.0, abs=1e-12)
     # Bell mixture threshold: E = max(0, (3p-1)/2)
-    assert concurrence(inner_bell_mixture(0.8)) == pytest.approx(0.7, abs=1e-12)
+    assert concurrence(sector_vector(inner_bell_mixture(0.8))) == pytest.approx(0.7, abs=1e-12)
     assert concurrence_wootters(inner_bell_mixture(0.8)) == pytest.approx(
         0.7, abs=1e-10
     )
@@ -160,11 +153,11 @@ def test_concurrence_known_states():
 def test_linear_entropy_limits():
     pure = np.zeros((4, 4), dtype=complex)
     pure[0, 0] = 1.0
-    assert linear_entropy(pure) == pytest.approx(0.0, abs=1e-15)
-    assert linear_entropy(np.eye(4, dtype=complex) / 4) == pytest.approx(1.0)
+    assert linear_entropy(sector_vector(pure)) == pytest.approx(0.0, abs=1e-15)
+    assert linear_entropy(sector_vector(np.eye(4, dtype=complex) / 4)) == pytest.approx(1.0)
     diag = np.array([0.4, 0.3, 0.2, 0.1])
     expected = (4 / 3) * (1 - np.sum(diag**2))
-    assert linear_entropy(np.diag(diag).astype(complex)) == pytest.approx(expected)
+    assert linear_entropy(sector_vector(np.diag(diag).astype(complex))) == pytest.approx(expected)
 
 
 def test_entropy_rejects_negative_eigenvalues():
@@ -186,17 +179,18 @@ def test_reduced_states_of_product_state():
     )
     # a product of diagonal states is an X state, in reach of the closed form
     x_product = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))[np.ix_(perm, perm)]
-    assert mutual_information(x_product) == pytest.approx(0.0, abs=1e-15)
+    assert mutual_information(sector_vector(x_product)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mutual_information_bell_state():
-    assert mutual_information(inner_bell_mixture(1.0)) == pytest.approx(2.0, abs=1e-9)
+    bell = sector_vector(inner_bell_mixture(1.0))
+    assert mutual_information(bell) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_discord_zero_for_classical_state():
     # diagonal in a product basis: all correlation is classical
     rho = np.diag([0.35, 0.15, 0.15, 0.35]).astype(complex)
-    d = discord(rho)
+    d = discord(sector_vector(rho))
     assert abs(d.discord) < 1e-9
     assert d.classical_corr == pytest.approx(d.qmi, abs=1e-9)
 
@@ -204,7 +198,7 @@ def test_discord_zero_for_classical_state():
 def test_discord_matches_bell_diagonal_closed_form():
     for p in (0.3, 0.8):
         qmi, classical, quantum = bell_diagonal_discord(p)
-        d = discord(inner_bell_mixture(p))
+        d = discord(sector_vector(inner_bell_mixture(p)))
         assert d.qmi == pytest.approx(qmi, abs=1e-12)
         assert d.classical_corr == pytest.approx(classical, abs=1e-9)
         assert d.discord == pytest.approx(quantum, abs=1e-9)
@@ -215,12 +209,12 @@ def test_discord_brute_force_agrees_with_optimizer():
     # and the steady state of a chemically biased junction
     biased = solve_ness(SystemParams(), BathParams(t1=0.1, t2=0.1, mu1=1.2, mu2=0.5)).rho
     for rho in [random_x_state(rng) for _ in range(5)] + [biased]:
-        opt = discord(rho)
+        opt = discord(sector_vector(rho))
         ref = discord_brute_force(rho, resolution=250)
         # the optimizer may only improve on the finite grid
         assert opt.classical_corr >= ref.classical_corr - 1e-6
         assert abs(opt.discord - ref.discord) < 1e-4
-        assert opt.qmi == mutual_information(rho)
+        assert opt.qmi == mutual_information(sector_vector(rho))
         assert opt.discord == opt.qmi - opt.classical_corr
     assert opt.qmi > 0.0 and opt.discord > 0.0
 
@@ -228,19 +222,19 @@ def test_discord_brute_force_agrees_with_optimizer():
 def test_discord_coherence_phase_invariance():
     rng = np.random.default_rng(304)
     rho = random_x_state(rng)
-    base = discord(rho).discord
+    base = discord(sector_vector(rho)).discord
     for phase in (0.7, 2.9, -1.3):
         rotated = rho.copy()
         rotated[1, 2] = abs(rho[1, 2]) * np.exp(1j * phase)
         rotated[2, 1] = np.conj(rotated[1, 2])
-        assert discord(rotated).discord == pytest.approx(base, abs=1e-8)
+        assert discord(sector_vector(rotated)).discord == pytest.approx(base, abs=1e-8)
 
 
 def test_discord_takes_any_batch_shape():
     rng = np.random.default_rng(308)
-    stack = np.array([random_x_state(rng) for _ in range(6)])
+    stack = sector_vector(np.array([random_x_state(rng) for _ in range(6)]))
     flat = discord(stack)
-    grid = discord(stack.reshape(2, 3, 4, 4))
+    grid = discord(stack.reshape(2, 3, 6))
     assert np.shape(grid.discord) == (2, 3)
     assert np.abs(np.ravel(grid.classical_corr) - flat.classical_corr).max() <= 1e-15
     assert np.abs(np.ravel(grid.theta) - flat.theta).max() <= 1e-12
@@ -258,7 +252,7 @@ def test_discord_of_a_state_with_a_nearly_empty_outcome():
     rho[1, 2] = 8.535613491743125e-11 - 2.1754585744350376e-10j
     rho[2, 1] = np.conj(rho[1, 2])
     assert np.linalg.eigvalsh(rho).min() > -1e-16
-    d = discord(rho)
+    d = discord(sector_vector(rho))
     sphere = discord_brute_force(rho, resolution=200)
     assert d.classical_corr >= sphere.classical_corr - 1e-12
     assert abs(d.discord - sphere.discord) < 1e-14
@@ -266,8 +260,8 @@ def test_discord_of_a_state_with_a_nearly_empty_outcome():
 
 def test_discord_is_deterministic():
     rng = np.random.default_rng(305)
-    rho = random_x_state(rng)
-    assert discord(rho) == discord(rho)
+    v = sector_vector(random_x_state(rng))
+    assert discord(v) == discord(v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,9 +324,10 @@ def test_x_entropy_slopes_match_central_differences(rho, theta):
 
 
 def assert_entropies_match_dense_route(stack, joint_tol):
-    s_a, s_b, s_ab = _x_entropies(stack)
-    qmi = mutual_information(stack)
-    assert np.abs(discord(stack).qmi - qmi).max() == 0.0
+    v = sector_vector(stack)
+    s_a, s_b, s_ab = _x_entropies(v)
+    qmi = mutual_information(v)
+    assert np.abs(discord(v).qmi - qmi).max() == 0.0
     for rho, a, b, ab, i in zip(stack, s_a, s_b, s_ab, qmi):
         rho_a, rho_b = reduced_states(rho)
         dense = [_entropy_bits(rho_a), _entropy_bits(rho_b), _entropy_bits(rho)]
@@ -370,7 +365,7 @@ def _non_states():
 @pytest.mark.parametrize("measure", [discord, mutual_information, _x_state_search])
 def test_non_states_raise(measure, rho):
     with pytest.raises(ValueError, match="not a state"):
-        measure(rho)
+        measure(sector_vector(rho))
 
 
 @settings(max_examples=25, deadline=None)
@@ -378,7 +373,7 @@ def test_non_states_raise(measure, rho):
 def test_x_path_reaches_the_bloch_sphere_optimum(rho):
     # the 1-D polar search does at least as well as a full-sphere grid,
     # and the measurement it returns attains the value it reports
-    d = discord(rho)
+    d = discord(sector_vector(rho))
     sphere = discord_brute_force(rho, resolution=200)
     assert d.classical_corr >= sphere.classical_corr - 1e-12
     rho_a, _ = reduced_states(rho)
@@ -409,22 +404,22 @@ def assert_search_is_accurate(stack):
     values, thetas = _x_state_search(stack)
     # the state entries exactly as the search takes them: near a pure
     # conditional state the entropy moves ~1e-15 with an ulp of |rho23|^2
-    diags = stack.diagonal(axis1=-2, axis2=-1).real
-    coh2s = np.abs(stack[:, 1, 2]) ** 2
+    diags = stack[:, :4]
+    coh2s = coherence(stack) ** 2
     scan = (0.5 * math.pi / 40) * np.arange(41)  # the search's first scan
-    for rho, d, coh2, value, theta in zip(stack, diags, coh2s, values, thetas):
+    for v, d, coh2, value, theta in zip(stack, diags, coh2s, values, thetas):
         diag = tuple(d)
         assert abs(value - brent_conditional_entropy(diag, coh2)) <= 1e-15
         assert value <= _x_conditional_entropy(scan, diag, coh2).min()
         # the angle returned attains the value reported
         assert abs(_x_conditional_entropy(theta, diag, coh2) - value) <= 1e-15
-        assert abs(_x_state_search(rho)[0] - value) <= 1e-15
+        assert abs(_x_state_search(v)[0] - value) <= 1e-15
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(x_states(), min_size=1, max_size=5))
 def test_x_state_search_matches_brent_oracle(states):
-    assert_search_is_accurate(np.array(states))
+    assert_search_is_accurate(sector_vector(np.array(states)))
 
 
 def test_x_state_search_matches_brent_oracle_at_interior_optima():
@@ -444,7 +439,7 @@ def test_x_state_search_matches_brent_oracle_at_interior_optima():
     k = _x_conditional_entropy(thetas, weights.T, coh**2).argmin(axis=0)
     interior = stack[(k > 0) & (k < 200)]
     assert len(interior) >= 30
-    assert_search_is_accurate(interior)
+    assert_search_is_accurate(sector_vector(interior))
 
 
 def test_x_state_search_matches_brent_oracle_on_steady_states():
@@ -471,8 +466,7 @@ def test_x_state_search_matches_brent_oracle_on_steady_states():
     # wider window (detuned, unequal gamma, biased, T 0.02-2) finds no
     # minimum below both ends by 1e-12.  Interior optima are covered by
     # the Dirichlet states above; these are the states sweeps meet.
-    stack = solve_ness(params, baths).rho
-    assert_search_is_accurate(stack)
+    assert_search_is_accurate(solve_ness(params, baths).v)
 
 
 def _non_x_states():
@@ -486,14 +480,39 @@ def _non_x_states():
     return [with_14, with_12]
 
 
-@pytest.mark.parametrize("rho", _non_x_states(), ids=["rho14", "rho12"])
 @pytest.mark.parametrize(
-    "measure", [discord, concurrence, spectral_decompose, mutual_information]
+    "rho, magnitude", zip(_non_x_states(), ("1.500e-01", "1.000e-01")), ids=["rho14", "rho12"]
 )
-def test_x_state_measures_reject_other_states(measure, rho):
+def test_sector_vector_rejects_other_states(rho, magnitude):
+    # the one X-form check on a dense state: the sector cannot hold the rest
     assert min(np.linalg.eigvalsh(rho)) > 0.0
+    with pytest.raises(ValueError, match=f"not X-form: off-pattern entry of magnitude {magnitude}"):
+        sector_vector(rho)
     with pytest.raises(ValueError, match="not X-form"):
-        measure(rho)
+        sector_vector(np.stack([inner_bell_mixture(0.5), rho]))
+
+
+_sector_entry = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_sector_entry, min_size=6, max_size=6), x_states())
+def test_sector_vector_and_x_state_round_trip(entries, rho):
+    # bit for bit, signed zeros included, alone and in a stack
+    v = np.array(entries)
+    assert sector_vector(x_state(v)).tobytes() == v.tobytes()
+    stack = np.stack([v, sector_vector(rho)])
+    assert sector_vector(x_state(stack)).tobytes() == stack.tobytes()
+    assert x_state(sector_vector(rho)).tobytes() == rho.tobytes()
+
+
+def test_solved_state_is_the_x_state_of_its_sector():
+    params = SystemParams(omega2=np.array([1.0, 1.03]), delta=0.005, gamma1=0.001, gamma2=0.003)
+    ness = solve_ness(params, BathParams(t1=0.2, t2=0.5, mu1=1.0, mu2=0.5))
+    assert ness.v.shape == (2, 6) and ness.v.dtype == np.float64
+    assert ness.rho.tobytes() == x_state(ness.v).tobytes()
+    alone = take(ness, 1)
+    assert alone.rho.tobytes() == x_state(ness.v[1]).tobytes()
 
 
 def test_correlation_report_fields_consistent():
@@ -501,9 +520,9 @@ def test_correlation_report_fields_consistent():
     # junction agree with the measures computed on its state alone
     fixed = {**asdict(SystemParams()), **asdict(BathParams(t1=0.1, t2=0.1, mu1=1.2, mu2=0.5))}
     row = run_sweep(SweepSpec(fixed=fixed, observables=("correlations", "discord"))).rows[0]
-    rho = np.asarray(row["rho"])
-    assert row["coherence"] == pytest.approx(coherence(rho))
-    assert row["qmi"] == pytest.approx(mutual_information(rho), abs=1e-12)
+    v = np.asarray(row["v"])
+    assert row["coherence"] == pytest.approx(coherence(v))
+    assert row["qmi"] == pytest.approx(mutual_information(v), abs=1e-12)
     assert row["discord"] == pytest.approx(row["qmi"] - row["classical_corr"], abs=1e-12)
     assert row["qmi"] > 0.0 and row["discord"] > 0.0
 
@@ -512,10 +531,10 @@ def test_correlations_are_between_the_dressed_modes():
     # at equilibrium the mode-basis state is a product over the dressed
     # modes; the same state split between the two sites is correlated
     result = solve_ness(SystemParams(), BathParams())
-    d = discord(result.rho)
+    d = discord(result.v)
     assert abs(d.qmi) <= 1e-12 and abs(d.discord) <= 1e-12
     site = site_basis_state(result.rho, result.basis)
-    assert mutual_information(site) > 1e-5
+    assert mutual_information(sector_vector(site)) > 1e-5
 
 
 def test_site_basis_rotation_preserves_spectrum():

@@ -315,7 +315,7 @@ def test_solver_failure_is_recorded(monkeypatch):
         sizes.append(shape)
         ness = solve_ness(params, baths)
         error = SteadyStateError("fabricated breakdown", residual=1.0)
-        return replace(ness, rho=np.full_like(ness.rho, np.nan),
+        return replace(ness, v=np.full_like(ness.v, np.nan),
                        residual=np.full_like(ness.residual, np.nan),
                        errors=np.full(shape, error, dtype=object))
 
@@ -419,12 +419,12 @@ def _assert_matches_alone(row):
     assert row["flags"] == alone["flags"]
     assert set(row) == set(alone) | {ax for ax in ("dmu", "dT") if ax in row}
     # besides the emitted columns a row holds only its steady state
-    assert set(alone) - set(SweepSpec(fixed=EQ_FIXED).columns()) <= {"rho"}
+    assert set(alone) - set(SweepSpec(fixed=EQ_FIXED).columns()) <= {"v"}
     if row["flags"]:
         # a flagged row is the row its one-point sweep writes, cell for cell
         assert _exact({k: row[k] for k in alone}) == _exact(alone)
         return
-    for got, want in zip(np.diag(row["rho"]).real, np.diag(alone["rho"]).real):
+    for got, want in zip(row["v"][:4], alone["v"][:4]):
         assert abs(got - want) <= 1e-12 * abs(want)
     for col in _POPULATION_CELLS + _QFI_CELLS:
         assert abs(row[col] - alone[col]) <= 1e-12 * max(abs(row[col]), abs(alone[col])), col
