@@ -127,6 +127,13 @@ def test_spectral_decompose_matches_eigvalsh():
     np.testing.assert_allclose(np.sort(p, axis=-1), np.linalg.eigvalsh(rhos), atol=1e-12)
 
 
+def test_spectral_decompose_rejects_non_x():
+    rho = np.diag([0.25] * 4).astype(complex)
+    rho[0, 3] = rho[3, 0] = 0.1
+    with pytest.raises(ValueError, match="off-pattern entry of magnitude 1.000e-01"):
+        spectral_decompose(sector_vector(rho))
+
+
 def test_concurrence_closed_form_matches_wootters():
     rng = np.random.default_rng(302)
     for _ in range(1000):
@@ -490,6 +497,17 @@ def test_sector_vector_rejects_other_states(rho, magnitude):
         sector_vector(rho)
     with pytest.raises(ValueError, match="not X-form"):
         sector_vector(np.stack([inner_bell_mixture(0.5), rho]))
+
+
+@pytest.mark.parametrize("rho", _non_x_states(), ids=["rho14", "rho12"])
+@pytest.mark.parametrize(
+    "measure", [discord, concurrence, spectral_decompose, mutual_information]
+)
+def test_x_state_measures_reject_other_states(measure, rho):
+    # a dense state reaches a measure only through its sector
+    assert min(np.linalg.eigvalsh(rho)) > 0.0
+    with pytest.raises(ValueError, match="not X-form"):
+        measure(sector_vector(rho))
 
 
 _sector_entry = st.floats(allow_nan=False, allow_infinity=False)
