@@ -72,7 +72,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BathParams, EigenBasis, SystemParams, diagonalize, fermi_occupation
+from .model import (
+    BathParams,
+    EigenBasis,
+    SystemParams,
+    _point_errors,
+    diagonalize,
+    fermi_occupation,
+)
 from .observables import _EIG_FLOOR, spectral_decompose, x_state
 
 __all__ = [
@@ -353,12 +360,10 @@ def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray, np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         v, residual, min_eig = _finalize(v, lv)
     failed = _failed(singular, residual, min_eig)
-    errors = np.full(failed.shape, None, dtype=object)
-    for i in map(tuple, np.argwhere(failed)):
-        errors[i] = _failure(lv.matrix[i], singular[i], residual[i], min_eig[i])
+    errors = _point_errors(
+        failed, lambda i: _failure(lv.matrix[i], singular[i], residual[i], min_eig[i])
+    )
     if failed.ndim == 0:
-        if failed:
-            raise errors[()]
         return v, float(residual), inverse, errors
     v[failed] = np.nan
     residual[failed] = np.nan

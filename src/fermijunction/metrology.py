@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .liouvillian import NessResult, solve_ness, state_derivative
-from .model import BathParams, SystemParams, fermi_occupation
+from .model import BathParams, SystemParams, _point_errors, fermi_occupation
 from .observables import site_basis_state, spectral_decompose
 
 __all__ = [
@@ -116,18 +116,17 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
         0.0,
     )
 
-    failed = rank_change.any(axis=0)
-    errors = np.full(failed.shape, None, dtype=object)
-    for i in map(tuple, np.argwhere(failed)):
+    def rank_change_error(i):
         k = (rank_change[(slice(None), *i)].argmax(), *i)  # the point's first such level
         cause = (
             "the Redfield state lost positivity"
             if p[k] < 0.0
             else "the rank of the state changes at this point"
         )
-        errors[i] = RankChangeError(f"eigenvalue {p[k]:.3e} with derivative {dp[k]:.3e}: {cause}")
-    if failed.ndim == 0 and failed:
-        raise errors[()]
+        return RankChangeError(f"eigenvalue {p[k]:.3e} with derivative {dp[k]:.3e}: {cause}")
+
+    failed = rank_change.any(axis=0)
+    errors = _point_errors(failed, rank_change_error)
     f_e, f_n = np.where(failed, np.nan, f_e), np.where(failed, np.nan, f_n)
     return QfiReport(f_total=(f_e + f_n)[()], f_e=f_e[()], f_n=f_n[()], errors=errors)
 
@@ -194,8 +193,6 @@ def qfi_equilibrium_approx(params: SystemParams, t: float, mu: float) -> float:
     """
     if abs(params.omega1 - params.omega2) > 1e-12 * max(params.omega1, params.omega2):
         raise ValueError("closed form requires a symmetric junction (omega1 == omega2)")
-    if t <= 0.0:
-        raise ValueError("temperature must be strictly positive")
-    beta = 1.0 / t
     occ = fermi_occupation(params.omega1, t, mu)
+    beta = 1.0 / t
     return 2.0 * beta * beta * math.cosh(beta * params.delta) * occ * (1.0 - occ)

@@ -113,6 +113,18 @@ def take(stack, index):
     return replace(stack, **picked)
 
 
+def _point_errors(failed, error):
+    """The typed error of each failed point of a stack: an object array
+    shaped like ``failed`` holding ``error(i)`` at each failed index i and
+    None elsewhere.  An unstacked point (``failed`` 0-d) raises its error."""
+    errors = np.full(failed.shape, None, dtype=object)
+    for i in map(tuple, np.argwhere(failed)):
+        errors[i] = error(i)
+    if failed.ndim == 0 and failed:
+        raise errors[()]
+    return errors
+
+
 def diagonalize(params: SystemParams) -> EigenBasis:
     """Diagonalize the single-particle Hamiltonian of the junction.
 

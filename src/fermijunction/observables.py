@@ -54,7 +54,7 @@ _PERM = np.array([0, 2, 1, 3])
 _EIG_FLOOR = -1e-9  # most negative eigenvalue accepted as roundoff
 _X_TOL = 1e-10  # largest off-pattern entry still treated as an X state
 _SEARCH_GRID = 40  # cells of the discord search's first polar-angle scan
-_NEWTON_STEPS = 3  # safeguarded Newton steps on the polar angle after the scan
+_NEWTON_STEPS = 3  # safeguarded Newton steps in cos 2 theta after the scan
 _LN2 = math.log(2.0)
 
 
@@ -278,14 +278,21 @@ def _x_state_search(v: np.ndarray) -> tuple[float, float]:
     (endpoints included) brackets the minimum by the cells next to the
     best angle.  The search starts at the vertex of the parabola through
     the best angle and its two neighbours (mirrored at 0 and pi/2, where
-    the entropy is even) and takes safeguarded Newton steps on the
-    closed-form slope and curvature: each step shrinks the bracket by the
-    sign of the slope and bisects it when the curvature is not positive
-    or the step leaves it.  Interior optima occur for X states and are
-    kept.  The final angle replaces the best scan angle only if its value
-    is strictly lower, so the value never exceeds the scan's and the
-    angle returned attains it.  All states of a stack are searched
-    together, the scan on a leading axis.
+    the entropy is even) and takes safeguarded Newton steps in w =
+    cos 2 theta from the closed-form slope f' and curvature f'' in theta,
+
+        w -> w - f' w'^2 / (f'' w' - f' w''),
+        w' = -2 sin 2 theta,  w'' = -4 cos 2 theta.
+
+    The entropy is a smooth g(w), but its curvature in theta at an
+    optimum theta* is about 16 g'' theta*^2 near 0 (and alike near
+    pi/2), so steps in theta converge only linearly there.  Each step
+    shrinks the bracket by the sign of the slope and bisects it when
+    g'' is not positive or the step leaves it.  Interior optima occur
+    for X states and are kept.  The final angle replaces the best scan
+    angle only if its value is strictly lower, so the value never
+    exceeds the scan's and the angle returned attains it.  All states of
+    a stack are searched together, the scan on a leading axis.
     """
     entries = _x_state_entries(np.moveaxis(v[..., :4], -1, 0), coherence(v) ** 2)
     leading = (-1,) + (1,) * (v.ndim - 1)
@@ -303,8 +310,14 @@ def _x_state_search(v: np.ndarray) -> tuple[float, float]:
         _, slope, curv = _x_entropy(theta, entries, slopes=True)
         lo = np.where(slope < 0.0, theta, lo)
         hi = np.where(slope > 0.0, theta, hi)
-        step = theta - slope / np.where(curv > 0.0, curv, 1.0)
-        theta = np.where((curv > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        # a step in w = cos 2 theta: g' = slope / w' and g'' = bend / w'^4
+        c2, dw = np.cos(2.0 * theta), -2.0 * np.sin(2.0 * theta)  # w and w'
+        bend = (curv * dw + 4.0 * slope * c2) * dw  # w'' = -4 w
+        convex = bend > 0.0
+        w = c2 - slope * dw**3 / np.where(convex, bend, 1.0)
+        inside = convex & (np.abs(w) <= 1.0)
+        step = 0.5 * np.arccos(np.where(inside, w, c2))
+        theta = np.where(inside & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
     polished = _x_entropy(theta, entries)
     better = polished < value
     return np.where(better, polished, value)[()], np.where(better, theta, at)[()]
@@ -319,8 +332,9 @@ def discord(v: np.ndarray) -> DiscordResult:
     the X state's closed-form spectrum.  The search is deterministic.  An
     X state needs only the polar angle: a 40-cell scan of theta over
     [0, pi/2] with closed-form 2x2 eigenvalues, then three safeguarded
-    Newton steps on the closed-form derivatives inside the cells around
-    the best angle, 45 evaluations of the conditional entropy per state.
+    Newton steps in cos 2 theta on the closed-form derivatives inside the
+    cells around the best angle, 45 evaluations of the conditional
+    entropy per state.
     """
     s_a, s_b, s_ab = _x_entropies(v)
     qmi = s_a + s_b - s_ab

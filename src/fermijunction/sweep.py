@@ -212,6 +212,11 @@ def _columns(arrays: dict[str, Any]) -> dict[str, list]:
     return {k: v if isinstance(v, list) else np.atleast_1d(v).tolist() for k, v in arrays.items()}
 
 
+def _block(name: str, *values) -> dict[str, Any]:
+    """A block's cells: its values under its column names, in order."""
+    return dict(zip(_BLOCK_COLUMNS[name], values, strict=True))
+
+
 def _observe(spec: SweepSpec, ness) -> dict[str, list]:
     """The cells of a stack of solved points.  A point whose solve failed
     keeps none of them, a point whose QFI failed keeps all but the QFI
@@ -220,35 +225,23 @@ def _observe(spec: SweepSpec, ness) -> dict[str, list]:
     type>:<message>``."""
     cells: dict[str, Any] = {"residual": ness.residual}
     if "thermo" in spec.observables:
-        report = transport_report(ness)
-        cells.update(
-            current_n1=report.i1,
-            current_n2=report.i2,
-            current_e1=report.j1,
-            current_e2=report.j2,
-            epr=report.epr,
-            epr_regime_ok=report.epr_regime_ok,
-        )
+        r = transport_report(ness)
+        cells.update(_block("thermo", r.i1, r.i2, r.j1, r.j2, r.epr, r.epr_regime_ok))
     v = ness.v
     if "discord" in spec.observables:
         d = discord(v)
-        cells.update(classical_corr=d.classical_corr, discord=d.discord)
+        cells.update(_block("discord", d.classical_corr, d.discord))
     if "correlations" in spec.observables:
-        cells.update(
-            coherence=coherence(v),
-            linear_entropy=linear_entropy(v),
-            concurrence=concurrence(v),
-            # discord has already computed the same mutual information
-            qmi=d.qmi if "discord" in spec.observables else mutual_information(v),
-        )
+        local = (coherence(v), linear_entropy(v), concurrence(v))
+        # discord has already computed the same mutual information
+        qmi = d.qmi if "discord" in spec.observables else mutual_information(v)
+        cells.update(_block("correlations", *local, qmi))
     cells["v"] = list(np.reshape(v, (-1, v.shape[-1])))
     stages = [("solver", ness.errors)]
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)
         # the derivative is exact: no step
-        cells.update(
-            qfi_total=q.f_total, qfi_fe=q.f_e, qfi_fn=q.f_n, qfi_step=np.zeros_like(q.f_total)
-        )
+        cells.update(_block("qfi", q.f_total, q.f_e, q.f_n, np.zeros_like(q.f_total)))
         # flagged first, so that a point's solver error is the one that stands
         stages.insert(0, ("qfi", q.errors))
     cells = _columns(cells)

@@ -260,6 +260,33 @@ print("fermijunction.cli" in sys.modules)
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_package_exports_each_module_public_name():
+    import fermijunction
+    from fermijunction import liouvillian, metrology, model, observables, thermo
+
+    assert sorted(fermijunction.__all__) == [
+        "Axis", "BathParams", "CHECKS", "ConfigError", "DIM", "DegenerateNullSpaceError",
+        "DiscordResult", "EigenBasis", "Liouvillian", "NessResult", "QfiReport",
+        "RankChangeError", "SteadyStateError", "SweepResult", "SweepSpec", "SystemParams",
+        "ThermoReport", "build_liouvillian", "coherence", "concurrence", "diagonalize",
+        "discord", "discord_brute_force", "emit", "entropy_production_rate",
+        "epr_leading_order", "epr_regime_ok", "fermi_occupation", "fidelity",
+        "generator_derivative", "grand_canonical_state", "linear_entropy", "load_config",
+        "mutual_information", "ness_leading_order", "qfi_equilibrium_approx",
+        "qfi_fidelity_oracle", "qfi_spectral", "reduced_states", "run_sweep",
+        "run_verification", "sector_vector", "site_basis_state", "solve_ness",
+        "spectral_decompose", "state_derivative", "steady_state", "sweep_spec_from_config",
+        "take", "transport_report", "x_state",
+    ]
+    modules = (model, liouvillian, observables, metrology, thermo, sweep, verify)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fermijunction, name) is getattr(module, name), name
+    namespace: dict = {}
+    exec("from fermijunction import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(fermijunction.__all__)
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     assert main(["verify"]) == 0
     first = capsys.readouterr().out

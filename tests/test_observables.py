@@ -446,7 +446,17 @@ def test_x_state_search_matches_brent_oracle_at_interior_optima():
     k = _x_conditional_entropy(thetas, weights.T, coh**2).argmin(axis=0)
     interior = stack[(k > 0) & (k < 200)]
     assert len(interior) >= 30
-    assert_search_is_accurate(sector_vector(interior))
+    # optima within a scan cell of 0 or pi/2, where Newton steps on theta
+    # itself converged only linearly (short of the oracle by up to 1.7e-8)
+    near_ends = np.array([
+        (0.0052769198788402, 0.969878211233378, 0.01325720990497319, 0.01158765898280877,
+         0.0941725628504518, 0.0),
+        (0.00885042954011644, 0.01224576141542596, 0.969468384123488, 0.00943542492096948,
+         0.09128359851885522, 0.0),
+        (0.00389401985707879, 0.8836959942263112, 0.01703924231905963, 0.09537074359755038,
+         0.0872690107034896, 0.0),
+    ])
+    assert_search_is_accurate(np.concatenate([sector_vector(interior), near_ends]))
 
 
 def test_x_state_search_matches_brent_oracle_on_steady_states():
