@@ -422,8 +422,9 @@ def state_derivative(ness: NessResult) -> np.ndarray:
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:
-    """Grand-canonical Gibbs state exp(-(H - mu N)/t)/Z of the two modes,
-    for each point of a stacked basis (t and mu broadcast against it).
+    """Sector v of the grand-canonical Gibbs state exp(-(H - mu N)/t)/Z of
+    the two modes, for each point of a stacked basis (t and mu broadcast
+    against it): its populations and a zero coherence.
 
     This is the exact stationary state whenever both reservoirs share
     (t, mu), for any coupling strength.
@@ -431,4 +432,4 @@ def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:
     t, mu = np.asarray(t)[..., None], np.asarray(mu)[..., None]
     log_w = -(_level_energies(basis) - mu * _NUMBERS) / t
     w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
-    return (w / w.sum(axis=-1, keepdims=True))[..., None] * np.eye(DIM, dtype=complex)
+    return np.concatenate([w / w.sum(axis=-1, keepdims=True), np.zeros_like(w[..., :2])], axis=-1)

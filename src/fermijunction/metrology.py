@@ -27,7 +27,7 @@ import numpy as np
 
 from .liouvillian import NessResult, solve_ness, state_derivative
 from .model import BathParams, SystemParams, _point_errors, fermi_occupation
-from .observables import site_basis_state, spectral_decompose
+from .observables import site_basis_state, spectral_decompose, x_state
 
 __all__ = [
     "QfiReport",
@@ -143,7 +143,7 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 def _rho_at(params: SystemParams, baths: BathParams, delta: float) -> np.ndarray:
     ness = solve_ness(replace(params, delta=delta), baths)
-    return site_basis_state(ness.rho, ness.basis)
+    return x_state(site_basis_state(ness.v, ness.basis))
 
 
 def _fidelity_estimate(

@@ -11,11 +11,11 @@ occupied states, so the measures take its charge-neutral sector
 six real numbers on the last axis, which cannot hold any other shape.
 ``x_state`` builds the 4x4 X state of v, and ``sector_vector`` takes a
 4x4 state back to v, raising ValueError on one that is not X-form.
-The dense oracles (``reduced_states``, ``discord_brute_force``) and
-``site_basis_state``, which rotates a state back to the local site
-basis for questions about the physical site-site entanglement, take
-4x4 states.  Every function also takes a stack of states with leading
-batch axes and returns one value per state.
+The dense oracles (``reduced_states``, ``discord_brute_force``) take
+4x4 states.  ``site_basis_state`` takes v to the sector of the same
+state in the local site basis, for questions about the physical
+site-site entanglement.  Every function also takes a stack of states
+with leading batch axes and returns one value per state.
 
 Entropies are in bits (log base 2).
 """
@@ -405,30 +405,21 @@ def discord_brute_force(rho: np.ndarray, resolution: int = 400) -> DiscordResult
     )
 
 
-def site_basis_state(rho: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    """Rotate a mode-basis state to the local site basis, for each point
-    of a stack of states and a basis stacked alike.
+def site_basis_state(v: np.ndarray, basis: EigenBasis) -> np.ndarray:
+    """The sectors of mode-basis sectors v taken to the local site basis,
+    for each point of a stack of sectors and a basis stacked alike.
 
-    Only the singly occupied block changes; the empty and doubly
-    occupied sectors are invariant under the single-particle rotation
-    (the doubly occupied ket picks up the determinant sign, invisible
-    for the X states this model produces).
+    The site operators are the mode operators reflected at theta/2, which
+    turns only the singly occupied block: its Bloch vector (z, x, y) =
+    ((rho11 - rho22)/2, Re rho12, Im rho12) goes to
+
+        (x sin theta - z cos theta, x cos theta + z sin theta, -y),
+
+    in full angles, and rho00, rho33 and the block's trace stay (the
+    doubly occupied ket's determinant sign is invisible in an X state).
     """
     ct, st = np.asarray(basis.cos_theta), np.asarray(basis.sin_theta)
-    # The larger half-angle component from its root, the other from
-    # sin theta = 2 sin(theta/2) cos(theta/2): the root of (1 + cos theta)/2
-    # alone would cancel near cos theta = -1.  cos theta = -1 with
-    # sin theta = 0 (delta = 0, omega1 > omega2) turns by pi/2.
-    big = np.sqrt(0.5 * (1.0 + np.abs(ct)))  # >= sqrt(1/2)
-    other = 0.5 * st / big
-    flipped = ct < 0.0
-    half_c = np.where(flipped, np.abs(other), big)
-    half_s = np.where(flipped, np.copysign(big, st), other)
-    u = np.zeros(half_c.shape + (4, 4))
-    u[..., 0, 0] = 1.0
-    u[..., 1, 1] = half_s
-    u[..., 2, 1] = half_c
-    u[..., 1, 2] = half_c
-    u[..., 2, 2] = -half_s
-    u[..., 3, 3] = -1.0
-    return np.swapaxes(u, -1, -2) @ rho @ u
+    half_t, z, x = 0.5 * (v[..., 1] + v[..., 2]), 0.5 * (v[..., 1] - v[..., 2]), v[..., 4]
+    z_site = x * st - z * ct
+    site = [v[..., 0], half_t + z_site, half_t - z_site, v[..., 3], x * ct + z * st, -v[..., 5]]
+    return np.stack(site, axis=-1)

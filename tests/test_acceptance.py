@@ -120,8 +120,8 @@ def test_criterion_8_correlation_structure():
         for dmu in np.linspace(0.0, 1.0, 11):
             baths = fj.BathParams(t1=0.1, t2=0.1, mu1=mu + float(dmu), mu2=mu)
             result = fj.solve_ness(strong, baths)
-            site = fj.site_basis_state(result.rho, result.basis)
-            site_best = max(site_best, fj.concurrence(sector_vector(site)))
+            site = fj.site_basis_state(result.v, result.basis)
+            site_best = max(site_best, fj.concurrence(site))
     elapsed = time.perf_counter() - start
     ok = zero_ok and grow_ok and conc_weak == 0.0 and site_best > 1e-4
     _conclude(

@@ -387,9 +387,10 @@ def degenerate_junctions(draw, equal_gammas=False):
 
 
 def site_states(params, baths, deltas):
-    """Site-frame steady states of the junction at each delta, one stack."""
+    """Dense site-frame steady states of the junction at each delta, one
+    stack."""
     ness = solve_ness(replace(params, delta=np.asarray(deltas)), baths)
-    return site_basis_state(ness.rho, ness.basis)
+    return x_state(site_basis_state(ness.v, ness.basis))
 
 
 @settings(max_examples=60, deadline=None)

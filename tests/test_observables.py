@@ -1,6 +1,6 @@
 """Correlation measures: decomposition, concurrence, entropies, discord."""
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -447,7 +447,9 @@ def test_x_state_search_matches_brent_oracle_at_interior_optima():
     interior = stack[(k > 0) & (k < 200)]
     assert len(interior) >= 30
     # optima within a scan cell of 0 or pi/2, where Newton steps on theta
-    # itself converged only linearly (short of the oracle by up to 1.7e-8)
+    # itself converged only linearly (short of the oracle by up to 1.7e-8);
+    # the last, 1.26 cells from 0, is 1.2e-15 short when the three steps
+    # start at the best scan angle instead of the parabola's vertex
     near_ends = np.array([
         (0.0052769198788402, 0.969878211233378, 0.01325720990497319, 0.01158765898280877,
          0.0941725628504518, 0.0),
@@ -455,6 +457,8 @@ def test_x_state_search_matches_brent_oracle_at_interior_optima():
          0.09128359851885522, 0.0),
         (0.00389401985707879, 0.8836959942263112, 0.01703924231905963, 0.09537074359755038,
          0.0872690107034896, 0.0),
+        (0.01170228765333234, 0.9873466934777099, 0.0005970841527610782, 0.000353934716196768,
+         0.020865984599099753, 0.0),
     ])
     assert_search_is_accurate(np.concatenate([sector_vector(interior), near_ends]))
 
@@ -561,42 +565,93 @@ def test_correlations_are_between_the_dressed_modes():
     result = solve_ness(SystemParams(), BathParams())
     d = discord(result.v)
     assert abs(d.qmi) <= 1e-12 and abs(d.discord) <= 1e-12
-    site = site_basis_state(result.rho, result.basis)
-    assert mutual_information(sector_vector(site)) > 1e-5
+    assert mutual_information(site_basis_state(result.v, result.basis)) > 1e-5
+
+
+def dense_site_basis_state(rho, basis):
+    """U^T rho U for 4x4 mode-basis states, with U the reflection at
+    theta/2 that takes mode to site operators, built from half angles:
+    the reference for the closed-form ``site_basis_state``."""
+    ct, st = np.asarray(basis.cos_theta), np.asarray(basis.sin_theta)
+    # The larger half-angle component from its root, the other from
+    # sin theta = 2 sin(theta/2) cos(theta/2): the root of (1 + cos theta)/2
+    # alone would cancel near cos theta = -1.  cos theta = -1 with
+    # sin theta = 0 turns by pi/2.
+    big = np.sqrt(0.5 * (1.0 + np.abs(ct)))  # >= sqrt(1/2)
+    other = 0.5 * st / big
+    flipped = ct < 0.0
+    half_c = np.where(flipped, np.abs(other), big)
+    half_s = np.where(flipped, np.copysign(big, st), other)
+    u = np.zeros(half_c.shape + (4, 4))
+    u[..., 0, 0] = 1.0
+    u[..., 1, 1] = half_s
+    u[..., 2, 1] = half_c
+    u[..., 1, 2] = half_c
+    u[..., 2, 2] = -half_s
+    u[..., 3, 3] = -1.0
+    return np.swapaxes(u, -1, -2) @ rho @ u
+
+
+def test_site_basis_state_matches_the_dense_reflection():
+    # random one-coherence X states in random bases (omega 0.8-1.2, delta
+    # -0.3 to 0.3), and 50 states each in the edge bases: delta = 0 with
+    # omega1 > omega2 (theta = pi, where sin theta is the roundoff of pi)
+    # and with omega1 < omega2 (the identity), delta < 0, the degenerate
+    # point omega1 = omega2, delta = 0, and cos theta = -1 with sin theta
+    # exactly +0 and -0, where the half-angle reflection takes its
+    # convention
+    rng = np.random.default_rng(509)
+    n, m = 2000, 50
+    made = diagonalize(
+        SystemParams(
+            omega1=np.concatenate([np.repeat([1.1, 1.0, 1.0, 1.0], m), rng.uniform(0.8, 1.2, n)]),
+            omega2=np.concatenate([np.repeat([1.0, 1.1, 1.02, 1.0], m), rng.uniform(0.8, 1.2, n)]),
+            delta=np.concatenate([np.repeat([0.0, 0.0, -0.01, 0.0], m), rng.uniform(-0.3, 0.3, n)]),
+        )
+    )
+    assert made.cos_theta[0] == -1.0 and made.cos_theta[m] == 1.0
+    assert made.sin_theta[2 * m] < 0.0 and made.sin_theta[3 * m] == 1.0
+    # only the angles are read, so the two extra bases set those alone
+    basis = replace(
+        made,
+        cos_theta=np.concatenate([made.cos_theta, np.full(2 * m, -1.0)]),
+        sin_theta=np.concatenate([made.sin_theta, np.repeat([0.0, -0.0], m)]),
+    )
+    v = sector_vector(np.stack([random_x_state(rng) for _ in range(n + 6 * m)]))
+    site = x_state(site_basis_state(v, basis))
+    assert np.abs(site - dense_site_basis_state(x_state(v), basis)).max() <= 1e-15
 
 
 def test_site_basis_rotation_preserves_spectrum():
     params = SystemParams(delta=0.1)
     baths = BathParams(t1=0.1, t2=0.1, mu1=0.8, mu2=0.0)
     result = solve_ness(params, baths)
-    site = site_basis_state(result.rho, result.basis)
+    site = site_basis_state(result.v, result.basis)
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(site), np.linalg.eigvalsh(result.rho), atol=1e-12
+        np.linalg.eigvalsh(x_state(site)), np.linalg.eigvalsh(result.rho), atol=1e-12
     )
-    assert np.trace(site).real == pytest.approx(1.0, abs=1e-12)
+    assert site[:4].sum() == pytest.approx(1.0, abs=1e-12)
     # empty and doubly occupied sectors are rotation invariant
-    assert site[0, 0].real == pytest.approx(result.rho[0, 0].real, abs=1e-12)
-    assert site[3, 3].real == pytest.approx(result.rho[3, 3].real, abs=1e-12)
+    assert site[0] == pytest.approx(result.v[0], abs=1e-12)
+    assert site[3] == pytest.approx(result.v[3], abs=1e-12)
 
 
 def test_site_basis_symmetric_junction_coherence():
     # symmetric sites mix maximally: the site coherence of a diagonal
     # mode-basis state is half the population difference
     basis = diagonalize(SystemParams(omega1=1.0, omega2=1.0, delta=0.01))
-    rho = np.diag([0.1, 0.5, 0.3, 0.1]).astype(complex)
-    site = site_basis_state(rho, basis)
-    assert abs(site[1, 2]) == pytest.approx(0.1, abs=1e-12)
-    assert site[1, 1].real == pytest.approx(0.4, abs=1e-12)
-    assert site[2, 2].real == pytest.approx(0.4, abs=1e-12)
+    site = site_basis_state(np.array([0.1, 0.5, 0.3, 0.1, 0.0, 0.0]), basis)
+    assert coherence(site) == pytest.approx(0.1, abs=1e-12)
+    assert site[1] == pytest.approx(0.4, abs=1e-12)
+    assert site[2] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_site_basis_state_takes_stacks():
     # tuned, detuned, delta < 0, the degenerate point, and delta = 0 with
-    # omega1 > omega2 (cos theta = -1, the half-angle convention) or
-    # omega1 < omega2 (the identity); then |delta| from 1e-12 to 0.3 at
-    # omega 1.1/1.0, where cos theta -> -1 as delta -> 0, and at 1.0/1.1,
-    # where cos theta -> 1: the stack equals each point alone, keeps the
-    # trace and rotates orthogonally
+    # omega1 > omega2 (cos theta = -1) or omega1 < omega2 (the identity);
+    # then |delta| from 1e-12 to 0.3 at omega 1.1/1.0, where cos theta ->
+    # -1 as delta -> 0, and at 1.0/1.1, where cos theta -> 1: the stack
+    # equals each point alone and keeps the trace
     sweep = np.concatenate([[-1e-6, -1e-9, 0.0, 1e-9, 2e-9], np.geomspace(1e-12, 0.3, 24)])
     k = sweep.size
     params = SystemParams(
@@ -606,13 +661,9 @@ def test_site_basis_state_takes_stacks():
     )
     n = 6 + 2 * k
     ness = solve_ness(params, BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.3))
-    site = site_basis_state(ness.rho, ness.basis)
-    assert site.shape == (n, 4, 4)
+    site = site_basis_state(ness.v, ness.basis)
+    assert site.shape == (n, 6)
     for i in range(n):
         alone = take(ness, i)
-        assert np.array_equal(site[i], site_basis_state(alone.rho, alone.basis))
-    trace = np.trace(site, axis1=-2, axis2=-1)
-    assert np.abs(trace - 1.0).max() <= 1e-15
-    # U^T 1 U = 1 for the rotation U the state is turned with
-    unit = site_basis_state(np.broadcast_to(np.eye(4), (n, 4, 4)), ness.basis)
-    assert np.abs(unit - np.eye(4)).max() <= 1e-15
+        assert np.array_equal(site[i], site_basis_state(alone.v, alone.basis))
+    assert np.abs(site[:, :4].sum(axis=-1) - 1.0).max() <= 1e-15

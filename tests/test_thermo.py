@@ -161,7 +161,7 @@ def test_ness_leading_order_at_equal_baths_is_gibbs():
         for t, mu in ((0.2, 0.5), (0.05, 1.1), (1.5, -0.3)):
             rho = x_state(ness_leading_order(basis, BathParams(t1=t, t2=t, mu1=mu, mu2=mu), params))
             gibbs = grand_canonical_state(basis, t, mu)
-            np.testing.assert_allclose(np.diag(rho).real, np.diag(gibbs).real, rtol=1e-14)
+            np.testing.assert_allclose(np.diag(rho).real, gibbs[:4], rtol=1e-14)
             assert rho[1, 2] == 0.0 and rho[2, 1] == 0.0
             # the lower mode is at least as occupied
             assert rho[2, 2].real >= rho[1, 1].real
