@@ -12,52 +12,49 @@ doubly occupied one).  The generator is
 where N_l keeps each mode in touch with reservoir l (occupation-weighted
 thermalization) and S_l carries the cross-mode terms a secular
 approximation would drop; S_l sources the steady-state coherence between
-the singly occupied states.  The per-bath generator piece retained for
-currents is D_l = -(N_l + S_l), which is the part of d rho/dt owned by
-reservoir l.
+the singly occupied states.  D_l = -(N_l + S_l) is the part of d rho/dt
+owned by reservoir l.
 
-Total particle number is a weak symmetry of the generator: L maps the
-charge-neutral sector into itself and never couples it to the other ten
-entries of rho.  The trace lives in the sector, so the unique steady
-state does too, and it is an X state by construction.  With rho21 =
-conj(rho12) the sector is six real numbers,
+H is quadratic and every term of D_l is bilinear in the mode operators,
+so the equations of motion of the correlations C_ab = <c_b^dag c_a>
+close and the steady state is Gaussian (Prosen, NJP 10, 043026 (2008);
+Purkayastha, Dhar & Kulkarni, PRA 93, 062114 (2016)).  It is fixed by
+four real numbers x = (n1, n2, X, Y), the mode occupations and
+X + iY = rho12, which obey the real affine system dx/dt = M x + b:
 
-    v = (rho00, rho11, rho22, rho33, Re rho12, Im rho12),
+    dn1/dt = 2 sum_l w1l (o1l - n1) - 2 S2 X
+    dn2/dt = 2 sum_l w2l (o2l - n2) - 2 S1 X
+    dX/dt  = sum_a sum_l s_al (o_al - n_a) - (W1 + W2) X + s Y
+    dY/dt  = -(W1 + W2) Y - s X
 
-on which the generator is a real rate equation.  The solve returns v,
-the state format every measure takes; ``observables.x_state`` builds
-the 4x4 X state where a dense oracle needs it.  A level's partner
-under mode a is the level with mode a's occupation flipped; n is a
-reservoir's occupation at that mode's energy, and c = 2 Re rho12.
+with o_al the occupation of mode a in reservoir l, w_al and s_al bath
+l's weights of mode a's thermal bracket and cross line, W_a and S_a
+their sums over the baths, and s = omega'_1 - omega'_2 the rotation of
+rho12 by the unitary part.  Bath l's share D_l is the same system
+with its own weights and no rotation.  The state's charge-neutral
+sector
 
-- Thermal bracket of mode a: population leaves each level with mode a
-  filled for its partner at 2(1 - n), and comes back at 2n.  Re rho12
-  and Im rho12 decay at 1.
-- Cross line of mode a: c moves population out of each level with the
-  other mode filled into its partner, at 1 - n where mode a is empty
-  and at n where it is filled.  Re rho12 gains n times the populations
-  with mode a empty and loses 1 - n times those with mode a filled.
-- Unitary part: rho12 rotates at -i s, s = omega'_1 - omega'_2, so
-  d Re rho12 = s Im rho12 and d Im rho12 = -s Re rho12.
+    v = (rho00, rho11, rho22, rho33, Re rho12, Im rho12)
 
-Bath l weights mode a's thermal bracket by gamma_a |U_la|^2, with
-|U_la|^2 = (1 +- cos theta)/2, and its cross line by (+-1/2) gamma_a
-sin theta.  The global-approach rate is gamma_l |U_la|^2 (Hofer et al.,
-NJP 19, 123037 (2017)); the two agree at gamma_1 = gamma_2.  At
-delta = 0 the populations relax at 2 gamma_1 and 2 gamma_2 and the
-coherence at gamma_1 + gamma_2: each gamma is the self-energy -i gamma
-of a site, whose level width is Gamma = 2 gamma.
+follows from x by Wick's theorem: rho33 = n1 n2 - X^2 - Y^2,
+rho11 = n1 - rho33, rho22 = n2 - rho33, rho00 = 1 - n1 - n2 + rho33.
+v is the state format every measure takes; ``observables.x_state``
+builds the 4x4 X state where a dense oracle needs it.
 
-Each bracket is affine in its occupation, so
+Bath l weights mode a's thermal bracket by w_al = gamma_a |U_la|^2,
+with |U_la|^2 = (1 +- cos theta)/2, and its cross line by
+s_al = (+-1/2) gamma_a sin theta, so W_a = gamma_a and S_a = 0.  The
+global-approach rate is gamma_l |U_la|^2 (Hofer et al., NJP 19, 123037
+(2017)); the two agree at gamma_1 = gamma_2, and the fix is one edit in
+``_angular_weights``, which then makes S_a nonzero.  At delta = 0 the
+populations relax at 2 gamma_1 and 2 gamma_2 and the coherence at
+gamma_1 + gamma_2: each gamma is the self-energy -i gamma of a site,
+whose level width is Gamma = 2 gamma.
 
-    L = (omega'_1 - omega'_2) R + sum_{l,k} c_{lk} M_k
-
-with R the rotation and M_k (k < 8) the brackets' values at n = 0 and
-slopes in n, as decay rates (constant small-integer matrices).  A build
-computes only the 2x8 coefficients c_{lk} and one matrix product.  The
-same product of their closed-form delta-derivatives, plus the rotation
-times d(omega'_1 - omega'_2), is d L / d delta; with the inverse the
-solve keeps it gives the exact dv / d delta of the steady state.
+M and b are linear in s and in the weights, the weights times the
+occupations, so their delta-derivatives follow by the product rule from
+closed forms; with the inverse of M the solve keeps they give the exact
+dx / d delta, and Wick's chain rule gives dv / d delta.
 
 Parameters, bases, generators and states may carry leading batch axes
 (see ``model``): a whole sweep grid is diagonalized, built and solved by
@@ -97,59 +94,11 @@ __all__ = [
 ]
 
 DIM = 4
-_RESIDUAL_TOL = 1e-10  # largest ||L v|| accepted from a steady-state solve
-# Largest condition number of the trace-replaced generator accepted as
-# invertible.  It is ~2/gamma for the couplings a unique steady state
-# has; a null space of dimension > 1 makes it singular, and in floating
-# point it then measures >= 1e18 when LU finds no exact zero pivot.
+_RESIDUAL_TOL = 1e-10  # largest ||M x + b|| accepted from a steady-state solve
+# Largest condition number of M accepted as invertible.  A singular M
+# (a zero coupling) measures >= 1e18 in floating point when LU finds
+# no exact zero pivot.
 _COND_LIMIT = 1e14
-
-# The trace as a functional on the sector v.
-_TRACE_ROW = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-
-# Populations of v by mode: _LEVELS[a] = (levels with mode a empty,
-# their partners with it filled), the pair with the other mode empty
-# first.  The coherence is v[4:].
-_LEVELS = (([0, 2], [1, 3]), ([0, 1], [2, 3]))
-
-
-def _thermal_rates(a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(value at n = 0, slope in n) of mode a's thermal bracket."""
-    empty, filled = _LEVELS[a]
-    at_zero, slope = np.zeros((2, 6, 6))
-    # filled -> empty at 2(1 - n)
-    at_zero[filled, filled], at_zero[empty, filled] = 2.0, -2.0
-    slope[filled, filled], slope[empty, filled] = -2.0, 2.0
-    # empty -> filled at 2n
-    slope[empty, empty], slope[filled, empty] = 2.0, -2.0
-    # Re rho12 and Im rho12 decay at 1
-    at_zero[[4, 5], [4, 5]] = 1.0
-    return at_zero, slope
-
-
-def _cross_rates(a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(value at n = 0, slope in n) of mode a's cross line."""
-    empty, filled = _LEVELS[a]
-    into, out_of = _LEVELS[1 - a]  # the other mode's empty / filled levels
-    at_zero, slope = np.zeros((2, 6, 6))
-    # c moves out_of[i] -> into[i] at 1 - n for i = 0 (mode a empty), n for i = 1
-    at_zero[out_of[0], 4], at_zero[into[0], 4] = 2.0, -2.0
-    slope[out_of, 4], slope[into, 4] = [-2.0, 2.0], [2.0, -2.0]
-    # Re rho12 loses 1 - n of the filled levels and gains n of the empty
-    at_zero[4, filled] = 1.0
-    slope[4, :4] = -1.0
-    return at_zero, slope
-
-
-# Rows: thermal bracket of mode 1, of mode 2, cross line 1, cross line 2,
-# each as (value at zero occupation, slope).
-_BATH_STACK = np.stack(
-    [m for rates in (_thermal_rates, _cross_rates) for a in (0, 1) for m in rates(a)]
-).reshape(8, 36)
-
-# The unitary part i[rho, H] per unit of omega'_1 - omega'_2.
-_ROTATION = np.zeros((6, 6))
-_ROTATION[4, 5], _ROTATION[5, 4] = 1.0, -1.0
 
 
 # Particle number of each level.
@@ -172,7 +121,11 @@ class SteadyStateError(RuntimeError):
 
 
 class DegenerateNullSpaceError(SteadyStateError):
-    """The generator has more than one stationary state."""
+    """The generator has more than one stationary state.
+
+    ``dimension`` is the nullity of M: the number of independent
+    directions along which the stationary correlations x can move, 4
+    for an all-zero generator and 1 when one mode has no coupling."""
 
     def __init__(self, dimension: int):
         super().__init__(
@@ -185,7 +138,7 @@ _BATH_SIGN = np.array([-1.0, 1.0])  # bath 1, bath 2
 
 
 def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams):
-    """Weights (n1, n2, s1, s2) of the thermal brackets and cross lines of
+    """Weights (w1, w2, s1, s2) of the thermal brackets and cross lines of
     modes 1 and 2, each (..., 2) with bath l on the last axis:
     gamma_a (unit +- cos theta)/2 and (+-1/2) gamma_a sin theta.  With
     unit = 1 these are the weights; with unit = 0 and the derivatives of
@@ -212,36 +165,50 @@ def _occupations(basis: EigenBasis, baths: BathParams):
     return (occ1, occ2), t
 
 
-def _bath_coefficients(weights, occupations, unit=1.0) -> np.ndarray:
-    """Weights c_{lk} of the rows of _BATH_STACK in D_l = -(N_l + S_l),
-    shape (..., 2, 8) with bath l on the second-to-last axis: each of
-    the angular weights (n1, n2, s1, s2) times unit and times its mode's
-    occupation in (occ1, occ2).
+def _bath_generators(weights, occupations, unit=1.0) -> np.ndarray:
+    """Each bath's share [M_l | b_l] of dx/dt, (..., 2, 4, 5) with bath l
+    on axis -3, from the angular weights (w1, w2, s1, s2) and the modes'
+    occupations (o1, o2).  M_l is linear in the weights and is scaled by
+    unit; b_l holds the weights times the occupations."""
+    w1, w2, s1, s2, o1, o2 = np.broadcast_arrays(*weights, *occupations)
+    g = np.zeros(w1.shape + (4, 5))
+    g[..., 0, 0], g[..., 0, 2] = -2.0 * unit * w1, -2.0 * unit * s2
+    g[..., 1, 1], g[..., 1, 2] = -2.0 * unit * w2, -2.0 * unit * s1
+    g[..., 2, 0], g[..., 2, 1] = -unit * s1, -unit * s2
+    g[..., 2, 2] = g[..., 3, 3] = -unit * (w1 + w2)
+    g[..., 0, 4], g[..., 1, 4] = 2.0 * w1 * o1, 2.0 * w2 * o2
+    g[..., 2, 4] = s1 * o1 + s2 * o2
+    return g
 
-    N_l thermalizes each dressed mode against reservoir l with the
-    angular weights (1 +- cos theta)/2; S_l holds the nonsecular
-    cross-mode terms, weighted by (+-1/2) gamma_a sin theta.
-    """
-    n1, n2, s1, s2 = weights
-    occ1, occ2 = occupations
-    terms = (n1 * unit, n1 * occ1, n2 * unit, n2 * occ2, s1 * unit, s1 * occ1, s2 * unit, s2 * occ2)
-    return -np.stack(np.broadcast_arrays(*terms), axis=-1)
+
+def _rotate(g: np.ndarray, split) -> np.ndarray:
+    """g plus the unitary part: rho12 turns at -i split."""
+    g[..., 2, 3] += split
+    g[..., 3, 2] -= split
+    return g
 
 
-def _bath_product(coeffs: np.ndarray) -> np.ndarray:
-    """The 6x6 matrices sum_k c_k M_k of coefficients (..., 8)."""
-    return (coeffs.reshape(-1, _BATH_STACK.shape[0]) @ _BATH_STACK).reshape(
-        coeffs.shape[:-1] + _ROTATION.shape
-    )
+def _homogeneous(x: np.ndarray) -> np.ndarray:
+    """(x, 1), on which [M | b] acts as M x + b."""
+    return np.concatenate([x, np.ones_like(x[..., :1])], axis=-1)
+
+
+def _sector(x: np.ndarray, r, unit) -> np.ndarray:
+    """v = (unit - n1 - n2 + r, n1 - r, n2 - r, r, X, Y) of x = (n1, n2,
+    X, Y) and r = rho33: with unit = 1 Wick's sector, with unit = 0 and
+    the derivatives of x and r its derivative."""
+    n1, n2 = x[..., 0], x[..., 1]
+    return np.stack([unit - n1 - n2 + r, n1 - r, n2 - r, r, x[..., 2], x[..., 3]], axis=-1)
 
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Real generator and its per-bath pieces on the charge-neutral sector.
+    """The affine generator of the correlations and its per-bath pieces.
 
-    matrix = i[rho, H] + D_1 + D_2; ``dissipators`` stacks the
-    D_l = -(N_l + S_l), (..., 2, 6, 6) with bath l on axis -3, which the
-    currents trace against observables.
+    ``matrix`` is [M | b], (..., 4, 5), with dx/dt = M x + b for
+    x = (n1, n2, Re rho12, Im rho12); ``dissipators`` stacks each bath's
+    share [M_l | b_l] of it, (..., 2, 4, 5) with bath l on axis -3, whose
+    n-rows carry the currents.
     """
 
     matrix: np.ndarray
@@ -251,30 +218,28 @@ class Liouvillian:
 def build_liouvillian(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> Liouvillian:
-    """Build the full generator d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
+    """Build dx/dt = M x + b of d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
     split = np.asarray(basis.omega_p1) - basis.omega_p2
     weights = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
-    dissipators = _bath_product(_bath_coefficients(weights, _occupations(basis, baths)[0]))
-    return Liouvillian(
-        matrix=split[..., None, None] * _ROTATION + dissipators.sum(axis=-3),
-        dissipators=dissipators,
-    )
+    dissipators = _bath_generators(weights, _occupations(basis, baths)[0])
+    return Liouvillian(matrix=_rotate(dissipators.sum(axis=-3), split), dissipators=dissipators)
 
 
 def generator_derivative(
     basis: EigenBasis, baths: BathParams, params: SystemParams
 ) -> np.ndarray:
-    """d L / d delta of the sector generator in the mode frame of
-    ``basis`` (the frame ``build_liouvillian`` works in), (..., 6, 6).
+    """d [M | b] / d delta in the mode frame of ``basis`` (the frame
+    ``build_liouvillian`` works in), (..., 4, 5).
 
     d omega'_1 = -d omega'_2 = sin theta, the frame turns at the basis's
     d theta, and each Fermi occupation moves by d n = -n (1 - n) d omega'_a
-    / T.  L is linear in s = omega'_1 - omega'_2 and in the coefficients
-    c_{lk} = weight x (1 or occupation), so d L is the rotation times d s
-    plus the _BATH_STACK product of d c_{lk}, by the product rule: the
-    weights' derivatives with the occupations, plus the weights with the
-    occupations' derivatives and unit 0.  At s = 0 d theta is 0 in the
-    delta -> 0+ frame, so this is the one-sided derivative from delta > 0.
+    / T.  M and b are linear in s = omega'_1 - omega'_2, in the weights
+    and in the weights times the occupations, so the derivative is the
+    rotation times d s plus, by the product rule, the bath pieces of the
+    weights' derivatives with the occupations and those of the weights
+    with the occupations' derivatives, M's part dropped.  At s = 0
+    d theta is 0 in the delta -> 0+ frame, so this is the one-sided
+    derivative from delta > 0.
     """
     ct, st, d_theta = (np.asarray(x) for x in (basis.cos_theta, basis.sin_theta, basis.d_theta))
     weights = _angular_weights(1.0, ct, st, params)
@@ -282,16 +247,16 @@ def generator_derivative(
     occ, t = _occupations(basis, baths)
     # d omega'_1 = -d omega'_2 = sin theta
     d_occ = [sign * n * (1.0 - n) / t * st[..., None] for sign, n in zip((-1.0, 1.0), occ)]
-    d_coeffs = _bath_coefficients(d_weights, occ) + _bath_coefficients(weights, d_occ, 0.0)
-    return (2.0 * st)[..., None, None] * _ROTATION + _bath_product(d_coeffs.sum(axis=-2))
+    d_baths = _bath_generators(d_weights, occ) + _bath_generators(weights, d_occ, 0.0)
+    return _rotate(d_baths.sum(axis=-3), 2.0 * st)
 
 
-def _finalize(v: np.ndarray, lv: Liouvillian):
-    """Normalized sector vectors v with their residuals ||L v|| and
-    smallest eigenvalues."""
-    # a sum, not v @ _TRACE_ROW, whose rounding depends on the stack size
-    v = v / v[..., :DIM].sum(axis=-1, keepdims=True)
-    residual = np.linalg.norm((lv.matrix @ v[..., None])[..., 0], axis=-1)
+def _finalize(x: np.ndarray, lv: Liouvillian):
+    """Wick's sector vectors v of solved x with their residuals
+    ||M x + b|| and smallest eigenvalues."""
+    residual = np.linalg.norm((lv.matrix @ _homogeneous(x)[..., None])[..., 0], axis=-1)
+    n1, n2, re, im = np.moveaxis(x, -1, 0)
+    v = _sector(x, n1 * n2 - re * re - im * im, 1.0)
     return v, residual, spectral_decompose(v)[0].min(axis=-1)
 
 
@@ -300,9 +265,9 @@ def _failed(singular, residual, min_eig):
 
 
 def _failure(matrix: np.ndarray, singular, residual, min_eig) -> SteadyStateError:
-    """The typed error of one generator matrix whose solve failed its checks."""
+    """The typed error of one matrix M whose solve failed its checks."""
     dim = _null_space_dimension(np.linalg.svd(matrix, compute_uv=False))
-    if dim > 1:
+    if dim > 0:
         return DegenerateNullSpaceError(dim)
     if singular:
         return SteadyStateError("steady-state linear solve is singular")
@@ -332,57 +297,58 @@ def _invert_each(a: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def steady_state(lv: Liouvillian) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Unique stationary state of the generator, its residual, the
-    inverse it was solved with and the typed error of each failed solve.
+def steady_state(lv: Liouvillian):
+    """Unique stationary state of the generator, its correlations, its
+    residual, the inverse it was solved with and the typed error of
+    each failed solve.
 
-    Replaces the first row of the sector generator with the trace
-    constraint and inverts that 6x6 matrix A, for every generator of a
-    stack in one call.  Returns (v, ||L v||, A^-1, errors) with v the
-    state's sector, the first column of A^-1.  A solve fails
-    with DegenerateNullSpaceError when the stationary state is not
-    unique (e.g. both couplings zero) and with SteadyStateError when the
-    system is singular or its state misses the residual tolerance or
-    positivity.  An unstacked generator raises that error; in a stack
-    such a point gets NaN state and residual and its error in
-    ``errors``, an object array shaped like the stack that holds None
-    where the solve passed.
+    Inverts M and solves M x = -b, for every generator of a stack in one
+    call.  Returns (v, x, ||M x + b||, M^-1, errors) with v Wick's
+    sector of x.  A solve fails with DegenerateNullSpaceError when M is
+    singular, so that the stationary state is not unique (e.g. a zero
+    coupling), and with SteadyStateError when M is ill-conditioned or
+    the state misses the residual tolerance or positivity.  An
+    unstacked generator raises that error; in a stack such a point gets
+    NaN state and residual and its error in ``errors``, an object array
+    shaped like the stack that holds None where the solve passed.
     """
-    a = lv.matrix.copy()
-    a[..., 0, :] = _TRACE_ROW
+    m = lv.matrix[..., :-1]
     try:
-        inverse = np.linalg.inv(a)
+        inverse = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        inverse = _invert_each(a)
-    v = inverse[..., :, 0]  # A^-1 (1, 0, ..., 0): trace 1, L v = 0
-    cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+        inverse = _invert_each(m)
+    # a nearly singular M overflows its inverse: the condition limit flags it
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = -(inverse @ lv.matrix[..., -1:])[..., 0]
+        cond = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+        v, residual, min_eig = _finalize(x, lv)
     singular = ~(cond < _COND_LIMIT)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v, residual, min_eig = _finalize(v, lv)
     failed = _failed(singular, residual, min_eig)
     errors = _point_errors(
-        failed, lambda i: _failure(lv.matrix[i], singular[i], residual[i], min_eig[i])
+        failed, lambda i: _failure(m[i], singular[i], residual[i], min_eig[i])
     )
     if failed.ndim == 0:
-        return v, float(residual), inverse, errors
-    v[failed] = np.nan
-    residual[failed] = np.nan
-    return v, residual, inverse, errors
+        return v, x, float(residual), inverse, errors
+    for kept in (v, x, residual):
+        kept[failed] = np.nan
+    return v, x, residual, inverse, errors
 
 
 @dataclass(frozen=True)
 class NessResult:
     """Steady state plus the parameters it was solved for and the objects
     that produced it, all stacked alike: ``v`` is the state's real
-    charge-neutral sector (..., 6), which every measure takes,
-    ``dissipators`` are the real per-bath pieces of ``Liouvillian`` (the
-    generator is not kept), ``residual`` is ||L v|| (an array for a
-    stack), ``inverse`` is the inverse of the trace-replaced generator
-    that ``steady_state`` solved with, and ``errors`` holds each failed
-    point's typed error (None where the solve passed)."""
+    charge-neutral sector (..., 6), which every measure takes, ``x`` its
+    correlations (n1, n2, Re rho12, Im rho12), ``number_rows`` each
+    bath's rows of dn1/dt and dn2/dt on (x, 1), (..., 2, 2, 5) with bath
+    l first, which the currents read (the generator is not kept),
+    ``residual`` is ||M x + b|| (an array for a stack), ``inverse`` is
+    the M^-1 that ``steady_state`` solved with, and ``errors`` holds
+    each failed point's typed error (None where the solve passed)."""
 
     v: np.ndarray
-    dissipators: np.ndarray
+    x: np.ndarray
+    number_rows: np.ndarray
     basis: EigenBasis
     residual: float | np.ndarray
     params: SystemParams
@@ -400,25 +366,27 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    v, residual, inverse, errors = steady_state(lv)
-    return NessResult(v=v, dissipators=lv.dissipators, basis=basis, residual=residual,
-                      params=params, baths=baths, inverse=inverse, errors=errors)
+    v, x, residual, inverse, errors = steady_state(lv)
+    return NessResult(v=v, x=x, number_rows=lv.dissipators[..., :2, :].copy(), basis=basis,
+                      residual=residual, params=params, baths=baths, inverse=inverse,
+                      errors=errors)
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:
     """d v / d delta of solved steady states in their mode frame, for
     each point of a stack.
 
-    The solve makes A v = (1, 0, ..., 0) hold at every delta, with A the
-    generator whose first row is the trace, so dv = -A^-1 (dA) v, where
-    dA is ``generator_derivative`` with that row zeroed (the trace row
-    does not depend on delta): two stacked matrix-vector products with
-    the inverse the solve kept.  At omega1 == omega2, delta == 0 it is
-    the derivative from delta > 0.
+    M x + b = 0 holds at every delta, so dx = -M^-1 (dM x + db) with
+    [dM | db] from ``generator_derivative``: two stacked matrix-vector
+    products with the inverse the solve kept.  Wick's chain rule then
+    gives dv, with d rho33 = dn1 n2 + n1 dn2 - 2 (X dX + Y dY).  At
+    omega1 == omega2, delta == 0 it is the derivative from delta > 0.
     """
-    d_lv = generator_derivative(ness.basis, ness.baths, ness.params) @ ness.v[..., None]
-    d_lv[..., 0, :] = 0.0
-    return -(ness.inverse @ d_lv)[..., 0]
+    x = ness.x
+    d_g = generator_derivative(ness.basis, ness.baths, ness.params)
+    dx = -(ness.inverse @ (d_g @ _homogeneous(x)[..., None]))[..., 0]
+    (n1, n2, re, im), (dn1, dn2, d_re, d_im) = np.moveaxis(x, -1, 0), np.moveaxis(dx, -1, 0)
+    return _sector(dx, dn1 * n2 + n1 * dn2 - 2.0 * (re * d_re + im * d_im), 0.0)
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

@@ -65,11 +65,12 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     charge-neutral sector, for a solved steady state (or a stack of them).
 
     dv is the exact derivative in delta of the solved state's sector v
-    (``state_derivative``: one matrix-vector product with the inverse the
-    solve kept, no second solve).  The X state's eigenvalues are rho00,
-    rho33 and t/2 +- R with (t, b) the trace and Bloch vector of the
-    singly occupied block and R = |b| (``spectral_decompose``, which also
-    maps dv to (dt, db)); by Hellmann-Feynman their derivatives are
+    (``state_derivative``: dx = -M^-1 (dM x + db) with the inverse the
+    solve kept, no second solve, then Wick's chain rule).  The X state's
+    eigenvalues are rho00, rho33 and t/2 +- R with (t, b) the trace and
+    Bloch vector of the singly occupied block and R = |b|
+    (``spectral_decompose``, which also maps dv to (dt, db)); by
+    Hellmann-Feynman their derivatives are
     d rho00, d rho33 and dt/2 +- b.db/R.  That dv is in the mode frame;
     in the fixed site frame b also turns with the frame, at d theta
     (``EigenBasis.d_theta``) about its third axis e_3, which moves no

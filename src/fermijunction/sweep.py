@@ -35,7 +35,6 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 import numpy as np
-import yaml
 
 from .liouvillian import solve_ness
 from .metrology import qfi_spectral
@@ -368,15 +367,21 @@ def _numeric_section(section: dict, allowed: tuple[str, ...], where: str) -> dic
     return out
 
 
-# libyaml's parser when PyYAML was built with it; same documents, ~5x faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def _yaml_loader():
+    """libyaml's parser when PyYAML was built with it; same documents,
+    ~5x faster."""
+    import yaml
+
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path: str) -> dict:
     """Parse and structurally validate a YAML config file."""
+    import yaml  # here, so that importing the package does not import PyYAML
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
+            raw = yaml.load(fh, Loader=_yaml_loader())
         except yaml.YAMLError as err:
             raise ConfigError(f"invalid YAML: {err}") from None
     cfg = _require_mapping(raw, "config")

@@ -1,14 +1,17 @@
 """Particle/energy currents and entropy production for the junction.
 
-Currents are traces of per-bath generator pieces against the number and
-energy operators: I_l = Tr(D_l[rho] N) and J_l = Tr(D_l[rho] H) with
-D_l = -(N_l + S_l), the part of d rho/dt owned by reservoir l.  N and H
-are diagonal, so each current is a fixed row functional of the
-populations of D_l[rho] = D_l v on the charge-neutral sector, with D_l
-the real 6x6 matrices a solve keeps in ``NessResult.dissipators``.  Positive
-values mean flow from the reservoir into the system.  The unitary
-commutator contributes nothing because [N, H] = 0 (a unit test guards
-this basis/sign convention).
+Currents are bath l's shares of the rates of change of the particle
+number N = n1 + n2 and the energy H = omega'_1 n1 + omega'_2 n2.  Both
+are quadratic, so each is linear in the correlations x: with dn_a,l/dt
+the n-rows of bath l's piece [M_l | b_l] of the generator acting on
+(x, 1), which a solve keeps in ``NessResult.number_rows``,
+
+    I_l = dn1,l/dt + dn2,l/dt,    J_l = omega'_1 dn1,l/dt + omega'_2 dn2,l/dt.
+
+Positive values mean flow from the reservoir into the system.  The
+unitary part moves no charge: its rotation acts only on the coherence
+rows, because [N, H] = 0 (a unit test guards this basis/sign
+convention).
 
 The semi-classical entropy production rate
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import _NUMBERS, DIM, NessResult, _level_energies, _occupations
+from .liouvillian import NessResult, _homogeneous, _occupations
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
 
 __all__ = [
@@ -74,8 +77,9 @@ def epr_regime_ok(params: SystemParams) -> bool:
 
 def transport_report(ness: NessResult) -> ThermoReport:
     """Currents and EPR for a solved steady state (or a stack of them)."""
-    flows = (ness.dissipators @ ness.v[..., None, :, None])[..., :DIM, 0]  # (..., bath, level)
-    charges = np.stack(np.broadcast_arrays(_NUMBERS, _level_energies(ness.basis)), axis=-1)
+    flows = (ness.number_rows @ _homogeneous(ness.x)[..., None, :, None])[..., 0]  # (..., bath, mode)
+    energies = np.stack(np.broadcast_arrays(ness.basis.omega_p1, ness.basis.omega_p2), axis=-1)
+    charges = np.stack(np.broadcast_arrays(1.0, energies), axis=-1)  # (..., mode, particle/energy)
     currents = flows @ charges  # (..., bath, particle/energy)
     i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
     return ThermoReport(

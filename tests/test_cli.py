@@ -260,6 +260,19 @@ print("fermijunction.cli" in sys.modules)
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_package_import_leaves_pyyaml_unloaded():
+    # only load_config parses YAML, so only a config pays for PyYAML
+    script = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import fermijunction
+print("yaml" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_package_exports_each_module_public_name():
     import fermijunction
     from fermijunction import liouvillian, metrology, model, observables, thermo

@@ -380,7 +380,7 @@ def test_config_rejects_unknown_structure(tmp_path):
 def test_config_loaders_agree(tmp_path):
     if not getattr(yaml, "__with_libyaml__", False):
         pytest.skip("PyYAML is built without libyaml")
-    assert sweep._YAML_LOADER is yaml.CSafeLoader
+    assert sweep._yaml_loader() is yaml.CSafeLoader
     spec = importlib.util.spec_from_file_location(
         "workloads", ROOT / "sweepbench" / "workloads.py"
     )

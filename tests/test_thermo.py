@@ -20,7 +20,8 @@ from fermijunction import (
     transport_report,
 )
 from fermijunction.liouvillian import _NUMBERS, _level_energies
-from fermijunction.observables import _OFF_X, sector_vector, x_state
+from fermijunction.observables import x_state
+from kron_reference import kron_reference_generator, unvec, vec
 
 
 def report_at(params, baths):
@@ -29,7 +30,9 @@ def report_at(params, baths):
 
 def test_unitary_part_moves_no_charge():
     # [N, H] = 0, so the commutator part of the generator carries no
-    # particle or energy current; a broken basis or sign convention would
+    # particle or energy current: on the kron reference it moves no
+    # charge, and in [M | b] it leaves the n-rows, which the currents
+    # read, alone; a broken basis or sign convention would
     rng = np.random.default_rng(506)
     for _ in range(20):
         params = SystemParams(
@@ -38,12 +41,12 @@ def test_unitary_part_moves_no_charge():
             delta=rng.uniform(-0.2, 0.2),
         )
         lv = build_liouvillian(diagonalize(params), BathParams(), params)
+        assert np.array_equal(lv.matrix[:2], lv.dissipators.sum(axis=0)[:2])
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        unitary = lv.matrix - lv.dissipators[0] - lv.dissipators[1]
-        # the generator never couples the entries outside the sector to it
-        flow = x_state(unitary @ sector_vector(np.where(_OFF_X, 0.0, rho)))
+        ref_matrix, *ref_baths = kron_reference_generator(params, BathParams())
+        flow = unvec((ref_matrix - ref_baths[0] - ref_baths[1]) @ vec(rho))
         number = np.diag(_NUMBERS)
         hamiltonian = np.diag(_level_energies(diagonalize(params)))
         assert abs(np.trace(flow @ number)) < 1e-12
