@@ -16,12 +16,14 @@ from fermijunction import (
     diagonalize,
     discord,
     discord_brute_force,
+    grand_canonical_state,
     linear_entropy,
     mutual_information,
     run_sweep,
     site_basis_state,
     solve_ness,
 )
+from fermijunction import observables
 from fermijunction.model import take
 from fermijunction.observables import (
     _entropy_bits,
@@ -269,6 +271,83 @@ def test_discord_is_deterministic():
     rng = np.random.default_rng(305)
     v = sector_vector(random_x_state(rng))
     assert discord(v) == discord(v)
+
+
+# a mode's occupation, its edges included
+_occupation = st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def product_sectors(draw):
+    """rho_A x rho_B of two diagonal mode states (the only product X
+    states), or the Gibbs state of two dressed modes on a detuned basis."""
+    if draw(st.booleans()):
+        a, b = draw(_occupation), draw(_occupation)
+        return np.array([(1 - a) * (1 - b), a * (1 - b), (1 - a) * b, a * b, 0.0, 0.0])
+    omega1 = draw(st.floats(0.5, 1.5))
+    params = SystemParams(
+        omega1=omega1,
+        omega2=omega1 + draw(st.floats(-0.1, 0.1)),
+        delta=draw(st.floats(1e-3, 0.2)),
+    )
+    t = math.exp(draw(st.floats(math.log(0.01), math.log(5.0))))
+    return grand_canonical_state(diagonalize(params), t, draw(st.floats(-1.0, 3.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(product_sectors(), min_size=1, max_size=4))
+def test_discord_of_product_states_takes_theta_zero(stack):
+    # a product state has no correlation, and its mutual information is
+    # roundoff below the floor: the measurement is the unsearched theta = 0
+    d = discord(np.array(stack))
+    assert np.all(d.theta == 0.0)
+    assert np.abs(d.qmi).max() <= 1e-14
+    assert np.abs(d.classical_corr).max() <= 1e-14 and np.abs(d.discord).max() <= 1e-14
+    for v, cc, quantum in zip(stack, np.ravel(d.classical_corr), np.ravel(d.discord)):
+        sphere = discord_brute_force(x_state(v), resolution=200)
+        assert cc >= sphere.classical_corr - 1e-12
+        assert abs(quantum - sphere.discord) < 1e-12
+
+
+def _mixed_stack():
+    """Coherent random X states around one Gibbs state (below the floor)."""
+    rng = np.random.default_rng(309)
+    gibbs = grand_canonical_state(diagonalize(SystemParams(omega2=1.03)), 0.3, 0.8)
+    coherent = sector_vector(np.array([random_x_state(rng) for _ in range(5)]))
+    return gibbs, np.concatenate([coherent[:2], gibbs[None], coherent[2:]])
+
+
+def test_discord_floor_is_per_point():
+    gibbs, stack = _mixed_stack()
+    below = mutual_information(stack) <= 1e-14
+    assert below.tolist() == [False, False, True, False, False, False]
+    alone, mixed = discord(gibbs), discord(stack)
+    assert alone.theta == mixed.theta[2] == 0.0
+    assert abs(mixed.classical_corr[2] - alone.classical_corr) <= 1e-15
+    assert abs(mixed.discord[2] - alone.discord) <= 1e-15
+    # the coherent points keep the search of the whole stack, bit for bit
+    cond, theta = _x_state_search(stack)
+    s_a = _x_entropies(stack)[0]
+    assert np.array_equal(mixed.classical_corr[~below], (s_a - cond)[~below])
+    assert np.array_equal(mixed.theta[~below], theta[~below])
+
+
+def test_discord_search_passes(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("slopes", False))
+        return _x_entropy(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "_x_entropy", counting)
+    gibbs, stack = _mixed_stack()
+    # a stack below the floor: one value pass at theta = 0
+    discord(np.stack([gibbs, gibbs]))
+    assert calls == [False]
+    # a mixed stack: the scan, three slope passes and the polish
+    calls.clear()
+    discord(stack)
+    assert calls == [False, True, True, True, False]
 
 
 @settings(max_examples=60, deadline=None)
