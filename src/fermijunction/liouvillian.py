@@ -147,22 +147,19 @@ def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams):
     ct, st, g1, g2 = (
         np.asarray(x)[..., None] for x in (cos_theta, sin_theta, params.gamma1, params.gamma2)
     )
-    return (
-        g1 * 0.5 * (unit + sign * ct),
-        g2 * 0.5 * (unit - sign * ct),
-        -sign * 0.5 * st * g1,
-        -sign * 0.5 * st * g2,
-    )
+    turned, cross = sign * ct, -sign * 0.5 * st
+    return g1 * 0.5 * (unit + turned), g2 * 0.5 * (unit - turned), cross * g1, cross * g2
 
 
 def _occupations(basis: EigenBasis, baths: BathParams):
     """((occupations of modes 1 and 2 in each reservoir), the reservoirs'
     temperatures), each (..., 2) with bath l on the last axis."""
-    t = np.stack(np.broadcast_arrays(baths.t1, baths.t2), axis=-1)
-    mu = np.stack(np.broadcast_arrays(baths.mu1, baths.mu2), axis=-1)
-    occ1 = fermi_occupation(np.asarray(basis.omega_p1)[..., None], t, mu)
-    occ2 = fermi_occupation(np.asarray(basis.omega_p2)[..., None], t, mu)
-    return (occ1, occ2), t
+    bath = np.stack(np.broadcast_arrays(baths.t1, baths.t2, baths.mu1, baths.mu2), axis=-1)
+    t, mu = bath[..., :2], bath[..., 2:]
+    # one call on the (..., mode, bath) grid
+    omega = np.stack([basis.omega_p1, basis.omega_p2], axis=-1)[..., None]
+    occ = fermi_occupation(omega, t[..., None, :], mu[..., None, :])
+    return (occ[..., 0, :], occ[..., 1, :]), t
 
 
 def _bath_generators(weights, occupations, unit=1.0) -> np.ndarray:
@@ -170,8 +167,9 @@ def _bath_generators(weights, occupations, unit=1.0) -> np.ndarray:
     on axis -3, from the angular weights (w1, w2, s1, s2) and the modes'
     occupations (o1, o2).  M_l is linear in the weights and is scaled by
     unit; b_l holds the weights times the occupations."""
-    w1, w2, s1, s2, o1, o2 = np.broadcast_arrays(*weights, *occupations)
-    g = np.zeros(w1.shape + (4, 5))
+    w1, w2, s1, s2 = weights
+    o1, o2 = occupations
+    g = np.zeros(np.broadcast(w1, w2, s1, s2, o1, o2).shape + (4, 5))
     g[..., 0, 0], g[..., 0, 2] = -2.0 * unit * w1, -2.0 * unit * s2
     g[..., 1, 1], g[..., 1, 2] = -2.0 * unit * w2, -2.0 * unit * s1
     g[..., 2, 0], g[..., 2, 1] = -unit * s1, -unit * s2
@@ -198,7 +196,10 @@ def _sector(x: np.ndarray, r, unit) -> np.ndarray:
     X, Y) and r = rho33: with unit = 1 Wick's sector, with unit = 0 and
     the derivatives of x and r its derivative."""
     n1, n2 = x[..., 0], x[..., 1]
-    return np.stack([unit - n1 - n2 + r, n1 - r, n2 - r, r, x[..., 2], x[..., 3]], axis=-1)
+    v = np.empty(x.shape[:-1] + (6,))
+    v[..., 0], v[..., 1], v[..., 2], v[..., 3] = unit - n1 - n2 + r, n1 - r, n2 - r, r
+    v[..., 4:] = x[..., 2:]
+    return v
 
 
 @dataclass(frozen=True)
@@ -254,8 +255,10 @@ def generator_derivative(
 def _finalize(x: np.ndarray, lv: Liouvillian):
     """Wick's sector vectors v of solved x with their residuals
     ||M x + b|| and smallest eigenvalues."""
-    residual = np.linalg.norm((lv.matrix @ _homogeneous(x)[..., None])[..., 0], axis=-1)
-    n1, n2, re, im = np.moveaxis(x, -1, 0)
+    drift = (lv.matrix @ _homogeneous(x)[..., None])[..., 0]
+    # the norm summed as np.linalg.norm sums it
+    residual = np.sqrt((drift * drift).sum(axis=-1))
+    n1, n2, re, im = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
     v = _sector(x, n1 * n2 - re * re - im * im, 1.0)
     return v, residual, spectral_decompose(v)[0].min(axis=-1)
 
@@ -320,7 +323,9 @@ def steady_state(lv: Liouvillian):
     # a nearly singular M overflows its inverse: the condition limit flags it
     with np.errstate(over="ignore", invalid="ignore"):
         x = -(inverse @ lv.matrix[..., -1:])[..., 0]
-        cond = np.linalg.norm(m, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+        # ||M|| ||M^-1|| in the Frobenius norm
+        norm_m = np.sqrt((m * m).sum(axis=(-2, -1)))
+        cond = norm_m * np.sqrt((inverse * inverse).sum(axis=(-2, -1)))
         v, residual, min_eig = _finalize(x, lv)
     singular = ~(cond < _COND_LIMIT)
     failed = _failed(singular, residual, min_eig)
@@ -329,8 +334,9 @@ def steady_state(lv: Liouvillian):
     )
     if failed.ndim == 0:
         return v, x, float(residual), inverse, errors
-    for kept in (v, x, residual):
-        kept[failed] = np.nan
+    if failed.any():
+        for kept in (v, x, residual):
+            kept[failed] = np.nan
     return v, x, residual, inverse, errors
 
 

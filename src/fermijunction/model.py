@@ -29,8 +29,10 @@ __all__ = [
 
 
 def _require_finite(params) -> None:
-    bad = [f.name for f in fields(params) if not np.isfinite(getattr(params, f.name)).all()]
-    if bad:
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    # one check over all fields; the bad ones are named only on failure
+    if not np.isfinite(np.concatenate([np.ravel(x) for x in values.values()])).all():
+        bad = [name for name, x in values.items() if not np.isfinite(x).all()]
         raise ValueError(f"{', '.join(bad)} must be finite")
 
 
@@ -53,9 +55,9 @@ class SystemParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if not (np.all(np.greater(self.omega1, 0.0)) and np.all(np.greater(self.omega2, 0.0))):
+        if not (np.greater(self.omega1, 0.0).all() and np.greater(self.omega2, 0.0).all()):
             raise ValueError("site energies omega1, omega2 must be positive")
-        if np.any(np.less(self.gamma1, 0.0)) or np.any(np.less(self.gamma2, 0.0)):
+        if np.less(self.gamma1, 0.0).any() or np.less(self.gamma2, 0.0).any():
             raise ValueError("decay rates gamma1, gamma2 must be nonnegative")
 
 
@@ -75,7 +77,7 @@ class BathParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if not (np.all(np.greater(self.t1, 0.0)) and np.all(np.greater(self.t2, 0.0))):
+        if not (np.greater(self.t1, 0.0).all() and np.greater(self.t2, 0.0).all()):
             raise ValueError("temperatures t1, t2 must be strictly positive")
 
 
@@ -118,9 +120,11 @@ def _point_errors(failed, error):
     shaped like ``failed`` holding ``error(i)`` at each failed index i and
     None elsewhere.  An unstacked point (``failed`` 0-d) raises its error."""
     errors = np.full(failed.shape, None, dtype=object)
+    if not failed.any():
+        return errors
     for i in map(tuple, np.argwhere(failed)):
         errors[i] = error(i)
-    if failed.ndim == 0 and failed:
+    if failed.ndim == 0:
         raise errors[()]
     return errors
 
@@ -147,8 +151,9 @@ def diagonalize(params: SystemParams) -> EigenBasis:
     omega1, omega2 = np.asarray(params.omega1), np.asarray(params.omega2)
     half_sum = 0.5 * (omega1 + omega2)
     detuning = omega2 - omega1
-    split = np.hypot(detuning, 2.0 * np.asarray(params.delta))
-    theta = np.arctan2(2.0 * np.asarray(params.delta), detuning)
+    coupling = 2.0 * np.asarray(params.delta)
+    split = np.hypot(detuning, coupling)
+    theta = np.arctan2(coupling, detuning)
     # omega1 == omega2 and delta == 0: any rotation; take the delta -> 0+ one
     degenerate = split == 0.0
     safe = np.where(degenerate, np.inf, split)
@@ -167,7 +172,7 @@ def fermi_occupation(omega, t, mu):
     Strictly in (0, 1) for t > 0.  Large |omega - mu|/t is handled
     through the stable exp(-|x|) form, so no overflow warnings.
     """
-    if np.any(np.less_equal(t, 0.0)):
+    if np.less_equal(t, 0.0).any():
         raise ValueError("temperature must be strictly positive")
     x = np.subtract(omega, mu) / t
     e = np.exp(-np.abs(x))

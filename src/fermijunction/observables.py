@@ -109,9 +109,13 @@ def spectral_decompose(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     t and b are linear in v, so on a derivative dv they are (dt, db).
     """
     t = v[..., 1] + v[..., 2]
-    b = np.stack([0.5 * (v[..., 1] - v[..., 2]), v[..., 4], v[..., 5]], axis=-1)
-    r = np.linalg.norm(b, axis=-1)
-    p = np.stack([v[..., 0], 0.5 * t + r, 0.5 * t - r, v[..., 3]], axis=-1)
+    z = 0.5 * (v[..., 1] - v[..., 2])
+    b = v[..., 3:].copy()
+    b[..., 0] = z
+    # R = |b|, the squares summed in the order np.linalg.norm sums them
+    r = np.sqrt(z * z + v[..., 4] * v[..., 4] + v[..., 5] * v[..., 5])
+    p = v[..., :4].copy()
+    p[..., 1], p[..., 2] = 0.5 * t + r, 0.5 * t - r
     return p, t, b
 
 
@@ -142,7 +146,7 @@ def _entropy_terms(eigs: np.ndarray) -> np.ndarray:
     """-p log2 p for each eigenvalue p; ValueError if one is below the floor."""
     if eigs.min() < _EIG_FLOOR:
         raise ValueError(f"matrix has eigenvalue {eigs.min():.3e}; not a state")
-    eigs = np.clip(eigs, 0.0, None)
+    eigs = np.maximum(eigs, 0.0)
     return -eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0))
 
 
@@ -156,14 +160,17 @@ def _entropy_bits(mat: np.ndarray) -> float:
 _MARGINALS = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=float)
 
 
-def _x_entropies(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S(A), S(B) and S(AB) in bits of X states, from the closed-form
-    spectrum (rho00, rho33, t/2 +- R) and the diagonal reduced states.
-    Raises ValueError on a sector that is not a state."""
+def _x_entropies(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """S(A), S(B), S(AB) and the Shannon entropy H of the populations
+    (rho00, rho11, rho22, rho33), in bits, of X states, from the
+    closed-form spectrum (rho00, rho33, t/2 +- R), the diagonal reduced
+    states and the diagonal.  Raises ValueError on a sector that is not
+    a state."""
     p, _, _ = spectral_decompose(v)
     marginals = v[..., :4] @ _MARGINALS
-    h = _entropy_terms(np.concatenate([p, marginals], axis=-1))
-    return h[..., 4:6].sum(axis=-1), h[..., 6:].sum(axis=-1), h[..., :4].sum(axis=-1)
+    h = _entropy_terms(np.concatenate([p, marginals, v[..., :4]], axis=-1))
+    s_a, s_b = h[..., 4] + h[..., 5], h[..., 6] + h[..., 7]
+    return s_a, s_b, h[..., :4].sum(axis=-1), h[..., 8:].sum(axis=-1)
 
 
 def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +184,7 @@ def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mutual_information(v: np.ndarray) -> float:
     """Quantum mutual information S(A) + S(B) - S(AB) in bits, in closed
     form."""
-    s_a, s_b, s_ab = _x_entropies(v)
+    s_a, s_b, s_ab, _ = _x_entropies(v)
     return (s_a + s_b - s_ab)[()]
 
 
@@ -273,7 +280,7 @@ def _x_entropy(theta, entries, slopes=False):
     return value, (first[0] + first[1]) / -_LN2, (second[0] + second[1]) / -_LN2
 
 
-def _x_state_search(v: np.ndarray, settled=False) -> tuple[float, float]:
+def _x_state_search(v: np.ndarray) -> tuple[float, float]:
     """Smallest conditional entropy of an X state and its polar angle.
 
     The conditional entropy does not depend on the azimuth and is the
@@ -296,15 +303,8 @@ def _x_state_search(v: np.ndarray, settled=False) -> tuple[float, float]:
     angle only if its value is strictly lower, so the value never
     exceeds the scan's and the angle returned attains it.  All states of
     a stack are searched together, the scan on a leading axis.
-
-    States where the boolean mask ``settled`` holds take the entropy at
-    theta = 0 instead, the scan's first angle; when it holds for every
-    state, that one value pass is all the work.
     """
     entries = _x_state_entries(np.moveaxis(v[..., :4], -1, 0), coherence(v) ** 2)
-    if np.all(settled):
-        theta = np.zeros(v.shape[:-1])
-        return _x_entropy(theta, entries)[()], theta[()]
     leading = (-1,) + (1,) * (v.ndim - 1)
     cell = 0.5 * np.pi / _SEARCH_GRID
     vals = _x_entropy(cell * np.arange(_SEARCH_GRID + 1).reshape(leading), entries)
@@ -330,8 +330,7 @@ def _x_state_search(v: np.ndarray, settled=False) -> tuple[float, float]:
         theta = np.where(inside & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
     polished = _x_entropy(theta, entries)
     better = polished < value
-    value, theta = np.where(better, polished, value), np.where(better, theta, at)
-    return np.where(settled, vals[0], value)[()], np.where(settled, 0.0, theta)[()]
+    return np.where(better, polished, value)[()], np.where(better, theta, at)[()]
 
 
 def discord(v: np.ndarray) -> DiscordResult:
@@ -352,12 +351,20 @@ def discord(v: np.ndarray) -> DiscordResult:
     at most ``_QMI_FLOOR`` no search moves either result by more than
     the floor: such a state (an equilibrium product state, whose I is
     roundoff) takes theta = 0, the exact optimum of a state without
-    coherence, and 1 evaluation.  A stack of only such states makes one
-    value pass; the others in a mixed stack are searched as before.
+    coherence.  Measuring B along theta = 0 leaves A diagonal, so the
+    conditional entropy there is H(rho00, rho11, rho22, rho33) - S(B),
+    from the entropies the mutual information already takes: no
+    evaluation of the conditional entropy.  A stack of only such states
+    is not searched; in a mixed stack all states are searched and those
+    below the floor take theta = 0.
     """
-    s_a, s_b, s_ab = _x_entropies(v)
+    s_a, s_b, s_ab, h_diag = _x_entropies(v)
     qmi = s_a + s_b - s_ab
-    cond, theta = _x_state_search(v, settled=qmi <= _QMI_FLOOR)
+    cond, theta = h_diag - s_b, np.zeros_like(qmi)
+    settled = qmi <= _QMI_FLOOR
+    if not settled.all():
+        searched, at = _x_state_search(v)
+        cond, theta = np.where(settled, cond, searched), np.where(settled, theta, at)
     classical = s_a - cond
     return DiscordResult(
         classical_corr=classical[()],

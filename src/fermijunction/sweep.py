@@ -95,9 +95,14 @@ class Axis:
     scale: str = "linear"
 
     def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        """The axis values, evenly spaced or, on a log scale, the floats
+        of ``np.geomspace`` for count >= 2 (which ``SweepSpec`` checks):
+        10 ** evenly spaced logs, the ends pinned to start and stop."""
+        if self.scale == "linear":
+            return np.linspace(self.start, self.stop, self.count)
+        y = 10.0 ** np.linspace(np.log10(self.start), np.log10(self.stop), self.count)
+        y[0], y[-1] = self.start, self.stop
+        return y
 
 
 @dataclass(frozen=True)
@@ -159,9 +164,14 @@ class SweepSpec:
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """One array per axis holding its coordinate at every grid point,
-        row-major (first axis outer)."""
-        arrays = [ax.values() for ax in self.axes]
-        return tuple(m.ravel() for m in np.meshgrid(*arrays, indexing="ij"))
+        row-major (first axis outer): the ravelled ``np.meshgrid(...,
+        indexing="ij")`` of the axis values, as each value repeated along
+        the second axis and the second axis tiled along the first."""
+        arrays = tuple(ax.values() for ax in self.axes)
+        if len(arrays) < 2:
+            return arrays
+        outer, inner = arrays
+        return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
     def resolve(self, coords: tuple[float, ...]) -> dict[str, float]:
         """Full parameter map for one grid point, or for many when each
@@ -206,9 +216,9 @@ def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
 
 
 def _columns(arrays: dict[str, Any]) -> dict[str, list]:
-    """A list per column from per-point arrays; array values become
-    Python scalars, so the rows serialize as JSON."""
-    return {k: v if isinstance(v, list) else np.atleast_1d(v).tolist() for k, v in arrays.items()}
+    """A list per column from the 1-d per-point arrays of a stack; array
+    values become Python scalars, so the rows serialize as JSON."""
+    return {k: v if isinstance(v, list) else v.tolist() for k, v in arrays.items()}
 
 
 def _block(name: str, *values) -> dict[str, Any]:
@@ -235,7 +245,7 @@ def _observe(spec: SweepSpec, ness) -> dict[str, list]:
         # discord has already computed the same mutual information
         qmi = d.qmi if "discord" in spec.observables else mutual_information(v)
         cells.update(_block("correlations", *local, qmi))
-    cells["v"] = list(np.reshape(v, (-1, v.shape[-1])))
+    cells["v"] = list(v)
     stages = [("solver", ness.errors)]
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)
@@ -261,8 +271,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     coords = spec.coordinates()
     n = coords[0].size if coords else 1
     resolved = spec.resolve(coords)
-    values = {k: np.broadcast_to(np.asarray(resolved[k], dtype=float), (n,)) for k in BASE_PARAMS}
-    table = _columns({**{ax.name: c for ax, c in zip(spec.axes, coords)}, **values})
+    # one (parameter, point) array: each row a parameter at every point
+    grid = np.empty((len(BASE_PARAMS), n))
+    for row, k in zip(grid, BASE_PARAMS):
+        row[...] = resolved[k]
+    values = dict(zip(BASE_PARAMS, grid))
+    table = {ax.name: c.tolist() for ax, c in zip(spec.axes, coords)}
+    table.update(zip(BASE_PARAMS, grid.tolist()))
     table["flags"] = [""] * n
     stacked = range(n)  # the grid points held in the stack
     try:

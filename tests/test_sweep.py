@@ -105,6 +105,33 @@ def test_grid_row_major_order():
     assert list(zip(mu1.tolist(), t2.tolist())) == [(0.0, 0.2), (0.0, 0.4), (1.0, 0.2), (1.0, 0.4)]
 
 
+@st.composite
+def axis_grids(draw):
+    """Specs with 0, 1 or 2 axes, each linear (any sign) or log."""
+    names = draw(st.sampled_from([(), ("delta",), ("delta", "t2")]))
+    axes = []
+    for name in names:
+        scale = draw(st.sampled_from(["linear", "log"]))
+        bound = st.floats(1e-3, 2.0) if scale == "log" else st.floats(-2.0, 2.0)
+        axes.append(Axis(name, draw(bound), draw(bound), draw(st.integers(2, 9)), scale))
+    return SweepSpec(fixed=fixed_without(*names), axes=tuple(axes), observables=("correlations",))
+
+
+@settings(max_examples=40, deadline=None)
+@given(axis_grids())
+def test_coordinates_are_the_ravelled_meshgrid(spec):
+    arrays = [ax.values() for ax in spec.axes]
+    for ax, values in zip(spec.axes, arrays):
+        spaced = np.geomspace if ax.scale == "log" else np.linspace
+        assert values.tobytes() == spaced(ax.start, ax.stop, ax.count).tobytes()
+    want = [m.ravel() for m in np.meshgrid(*arrays, indexing="ij")]
+    got = spec.coordinates()
+    assert len(got) == len(want) == len(spec.axes)
+    for g, w in zip(got, want):
+        # bit for bit, in the same order
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_resolve_offset_axes_after_direct():
     spec = SweepSpec(
         fixed=fixed_without("mu1", "mu2"),
