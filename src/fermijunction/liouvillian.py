@@ -38,8 +38,9 @@ sector
 
 follows from x by Wick's theorem: rho33 = n1 n2 - X^2 - Y^2,
 rho11 = n1 - rho33, rho22 = n2 - rho33, rho00 = 1 - n1 - n2 + rho33.
-v is the state format every measure takes; ``observables.x_state``
-builds the 4x4 X state where a dense oracle needs it.
+v is the state format every measure but the QFI (which takes x)
+takes; ``observables.x_state`` builds the 4x4 X state where a dense
+oracle needs it.
 
 Bath l weights mode a's thermal bracket by w_al = gamma_a |U_la|^2,
 with |U_la|^2 = (1 +- cos theta)/2, and its cross line by
@@ -54,7 +55,7 @@ whose level width is Gamma = 2 gamma.
 M and b are linear in s and in the weights, the weights times the
 occupations, so their delta-derivatives follow by the product rule from
 closed forms; with the inverse of M the solve keeps they give the exact
-dx / d delta, and Wick's chain rule gives dv / d delta.
+dx / d delta, on which ``metrology`` takes the QFI.
 
 Parameters, bases, generators and states may carry leading batch axes
 (see ``model``): a whole sweep grid is diagonalized, built and solved by
@@ -137,43 +138,46 @@ class DegenerateNullSpaceError(SteadyStateError):
 _BATH_SIGN = np.array([-1.0, 1.0])  # bath 1, bath 2
 
 
-def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams):
+def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams) -> np.ndarray:
     """Weights (w1, w2, s1, s2) of the thermal brackets and cross lines of
-    modes 1 and 2, each (..., 2) with bath l on the last axis:
+    modes 1 and 2, on the last axis of (..., 2, 4) with bath l on axis -2:
     gamma_a (unit +- cos theta)/2 and (+-1/2) gamma_a sin theta.  With
     unit = 1 these are the weights; with unit = 0 and the derivatives of
     cos theta and sin theta they are the weights' derivatives."""
-    sign = _BATH_SIGN
     ct, st, g1, g2 = (
         np.asarray(x)[..., None] for x in (cos_theta, sin_theta, params.gamma1, params.gamma2)
     )
-    turned, cross = sign * ct, -sign * 0.5 * st
-    return g1 * 0.5 * (unit + turned), g2 * 0.5 * (unit - turned), cross * g1, cross * g2
+    turned, cross = _BATH_SIGN * ct, -_BATH_SIGN * 0.5 * st
+    w = np.empty(np.broadcast(turned, cross, g1, g2).shape + (4,))
+    w[..., 0], w[..., 1] = g1 * 0.5 * (unit + turned), g2 * 0.5 * (unit - turned)
+    w[..., 2], w[..., 3] = cross * g1, cross * g2
+    return w
 
 
-def _occupations(basis: EigenBasis, baths: BathParams):
-    """((occupations of modes 1 and 2 in each reservoir), the reservoirs'
-    temperatures), each (..., 2) with bath l on the last axis."""
-    bath = np.stack(np.broadcast_arrays(baths.t1, baths.t2, baths.mu1, baths.mu2), axis=-1)
-    t, mu = bath[..., :2], bath[..., 2:]
-    # one call on the (..., mode, bath) grid
-    omega = np.stack([basis.omega_p1, basis.omega_p2], axis=-1)[..., None]
-    occ = fermi_occupation(omega, t[..., None, :], mu[..., None, :])
-    return (occ[..., 0, :], occ[..., 1, :]), t
+def _occupations(basis: EigenBasis, baths: BathParams) -> np.ndarray:
+    """Occupations of modes 1 and 2 in each reservoir, (..., 2, 2) with
+    bath l on axis -2 and the mode on the last axis."""
+    fields = (baths.t1, baths.t2, baths.mu1, baths.mu2)
+    bath = np.empty(np.broadcast(*fields).shape + (4,))
+    bath[..., 0], bath[..., 1], bath[..., 2], bath[..., 3] = fields
+    # one call on the (..., bath, mode) grid
+    omega = np.stack([basis.omega_p1, basis.omega_p2], axis=-1)[..., None, :]
+    return fermi_occupation(omega, bath[..., :2, None], bath[..., 2:, None])
 
 
 def _bath_generators(weights, occupations, unit=1.0) -> np.ndarray:
-    """Each bath's share [M_l | b_l] of dx/dt, (..., 2, 4, 5) with bath l
-    on axis -3, from the angular weights (w1, w2, s1, s2) and the modes'
-    occupations (o1, o2).  M_l is linear in the weights and is scaled by
-    unit; b_l holds the weights times the occupations."""
-    w1, w2, s1, s2 = weights
-    o1, o2 = occupations
-    g = np.zeros(np.broadcast(w1, w2, s1, s2, o1, o2).shape + (4, 5))
-    g[..., 0, 0], g[..., 0, 2] = -2.0 * unit * w1, -2.0 * unit * s2
-    g[..., 1, 1], g[..., 1, 2] = -2.0 * unit * w2, -2.0 * unit * s1
-    g[..., 2, 0], g[..., 2, 1] = -unit * s1, -unit * s2
-    g[..., 2, 2] = g[..., 3, 3] = -unit * (w1 + w2)
+    """Each bath's share [M_l | b_l] of dx/dt, (..., L, 4, 5) with bath l
+    on axis -3, from the angular weights (w1, w2, s1, s2), (..., L, 4),
+    and the modes' occupations (o1, o2), (..., L, 2), of L baths.  M_l is
+    linear in the weights and scaled by unit (one value or one per bath);
+    b_l holds the weights times the occupations."""
+    w1, w2, s1, s2 = weights[..., 0], weights[..., 1], weights[..., 2], weights[..., 3]
+    o1, o2 = occupations[..., 0], occupations[..., 1]
+    g = np.zeros(np.broadcast(w1, o1).shape + (4, 5))
+    m1, m2 = -unit, -2.0 * unit
+    g[..., 0, 0], g[..., 0, 2], g[..., 1, 1], g[..., 1, 2] = m2 * w1, m2 * s2, m2 * w2, m2 * s1
+    g[..., 2, 0], g[..., 2, 1] = m1 * s1, m1 * s2
+    g[..., 2, 2] = g[..., 3, 3] = m1 * (w1 + w2)
     g[..., 0, 4], g[..., 1, 4] = 2.0 * w1 * o1, 2.0 * w2 * o2
     g[..., 2, 4] = s1 * o1 + s2 * o2
     return g
@@ -191,29 +195,20 @@ def _homogeneous(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones_like(x[..., :1])], axis=-1)
 
 
-def _sector(x: np.ndarray, r, unit) -> np.ndarray:
-    """v = (unit - n1 - n2 + r, n1 - r, n2 - r, r, X, Y) of x = (n1, n2,
-    X, Y) and r = rho33: with unit = 1 Wick's sector, with unit = 0 and
-    the derivatives of x and r its derivative."""
-    n1, n2 = x[..., 0], x[..., 1]
-    v = np.empty(x.shape[:-1] + (6,))
-    v[..., 0], v[..., 1], v[..., 2], v[..., 3] = unit - n1 - n2 + r, n1 - r, n2 - r, r
-    v[..., 4:] = x[..., 2:]
-    return v
-
-
 @dataclass(frozen=True)
 class Liouvillian:
-    """The affine generator of the correlations and its per-bath pieces.
+    """The affine generator of the correlations and its pieces.
 
     ``matrix`` is [M | b], (..., 4, 5), with dx/dt = M x + b for
     x = (n1, n2, Re rho12, Im rho12); ``dissipators`` stacks each bath's
-    share [M_l | b_l] of it, (..., 2, 4, 5) with bath l on axis -3, whose
-    n-rows carry the currents.
-    """
+    share [M_l | b_l] of it, (..., 2, 4, 5) with bath l on axis -3, and
+    ``weights`` and ``occupations`` the bath terms it is linear in
+    (``_angular_weights``, ``_occupations``)."""
 
     matrix: np.ndarray
     dissipators: np.ndarray
+    weights: np.ndarray
+    occupations: np.ndarray
 
 
 def build_liouvillian(
@@ -222,34 +217,39 @@ def build_liouvillian(
     """Build dx/dt = M x + b of d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
     split = np.asarray(basis.omega_p1) - basis.omega_p2
     weights = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
-    dissipators = _bath_generators(weights, _occupations(basis, baths)[0])
-    return Liouvillian(matrix=_rotate(dissipators.sum(axis=-3), split), dissipators=dissipators)
+    occupations = _occupations(basis, baths)  # one Fermi call for the grid
+    dissipators = _bath_generators(weights, occupations)
+    return Liouvillian(matrix=_rotate(dissipators.sum(axis=-3), split), dissipators=dissipators,
+                       weights=weights, occupations=occupations)
 
 
-def generator_derivative(
-    basis: EigenBasis, baths: BathParams, params: SystemParams
-) -> np.ndarray:
-    """d [M | b] / d delta in the mode frame of ``basis`` (the frame
-    ``build_liouvillian`` works in), (..., 4, 5).
+def generator_derivative(ness: NessResult) -> np.ndarray:
+    """d [M | b] / d delta, (..., 4, 5), of the generator a steady state
+    was solved with, in its mode frame (the one ``build_liouvillian``
+    works in).
 
-    d omega'_1 = -d omega'_2 = sin theta, the frame turns at the basis's
-    d theta, and each Fermi occupation moves by d n = -n (1 - n) d omega'_a
-    / T.  M and b are linear in s = omega'_1 - omega'_2, in the weights
-    and in the weights times the occupations, so the derivative is the
-    rotation times d s plus, by the product rule, the bath pieces of the
-    weights' derivatives with the occupations and those of the weights
-    with the occupations' derivatives, M's part dropped.  At s = 0
-    d theta is 0 in the delta -> 0+ frame, so this is the one-sided
-    derivative from delta > 0.
+    d omega'_1 = -d omega'_2 = sin theta, the frame turns at d theta, and
+    each occupation moves by d n = -n (1 - n) d omega'_a / T.  M and b are
+    linear in s = omega'_1 - omega'_2, in the weights and in the weights
+    times the occupations, so the derivative is the rotation times d s
+    plus, by the product rule, the bath pieces of the weights'
+    derivatives with the occupations and of the weights with the
+    occupations' derivatives (M's part dropped), in one pass on the
+    weights and occupations the solve kept.  At s = 0 d theta is 0 in the
+    delta -> 0+ frame: the one-sided derivative from delta > 0.
     """
+    basis, baths, occ = ness.basis, ness.baths, ness.occupations
     ct, st, d_theta = (np.asarray(x) for x in (basis.cos_theta, basis.sin_theta, basis.d_theta))
-    weights = _angular_weights(1.0, ct, st, params)
-    d_weights = _angular_weights(0.0, -st * d_theta, ct * d_theta, params)
-    occ, t = _occupations(basis, baths)
-    # d omega'_1 = -d omega'_2 = sin theta
-    d_occ = [sign * n * (1.0 - n) / t * st[..., None] for sign, n in zip((-1.0, 1.0), occ)]
-    d_baths = _bath_generators(d_weights, occ) + _bath_generators(weights, d_occ, 0.0)
-    return _rotate(d_baths.sum(axis=-3), 2.0 * st)
+    d_weights = _angular_weights(0.0, -st * d_theta, ct * d_theta, ness.params)
+    # d omega'_1 = -d omega'_2 = sin theta; bath l's occupations over its T
+    d_occ = occ * (1.0 - occ) * (st[..., None, None] * [-1.0, 1.0])
+    d_occ[..., 0, :] /= np.asarray(baths.t1)[..., None]
+    d_occ[..., 1, :] /= np.asarray(baths.t2)[..., None]
+    # the weights' derivatives with the occupations, then the weights with
+    # the occupations' derivatives (unit 0: M's part dropped), as four baths
+    pieces = _bath_generators(np.concatenate([d_weights, ness.weights], axis=-2),
+                              np.concatenate([occ, d_occ], axis=-2), np.array([1.0, 1.0, 0.0, 0.0]))
+    return _rotate(pieces.sum(axis=-3), 2.0 * st)
 
 
 def _finalize(x: np.ndarray, lv: Liouvillian):
@@ -259,7 +259,10 @@ def _finalize(x: np.ndarray, lv: Liouvillian):
     # the norm summed as np.linalg.norm sums it
     residual = np.sqrt((drift * drift).sum(axis=-1))
     n1, n2, re, im = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    v = _sector(x, n1 * n2 - re * re - im * im, 1.0)
+    r = n1 * n2 - re * re - im * im  # rho33
+    v = np.empty(x.shape[:-1] + (6,))
+    v[..., 0], v[..., 1], v[..., 2], v[..., 3] = 1.0 - n1 - n2 + r, n1 - r, n2 - r, r
+    v[..., 4:] = x[..., 2:]
     return v, residual, spectral_decompose(v)[0].min(axis=-1)
 
 
@@ -344,17 +347,21 @@ def steady_state(lv: Liouvillian):
 class NessResult:
     """Steady state plus the parameters it was solved for and the objects
     that produced it, all stacked alike: ``v`` is the state's real
-    charge-neutral sector (..., 6), which every measure takes, ``x`` its
-    correlations (n1, n2, Re rho12, Im rho12), ``number_rows`` each
-    bath's rows of dn1/dt and dn2/dt on (x, 1), (..., 2, 2, 5) with bath
-    l first, which the currents read (the generator is not kept),
-    ``residual`` is ||M x + b|| (an array for a stack), ``inverse`` is
-    the M^-1 that ``steady_state`` solved with, and ``errors`` holds
-    each failed point's typed error (None where the solve passed)."""
+    charge-neutral sector (..., 6), which every measure but the QFI
+    takes, ``x`` its correlations (n1, n2, Re rho12, Im rho12), ``flows``
+    each bath's share of dn1/dt and dn2/dt there, (..., 2, 2) with bath
+    l first, which the currents read, ``weights`` and ``occupations`` the
+    bath terms the generator is linear in (see ``Liouvillian``; the
+    generator is not kept), ``residual`` is ||M x + b|| (an array for a
+    stack), ``inverse`` is the M^-1 that ``steady_state`` solved with,
+    and ``errors`` holds each failed point's typed error (None where the
+    solve passed)."""
 
     v: np.ndarray
     x: np.ndarray
-    number_rows: np.ndarray
+    flows: np.ndarray
+    weights: np.ndarray
+    occupations: np.ndarray
     basis: EigenBasis
     residual: float | np.ndarray
     params: SystemParams
@@ -373,26 +380,21 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     v, x, residual, inverse, errors = steady_state(lv)
-    return NessResult(v=v, x=x, number_rows=lv.dissipators[..., :2, :].copy(), basis=basis,
-                      residual=residual, params=params, baths=baths, inverse=inverse,
-                      errors=errors)
+    # the n-rows of each bath's piece on (x, 1)
+    flows = (lv.dissipators[..., :2, :] @ _homogeneous(x)[..., None, :, None])[..., 0]
+    return NessResult(v=v, x=x, flows=flows, weights=lv.weights, occupations=lv.occupations,
+                      basis=basis, residual=residual, params=params, baths=baths,
+                      inverse=inverse, errors=errors)
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:
-    """d v / d delta of solved steady states in their mode frame, for
-    each point of a stack.
-
-    M x + b = 0 holds at every delta, so dx = -M^-1 (dM x + db) with
-    [dM | db] from ``generator_derivative``: two stacked matrix-vector
-    products with the inverse the solve kept.  Wick's chain rule then
-    gives dv, with d rho33 = dn1 n2 + n1 dn2 - 2 (X dX + Y dY).  At
-    omega1 == omega2, delta == 0 it is the derivative from delta > 0.
-    """
-    x = ness.x
-    d_g = generator_derivative(ness.basis, ness.baths, ness.params)
-    dx = -(ness.inverse @ (d_g @ _homogeneous(x)[..., None]))[..., 0]
-    (n1, n2, re, im), (dn1, dn2, d_re, d_im) = np.moveaxis(x, -1, 0), np.moveaxis(dx, -1, 0)
-    return _sector(dx, dn1 * n2 + n1 * dn2 - 2.0 * (re * d_re + im * d_im), 0.0)
+    """d x / d delta of solved steady states' correlations, in their mode
+    frame: M x + b = 0 holds at every delta, so dx = -M^-1 (dM x + db)
+    with [dM | db] from ``generator_derivative`` and the inverse the solve
+    kept.  At omega1 == omega2, delta == 0 it is the derivative from
+    delta > 0."""
+    d_g = generator_derivative(ness)
+    return -(ness.inverse @ (d_g @ _homogeneous(ness.x)[..., None]))[..., 0]
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

@@ -5,12 +5,13 @@ in the dressed-mode frame, which turns with delta whenever omega1 !=
 omega2; a state's QFI in a frame that moves with the parameter misses
 that turn.  Two independent numerical routes plus one closed form:
 
-* ``qfi_spectral``: the SLD formula in closed form on a solved steady
-  X state's charge-neutral sector v and its exact derivative dv / d
-  delta (``liouvillian.state_derivative`` differentiates the solve in
-  the mode frame, and the frame's turn ``EigenBasis.d_theta`` is
-  added), split into the population part F^E and the basis-rotation
-  part F^N of its eigenbasis.
+* ``qfi_spectral``: the Gaussian-state QFI in closed form on the 2x2
+  correlation matrix C of a solved steady state, from its correlations
+  x and their exact derivative dx / d delta
+  (``liouvillian.state_derivative`` differentiates the solve in the
+  mode frame, and the frame's turn ``EigenBasis.d_theta`` is added),
+  split into the part F^E from C's eigenvalues and the part F^N from
+  the turn of its eigenbasis.
 * ``qfi_fidelity_oracle``: Bures-distance estimate 8 (1 - A)/h^2 from
   the Uhlmann fidelity A of two nearby steady states taken to the site
   frame (``site_basis_state``), Richardson extrapolated.  Used as the
@@ -27,7 +28,8 @@ import numpy as np
 
 from .liouvillian import NessResult, solve_ness, state_derivative
 from .model import BathParams, SystemParams, _point_errors, fermi_occupation
-from .observables import site_basis_state, spectral_decompose, x_state
+# spectral_decompose is not called here: sweepbench's layer table times it at this module
+from .observables import site_basis_state, spectral_decompose, x_state  # noqa: F401
 
 __all__ = [
     "QfiReport",
@@ -38,15 +40,16 @@ __all__ = [
     "fidelity",
 ]
 
-_P_FLOOR = 1e-12  # eigenvalues below this count as zero rank
+_P_FLOOR = 1e-12  # lambda or 1 - lambda below this: an empty or full level
 _DP_FLOOR = 1e-8  # derivative magnitude separating "stays zero" from rank change
-_AXIS = np.array([0.0, 0.0, 1.0])  # Bloch axis the mode frame turns about
+_PM = np.array([1.0, -1.0])  # lambda+- = (n1 + n2)/2 +- R, on a leading axis
 
 
 class RankChangeError(RuntimeError):
-    """An eigenvalue of the state is zero or negative here with a sizable
-    derivative, so the SLD formula does not apply: the rank of the state
-    changes at this point, or the Redfield state lost positivity."""
+    """An eigenvalue lambda of the correlation matrix, or 1 - lambda, is
+    zero or negative here with a sizable derivative, so the QFI formula
+    does not apply: the rank of the state changes at this point, or the
+    Redfield state lost positivity."""
 
 
 @dataclass(frozen=True)
@@ -62,69 +65,64 @@ class QfiReport:
 
 def qfi_spectral(ness: NessResult) -> QfiReport:
     """QFI for estimating the tunneling amplitude, in closed form on the
-    charge-neutral sector, for a solved steady state (or a stack of them).
+    correlation matrix C of a solved steady state (or a stack of them).
 
-    dv is the exact derivative in delta of the solved state's sector v
-    (``state_derivative``: dx = -M^-1 (dM x + db) with the inverse the
-    solve kept, no second solve, then Wick's chain rule).  The X state's
-    eigenvalues are rho00, rho33 and t/2 +- R with (t, b) the trace and
-    Bloch vector of the singly occupied block and R = |b|
-    (``spectral_decompose``, which also maps dv to (dt, db)); by
-    Hellmann-Feynman their derivatives are
-    d rho00, d rho33 and dt/2 +- b.db/R.  That dv is in the mode frame;
-    in the fixed site frame b also turns with the frame, at d theta
-    (``EigenBasis.d_theta``) about its third axis e_3, which moves no
-    eigenvalue.  The SLD formula 2 sum |<i|d rho|j>|^2 / (p_i + p_j) of
-    the site-frame state then splits into
+    The state is Gaussian, fixed by x = (n1, n2, X, Y); dx is its exact
+    delta-derivative (``state_derivative``, no second solve).  C has the
+    eigenvalues lambda+- = (n1 + n2)/2 +- R, b = ((n1 - n2)/2, X, Y),
+    R = |b|, so d lambda+- = (dn1 + dn2)/2 +- b.db/R.  dx is in the mode
+    frame; in the site frame b also turns, at d theta
+    (``EigenBasis.d_theta``) about its third axis e_3.  The Gaussian-state
+    QFI (Banchi, Giorda & Zanardi, PRE 89, 022102 (2014)) splits into the
+    Fisher information of C's eigenvalues and the turn of its eigenbasis,
 
-        F^E = sum_i dp_i^2 / p_i,
-        F^N = 4 |b x (db + d theta e_3 x b)|^2 / (R^2 t).
+        F^E = sum_+- d lambda+-^2 / (lambda+- (1 - lambda+-)),
+        F^N = 4 |b x (db + d theta e_3 x b)|^2 / (R^2 t),
 
-    Eigenvalues below 1e-12 whose derivative is also negligible are
-    dropped, so a cold, nearly frozen state gets its small true value; a
-    sizable derivative at a vanishing or negative eigenvalue is a
-    RankChangeError.  Where the singly occupied block's trace t is below
-    1e-12, F^N is left out whole, its site-frame term too: that term is
-    about t d theta^2, so at most 1e-12 d theta^2.  At omega1 == omega2,
-    delta == 0 the derivative is the one from delta > 0 (see
-    ``generator_derivative``), so the value there is the delta -> 0 limit.
+    t = lambda+ + lambda- - 2 lambda+ lambda- the singly occupied block's
+    trace: the SLD sums over the X state's four eigenvalues.
 
-    For a stack every point is one stacked derivative and decomposition;
-    a point that fails gets NaN in ``f_total``, ``f_e`` and ``f_n`` and
-    its RankChangeError in ``errors``, an object array shaped like the
-    stack.  An unstacked state raises that error.
+    A level with lambda or 1 - lambda below 1e-12 is empty or full: with
+    a negligible derivative it is dropped, leaving out lambda (d ln
+    lambda)^2 < 1e-12 / T^2, so a cold, nearly frozen state is no
+    failure; with a sizable one it is a RankChangeError.  Where t < 1e-12, F^N is left out whole, its
+    site-frame term (about t d theta^2 <= 1e-12 d theta^2) too.  At
+    omega1 == omega2, delta == 0 the derivative is the one from delta > 0
+    (``generator_derivative``): the value is the delta -> 0 limit.  In a
+    stack a failed point gets NaN values and its error in ``errors``, an
+    object array shaped like the stack; an unstacked state raises it.
     """
-    dv = state_derivative(ness)
-    p, (t, dt), (b, db) = spectral_decompose(np.stack([ness.v, dv]))
-    r = np.linalg.norm(b, axis=-1)
+    x, dx, d_theta = ness.x, state_derivative(ness), ness.basis.d_theta
+    n1, n2, re, im = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    dn1, dn2, d_re, d_im = dx[..., 0], dx[..., 1], dx[..., 2], dx[..., 3]
+    z, dz = 0.5 * (n1 - n2), 0.5 * (dn1 - dn2)
+    mean, d_mean = 0.5 * (n1 + n2), 0.5 * (dn1 + dn2)
+    r = np.sqrt(z * z + re * re + im * im)
     split = r > 0.0
-    # dR = b.db/R; a degenerate block (R = 0) splits along db, by |db|
-    d_r = np.where(
-        split, (b * db).sum(axis=-1) / np.where(split, r, 1.0), np.linalg.norm(db, axis=-1)
-    )
-    p = np.moveaxis(p[0], -1, 0)
-    dp = np.stack([dv[..., 0], 0.5 * dt + d_r, 0.5 * dt - d_r, dv[..., 3]])
-    empty = p < _P_FLOOR
-    rank_change = empty & (np.abs(dp) >= _DP_FLOOR)
-    f_e = np.where(empty, 0.0, dp * dp / np.where(empty, 1.0, p)).sum(axis=0)
+    # dR = b.db/R; a degenerate C (R = 0) splits along db, by |db|
+    d_r = (z * dz + re * d_re + im * d_im) / np.where(split, r, 1.0)
+    if not split.all():
+        d_r = np.where(split, d_r, np.sqrt(dz * dz + d_re * d_re + d_im * d_im))
+    lam, d_lam = mean + np.multiply.outer(_PM, r), d_mean + np.multiply.outer(_PM, d_r)
+    # each level's distance from empty or full
+    edge = np.minimum(lam, 1.0 - lam)
+    frozen = edge < _P_FLOOR
+    rank_change = frozen & (np.abs(d_lam) >= _DP_FLOOR)
+    f_e = np.where(frozen, 0.0, d_lam * d_lam / np.where(frozen, 1.0, lam * (1.0 - lam))).sum(0)
 
+    t = lam[0] + lam[1] - 2.0 * lam[0] * lam[1]
     coherent = split & (t > _P_FLOOR)
     # in the site frame b also turns with the mode frame, about its third axis
-    turn = np.cross(b, db + np.asarray(ness.basis.d_theta)[..., None] * np.cross(_AXIS, b))
-    f_n = np.where(
-        coherent,
-        4.0 * (turn * turn).sum(axis=-1) / np.where(coherent, r * r * t, 1.0),
-        0.0,
-    )
+    u_z, u_x = dz - d_theta * re, d_re + d_theta * z
+    turn = (re * d_im - im * u_x) ** 2 + (im * u_z - z * d_im) ** 2 + (z * u_x - re * u_z) ** 2
+    f_n = np.where(coherent, 4.0 * turn / np.where(coherent, r * r * t, 1.0), 0.0)
 
     def rank_change_error(i):
         k = (rank_change[(slice(None), *i)].argmax(), *i)  # the point's first such level
-        cause = (
-            "the Redfield state lost positivity"
-            if p[k] < 0.0
-            else "the rank of the state changes at this point"
-        )
-        return RankChangeError(f"eigenvalue {p[k]:.3e} with derivative {dp[k]:.3e}: {cause}")
+        cause = ("the Redfield state lost positivity" if edge[k] < 0.0
+                 else "the rank of the state changes at this point")
+        rate = d_lam[k] if lam[k] == edge[k] else -d_lam[k]  # of lambda, or of 1 - lambda
+        return RankChangeError(f"eigenvalue {edge[k]:.3e} with derivative {rate:.3e}: {cause}")
 
     failed = rank_change.any(axis=0)
     errors = _point_errors(failed, rank_change_error)

@@ -55,7 +55,7 @@ _EIG_FLOOR = -1e-9  # most negative eigenvalue accepted as roundoff
 _X_TOL = 1e-10  # largest off-pattern entry still treated as an X state
 _SEARCH_GRID = 40  # cells of the discord search's first polar-angle scan
 _NEWTON_STEPS = 3  # safeguarded Newton steps in cos 2 theta after the scan
-# mutual information (bits) at or below which discord takes theta = 0
+# |mutual information| (bits) at or below which discord takes theta = 0
 # unsearched: no measurement moves J or the discord by more than it
 _QMI_FLOOR = 1e-14
 _LN2 = math.log(2.0)
@@ -347,21 +347,21 @@ def discord(v: np.ndarray) -> DiscordResult:
     entropy per searched state.
 
     For every measurement 0 <= J_theta <= J <= I (Henderson & Vedral
-    2001; Ollivier & Zurek 2002), so where the mutual information I is
-    at most ``_QMI_FLOOR`` no search moves either result by more than
-    the floor: such a state (an equilibrium product state, whose I is
-    roundoff) takes theta = 0, the exact optimum of a state without
-    coherence.  Measuring B along theta = 0 leaves A diagonal, so the
+    2001; Ollivier & Zurek 2002), so where |I| is at most ``_QMI_FLOOR``
+    no search moves either result by more than the floor: such a state
+    (an equilibrium product state, whose I is roundoff) takes theta = 0,
+    the exact optimum of a state without coherence.  (A Redfield state
+    that is not quite positive can have I < 0, where the bound fails; it
+    is searched.)  Measuring B along theta = 0 leaves A diagonal, so the
     conditional entropy there is H(rho00, rho11, rho22, rho33) - S(B),
-    from the entropies the mutual information already takes: no
-    evaluation of the conditional entropy.  A stack of only such states
-    is not searched; in a mixed stack all states are searched and those
-    below the floor take theta = 0.
+    from the entropies the mutual information already takes.  A stack of
+    only such states is not searched; in a mixed stack all states are
+    searched and those within the floor take theta = 0.
     """
     s_a, s_b, s_ab, h_diag = _x_entropies(v)
     qmi = s_a + s_b - s_ab
     cond, theta = h_diag - s_b, np.zeros_like(qmi)
-    settled = qmi <= _QMI_FLOOR
+    settled = np.abs(qmi) <= _QMI_FLOOR
     if not settled.all():
         searched, at = _x_state_search(v)
         cond, theta = np.where(settled, cond, searched), np.where(settled, theta, at)

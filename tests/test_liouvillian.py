@@ -367,18 +367,22 @@ def random_stack(rng, n):
 
 def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     # the solver is real: per point the state's sector (48 bytes), its
-    # correlations (32), the real inverse of M (128), the n-rows of the
-    # two baths' pieces (160) and the parameters with their basis, 496
-    # bytes; a kept generator would add 160 (the 6x6 solve kept 1040)
+    # correlations (32), each bath's flows of n1 and n2 (32), the real
+    # inverse of M (128), the angular weights (64) and Fermi occupations
+    # (32) the generator is linear in, and the parameters with their
+    # basis, 464 bytes; a kept generator would add 160 (the n-rows of the
+    # two baths' pieces, kept before the flows and bath terms, took 160
+    # and the 6x6 solve 1040)
     n = 1000
     params, baths = random_stack(np.random.default_rng(21), n)
     ness = solve_ness(params, baths)
-    assert [f.name for f in fields(Liouvillian)] == ["matrix", "dissipators"]
-    assert ness.number_rows.shape == (n, 2, 2, 5)
+    assert [f.name for f in fields(Liouvillian)] == [
+        "matrix", "dissipators", "weights", "occupations"]
+    assert ness.flows.shape == (n, 2, 2)
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    for real in (lv.matrix, lv.dissipators, generator_derivative(basis, baths, params),
-                 ness.v, ness.x, ness.number_rows, ness.inverse):
+    for real in (lv.matrix, lv.dissipators, generator_derivative(ness), ness.v, ness.x,
+                 ness.flows, ness.weights, ness.occupations, ness.inverse):
         assert real.dtype == np.float64
     buffers = {}
 
@@ -394,7 +398,7 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
                 buffers[id(value)] = value.nbytes
 
     collect(ness)
-    assert sum(buffers.values()) / n <= 496
+    assert sum(buffers.values()) / n <= 464
 
 
 def test_stacked_solve_is_bit_identical_to_each_point_alone():
@@ -405,13 +409,13 @@ def test_stacked_solve_is_bit_identical_to_each_point_alone():
     params, baths = random_stack(np.random.default_rng(22), n)
     ness = solve_ness(params, baths)
     assert all(error is None for error in ness.errors)
-    d_v = state_derivative(ness)
+    d_x = state_derivative(ness)
     for i in range(n):
         alone = solve_ness(take(params, i), take(baths, i))
         for stacked, single in ((ness.v[i], alone.v), (ness.x[i], alone.x),
                                 (ness.residual[i], alone.residual),
                                 (ness.inverse[i], alone.inverse),
-                                (d_v[i], state_derivative(alone))):
+                                (d_x[i], state_derivative(alone))):
             assert np.asarray(stacked).tobytes() == np.asarray(single).tobytes(), i
 
 
@@ -567,7 +571,7 @@ def test_generator_derivative_matches_central_difference(point):
     # 3000 draws the gap was at most 1.5e-8).
     params, baths = point
     basis = diagonalize(params)
-    exact = generator_derivative(basis, baths, params)
+    exact = generator_derivative(solve_ness(params, baths))
     split = basis.omega_p1 - basis.omega_p2
     h = 1e-4 * split
     stack = _at_deltas(params, [-h, h])
@@ -579,14 +583,13 @@ def test_generator_derivative_matches_central_difference(point):
 @settings(max_examples=80, deadline=None)
 @given(derivative_points())
 def test_state_derivative_matches_richardson_difference(point):
-    # d rho / d delta against Richardson's (4 D(h/2) - D(h)) / 3 of central
-    # differences D of solve_ness, with h = 1e-3 (omega'_1 - omega'_2).
-    # Over 3000 draws the gap was at most 5.1e-8 of max|d rho| (99% below
-    # 1.1e-9), largest on cold states with a small derivative, where the
-    # roundoff of the difference dominates.
+    # dx / d delta against Richardson's (4 D(h/2) - D(h)) / 3 of central
+    # differences D of the solved correlations x, with h = 1e-3
+    # (omega'_1 - omega'_2).  Over 3000 draws the gap was at most 2.3e-10
+    # of max|dx|.
     params, baths = point
-    exact = x_state(state_derivative(solve_ness(params, baths)))
+    exact = state_derivative(solve_ness(params, baths))
     h = 1e-3 * np.hypot(params.omega1 - params.omega2, 2.0 * params.delta)
-    lo, hi, lo_half, hi_half = solve_ness(_at_deltas(params, [-h, h, -h / 2, h / 2]), baths).rho
+    lo, hi, lo_half, hi_half = solve_ness(_at_deltas(params, [-h, h, -h / 2, h / 2]), baths).x
     richardson = (4.0 * (hi_half - lo_half) / h - (hi - lo) / (2.0 * h)) / 3.0
-    assert np.abs(richardson - exact).max() <= 1e-6 * np.abs(exact).max()
+    assert np.abs(richardson - exact).max() <= 1e-8 * np.abs(exact).max()

@@ -332,6 +332,28 @@ def test_discord_floor_is_per_point():
     assert np.array_equal(mixed.theta[~below], theta[~below])
 
 
+def test_discord_searches_a_state_with_negative_mutual_information(monkeypatch):
+    # a cold, strongly biased Redfield state that passes the solve but is
+    # not quite positive: its I is -7.6e-9 bits, so 0 <= J <= I cannot
+    # hold and theta = 0 is no bound on the optimum; it is searched
+    params = SystemParams(delta=0.05, gamma1=0.01159, gamma2=0.01729)
+    baths = BathParams(t1=0.02, t2=0.0129, mu1=0.0653, mu2=0.7232)
+    v = solve_ness(params, baths).v
+    searched = []
+
+    def counting_search(states):
+        searched.append(states)
+        return _x_state_search(states)
+
+    monkeypatch.setattr(observables, "_x_state_search", counting_search)
+    result = discord(v)
+    assert -1e-8 < result.qmi < -1e-14
+    assert len(searched) == 1
+    cond, theta = _x_state_search(v)
+    assert result.classical_corr == _x_entropies(v)[0] - cond
+    assert result.theta == theta
+
+
 def test_discord_search_passes(monkeypatch):
     calls = []
 

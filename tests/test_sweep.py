@@ -22,7 +22,7 @@ from fermijunction import (
     run_sweep,
     sweep_spec_from_config,
 )
-from fermijunction import sweep
+from fermijunction import liouvillian, metrology, model, sweep, thermo
 from fermijunction.liouvillian import SteadyStateError, solve_ness
 from fermijunction.sweep import SweepResult
 
@@ -508,6 +508,32 @@ def test_cold_grid_is_solved_once(monkeypatch):
     assert kinds == {row["flags"].split(":")[0] for row in rows[::17]} == {"", "qfi", "solver"}
     for row in rows[::17]:
         _assert_matches_alone(row)
+
+
+def test_qfi_sweep_takes_fermi_factors_and_bath_pieces_once(monkeypatch):
+    # the QFI's tangent reuses the weights and occupations of the solve and
+    # forms both product-rule terms in one pass: one Fermi call for the
+    # grid, one bath-piece pass for the generator and one for the tangent
+    calls = {"fermi_occupation": 0, "_bath_generators": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        for module in (liouvillian, metrology, thermo, model):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    fixed = {"omega1": 1.0, "omega2": 1.03, "gamma1": 0.001, "gamma2": 0.003,
+             "t1": 0.2, "t2": 0.5, "mu2": 0.5}
+    axes = (Axis("delta", 0.01, 0.05, 5), Axis("dmu", -0.5, 0.5, 5))
+    rows = run_sweep(SweepSpec(fixed=fixed, axes=axes, observables=("qfi",))).rows
+    assert all(row["flags"] == "" for row in rows)
+    assert calls["fermi_occupation"] == 1
+    assert calls["_bath_generators"] <= 2
 
 
 @pytest.mark.parametrize(
