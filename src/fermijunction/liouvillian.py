@@ -171,15 +171,17 @@ def _bath_generators(weights, occupations, unit=1.0) -> np.ndarray:
     and the modes' occupations (o1, o2), (..., L, 2), of L baths.  M_l is
     linear in the weights and scaled by unit (one value or one per bath);
     b_l holds the weights times the occupations."""
-    w1, w2, s1, s2 = weights[..., 0], weights[..., 1], weights[..., 2], weights[..., 3]
-    o1, o2 = occupations[..., 0], occupations[..., 1]
-    g = np.zeros(np.broadcast(w1, o1).shape + (4, 5))
-    m1, m2 = -unit, -2.0 * unit
-    g[..., 0, 0], g[..., 0, 2], g[..., 1, 1], g[..., 1, 2] = m2 * w1, m2 * s2, m2 * w2, m2 * s1
-    g[..., 2, 0], g[..., 2, 1] = m1 * s1, m1 * s2
-    g[..., 2, 2] = g[..., 3, 3] = m1 * (w1 + w2)
-    g[..., 0, 4], g[..., 1, 4] = 2.0 * w1 * o1, 2.0 * w2 * o2
-    g[..., 2, 4] = s1 * o1 + s2 * o2
+    unit = np.asarray(unit)[..., None]
+    w1, w2 = weights[..., 0], weights[..., 1]
+    g = np.zeros(np.broadcast(w1, occupations[..., 0]).shape + (4, 5))
+    m = (-2.0 * unit) * weights  # -2 unit (w1, w2, s1, s2)
+    g[..., 0, 0], g[..., 1, 1] = m[..., 0], m[..., 1]
+    g[..., 1, 2], g[..., 0, 2] = m[..., 2], m[..., 3]
+    g[..., 2, :2] = -unit * weights[..., 2:]  # -unit (s1, s2)
+    g[..., 2, 2] = g[..., 3, 3] = -unit[..., 0] * (w1 + w2)
+    g[..., :2, 4] = (2.0 * weights[..., :2]) * occupations  # 2 (w1 o1, w2 o2)
+    cross = weights[..., 2:] * occupations  # (s1 o1, s2 o2)
+    g[..., 2, 4] = cross[..., 0] + cross[..., 1]
     return g
 
 
@@ -225,8 +227,7 @@ def build_liouvillian(
 
 def generator_derivative(ness: NessResult) -> np.ndarray:
     """d [M | b] / d delta, (..., 4, 5), of the generator a steady state
-    was solved with, in its mode frame (the one ``build_liouvillian``
-    works in).
+    was solved with, in its mode frame (that of ``build_liouvillian``).
 
     d omega'_1 = -d omega'_2 = sin theta, the frame turns at d theta, and
     each occupation moves by d n = -n (1 - n) d omega'_a / T.  M and b are
@@ -245,8 +246,7 @@ def generator_derivative(ness: NessResult) -> np.ndarray:
     d_occ = occ * (1.0 - occ) * (st[..., None, None] * [-1.0, 1.0])
     d_occ[..., 0, :] /= np.asarray(baths.t1)[..., None]
     d_occ[..., 1, :] /= np.asarray(baths.t2)[..., None]
-    # the weights' derivatives with the occupations, then the weights with
-    # the occupations' derivatives (unit 0: M's part dropped), as four baths
+    # [dw | w] with [o | do] as four baths, unit 0 dropping M's part of w do
     pieces = _bath_generators(np.concatenate([d_weights, ness.weights], axis=-2),
                               np.concatenate([occ, d_occ], axis=-2), np.array([1.0, 1.0, 0.0, 0.0]))
     return _rotate(pieces.sum(axis=-3), 2.0 * st)
@@ -348,18 +348,15 @@ class NessResult:
     """Steady state plus the parameters it was solved for and the objects
     that produced it, all stacked alike: ``v`` is the state's real
     charge-neutral sector (..., 6), which every measure but the QFI
-    takes, ``x`` its correlations (n1, n2, Re rho12, Im rho12), ``flows``
-    each bath's share of dn1/dt and dn2/dt there, (..., 2, 2) with bath
-    l first, which the currents read, ``weights`` and ``occupations`` the
-    bath terms the generator is linear in (see ``Liouvillian``; the
-    generator is not kept), ``residual`` is ||M x + b|| (an array for a
-    stack), ``inverse`` is the M^-1 that ``steady_state`` solved with,
-    and ``errors`` holds each failed point's typed error (None where the
-    solve passed)."""
+    takes, ``x`` its correlations (n1, n2, Re rho12, Im rho12),
+    ``weights`` and ``occupations`` the bath terms the generator is
+    linear in (see ``Liouvillian``; the generator is not kept),
+    ``residual`` is ||M x + b|| (an array for a stack), ``inverse`` is
+    the M^-1 that ``steady_state`` solved with, and ``errors`` holds each
+    failed point's typed error (None where the solve passed)."""
 
     v: np.ndarray
     x: np.ndarray
-    flows: np.ndarray
     weights: np.ndarray
     occupations: np.ndarray
     basis: EigenBasis
@@ -374,17 +371,20 @@ class NessResult:
         """The 4x4 X state of ``v``, for the dense oracles."""
         return x_state(self.v)
 
+    @property
+    def number_rows(self) -> np.ndarray:
+        """Each bath's rows of dn1/dt and dn2/dt on (x, 1), bath l first."""
+        return _bath_generators(self.weights, self.occupations)[..., :2, :]
+
 
 def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     v, x, residual, inverse, errors = steady_state(lv)
-    # the n-rows of each bath's piece on (x, 1)
-    flows = (lv.dissipators[..., :2, :] @ _homogeneous(x)[..., None, :, None])[..., 0]
-    return NessResult(v=v, x=x, flows=flows, weights=lv.weights, occupations=lv.occupations,
-                      basis=basis, residual=residual, params=params, baths=baths,
-                      inverse=inverse, errors=errors)
+    return NessResult(v=v, x=x, weights=lv.weights, occupations=lv.occupations, basis=basis,
+                      residual=residual, params=params, baths=baths, inverse=inverse,
+                      errors=errors)
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:
@@ -394,7 +394,7 @@ def state_derivative(ness: NessResult) -> np.ndarray:
     kept.  At omega1 == omega2, delta == 0 it is the derivative from
     delta > 0."""
     d_g = generator_derivative(ness)
-    return -(ness.inverse @ (d_g @ _homogeneous(ness.x)[..., None]))[..., 0]
+    return -(ness.inverse @ (d_g[..., :4] @ ness.x[..., None] + d_g[..., 4:]))[..., 0]
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

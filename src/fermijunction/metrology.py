@@ -85,27 +85,27 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     A level with lambda or 1 - lambda below 1e-12 is empty or full: with
     a negligible derivative it is dropped, leaving out lambda (d ln
     lambda)^2 < 1e-12 / T^2, so a cold, nearly frozen state is no
-    failure; with a sizable one it is a RankChangeError.  Where t < 1e-12, F^N is left out whole, its
-    site-frame term (about t d theta^2 <= 1e-12 d theta^2) too.  At
-    omega1 == omega2, delta == 0 the derivative is the one from delta > 0
-    (``generator_derivative``): the value is the delta -> 0 limit.  In a
-    stack a failed point gets NaN values and its error in ``errors``, an
-    object array shaped like the stack; an unstacked state raises it.
+    failure; with a sizable one it is a RankChangeError.  Where t <
+    1e-12, F^N is left out whole, its site-frame term (about t d theta^2
+    <= 1e-12 d theta^2) too.  At omega1 == omega2, delta == 0 the
+    derivative is the one from delta > 0 (``generator_derivative``): the
+    value is the delta -> 0 limit.  In a stack a failed point gets NaN
+    values and its error in ``errors``, an object array shaped like the
+    stack; an unstacked state raises it.
     """
     x, dx, d_theta = ness.x, state_derivative(ness), ness.basis.d_theta
     n1, n2, re, im = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
     dn1, dn2, d_re, d_im = dx[..., 0], dx[..., 1], dx[..., 2], dx[..., 3]
     z, dz = 0.5 * (n1 - n2), 0.5 * (dn1 - dn2)
     mean, d_mean = 0.5 * (n1 + n2), 0.5 * (dn1 + dn2)
-    r = np.sqrt(z * z + re * re + im * im)
+    r = np.hypot(z, np.hypot(re, im))
     split = r > 0.0
     # dR = b.db/R; a degenerate C (R = 0) splits along db, by |db|
     d_r = (z * dz + re * d_re + im * d_im) / np.where(split, r, 1.0)
     if not split.all():
         d_r = np.where(split, d_r, np.sqrt(dz * dz + d_re * d_re + d_im * d_im))
     lam, d_lam = mean + np.multiply.outer(_PM, r), d_mean + np.multiply.outer(_PM, d_r)
-    # each level's distance from empty or full
-    edge = np.minimum(lam, 1.0 - lam)
+    edge = np.minimum(lam, 1.0 - lam)  # each level's distance from empty or full
     frozen = edge < _P_FLOOR
     rank_change = frozen & (np.abs(d_lam) >= _DP_FLOOR)
     f_e = np.where(frozen, 0.0, d_lam * d_lam / np.where(frozen, 1.0, lam * (1.0 - lam))).sum(0)

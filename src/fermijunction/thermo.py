@@ -4,7 +4,7 @@ Currents are bath l's shares of the rates of change of the particle
 number N = n1 + n2 and the energy H = omega'_1 n1 + omega'_2 n2.  Both
 are quadratic, so each is linear in the correlations x: with dn_a,l/dt
 the n-rows of bath l's piece [M_l | b_l] of the generator acting on
-(x, 1), which a solve keeps in ``NessResult.flows``,
+(x, 1), which ``NessResult.number_rows`` builds from the solve's terms,
 
     I_l = dn1,l/dt + dn2,l/dt,    J_l = omega'_1 dn1,l/dt + omega'_2 dn2,l/dt.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import NessResult, _occupations
+from .liouvillian import NessResult, _homogeneous, _occupations
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
 
 __all__ = [
@@ -77,9 +77,10 @@ def epr_regime_ok(params: SystemParams) -> bool:
 
 def transport_report(ness: NessResult) -> ThermoReport:
     """Currents and EPR for a solved steady state (or a stack of them)."""
+    flows = (ness.number_rows @ _homogeneous(ness.x)[..., None, :, None])[..., 0]  # (..., bath, mode)
     energies = np.stack(np.broadcast_arrays(ness.basis.omega_p1, ness.basis.omega_p2), axis=-1)
     charges = np.stack(np.broadcast_arrays(1.0, energies), axis=-1)  # (..., mode, particle/energy)
-    currents = ness.flows @ charges  # (..., bath, particle/energy)
+    currents = flows @ charges  # (..., bath, particle/energy)
     i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
     return ThermoReport(
         i1=i1,

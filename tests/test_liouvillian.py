@@ -367,22 +367,21 @@ def random_stack(rng, n):
 
 def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     # the solver is real: per point the state's sector (48 bytes), its
-    # correlations (32), each bath's flows of n1 and n2 (32), the real
-    # inverse of M (128), the angular weights (64) and Fermi occupations
-    # (32) the generator is linear in, and the parameters with their
-    # basis, 464 bytes; a kept generator would add 160 (the n-rows of the
-    # two baths' pieces, kept before the flows and bath terms, took 160
-    # and the 6x6 solve 1040)
+    # correlations (32), the real inverse of M (128), the angular weights
+    # (64) and Fermi occupations (32) the generator is linear in, and the
+    # parameters with their basis, 432 bytes; a kept generator would add
+    # 160 (the n-rows of the two baths' pieces, kept before the bath
+    # terms, took 160 and the 6x6 solve 1040)
     n = 1000
     params, baths = random_stack(np.random.default_rng(21), n)
     ness = solve_ness(params, baths)
     assert [f.name for f in fields(Liouvillian)] == [
         "matrix", "dissipators", "weights", "occupations"]
-    assert ness.flows.shape == (n, 2, 2)
+    assert ness.number_rows.shape == (n, 2, 2, 5)
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     for real in (lv.matrix, lv.dissipators, generator_derivative(ness), ness.v, ness.x,
-                 ness.flows, ness.weights, ness.occupations, ness.inverse):
+                 ness.number_rows, ness.weights, ness.occupations, ness.inverse):
         assert real.dtype == np.float64
     buffers = {}
 
@@ -398,7 +397,7 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
                 buffers[id(value)] = value.nbytes
 
     collect(ness)
-    assert sum(buffers.values()) / n <= 464
+    assert sum(buffers.values()) / n <= 432
 
 
 def test_stacked_solve_is_bit_identical_to_each_point_alone():
