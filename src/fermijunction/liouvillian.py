@@ -371,11 +371,6 @@ class NessResult:
         """The 4x4 X state of ``v``, for the dense oracles."""
         return x_state(self.v)
 
-    @property
-    def number_rows(self) -> np.ndarray:
-        """Each bath's rows of dn1/dt and dn2/dt on (x, 1), bath l first."""
-        return _bath_generators(self.weights, self.occupations)[..., :2, :]
-
 
 def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""

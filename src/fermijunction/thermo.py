@@ -4,7 +4,8 @@ Currents are bath l's shares of the rates of change of the particle
 number N = n1 + n2 and the energy H = omega'_1 n1 + omega'_2 n2.  Both
 are quadratic, so each is linear in the correlations x: with dn_a,l/dt
 the n-rows of bath l's piece [M_l | b_l] of the generator acting on
-(x, 1), which ``NessResult.number_rows`` builds from the solve's terms,
+(x, 1), 2 w_al (o_al - n_a) - 2 s_a'l X from the solve's weights and
+occupations,
 
     I_l = dn1,l/dt + dn2,l/dt,    J_l = omega'_1 dn1,l/dt + omega'_2 dn2,l/dt.
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import NessResult, _homogeneous, _occupations
+from .liouvillian import NessResult, _occupations
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
 
 __all__ = [
@@ -77,7 +78,11 @@ def epr_regime_ok(params: SystemParams) -> bool:
 
 def transport_report(ness: NessResult) -> ThermoReport:
     """Currents and EPR for a solved steady state (or a stack of them)."""
-    flows = (ness.number_rows @ _homogeneous(ness.x)[..., None, :, None])[..., 0]  # (..., bath, mode)
+    w, x = ness.weights, ness.x[..., None, :]  # x against the bath axis
+    # each bath's dn1/dt and dn2/dt, (..., bath, mode): the n-rows' terms
+    # -2 w_a n_a, -2 s_a' X and 2 w_a o_a, summed in column order
+    two_w = 2.0 * w[..., :2]
+    flows = (-two_w * x[..., :2] + (-2.0 * w[..., :1:-1]) * x[..., 2:3]) + two_w * ness.occupations
     energies = np.stack(np.broadcast_arrays(ness.basis.omega_p1, ness.basis.omega_p2), axis=-1)
     charges = np.stack(np.broadcast_arrays(1.0, energies), axis=-1)  # (..., mode, particle/energy)
     currents = flows @ charges  # (..., bath, particle/energy)

@@ -377,11 +377,11 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     ness = solve_ness(params, baths)
     assert [f.name for f in fields(Liouvillian)] == [
         "matrix", "dissipators", "weights", "occupations"]
-    assert ness.number_rows.shape == (n, 2, 2, 5)
+    assert ness.weights.shape == (n, 2, 4) and ness.occupations.shape == (n, 2, 2)
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     for real in (lv.matrix, lv.dissipators, generator_derivative(ness), ness.v, ness.x,
-                 ness.number_rows, ness.weights, ness.occupations, ness.inverse):
+                 ness.weights, ness.occupations, ness.inverse):
         assert real.dtype == np.float64
     buffers = {}
 

@@ -53,6 +53,31 @@ def test_unitary_part_moves_no_charge():
         assert abs(np.trace(flow @ hamiltonian)) < 1e-12
 
 
+def test_currents_read_the_n_rows_of_each_bath_piece():
+    # transport_report forms dn1/dt and dn2/dt of each bath from the kept
+    # weights and occupations; they must be the n-rows of the bath pieces
+    # [M_l | b_l] that build_liouvillian assembles, applied to (x, 1)
+    rng = np.random.default_rng(507)
+    n = 200
+    params = SystemParams(omega1=rng.uniform(0.8, 1.2, n), omega2=rng.uniform(0.8, 1.2, n),
+                          delta=rng.uniform(-0.1, 0.1, n), gamma1=rng.uniform(0.0, 0.01, n),
+                          gamma2=rng.uniform(0.0, 0.01, n))
+    baths = BathParams(t1=rng.uniform(0.05, 1.0, n), t2=rng.uniform(0.05, 1.0, n),
+                       mu1=rng.uniform(0.0, 2.0, n), mu2=rng.uniform(0.0, 2.0, n))
+    ness = solve_ness(params, baths)
+    basis = diagonalize(params)
+    rows = build_liouvillian(basis, baths, params).dissipators[..., :2, :]
+    terms = rows * np.concatenate([ness.x, np.ones((n, 1))], axis=-1)[:, None, None, :]
+    flows = terms.sum(axis=-1)  # (point, bath, mode)
+    energies = np.stack([basis.omega_p1, basis.omega_p2], axis=-1)[:, None, :]
+    rep = transport_report(ness)
+    for got, want in ((rep.i1, flows[:, 0].sum(-1)), (rep.i2, flows[:, 1].sum(-1)),
+                      (rep.j1, (flows[:, 0] * energies[:, 0]).sum(-1)),
+                      (rep.j2, (flows[:, 1] * energies[:, 0]).sum(-1))):
+        scale = np.abs(terms).sum(axis=(-3, -2, -1))
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
 def test_current_signs_chemical_bias():
     params = SystemParams()
     rep = report_at(params, BathParams(t1=0.2, t2=0.2, mu1=0.9, mu2=0.5))
