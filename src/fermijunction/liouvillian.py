@@ -52,9 +52,20 @@ populations relax at 2 gamma_1 and 2 gamma_2 and the coherence at
 gamma_1 + gamma_2: each gamma is the self-energy -i gamma of a site,
 whose level width is Gamma = 2 gamma.
 
+M has a fixed zero pattern, so M y = r is solved in closed form: rows
+0, 1 and 3 give y0, y1 and y3 in terms of y2, and row 2 then fixes
+
+    y2 = -(r2 - S1 r0 / (2 W1) - S2 r1 / (2 W2) + s r3 / W) / Delta,
+    Delta = W + s^2 / W - S1 S2 (1 / W1 + 1 / W2),   W = W1 + W2.
+
+(W1, S; S, W2) is sum_l gamma_l u_l u_l^T with u_l = (U_l1, U_l2), so
+W1 W2 >= S^2 (S1 = S2 = S, here 0) and Delta >= s^2 / W: the state is
+unique whenever W1, W2 > 0, with no condition number.  A zero coupling
+leaves M singular, of nullity [W1 = 0] + [W2 = 0] + 2 [W = 0, s = 0].
+
 M and b are linear in s and in the weights, the weights times the
 occupations, so their delta-derivatives follow by the product rule from
-closed forms; with the inverse of M the solve keeps they give the exact
+closed forms; the same solve with r = -(dM x + db) gives the exact
 dx / d delta, on which ``metrology`` takes the QFI.
 
 Parameters, bases, generators and states may carry leading batch axes
@@ -96,10 +107,6 @@ __all__ = [
 
 DIM = 4
 _RESIDUAL_TOL = 1e-10  # largest ||M x + b|| accepted from a steady-state solve
-# Largest condition number of M accepted as invertible.  A singular M
-# (a zero coupling) measures >= 1e18 in floating point when LU finds
-# no exact zero pivot.
-_COND_LIMIT = 1e14
 
 
 # Particle number of each level.
@@ -124,9 +131,11 @@ class SteadyStateError(RuntimeError):
 class DegenerateNullSpaceError(SteadyStateError):
     """The generator has more than one stationary state.
 
-    ``dimension`` is the nullity of M: the number of independent
-    directions along which the stationary correlations x can move, 4
-    for an all-zero generator and 1 when one mode has no coupling."""
+    ``dimension`` is the nullity of M, the number of independent
+    directions along which the stationary correlations x can move, read
+    off M's zero pattern as [W1 = 0] + [W2 = 0] + 2 [W = 0 and s = 0]:
+    1 when one mode has no coupling, 2 when neither has (rho12 still
+    turns) and 4 for an all-zero generator."""
 
     def __init__(self, dimension: int):
         super().__init__(
@@ -266,17 +275,26 @@ def _finalize(x: np.ndarray, lv: Liouvillian):
     return v, residual, spectral_decompose(v)[0].min(axis=-1)
 
 
-def _failed(singular, residual, min_eig):
-    return singular | ~(residual < _RESIDUAL_TOL) | (min_eig < _EIG_FLOOR)
+def _solve(weights: np.ndarray, split, r: np.ndarray) -> np.ndarray:
+    """y with M y = r in closed form, for M built on the angular weights
+    (..., 2, 4) and the rotation split = s; NaN at a zero coupling."""
+    w1, w2, s1, s2 = np.moveaxis(weights.sum(axis=-2), -1, 0)
+    r0, r1, r2, r3 = np.moveaxis(r, -1, 0)
+    width, cross = w1 + w2, s1 * s2
+    y = np.empty(r.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = width + split * split / width - cross / w1 - cross / w2
+        y[..., 2] = -(r2 - s1 * r0 / (2.0 * w1) - s2 * r1 / (2.0 * w2) + split * r3 / width) / gap
+        y[..., 0] = -(r0 + 2.0 * s2 * y[..., 2]) / (2.0 * w1)
+        y[..., 1] = -(r1 + 2.0 * s1 * y[..., 2]) / (2.0 * w2)
+        y[..., 3] = -(r3 + split * y[..., 2]) / width
+    return y
 
 
-def _failure(matrix: np.ndarray, singular, residual, min_eig) -> SteadyStateError:
-    """The typed error of one matrix M whose solve failed its checks."""
-    dim = _null_space_dimension(np.linalg.svd(matrix, compute_uv=False))
-    if dim > 0:
-        return DegenerateNullSpaceError(dim)
-    if singular:
-        return SteadyStateError("steady-state linear solve is singular")
+def _failure(dimension, residual, min_eig) -> SteadyStateError:
+    """The typed error of one point whose solve failed its checks."""
+    if dimension > 0:
+        return DegenerateNullSpaceError(int(dimension))
     if not residual < _RESIDUAL_TOL:
         return SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
@@ -287,60 +305,36 @@ def _failure(matrix: np.ndarray, singular, residual, min_eig) -> SteadyStateErro
     )
 
 
-def _null_space_dimension(svals: np.ndarray) -> int:
-    # <=, so that an all-zero generator has every dimension null
-    return int(np.sum(svals <= 1e-10 * svals[0]))
-
-
-def _invert_each(a: np.ndarray) -> np.ndarray:
-    """Invert the stacked matrices one by one: NaN where LU fails."""
-    inverse = np.full(a.shape, np.nan)
-    for i in np.ndindex(a.shape[:-2]):
-        try:
-            inverse[i] = np.linalg.inv(a[i])
-        except np.linalg.LinAlgError:
-            pass
-    return inverse
-
-
 def steady_state(lv: Liouvillian):
     """Unique stationary state of the generator, its correlations, its
-    residual, the inverse it was solved with and the typed error of
-    each failed solve.
+    residual and the typed error of each failed solve.
 
-    Inverts M and solves M x = -b, for every generator of a stack in one
-    call.  Returns (v, x, ||M x + b||, M^-1, errors) with v Wick's
-    sector of x.  A solve fails with DegenerateNullSpaceError when M is
-    singular, so that the stationary state is not unique (e.g. a zero
-    coupling), and with SteadyStateError when M is ill-conditioned or
-    the state misses the residual tolerance or positivity.  An
-    unstacked generator raises that error; in a stack such a point gets
-    NaN state and residual and its error in ``errors``, an object array
-    shaped like the stack that holds None where the solve passed.
+    Solves M x = -b in closed form (``_solve``), for every generator of
+    a stack in one call.  Returns (v, x, ||M x + b||, errors) with v
+    Wick's sector of x.  A solve fails with DegenerateNullSpaceError
+    when a zero coupling leaves M singular, so that the stationary state
+    is not unique, and with SteadyStateError when the state misses the
+    residual tolerance or positivity.  An unstacked generator raises that
+    error; in a stack such a point gets NaN state and residual and its
+    error in ``errors``, an object array shaped like the stack that
+    holds None where the solve passed.
     """
     m = lv.matrix[..., :-1]
-    try:
-        inverse = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        inverse = _invert_each(m)
-    # a nearly singular M overflows its inverse: the condition limit flags it
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = -(inverse @ lv.matrix[..., -1:])[..., 0]
-        # ||M|| ||M^-1|| in the Frobenius norm
-        norm_m = np.sqrt((m * m).sum(axis=(-2, -1)))
-        cond = norm_m * np.sqrt((inverse * inverse).sum(axis=(-2, -1)))
-        v, residual, min_eig = _finalize(x, lv)
-    singular = ~(cond < _COND_LIMIT)
-    failed = _failed(singular, residual, min_eig)
+    x = _solve(lv.weights, m[..., 2, 3], -lv.matrix[..., -1])
+    v, residual, min_eig = _finalize(x, lv)
+    # M's nullity from its zero pattern: -2 W1, -2 W2, -W and s
+    zero = (m[..., (0, 1, 2, 2), (0, 1, 2, 3)] == 0).astype(int)
+    dimension = zero[..., 0] + zero[..., 1] + 2 * zero[..., 2] * zero[..., 3]
+    failed = (dimension > 0) | ~(residual < _RESIDUAL_TOL) | (min_eig < _EIG_FLOOR)
     errors = _point_errors(
-        failed, lambda i: _failure(m[i], singular[i], residual[i], min_eig[i])
+        failed, lambda i: _failure(dimension[i], residual[i], min_eig[i])
     )
     if failed.ndim == 0:
-        return v, x, float(residual), inverse, errors
+        return v, x, float(residual), errors
     if failed.any():
         for kept in (v, x, residual):
             kept[failed] = np.nan
-    return v, x, residual, inverse, errors
+    return v, x, residual, errors
 
 
 @dataclass(frozen=True)
@@ -350,10 +344,10 @@ class NessResult:
     charge-neutral sector (..., 6), which every measure but the QFI
     takes, ``x`` its correlations (n1, n2, Re rho12, Im rho12),
     ``weights`` and ``occupations`` the bath terms the generator is
-    linear in (see ``Liouvillian``; the generator is not kept),
-    ``residual`` is ||M x + b|| (an array for a stack), ``inverse`` is
-    the M^-1 that ``steady_state`` solved with, and ``errors`` holds each
-    failed point's typed error (None where the solve passed)."""
+    linear in (see ``Liouvillian``; the generator is not kept, and the
+    solve needs only the weights and the basis),
+    ``residual`` is ||M x + b|| (an array for a stack), and ``errors``
+    holds each failed point's typed error (None where the solve passed)."""
 
     v: np.ndarray
     x: np.ndarray
@@ -363,7 +357,6 @@ class NessResult:
     residual: float | np.ndarray
     params: SystemParams
     baths: BathParams
-    inverse: np.ndarray
     errors: np.ndarray
 
     @property
@@ -376,20 +369,20 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    v, x, residual, inverse, errors = steady_state(lv)
+    v, x, residual, errors = steady_state(lv)
     return NessResult(v=v, x=x, weights=lv.weights, occupations=lv.occupations, basis=basis,
-                      residual=residual, params=params, baths=baths, inverse=inverse,
-                      errors=errors)
+                      residual=residual, params=params, baths=baths, errors=errors)
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:
     """d x / d delta of solved steady states' correlations, in their mode
-    frame: M x + b = 0 holds at every delta, so dx = -M^-1 (dM x + db)
-    with [dM | db] from ``generator_derivative`` and the inverse the solve
-    kept.  At omega1 == omega2, delta == 0 it is the derivative from
-    delta > 0."""
+    frame: M x + b = 0 holds at every delta, so M dx = -(dM x + db)
+    with [dM | db] from ``generator_derivative``, solved in closed form
+    on the kept weights and basis.  At omega1 == omega2, delta == 0 it is
+    the derivative from delta > 0."""
     d_g = generator_derivative(ness)
-    return -(ness.inverse @ (d_g[..., :4] @ ness.x[..., None] + d_g[..., 4:]))[..., 0]
+    split = np.asarray(ness.basis.omega_p1) - ness.basis.omega_p2
+    return _solve(ness.weights, split, -(d_g @ _homogeneous(ness.x)[..., None])[..., 0])
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

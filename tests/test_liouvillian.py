@@ -27,7 +27,6 @@ from fermijunction.liouvillian import (
     DIM,
     Liouvillian,
     _level_energies,
-    _null_space_dimension,
     generator_derivative,
     state_derivative,
 )
@@ -60,6 +59,12 @@ def number_operator():
 def reference_sector(params, baths):
     """The kron reference's total generator on the real sector v."""
     return sector_map(kron_reference_generator(params, baths)[0]).real
+
+
+def _null_space_dimension(svals):
+    """Singular values at or below 1e-10 of the largest (<=, so that an
+    all-zero matrix has every dimension null)."""
+    return int(np.sum(svals <= 1e-10 * svals[0]))
 
 
 def steady_state_svd(params, baths):
@@ -273,24 +278,44 @@ def test_zero_generator_is_fully_degenerate():
         steady_state_svd(params, BathParams())
 
 
-def test_degenerate_generator_without_exact_zero_pivot():
-    # a zero coupling leaves M a zero row, which LU meets as an exact zero
-    # pivot.  At gamma1 = 1e-18 the row is 1e-18 and LU goes through, but
-    # M is singular to working precision: the condition limit must still
-    # refuse to pick a state, alone and in a stack
+def test_tiny_coupling_is_not_degenerate():
+    # gamma1 = 1e-18 leaves cond(M) ~ 1e16, yet the stationary state is
+    # unique: n1 = B1 / W1 is a ratio of positive sums (B1 = sum_l w1l o1l)
+    # at any W1 > 0, alone and in a stack; only gamma1 = 0 is degenerate
     params = SystemParams(omega1=1.0, omega2=1.03, delta=0.005, gamma1=1e-18, gamma2=0.002)
     baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
     lv = build_liouvillian(diagonalize(params), baths, params)
-    assert np.isfinite(np.linalg.inv(lv.matrix[:, :-1])).all()
-    with pytest.raises(DegenerateNullSpaceError) as err:
-        steady_state(lv)
-    assert err.value.dimension == 1
+    x, residual = steady_state(lv)[1:3]
+    np.testing.assert_allclose(x, [0.21305, 0.37451, 9.7919e-5, -1.5482e-3], rtol=1e-4)
+    w1 = lv.weights[:, 0]
+    assert x[0] == pytest.approx((w1 * lv.occupations[:, 0]).sum() / w1.sum(), rel=1e-15)
+    assert residual < 1e-10
     stacked = SystemParams(**{**vars(params), "gamma1": np.array([1e-18, 0.0, 0.002])})
     result = solve_ness(stacked, baths)
     assert [type(e).__name__ for e in result.errors] == [
-        "DegenerateNullSpaceError", "DegenerateNullSpaceError", "NoneType"]
-    assert np.isnan(result.residual[:2]).all() and np.isnan(result.v[:2]).all()
-    assert result.residual[2] < 1e-10
+        "NoneType", "DegenerateNullSpaceError", "NoneType"]
+    assert result.errors[1].dimension == 1
+    assert result.x[0].tobytes() == x.tobytes()
+    assert np.isnan(result.residual[1]) and np.isnan(result.v[1]).all()
+    assert (result.residual[[0, 2]] < 1e-10).all()
+
+
+@pytest.mark.parametrize("omega2", [1.0, 1.03], ids=["tuned", "detuned"])
+@pytest.mark.parametrize("gamma2", [0.0, 0.002])
+@pytest.mark.parametrize("gamma1", [0.0, 0.002])
+def test_degeneracy_from_zero_pattern_matches_svd_nullity(gamma1, gamma2, omega2):
+    # [W1 = 0] + [W2 = 0] + 2 [W = 0 and s = 0] is the nullity of M, here
+    # counted by its singular values; delta = 0 keeps s = 0 when tuned
+    params = SystemParams(omega1=1.0, omega2=omega2, delta=0.0, gamma1=gamma1, gamma2=gamma2)
+    baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
+    lv = build_liouvillian(diagonalize(params), baths, params)
+    nullity = _null_space_dimension(np.linalg.svd(lv.matrix[:, :-1], compute_uv=False))
+    if nullity == 0:
+        assert steady_state(lv)[2] < 1e-10
+        return
+    with pytest.raises(DegenerateNullSpaceError) as err:
+        steady_state(lv)
+    assert err.value.dimension == nullity
 
 
 @pytest.mark.parametrize(
@@ -330,13 +355,12 @@ def test_stacked_solve_returns_the_error_each_point_raises_alone(params, baths):
 
 @pytest.mark.parametrize(
     ("limit", "message"),
-    [("_COND_LIMIT", "steady-state linear solve is singular"),
-     ("_RESIDUAL_TOL", "steady-state residual ")],
-    ids=["singular", "residual"],
+    [("_RESIDUAL_TOL", "steady-state residual ")],
+    ids=["residual"],
 )
 def test_forced_solve_failure_is_the_same_stacked_alone_and_swept(monkeypatch, limit, message):
-    # no physical point reaches these two branches of the solver's error:
-    # a zero limit forces every solve through them
+    # no physical point reaches this branch of the solver's error: a zero
+    # limit forces every solve through it
     monkeypatch.setattr(f"fermijunction.liouvillian.{limit}", 0.0)
     fixed = dict(omega1=1.0, omega2=1.03, gamma1=0.001, gamma2=0.003,
                  t1=0.2, t2=0.5, mu1=1.0, mu2=0.5)
@@ -367,11 +391,11 @@ def random_stack(rng, n):
 
 def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     # the solver is real: per point the state's sector (48 bytes), its
-    # correlations (32), the real inverse of M (128), the angular weights
-    # (64) and Fermi occupations (32) the generator is linear in, and the
-    # parameters with their basis, 432 bytes; a kept generator would add
-    # 160 (the n-rows of the two baths' pieces, kept before the bath
-    # terms, took 160 and the 6x6 solve 1040)
+    # correlations (32), the angular weights (64) and Fermi occupations
+    # (32) the generator is linear in, and the parameters with their
+    # basis, 304 bytes; a kept generator would add 160 (the inverse of M
+    # the LU solve kept took 128, the n-rows of the two baths' pieces,
+    # kept before the bath terms, 160 and the 6x6 solve 1040)
     n = 1000
     params, baths = random_stack(np.random.default_rng(21), n)
     ness = solve_ness(params, baths)
@@ -381,7 +405,7 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     for real in (lv.matrix, lv.dissipators, generator_derivative(ness), ness.v, ness.x,
-                 ness.weights, ness.occupations, ness.inverse):
+                 ness.weights, ness.occupations):
         assert real.dtype == np.float64
     buffers = {}
 
@@ -397,13 +421,13 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
                 buffers[id(value)] = value.nbytes
 
     collect(ness)
-    assert sum(buffers.values()) / n <= 432
+    assert sum(buffers.values()) / n <= 304
 
 
 def test_stacked_solve_is_bit_identical_to_each_point_alone():
     # every layer of a solve works point by point, so stacking may not
-    # change a single bit of the state, its correlations, the residual,
-    # the kept inverse or the derivative taken with it
+    # change a single bit of the state, its correlations, the residual
+    # or their derivative
     n = 300
     params, baths = random_stack(np.random.default_rng(22), n)
     ness = solve_ness(params, baths)
@@ -413,7 +437,6 @@ def test_stacked_solve_is_bit_identical_to_each_point_alone():
         alone = solve_ness(take(params, i), take(baths, i))
         for stacked, single in ((ness.v[i], alone.v), (ness.x[i], alone.x),
                                 (ness.residual[i], alone.residual),
-                                (ness.inverse[i], alone.inverse),
                                 (d_x[i], state_derivative(alone))):
             assert np.asarray(stacked).tobytes() == np.asarray(single).tobytes(), i
 
@@ -592,3 +615,20 @@ def test_state_derivative_matches_richardson_difference(point):
     lo, hi, lo_half, hi_half = solve_ness(_at_deltas(params, [-h, h, -h / 2, h / 2]), baths).x
     richardson = (4.0 * (hi_half - lo_half) / h - (hi - lo) / (2.0 * h)) / 3.0
     assert np.abs(richardson - exact).max() <= 1e-8 * np.abs(exact).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(derivative_points())
+def test_closed_form_solve_matches_dense_solve(point):
+    # x and its delta-derivative against a dense solve of M x = -b and of
+    # M dx = -(dM x + db)
+    params, baths = point
+    lv = build_liouvillian(diagonalize(params), baths, params)
+    ness = solve_ness(params, baths)
+    m = lv.matrix[:, :-1]
+    x = np.linalg.solve(m, -lv.matrix[:, -1])
+    d_g = generator_derivative(ness)
+    dx = np.linalg.solve(m, -(d_g[:, :-1] @ x + d_g[:, -1]))
+    np.testing.assert_allclose(ness.x, x, rtol=1e-13, atol=1e-13 * np.abs(x).max())
+    np.testing.assert_allclose(state_derivative(ness), dx, rtol=1e-13,
+                               atol=1e-13 * np.abs(dx).max())
