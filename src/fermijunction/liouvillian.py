@@ -278,8 +278,9 @@ def _finalize(x: np.ndarray, lv: Liouvillian):
 def _solve(weights: np.ndarray, split, r: np.ndarray) -> np.ndarray:
     """y with M y = r in closed form, for M built on the angular weights
     (..., 2, 4) and the rotation split = s; NaN at a zero coupling."""
-    w1, w2, s1, s2 = np.moveaxis(weights.sum(axis=-2), -1, 0)
-    r0, r1, r2, r3 = np.moveaxis(r, -1, 0)
+    w = weights[..., 0, :] + weights[..., 1, :]  # bath sums (W1, W2, S1, S2)
+    w1, w2, s1, s2 = w[..., 0], w[..., 1], w[..., 2], w[..., 3]
+    r0, r1, r2, r3 = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
     width, cross = w1 + w2, s1 * s2
     y = np.empty(r.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
