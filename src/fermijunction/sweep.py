@@ -31,6 +31,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -301,47 +302,59 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _format_cell(value: Any) -> str:
+    """One cell as ``csv.writer`` writes it, floats with 17 significant
+    digits and a missing value empty."""
     if value is None:
         return ""
     if isinstance(value, float):
         return f"{value:.17g}"
-    return str(value)
-
-
-def _quote(text: str) -> str:
-    """One non-empty text field as ``csv.writer`` writes it: quoted when
-    it holds a delimiter, a quote or a line break."""
+    if not isinstance(value, str) or not value:
+        return str(value)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text,))
+    csv.writer(buf, lineterminator="\n").writerow((value,))
     return buf.getvalue()[:-1]
 
 
-def _column_text(values: list) -> list[str]:
-    """The CSV cells of one column, each distinct value formatted once.
-    Zero cells are formatted one by one: 0.0 and -0.0 (and False) are
-    one key, but 0.0 prints 0 and -0.0 prints -0."""
-    text = {
-        v: _quote(v) if isinstance(v, str) and v else _format_cell(v)
-        for v in dict.fromkeys(values)
-    }
-    if 0.0 in text:
-        return [text[v] if v else _format_cell(v) for v in values]
-    return list(map(text.__getitem__, values))
+def _template_cell(values: list) -> tuple[str, Any]:
+    """One column's cell of the CSV row template and the values it takes
+    per row, or None for a literal cell."""
+    kinds = set(map(type, values))
+    distinct = set(values)
+    if kinds == {float} and (0.0 in distinct or len(distinct) == len(values)):
+        return "%.17g", values
+    # one set key can stand for values that print apart: 1.0 and True,
+    # 0.0 and -0.0, or equal values of other types
+    if kinds not in ({float}, {bool}, {int}, {str}, {type(None)}):
+        return "%s", map(_format_cell, values)
+    if kinds == {float}:
+        floats = tuple(distinct)
+        texts = dict(zip(floats, ("%.17g\0" * len(floats) % floats).split("\0")))
+    else:
+        texts = {v: _format_cell(v) for v in distinct}
+    if len(distinct) == 1:
+        return texts[distinct.pop()].replace("%", "%%"), None
+    return "%s", map(texts.__getitem__, values)
 
 
 def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     """Serialize a sweep result.
 
     ``csv``: header row then one line per point, floats with 17
-    significant digits (round-trippable).  ``jsonl``: one JSON object
-    per line, missing values as null.  Both are byte-deterministic.
+    significant digits (round-trippable), from one row template filled
+    in one ``%`` pass.  A column's cell is a literal when every row
+    prints the same text, ``%.17g`` for a float column whose values are
+    all distinct or hold a zero, else ``%s`` with each distinct value
+    formatted once.  ``jsonl``: one JSON object per line, missing values
+    as null.  Both are byte-deterministic.
     """
     if fmt == "csv":
         n = len(next(iter(result.table.values()), ()))
         blank = [None] * n
-        cells = [_column_text(result.table.get(col, blank)) for col in result.columns]
-        lines = [",".join(result.columns), *map(",".join, zip(*cells))]
-        return ("\n".join(lines) + "\n").encode()
+        cells = [_template_cell(result.table.get(col, blank)) for col in result.columns]
+        row = ",".join(cell for cell, _ in cells) + "\n"
+        per_row = [values for _, values in cells if values is not None]
+        body = (row * n) % tuple(chain.from_iterable(zip(*per_row)))
+        return (",".join(result.columns) + "\n" + body).encode()
     if fmt == "jsonl":
         lines = []
         for row in result.rows:

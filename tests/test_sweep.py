@@ -275,8 +275,9 @@ _CSV_SPECIALS = st.text(alphabet=st.sampled_from(list('ab:,"\n\r ')), max_size=6
 @st.composite
 def cell_tables(draw):
     """Column tables of n points: float columns drawn from a small pool,
-    so values repeat, with edge values; a bool column; free text flags
-    holding delimiters, quotes and line breaks; any cell may be missing."""
+    so values repeat, with edge values; a column mixing such floats with
+    bools; a bool column; free text flags holding delimiters, quotes and
+    line breaks; any cell may be missing."""
     n = draw(st.integers(0, 12))
     pools = st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(), min_size=1, max_size=4)
 
@@ -284,6 +285,8 @@ def cell_tables(draw):
         return draw(st.lists(st.none() | values, min_size=n, max_size=n))
 
     table = {f"x{k}": column(st.sampled_from(draw(pools))) for k in range(draw(st.integers(1, 4)))}
+    # floats and bools in one column: 1.0 == True and 0.0 == False
+    table["mixed"] = column(st.sampled_from(draw(pools)) | st.booleans())
     table["ok"] = column(st.booleans())
     table["flags"] = column(st.just("") | _CSV_SPECIALS | st.text(max_size=8))
     return table
@@ -294,10 +297,35 @@ def cell_tables(draw):
 @example({"x0": [0.0, -0.0, 0.0, -0.0, None], "ok": [False] * 5, "flags": [""] * 5}, False)
 @example({"x0": [-0.0, 0.0, math.nan, math.nan, 1e308], "ok": [True, False, None, True, False],
           "flags": ["a,b", 'say "x"', "line\nbreak", "cr\r", ""]}, True)
+# equal values of different types print as their own type
+@example({"x0": [1.0, True, 1.0], "flags": [""] * 3}, False)
+@example({"x0": [True, 1.0], "flags": [""] * 2}, False)
+@example({"x0": [10**17, 1e17], "flags": [""] * 2}, False)
+# the row template: a literal holding %, signed zeros, a constant bool
+# column, one row and no row
+@example({"x0": ["a%sb"] * 3, "flags": [""] * 3}, False)
+@example({"x0": [-0.0] * 3, "x1": [0.0, -0.0, 0.0], "flags": [""] * 3}, False)
+@example({"x0": [0.5, 0.5], "ok": [False] * 2, "flags": [""] * 2}, True)
+@example({"x0": [0.25], "ok": [True], "flags": ["a,b"]}, True)
+@example({"x0": [], "ok": [], "flags": []}, True)
 def test_emit_csv_matches_row_writer(table, absent_column):
     # a column named but absent from the table emits empty cells
     columns = tuple(table) + (("absent",) if absent_column else ())
     result = SweepResult(spec=small_spec(), columns=columns, table=table)
+    assert emit(result) == _reference_csv(result)
+
+
+@pytest.mark.parametrize(("fixed", "axes", "kinds"), [
+    # the corners fail: gamma1 < 0 is invalid, gamma1 or gamma2 = 0 degenerate
+    ({"omega1": 1.0, "omega2": 1.0, "delta": 0.0, "t1": 0.2, "t2": 0.7, "mu1": 1.0, "mu2": 0.5},
+     (Axis("gamma1", -0.002, 0.002, 3), Axis("gamma2", 0.0, 0.002, 2)), {"params", "solver"}),
+    # cold and strongly biased: the QFI of the t1 = 0.0529 point fails
+    ({"omega1": 1.0, "omega2": 1.0, "delta": 0.0983, "gamma1": 0.01159, "gamma2": 0.01729,
+      "t2": 0.0129, "mu1": 0.0653, "mu2": 0.7232}, (Axis("t1", 0.0529, 0.06, 2),), {"qfi"}),
+])
+def test_emit_csv_of_failing_sweep_matches_row_writer(fixed, axes, kinds):
+    result = run_sweep(SweepSpec(fixed=fixed, axes=axes))
+    assert {flag.split(":")[0] for flag in result.table["flags"] if flag} == kinds
     assert emit(result) == _reference_csv(result)
 
 
