@@ -343,9 +343,10 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     significant digits (round-trippable), from one row template filled
     in one ``%`` pass.  A column's cell is a literal when every row
     prints the same text, ``%.17g`` for a float column whose values are
-    all distinct or hold a zero, else ``%s`` with each distinct value
-    formatted once.  ``jsonl``: one JSON object per line, missing values
-    as null.  Both are byte-deterministic.
+    all distinct or hold a zero, else ``%s`` with each row's text (each
+    distinct value formatted once where the column holds one type).
+    ``jsonl``: one JSON object per line, missing values as null.  Both
+    are byte-deterministic.
     """
     if fmt == "csv":
         n = len(next(iter(result.table.values()), ()))
