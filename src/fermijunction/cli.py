@@ -86,6 +86,8 @@ def _cmd_point(args: argparse.Namespace) -> int:
         print(f"solver failure: {flags.split(':', 2)[2]}", file=sys.stderr)
         return 2
     v = row["v"]
+    # a flag left on a solved point is qfi: or measure:, then <ErrorType>:<message>
+    unavailable = f"unavailable: {flags.split(':', 2)[-1]}"
     basis = diagonalize(SystemParams(**{f.name: row[f.name] for f in fields(SystemParams)}))
     out = ["parameters"]
     for group in (SystemParams, BathParams):
@@ -98,26 +100,21 @@ def _cmd_point(args: argparse.Namespace) -> int:
     out.append("steady state")
     diag = ", ".join(f"{p:.12g}" for p in v[:4])
     out.append(f"  populations: {diag}")
-    out.append(f"  coherence |rho23| = {row['coherence']:.12g}")
+    measured = "qmi" in row
+    if measured:
+        out.append(f"  coherence |rho23| = {row['coherence']:.12g}")
     out.append(f"  residual = {row['residual']:.3e}")
     out.append("correlations")
     out.append(
-        f"  linear_entropy={row['linear_entropy']:.12g} "
-        f"concurrence={row['concurrence']:.12g}"
-    )
-    out.append(
+        f"  linear_entropy={row['linear_entropy']:.12g} concurrence={row['concurrence']:.12g}\n"
         f"  qmi={row['qmi']:.12g} classical={row['classical_corr']:.12g} "
-        f"discord={row['discord']:.12g}"
+        f"discord={row['discord']:.12g}" if measured else f"  correlations {unavailable}"
     )
     out.append("metrology")
-    if "qfi_total" in row:
-        out.append(
-            f"  qfi_total={row['qfi_total']:.12g} f_e={row['qfi_fe']:.12g} "
-            f"f_n={row['qfi_fn']:.12g}"
-        )
-    else:
-        # the only flag left on a solved point is qfi:<ErrorType>:<message>
-        out.append(f"  qfi unavailable: {flags.split(':', 2)[2]}")
+    out.append(
+        f"  qfi_total={row['qfi_total']:.12g} f_e={row['qfi_fe']:.12g} f_n={row['qfi_fn']:.12g}"
+        if "qfi_total" in row else f"  qfi {unavailable}"
+    )
     out.append("transport")
     out.append(
         f"  I1={row['current_n1']:.12g} I2={row['current_n2']:.12g} "

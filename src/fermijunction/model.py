@@ -31,7 +31,7 @@ __all__ = [
 def _require_finite(params) -> None:
     values = {f.name: getattr(params, f.name) for f in fields(params)}
     # one check over all fields; the bad ones are named only on failure
-    if not np.isfinite(np.concatenate([np.ravel(x) for x in values.values()])).all():
+    if not np.isfinite(np.concatenate(list(values.values()), axis=None)).all():
         bad = [name for name, x in values.items() if not np.isfinite(x).all()]
         raise ValueError(f"{', '.join(bad)} must be finite")
 

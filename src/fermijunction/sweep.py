@@ -14,10 +14,11 @@ row-major order (first axis outer).  The valid points of the grid are
 evaluated as one stack: each layer (solve, currents, correlations,
 discord, QFI) is one call on arrays with a leading grid axis, and the
 result stays a table of columns up to the emitted bytes.  The solve and
-the QFI return the typed error of each point that fails them, and the
-error of the stage that failed becomes the point's ``flags`` cell, as
-does the message of invalid parameters.  So a flagged row is the row
-that its one-point sweep writes.  Output is deterministic
+the QFI return the typed error of each point that fails them, a
+correlation measure that raises on the stack is taken point by point,
+and the error of the stage that failed becomes the point's ``flags``
+cell, as does the message of invalid parameters.  So a flagged row is
+the row that its one-point sweep writes.  Output is deterministic
 byte-for-byte.  The layers after the solve read only the solved state,
 which carries its parameters, and the measures take its charge-neutral
 sector ``v``; the table also holds each point's ``v`` for the
@@ -40,25 +41,11 @@ import numpy as np
 from .liouvillian import solve_ness
 from .metrology import qfi_spectral
 from .model import BathParams, SystemParams
-from .observables import (
-    coherence,
-    concurrence,
-    discord,
-    linear_entropy,
-    mutual_information,
-)
+from .observables import coherence, concurrence, discord, linear_entropy, mutual_information
 from .thermo import transport_report
 
-__all__ = [
-    "Axis",
-    "SweepSpec",
-    "SweepResult",
-    "ConfigError",
-    "run_sweep",
-    "emit",
-    "load_config",
-    "sweep_spec_from_config",
-]
+__all__ = ["Axis", "SweepSpec", "SweepResult", "ConfigError", "run_sweep", "emit", "load_config",
+           "sweep_spec_from_config"]
 
 _SYSTEM_KEYS = tuple(f.name for f in fields(SystemParams))
 _BATH_KEYS = tuple(f.name for f in fields(BathParams))
@@ -96,13 +83,22 @@ class Axis:
     scale: str = "linear"
 
     def values(self) -> np.ndarray:
-        """The axis values, evenly spaced or, on a log scale, the floats
-        of ``np.geomspace`` for count >= 2 (which ``SweepSpec`` checks):
-        10 ** evenly spaced logs, the ends pinned to start and stop."""
-        if self.scale == "linear":
-            return np.linspace(self.start, self.stop, self.count)
-        y = 10.0 ** np.linspace(np.log10(self.start), np.log10(self.stop), self.count)
-        y[0], y[-1] = self.start, self.stop
+        """The axis values for count >= 2 (which ``SweepSpec`` checks): the
+        floats of ``np.linspace`` or, on a log scale, 10 ** those of the
+        logs with the ends pinned to start and stop (``np.geomspace``'s),
+        formed as np.linspace forms them, without its Python set-up."""
+        log = self.scale == "log"
+        start, stop = map(np.log10 if log else float, (self.start, self.stop))
+        y, div = np.arange(self.count, dtype=float), self.count - 1
+        step = (stop - start) / div
+        if step == 0:  # np.linspace's order where the step underflows
+            y /= div
+        y *= step or stop - start
+        y += start
+        y[-1] = stop
+        if log:
+            y = 10.0 ** y
+            y[0], y[-1] = self.start, self.stop
         return y
 
 
@@ -166,13 +162,14 @@ class SweepSpec:
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """One array per axis holding its coordinate at every grid point,
         row-major (first axis outer): the ravelled ``np.meshgrid(...,
-        indexing="ij")`` of the axis values, as each value repeated along
-        the second axis and the second axis tiled along the first."""
+        indexing="ij")`` of the axis values."""
         arrays = tuple(ax.values() for ax in self.axes)
         if len(arrays) < 2:
             return arrays
         outer, inner = arrays
-        return np.repeat(outer, inner.size), np.tile(inner, outer.size)
+        grid = np.empty((2, outer.size, inner.size))
+        grid[0], grid[1] = outer[:, None], inner
+        return grid[0].ravel(), grid[1].ravel()
 
     def resolve(self, coords: tuple[float, ...]) -> dict[str, float]:
         """Full parameter map for one grid point, or for many when each
@@ -227,17 +224,9 @@ def _block(name: str, *values) -> dict[str, Any]:
     return dict(zip(_BLOCK_COLUMNS[name], values, strict=True))
 
 
-def _observe(spec: SweepSpec, ness) -> dict[str, list]:
-    """The cells of a stack of solved points.  A point whose solve failed
-    keeps none of them, a point whose QFI failed keeps all but the QFI
-    cells, and the typed error of the stage that failed becomes the
-    point's ``flags`` cell: ``solver:`` or ``qfi:``, then ``<error
-    type>:<message>``."""
-    cells: dict[str, Any] = {"residual": ness.residual}
-    if "thermo" in spec.observables:
-        r = transport_report(ness)
-        cells.update(_block("thermo", r.i1, r.i2, r.j1, r.j2, r.epr, r.epr_regime_ok))
-    v = ness.v
+def _measures(spec: SweepSpec, v) -> dict[str, Any]:
+    """The correlations and discord cells of the sectors v."""
+    cells: dict[str, Any] = {}
     if "discord" in spec.observables:
         d = discord(v)
         cells.update(_block("discord", d.classical_corr, d.discord))
@@ -246,16 +235,45 @@ def _observe(spec: SweepSpec, ness) -> dict[str, list]:
         # discord has already computed the same mutual information
         qmi = d.qmi if "discord" in spec.observables else mutual_information(v)
         cells.update(_block("correlations", *local, qmi))
-    cells["v"] = list(v)
+    return cells
+
+
+def _observe(spec: SweepSpec, ness) -> dict[str, list]:
+    """The cells of a stack of solved points.  A point whose solve failed
+    keeps none of them, a point whose QFI failed keeps all but the QFI
+    cells, one whose measures raise ValueError (a stacked measure raised
+    it, and the point alone again) all but the correlations and discord
+    cells, and the typed error of the stage that failed becomes the
+    point's ``flags`` cell: ``solver:``, ``qfi:`` or ``measure:``, then
+    ``<error type>:<message>``."""
+    cells: dict[str, Any] = {"residual": ness.residual}
+    if "thermo" in spec.observables:
+        r = transport_report(ness)
+        cells.update(_block("thermo", r.i1, r.i2, r.j1, r.j2, r.epr, r.epr_regime_ok))
+    v = ness.v
     stages = [("solver", ness.errors)]
+    try:
+        cells.update(_measures(spec, v))
+    except ValueError:
+        # each point alone, so that only the points that raise fail
+        alone, errors = [], np.full(len(v), None, dtype=object)
+        for i, point in enumerate(v):
+            try:
+                alone.append(_measures(spec, point))
+            except ValueError as err:
+                alone.append({})
+                errors[i] = err
+        cells.update({k: [a.get(k) for a in alone] for k in dict.fromkeys(chain(*alone))})
+        stages.insert(0, ("measure", errors))
+    cells["v"] = list(v)
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)
         # the derivative is exact: no step
         cells.update(_block("qfi", q.f_total, q.f_e, q.f_n, np.zeros_like(q.f_total)))
-        # flagged first, so that a point's solver error is the one that stands
-        stages.insert(0, ("qfi", q.errors))
+        # flagged before the solver, so that a point's solver error is the one that stands
+        stages.insert(-1, ("qfi", q.errors))
     cells = _columns(cells)
-    lost = {"qfi": _BLOCK_COLUMNS["qfi"], "solver": tuple(cells)}
+    lost = {"qfi": _BLOCK_COLUMNS["qfi"], "solver": tuple(cells), "measure": ()}
     flags = [""] * len(cells["residual"])
     for stage, errors in stages:
         for i in np.flatnonzero(errors != None):  # noqa: E711 (elementwise)

@@ -3,9 +3,8 @@
 Currents are bath l's shares of the rates of change of the particle
 number N = n1 + n2 and the energy H = omega'_1 n1 + omega'_2 n2.  Both
 are quadratic, so each is linear in the correlations x: with dn_a,l/dt
-the n-rows of bath l's piece [M_l | b_l] of the generator acting on
-(x, 1), 2 w_al (o_al - n_a) - 2 s_a'l X from the solve's weights and
-occupations,
+the n-rows of bath l's share of M x + b, 2 w_al (o_al - n_a) - 2 s_a'l X
+from the solve's weights and occupations,
 
     I_l = dn1,l/dt + dn2,l/dt,    J_l = omega'_1 dn1,l/dt + omega'_2 dn2,l/dt.
 
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import NessResult, _occupations
+from .liouvillian import NessResult, _n_rates, _occupations, _sources
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
 
 __all__ = [
@@ -78,15 +77,13 @@ def epr_regime_ok(params: SystemParams) -> bool:
 
 def transport_report(ness: NessResult) -> ThermoReport:
     """Currents and EPR for a solved steady state (or a stack of them)."""
-    w, x = ness.weights, ness.x[..., None, :]  # x against the bath axis
-    # each bath's dn1/dt and dn2/dt, (..., bath, mode): the n-rows' terms
-    # -2 w_a n_a, -2 s_a' X and 2 w_a o_a, summed in column order
-    two_w = 2.0 * w[..., :2]
-    flows = (-two_w * x[..., :2] + (-2.0 * w[..., :1:-1]) * x[..., 2:3]) + two_w * ness.occupations
-    energies = np.stack(np.broadcast_arrays(ness.basis.omega_p1, ness.basis.omega_p2), axis=-1)
-    charges = np.stack(np.broadcast_arrays(1.0, energies), axis=-1)  # (..., mode, particle/energy)
-    currents = flows @ charges  # (..., bath, particle/energy)
-    i1, j1, i2, j2 = (currents[..., l, k][()] for l in (0, 1) for k in (0, 1))
+    w, e1, e2 = ness.weights, ness.basis.omega_p1, ness.basis.omega_p2
+    b = _sources(w, ness.occupations)
+    # each bath's dn1/dt and dn2/dt: the n-rows of its share of M x + b
+    (i1, j1), (i2, j2) = (
+        ((dn1 + dn2)[()], (e1 * dn1 + e2 * dn2)[()])
+        for dn1, dn2 in (_n_rates(w[..., l, :], b[..., l, :], ness.x) for l in (0, 1))
+    )
     return ThermoReport(
         i1=i1,
         i2=i2,

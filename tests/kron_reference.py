@@ -2,7 +2,11 @@
 Jordan-Wigner mode operators with np.kron.  It shares no code with the
 package's generator, which the tests check against it: projected onto
 the correlations (n1, n2, Re rho12, Im rho12) and the trace, it must be
-the package's affine system [M | b], bath by bath and in total."""
+the package's affine system [M | b], bath by bath and in total.  The
+package keeps that system as the scalars it is linear in;
+``dense_generator`` lays them out as the matrices [M | b] and
+[M_l | b_l], entry by entry from the four rows the ``liouvillian``
+docstring gives."""
 import numpy as np
 
 from fermijunction import diagonalize, fermi_occupation
@@ -111,3 +115,33 @@ def affine_projection(sector):
     """[M | b] of a real sector map L: P[:4] L P^+, which equals
     P[:4] L on every v when P[:4] L leaves NON_GAUSSIAN out."""
     return CORRELATIONS[:4] @ sector @ np.linalg.pinv(CORRELATIONS)
+
+
+def affine_matrix(sums, source, split):
+    """[M | b], (..., 4, 5), of the system with the weights' bath sums
+    (W1, W2, S1, S2), the source b and the rotation s: the rows
+    dn1/dt = -2 W1 n1 - 2 S2 X + b0, dn2/dt = -2 W2 n2 - 2 S1 X + b1,
+    dX/dt = -S1 n1 - S2 n2 - W X + s Y + b2 and dY/dt = -W Y - s X + b3,
+    W = W1 + W2."""
+    sums, source, split = np.asarray(sums), np.asarray(source), np.asarray(split)
+    w1, w2, s1, s2 = (sums[..., k] for k in range(4))
+    g = np.zeros(np.broadcast_shapes(sums.shape[:-1], source.shape[:-1], split.shape) + (4, 5))
+    g[..., 0, 0], g[..., 0, 2] = -2.0 * w1, -2.0 * s2
+    g[..., 1, 1], g[..., 1, 2] = -2.0 * w2, -2.0 * s1
+    g[..., 2, 0], g[..., 2, 1], g[..., 2, 3] = -s1, -s2, split
+    g[..., 3, 2] = -split
+    g[..., 2, 2] = g[..., 3, 3] = -(w1 + w2)
+    g[..., 4] = source
+    return g
+
+
+def dense_generator(lv):
+    """([M | b], [M_l | b_l]) of a ``Liouvillian``: the total, (..., 4,
+    5), and each bath's share, (..., 2, 4, 5) with bath l on axis -3, its
+    own weights with the source b_l = (2 w1 o1, 2 w2 o2, s1 o1 + s2 o2,
+    0) of its occupations and no rotation."""
+    w, o = lv.weights, lv.occupations
+    b = np.zeros(w.shape[:-1] + (4,))
+    b[..., 0], b[..., 1] = 2.0 * w[..., 0] * o[..., 0], 2.0 * w[..., 1] * o[..., 1]
+    b[..., 2] = w[..., 2] * o[..., 0] + w[..., 3] * o[..., 1]
+    return affine_matrix(w.sum(axis=-2), lv.source, lv.split), affine_matrix(w, b, 0.0)

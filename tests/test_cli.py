@@ -109,6 +109,57 @@ def test_point_reports_qfi_solver_failure(point_config, monkeypatch, capsys):
     assert "discord=" in out and "entropy production" in out
 
 
+@pytest.mark.parametrize(("measure", "blocks"), [
+    ("concurrence", "[thermo, correlations]"),
+    ("mutual_information", "[thermo, correlations]"),
+    ("discord", "[qfi, correlations, discord, thermo]"),
+])
+def test_failing_measure_flags_only_its_point(measure, blocks, sweep_config, tmp_path,
+                                              monkeypatch):
+    # a stacked measure that raises ValueError at one point is evaluated
+    # again point by point: only that point is flagged, with its
+    # correlations and discord cells empty, and every other row is the
+    # row of the sweep without the failure
+    config = tmp_path / "measure.yaml"
+    with open(sweep_config, encoding="utf-8") as fh:
+        config.write_text(fh.read().replace("[thermo, correlations]", blocks))
+    clean, planted = tmp_path / "clean.csv", tmp_path / "planted.csv"
+    assert main(["sweep", str(config), "--out", str(clean)]) == 0
+    spec = sweep.sweep_spec_from_config(sweep.load_config(str(config)))
+    target = sweep.run_sweep(spec).table["v"][1]
+    real = getattr(sweep, measure)
+
+    def failing(v):
+        if (np.asarray(v) == target).all(axis=-1).any():
+            raise ValueError("planted: not a state")
+        return real(v)
+
+    monkeypatch.setattr(sweep, measure, failing)
+    assert main(["sweep", str(config), "--out", str(planted)]) == 0
+    want, got = clean.read_bytes().splitlines(), planted.read_bytes().splitlines()
+    assert len(got) == len(want) == 4
+    assert [line for k, line in enumerate(got) if k != 2] == [
+        line for k, line in enumerate(want) if k != 2]
+    header = got[0].decode().split(",")
+    row = dict(zip(header, got[2].decode().split(",")))
+    assert row.pop("flags") == "measure:ValueError:planted: not a state"
+    lost = {"coherence", "linear_entropy", "concurrence", "qmi", "classical_corr", "discord"}
+    assert {k for k, v in row.items() if not v} == lost.intersection(header)
+    assert row["residual"] == dict(zip(header, want[2].decode().split(",")))["residual"]
+
+
+def test_point_reports_measure_failure(point_config, monkeypatch, capsys):
+    def failing_discord(v):
+        raise ValueError("planted: not a state")
+
+    monkeypatch.setattr(sweep, "discord", failing_discord)
+    assert main(["point", point_config]) == 0
+    out = capsys.readouterr().out
+    assert "correlations unavailable: planted: not a state" in out
+    assert "coherence |rho23|" not in out and "discord=" not in out
+    assert "qfi_total=" in out and "entropy production" in out
+
+
 def test_sweep_writes_deterministic_csv(sweep_config, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

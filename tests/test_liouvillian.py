@@ -26,7 +26,10 @@ from fermijunction.liouvillian import (
     _NUMBERS,
     DIM,
     Liouvillian,
+    _drift,
     _level_energies,
+    _n_rates,
+    _sources,
     generator_derivative,
     state_derivative,
 )
@@ -37,7 +40,9 @@ from kron_reference import (
     CORRELATIONS,
     NON_GAUSSIAN,
     SECTOR,
+    affine_matrix,
     affine_projection,
+    dense_generator,
     kron_reference_generator,
     mode_operators,
     sector_map,
@@ -151,7 +156,7 @@ def test_decoupled_sites_pin_the_gamma_convention(omega1, omega2, gamma1, gamma2
     rotation = 1j * abs(omega1 - omega2)
     gaussian = [-2 * gamma1, -2 * gamma2,
                 -(gamma1 + gamma2) + rotation, -(gamma1 + gamma2) - rotation]
-    for matrix, expected in ((lv.matrix[:, :-1], gaussian),
+    for matrix, expected in ((dense_generator(lv)[0][:, :-1], gaussian),
                              (reference_sector(params, baths),
                               [0.0, -2 * (gamma1 + gamma2), *gaussian])):
         distance = np.abs(np.linalg.eigvals(matrix)[:, None] - np.array(expected))
@@ -192,7 +197,7 @@ def test_gibbs_state_is_stationary_at_equilibrium():
         basis = diagonalize(params)
         lv = build_liouvillian(basis, baths, params)
         occupations = [fermi_occupation(w, t, mu) for w in (basis.omega_p1, basis.omega_p2)]
-        assert np.linalg.norm(lv.matrix @ [*occupations, 0.0, 0.0, 1.0]) < 1e-13
+        assert np.linalg.norm(dense_generator(lv)[0] @ [*occupations, 0.0, 0.0, 1.0]) < 1e-13
         gibbs = grand_canonical_state(basis, t, mu)
         assert np.linalg.norm(reference_sector(params, baths) @ gibbs) < 1e-13
 
@@ -244,7 +249,7 @@ def test_null_space_is_one_dimensional():
     svals = np.linalg.svd(reference_sector(params, baths), compute_uv=False)
     assert np.sum(svals < 1e-10 * svals[0]) == 1
     lv = build_liouvillian(diagonalize(params), baths, params)
-    svals = np.linalg.svd(lv.matrix[:, :-1], compute_uv=False)
+    svals = np.linalg.svd(dense_generator(lv)[0][:, :-1], compute_uv=False)
     assert np.sum(svals < 1e-10 * svals[0]) == 0
 
 
@@ -271,7 +276,7 @@ def test_zero_generator_is_fully_degenerate():
     assert row["flags"] == f"solver:DegenerateNullSpaceError:{message}"
     params = SystemParams(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.0, gamma2=0.0)
     lv = build_liouvillian(diagonalize(params), BathParams(), params)
-    assert not lv.matrix.any()
+    assert not dense_generator(lv)[0].any()
     with pytest.raises(DegenerateNullSpaceError, match=message):
         steady_state(lv)
     with pytest.raises(DegenerateNullSpaceError, match="null space dimension 6"):
@@ -309,7 +314,8 @@ def test_degeneracy_from_zero_pattern_matches_svd_nullity(gamma1, gamma2, omega2
     params = SystemParams(omega1=1.0, omega2=omega2, delta=0.0, gamma1=gamma1, gamma2=gamma2)
     baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
     lv = build_liouvillian(diagonalize(params), baths, params)
-    nullity = _null_space_dimension(np.linalg.svd(lv.matrix[:, :-1], compute_uv=False))
+    nullity = _null_space_dimension(np.linalg.svd(dense_generator(lv)[0][:, :-1],
+                                                  compute_uv=False))
     if nullity == 0:
         assert steady_state(lv)[2] < 1e-10
         return
@@ -399,13 +405,12 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     n = 1000
     params, baths = random_stack(np.random.default_rng(21), n)
     ness = solve_ness(params, baths)
-    assert [f.name for f in fields(Liouvillian)] == [
-        "matrix", "dissipators", "weights", "occupations"]
+    assert [f.name for f in fields(Liouvillian)] == ["weights", "occupations", "source", "split"]
     assert ness.weights.shape == (n, 2, 4) and ness.occupations.shape == (n, 2, 2)
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    for real in (lv.matrix, lv.dissipators, generator_derivative(ness), ness.v, ness.x,
-                 ness.weights, ness.occupations):
+    for real in (lv.weights, lv.occupations, lv.source, lv.split, *generator_derivative(ness),
+                 ness.v, ness.x, ness.weights, ness.occupations):
         assert real.dtype == np.float64
     buffers = {}
 
@@ -494,7 +499,8 @@ def test_generator_matches_kron_reference(point):
     lv = build_liouvillian(diagonalize(params), baths, params)
     ref_matrix, *ref_baths = kron_reference_generator(params, baths)
     tol = 1e-14 * np.abs(ref_matrix).max()
-    for got, ref in zip((lv.matrix, *lv.dissipators), (ref_matrix, *ref_baths)):
+    matrix, pieces = dense_generator(lv)
+    for got, ref in zip((matrix, *pieces), (ref_matrix, *ref_baths)):
         # particle number is a weak symmetry: the sector is closed both ways
         assert not ref[np.ix_(SECTOR, COMPLEMENT)].any()
         assert not ref[np.ix_(COMPLEMENT, SECTOR)].any()
@@ -593,13 +599,66 @@ def test_generator_derivative_matches_central_difference(point):
     # 3000 draws the gap was at most 1.5e-8).
     params, baths = point
     basis = diagonalize(params)
-    exact = generator_derivative(solve_ness(params, baths))
+    exact = affine_matrix(*generator_derivative(solve_ness(params, baths)))
     split = basis.omega_p1 - basis.omega_p2
     h = 1e-4 * split
     stack = _at_deltas(params, [-h, h])
-    lo, hi = build_liouvillian(diagonalize(stack), baths, stack).matrix
-    scale = np.abs(build_liouvillian(basis, baths, params).matrix).max() / split
+    lo, hi = dense_generator(build_liouvillian(diagonalize(stack), baths, stack))[0]
+    scale = np.abs(dense_generator(build_liouvillian(basis, baths, params))[0]).max() / split
     assert np.abs((hi - lo) / (2.0 * h) - exact).max() <= 1e-7 * scale
+
+
+def _sums_drift(lv, x):
+    """M x + b of a Liouvillian, from its weights' bath sums."""
+    return _drift(lv.weights.sum(axis=-2), lv.split, lv.source, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(derivative_points(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_drift_matches_dense_generator_and_kron_reference(point, x):
+    # the drift M x + b the solve, the currents and the tangent take from
+    # the bath sums is [M | b] (x, 1) of the dense view, in total and bath
+    # by bath on the n-rows, to roundoff of the terms; the dense view is
+    # the kron reference projected onto the correlations; dM x + db is the
+    # central difference of the drift at fixed x (h = 1e-4 s, truncation
+    # ~1e-8 of max|M| / s per unit |(x, 1)|, as for the derivative of
+    # the generator); and at equal baths the drift vanishes at the Fermi
+    # occupations of the modes.  Over 3000 draws the drift and the n-rows
+    # equalled the dense products bit for bit wherever no term was
+    # subnormal, and the other gaps were at most 1.0e-17, 7.0e-9 and
+    # 3.1e-17 of their scales
+    params, baths = point
+    x, ones = np.array(x), np.append(x, 1.0)
+    basis = diagonalize(params)
+    lv = build_liouvillian(basis, baths, params)
+    matrix, pieces = dense_generator(lv)
+    # a term below the normal range (at delta ~ 1e-308) rounds to a few
+    # of the smallest subnormals instead
+    tiny = 8 * np.finfo(float).smallest_subnormal
+    terms = np.abs(matrix) @ np.abs(ones)
+    assert np.all(np.abs(_sums_drift(lv, x) - matrix @ ones) <= 1e-15 * terms + tiny)
+    flows = np.stack(_n_rates(lv.weights, _sources(lv.weights, lv.occupations), x), axis=-1)
+    for flow, piece in zip(flows, pieces):
+        bound = 1e-15 * np.abs(piece[:2]) @ np.abs(ones) + tiny
+        assert np.all(np.abs(flow - piece[:2] @ ones) <= bound)
+    ref_matrix, *ref_baths = kron_reference_generator(params, baths)
+    tol = 1e-14 * np.abs(ref_matrix).max()
+    for got, ref in zip((matrix, *pieces), (ref_matrix, *ref_baths)):
+        assert np.abs(got - affine_projection(sector_map(ref).real)).max() <= tol
+    split = basis.omega_p1 - basis.omega_p2
+    h = 1e-4 * split
+    stack = _at_deltas(params, [-h, h])
+    lo, hi = _sums_drift(build_liouvillian(diagonalize(stack), baths, stack), x)
+    d_sums, d_source, d_split = generator_derivative(solve_ness(params, baths))
+    tangent = _drift(d_sums, d_split, d_source, x)
+    scale = np.abs(matrix).max() / split * np.abs(ones).sum()
+    assert np.abs((hi - lo) / (2.0 * h) - tangent).max() <= 1e-7 * scale
+    equal = BathParams(t1=baths.t1, t2=baths.t1, mu1=baths.mu1, mu2=baths.mu1)
+    fermi = [fermi_occupation(w, baths.t1, baths.mu1) for w in (basis.omega_p1, basis.omega_p2)]
+    lv = build_liouvillian(basis, equal, params)
+    at_rest = np.array([*fermi, 0.0, 0.0])
+    scale = np.abs(dense_generator(lv)[0]).max()
+    assert np.abs(_sums_drift(lv, at_rest)).max() <= 1e-15 * scale
 
 
 @settings(max_examples=80, deadline=None)
@@ -625,9 +684,10 @@ def test_closed_form_solve_matches_dense_solve(point):
     params, baths = point
     lv = build_liouvillian(diagonalize(params), baths, params)
     ness = solve_ness(params, baths)
-    m = lv.matrix[:, :-1]
-    x = np.linalg.solve(m, -lv.matrix[:, -1])
-    d_g = generator_derivative(ness)
+    matrix = dense_generator(lv)[0]
+    m = matrix[:, :-1]
+    x = np.linalg.solve(m, -matrix[:, -1])
+    d_g = affine_matrix(*generator_derivative(ness))
     dx = np.linalg.solve(m, -(d_g[:, :-1] @ x + d_g[:, -1]))
     np.testing.assert_allclose(ness.x, x, rtol=1e-13, atol=1e-13 * np.abs(x).max())
     np.testing.assert_allclose(state_derivative(ness), dx, rtol=1e-13,

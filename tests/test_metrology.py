@@ -28,6 +28,7 @@ from fermijunction.liouvillian import generator_derivative, state_derivative
 from fermijunction.metrology import fidelity
 from fermijunction.model import take
 from fermijunction.observables import x_state
+from kron_reference import affine_matrix, dense_generator
 
 
 def qfi(params, baths):
@@ -449,10 +450,10 @@ def test_generator_derivative_at_the_degenerate_point_is_one_sided(point):
     # (at most 1.1e-8 over 4000 random draws, 2.1e-8 on the corners and
     # midpoints of the draw domain).
     params, baths = point
-    exact = generator_derivative(solve_ness(params, baths))
+    exact = affine_matrix(*generator_derivative(solve_ness(params, baths)))
     h = 1e-4 * baths.t1
     stack = replace(params, delta=np.array([0.0, h, 2.0 * h]))
-    at_0, at_h, at_2h = build_liouvillian(diagonalize(stack), baths, stack).matrix
+    at_0, at_h, at_2h = dense_generator(build_liouvillian(diagonalize(stack), baths, stack))[0]
     forward = (4.0 * at_h - at_2h - 3.0 * at_0) / (2.0 * h)
     assert np.abs(forward - exact).max() <= 1e-7 * np.abs(at_0).max() / baths.t1
 

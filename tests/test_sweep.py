@@ -132,6 +132,40 @@ def test_coordinates_are_the_ravelled_meshgrid(spec):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+@st.composite
+def axes(draw, name="delta"):
+    """An axis of 2-500 values, linear between bounds of any sign over
+    twelve decades or log between positive ones over sixteen."""
+    scale = draw(st.sampled_from(["linear", "log"]))
+    if scale == "log":
+        bound = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+    else:
+        bound = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-6, 6))
+    return Axis(name, draw(bound), draw(bound), draw(st.integers(2, 500)), scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axes(), axes("t2"))
+@example(Axis("delta", 1.0, 1.0, 3), Axis("t2", 0.0, 5e-324, 3))
+def test_axis_values_are_linspace_bit_for_bit(first, second):
+    # values() forms what np.linspace forms, the log scale 10 ** that of
+    # the logs with the ends pinned; coordinates() is the ravelled
+    # meshgrid of the two axes' values, in row-major order
+    for ax in (first, second):
+        if ax.scale == "linear":
+            want = np.linspace(ax.start, ax.stop, ax.count)
+        else:
+            want = 10.0 ** np.linspace(np.log10(ax.start), np.log10(ax.stop), ax.count)
+            want[0], want[-1] = ax.start, ax.stop
+        assert ax.values().tobytes() == want.tobytes()
+    spec = SweepSpec(fixed=fixed_without("delta", "t2"), axes=(first, second),
+                     observables=("correlations",))
+    want = [m.ravel() for m in np.meshgrid(first.values(), second.values(), indexing="ij")]
+    got = spec.coordinates()
+    assert [g.dtype for g in got] == [w.dtype for w in want]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_resolve_offset_axes_after_direct():
     spec = SweepSpec(
         fixed=fixed_without("mu1", "mu2"),
@@ -542,7 +576,7 @@ def test_qfi_sweep_takes_fermi_factors_and_bath_pieces_once(monkeypatch):
     # the QFI's tangent reuses the weights and occupations of the solve and
     # forms both product-rule terms in one pass: one Fermi call for the
     # grid, one bath-piece pass for the generator and one for the tangent
-    calls = {"fermi_occupation": 0, "_bath_generators": 0}
+    calls = {"fermi_occupation": 0, "_sources": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -561,7 +595,7 @@ def test_qfi_sweep_takes_fermi_factors_and_bath_pieces_once(monkeypatch):
     rows = run_sweep(SweepSpec(fixed=fixed, axes=axes, observables=("qfi",))).rows
     assert all(row["flags"] == "" for row in rows)
     assert calls["fermi_occupation"] == 1
-    assert calls["_bath_generators"] <= 2
+    assert calls["_sources"] <= 2
 
 
 @pytest.mark.parametrize(

@@ -19,9 +19,9 @@ from fermijunction import (
     solve_ness,
     transport_report,
 )
-from fermijunction.liouvillian import _NUMBERS, _level_energies
+from fermijunction.liouvillian import _NUMBERS, _drift, _level_energies
 from fermijunction.observables import x_state
-from kron_reference import kron_reference_generator, unvec, vec
+from kron_reference import dense_generator, kron_reference_generator, unvec, vec
 
 
 def report_at(params, baths):
@@ -31,7 +31,7 @@ def report_at(params, baths):
 def test_unitary_part_moves_no_charge():
     # [N, H] = 0, so the commutator part of the generator carries no
     # particle or energy current: on the kron reference it moves no
-    # charge, and in [M | b] it leaves the n-rows, which the currents
+    # charge, and in M x + b it leaves the n-rows, which the currents
     # read, alone; a broken basis or sign convention would
     rng = np.random.default_rng(506)
     for _ in range(20):
@@ -41,7 +41,10 @@ def test_unitary_part_moves_no_charge():
             delta=rng.uniform(-0.2, 0.2),
         )
         lv = build_liouvillian(diagonalize(params), BathParams(), params)
-        assert np.array_equal(lv.matrix[:2], lv.dissipators.sum(axis=0)[:2])
+        x = rng.normal(size=4)
+        sums = lv.weights.sum(axis=0)
+        assert np.array_equal(_drift(sums, lv.split, lv.source, x)[:2],
+                              _drift(sums, 0.0, lv.source, x)[:2])
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
@@ -56,7 +59,8 @@ def test_unitary_part_moves_no_charge():
 def test_currents_read_the_n_rows_of_each_bath_piece():
     # transport_report forms dn1/dt and dn2/dt of each bath from the kept
     # weights and occupations; they must be the n-rows of the bath pieces
-    # [M_l | b_l] that build_liouvillian assembles, applied to (x, 1)
+    # [M_l | b_l] of the dense view of build_liouvillian's generator,
+    # applied to (x, 1)
     rng = np.random.default_rng(507)
     n = 200
     params = SystemParams(omega1=rng.uniform(0.8, 1.2, n), omega2=rng.uniform(0.8, 1.2, n),
@@ -66,7 +70,7 @@ def test_currents_read_the_n_rows_of_each_bath_piece():
                        mu1=rng.uniform(0.0, 2.0, n), mu2=rng.uniform(0.0, 2.0, n))
     ness = solve_ness(params, baths)
     basis = diagonalize(params)
-    rows = build_liouvillian(basis, baths, params).dissipators[..., :2, :]
+    rows = dense_generator(build_liouvillian(basis, baths, params))[1][..., :2, :]
     terms = rows * np.concatenate([ness.x, np.ones((n, 1))], axis=-1)[:, None, None, :]
     flows = terms.sum(axis=-1)  # (point, bath, mode)
     energies = np.stack([basis.omega_p1, basis.omega_p2], axis=-1)[:, None, :]
