@@ -85,14 +85,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (BathParams, EigenBasis, SystemParams, _point_errors, diagonalize,
-                    fermi_occupation)
+from .model import (
+    BathParams,
+    EigenBasis,
+    SystemParams,
+    _point_errors,
+    diagonalize,
+    fermi_occupation,
+)
 from .observables import _EIG_FLOOR, x_state
 
 __all__ = [
-    "DIM", "Liouvillian", "NessResult", "SteadyStateError", "DegenerateNullSpaceError",
-    "build_liouvillian", "generator_derivative", "steady_state", "solve_ness",
-    "state_derivative", "grand_canonical_state",
+    "DIM",
+    "Liouvillian",
+    "NessResult",
+    "SteadyStateError",
+    "DegenerateNullSpaceError",
+    "build_liouvillian",
+    "generator_derivative",
+    "steady_state",
+    "solve_ness",
+    "state_derivative",
+    "grand_canonical_state",
 ]
 
 DIM = 4
@@ -135,10 +149,10 @@ class DegenerateNullSpaceError(SteadyStateError):
 def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams) -> np.ndarray:
     """Weights (w1, w2, s1, s2) of the thermal brackets and cross lines of
     modes 1 and 2, on the last axis of (..., 2, 4) with bath l on axis -2:
-    gamma_a (unit -+ cos theta)/2 and (+-1/2) gamma_a sin theta, the sign
-    -+ that of mode a and bath 1.  With unit = 1 these are the weights;
-    with unit = 0 and the derivatives of cos theta and sin theta they are
-    the weights' derivatives."""
+    gamma_1 (unit - cos theta)/2, gamma_2 (unit + cos theta)/2 and
+    gamma_a sin theta / 2 from bath 1, the opposite signs from bath 2.
+    With unit = 1 these are the weights; with unit = 0 and the derivatives
+    of cos theta and sin theta they are the weights' derivatives."""
     ct, st, g1, g2 = (np.asarray(x) for x in (cos_theta, sin_theta, params.gamma1, params.gamma2))
     w = np.empty(np.broadcast_shapes(ct.shape, st.shape, g1.shape, g2.shape) + (2, 4))
     h1, h2, less, more = g1 * 0.5, g2 * 0.5, unit - ct, unit + ct

@@ -41,11 +41,25 @@ import numpy as np
 from .liouvillian import solve_ness
 from .metrology import qfi_spectral
 from .model import BathParams, SystemParams
-from .observables import coherence, concurrence, discord, linear_entropy, mutual_information
+from .observables import (
+    coherence,
+    concurrence,
+    discord,
+    linear_entropy,
+    mutual_information,
+)
 from .thermo import transport_report
 
-__all__ = ["Axis", "SweepSpec", "SweepResult", "ConfigError", "run_sweep", "emit", "load_config",
-           "sweep_spec_from_config"]
+__all__ = [
+    "Axis",
+    "SweepSpec",
+    "SweepResult",
+    "ConfigError",
+    "run_sweep",
+    "emit",
+    "load_config",
+    "sweep_spec_from_config",
+]
 
 _SYSTEM_KEYS = tuple(f.name for f in fields(SystemParams))
 _BATH_KEYS = tuple(f.name for f in fields(BathParams))
