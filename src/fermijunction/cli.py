@@ -11,6 +11,9 @@ Subcommands:
   modes that ``diagonalize`` gives for its system parameters.
 * ``verify``        run the analytic-limit verification battery.
 
+``sweep --out`` writes over an existing file in place and then cuts it to
+length: truncating it to zero first makes ext4 flush it when it is closed.
+
 Exit codes: 0 success, 1 validation/config error (or a failed
 verification), 2 solver failure in point mode.
 
@@ -21,6 +24,8 @@ in one process, and each call starts from the parser's defaults.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -69,8 +74,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(spec)
     payload = emit(result, fmt=args.format)
     if args.out:
-        with open(args.out, "wb") as fh:
+        with open(args.out, "wb",
+                  opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)) as fh:
             fh.write(payload)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or device is not cut
+                fh.truncate()
     else:
         sys.stdout.buffer.write(payload)
     return 0

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 import argparse
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -170,6 +172,80 @@ def test_sweep_writes_deterministic_csv(sweep_config, tmp_path):
     header = data.decode().splitlines()[0]
     assert header.startswith("dmu,omega1")
     assert len(data.decode().splitlines()) == 4
+
+
+def test_sweep_over_a_longer_file_writes_fresh_bytes(sweep_config, tmp_path):
+    # --out is written in place and then cut to length: no old tail survives
+    fresh = tmp_path / "fresh.csv"
+    assert main(["sweep", sweep_config, "--out", str(fresh)]) == 0
+    junk = tmp_path / "junk.csv"
+    junk.write_bytes(np.random.default_rng(0).bytes(100_000))
+    assert main(["sweep", sweep_config, "--out", str(junk)]) == 0
+    assert junk.read_bytes() == fresh.read_bytes()
+    out = tmp_path / "out"
+    assert main(["sweep", sweep_config, "--format", "jsonl", "--out", str(out)]) == 0
+    assert out.stat().st_size > fresh.stat().st_size
+    assert main(["sweep", sweep_config, "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_sweep_opens_out_without_truncating(sweep_config, tmp_path, monkeypatch):
+    # the in-place write is the speed-up: an O_TRUNC open of an existing
+    # file makes ext4 flush it on close, so --out must not ask for one
+    calls = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        calls.append((path, flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"x" * 10_000)
+    assert main(["sweep", sweep_config, "--out", str(out)]) == 0
+    assert [path for path, _ in calls] == [str(out)]
+    (flags,) = [flags for _, flags in calls]
+    assert not flags & os.O_TRUNC
+    assert flags & os.O_CREAT and flags & os.O_WRONLY
+    assert out.read_bytes().startswith(b"dmu,omega1") and out.stat().st_size < 10_000
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink") or sys.platform == "win32",
+                    reason="needs POSIX symlinks and modes")
+def test_sweep_out_keeps_symlink_and_mode(sweep_config, tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    assert main(["sweep", sweep_config, "--out", str(fresh)]) == 0
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old\n" * 5_000)
+    target.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["sweep", sweep_config, "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_sweep_out_to_devices_and_directories(sweep_config, tmp_path, capsys):
+    # a device is written, never cut to length; a directory is an error
+    assert main(["sweep", sweep_config, "--out", os.devnull]) == 0
+    assert main(["sweep", sweep_config, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_sweep_out_to_dev_stdout_pipe(sweep_config, tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    assert main(["sweep", sweep_config, "--out", str(fresh)]) == 0
+    script = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+from fermijunction.cli import main
+sys.exit(main(["sweep", {sweep_config!r}, "--out", "/dev/stdout"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == fresh.read_bytes()
 
 
 def test_sweep_jsonl_to_stdout(sweep_config, capsysbinary):
