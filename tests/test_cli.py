@@ -210,8 +210,7 @@ def test_sweep_opens_out_without_truncating(sweep_config, tmp_path, monkeypatch)
     assert out.read_bytes().startswith(b"dmu,omega1") and out.stat().st_size < 10_000
 
 
-@pytest.mark.skipif(not hasattr(os, "symlink") or sys.platform == "win32",
-                    reason="needs POSIX symlinks and modes")
+@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX symlinks and modes")
 def test_sweep_out_keeps_symlink_and_mode(sweep_config, tmp_path):
     fresh = tmp_path / "fresh.csv"
     assert main(["sweep", sweep_config, "--out", str(fresh)]) == 0
