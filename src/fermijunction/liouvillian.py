@@ -53,11 +53,11 @@ gamma_1 + gamma_2: each gamma is the self-energy -i gamma of a site,
 whose level width is Gamma = 2 gamma.
 
 No matrix is assembled: the generator is kept as the scalars it is
-linear in (``Liouvillian``), and ``_drift`` forms M x + b from the bath
-sums (W1, W2, S1, S2), s and b, row by row as above, for the residual,
-each bath's n-rows and the delta-tangent.  M has a fixed zero pattern,
-so M y = r is solved in closed form: rows 0, 1 and 3 give y0, y1 and y3
-in terms of y2, and row 2 then fixes
+linear in (``Liouvillian``), each formed once, and ``_drift`` forms
+M x + b from the bath sums (W1, W2, S1, S2), s and b, row by row as
+above, for the residual, each bath's n-rows and the delta-tangent.  M
+has a fixed zero pattern, so M y = r is solved in closed form: rows 0,
+1 and 3 give y0, y1 and y3 in terms of y2, and row 2 then fixes
 
     y2 = -(r2 - S1 r0 / (2 W1) - S2 r1 / (2 W2) + s r3 / W) / Delta,
     Delta = W + s^2 / W - S1 S2 (1 / W1 + 1 / W2),   W = W1 + W2.
@@ -69,8 +69,9 @@ leaves M singular, of nullity [W1 = 0] + [W2 = 0] + 2 [W = 0, s = 0].
 
 M is linear in s and in the weights, and b in the weights times the
 occupations, so d(W1, W2, S1, S2), db and ds / d delta follow by the
-product rule from closed forms; the same solve with r = -(dM x + db)
-gives the exact dx / d delta, on which ``metrology`` takes the QFI.
+product rule from closed forms; the same solve with r = -(dM x + db),
+on the kept sums and s, gives the exact dx / d delta, on which
+``metrology`` takes the QFI.
 
 Parameters, bases, generators and states may carry leading batch axes
 (see ``model``): a whole sweep grid is diagonalized, built and solved by
@@ -153,8 +154,8 @@ def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams) -> np.nda
     gamma_a sin theta / 2 from bath 1, the opposite signs from bath 2.
     With unit = 1 these are the weights; with unit = 0 and the derivatives
     of cos theta and sin theta they are the weights' derivatives."""
-    ct, st, g1, g2 = (np.asarray(x) for x in (cos_theta, sin_theta, params.gamma1, params.gamma2))
-    w = np.empty(np.broadcast_shapes(ct.shape, st.shape, g1.shape, g2.shape) + (2, 4))
+    ct, st, g1, g2 = cos_theta, sin_theta, params.gamma1, params.gamma2
+    w = np.empty(np.broadcast(ct, st, g1, g2).shape + (2, 4))
     h1, h2, less, more = g1 * 0.5, g2 * 0.5, unit - ct, unit + ct
     w[..., 0, 0], w[..., 0, 1] = h1 * less, h2 * more
     w[..., 1, 0], w[..., 1, 1] = h1 * more, h2 * less
@@ -169,7 +170,7 @@ def _occupations(basis: EigenBasis, baths: BathParams) -> np.ndarray:
     bath l on axis -2 and the mode on the last axis."""
     fields = (basis.omega_p1, basis.omega_p2, baths.t1, baths.t2, baths.mu1, baths.mu2)
     # omega'_a, T_l and mu_l on the contiguous (..., bath l, mode a) grid: one Fermi call
-    grid = np.empty((3,) + np.broadcast_shapes(*map(np.shape, fields)) + (2, 2))
+    grid = np.empty((3,) + np.broadcast(*fields).shape + (2, 2))
     for k in (0, 1):
         grid[0, ..., k, 0], grid[0, ..., k, 1] = basis.omega_p1, basis.omega_p2
         grid[1, ..., 0, k], grid[1, ..., 1, k] = baths.t1, baths.t2
@@ -183,8 +184,9 @@ def _sources(weights, occupations) -> np.ndarray:
     s1, s2), (..., L, 4), and the modes' occupations (o1, o2), (..., L,
     2), of L baths."""
     w, o = weights, occupations
-    b = np.zeros(np.broadcast_shapes(w.shape[:-1], o.shape[:-1]) + (4,))
-    b[..., 0], b[..., 1] = 2.0 * w[..., 0] * o[..., 0], 2.0 * w[..., 1] * o[..., 1]
+    rates = 2.0 * w[..., :2] * o
+    b = np.empty(rates.shape[:-1] + (4,))
+    b[..., :2], b[..., 3] = rates, 0.0
     b[..., 2] = w[..., 2] * o[..., 0] + w[..., 3] * o[..., 1]
     return b
 
@@ -203,7 +205,7 @@ def _drift(sums, split, source, x) -> np.ndarray:
     (W1, W2, S1, S2), the rotation split = s and the source b."""
     s1, s2, width = sums[..., 2], sums[..., 3], sums[..., 0] + sums[..., 1]
     n1, n2, re, im = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    d = np.empty(np.broadcast_shapes(sums.shape, source.shape, x.shape))
+    d = np.empty(np.broadcast(sums, source, x).shape)
     d[..., 0], d[..., 1] = _n_rates(sums, source, x)
     d[..., 2] = source[..., 2] - (s1 * n1 + s2 * n2 + width * re - split * im)
     d[..., 3] = source[..., 3] - (width * im + split * re)
@@ -214,15 +216,18 @@ def _drift(sums, split, source, x) -> np.ndarray:
 class Liouvillian:
     """The affine generator dx/dt = M x + b of x = (n1, n2, Re rho12, Im
     rho12), as the scalars it is linear in: each bath's angular
-    ``weights`` (w1, w2, s1, s2), (..., 2, 4), and modes' ``occupations``
-    (o1, o2), (..., 2, 2), bath l on axis -2; the ``source`` b, (..., 4);
-    and the rotation ``split`` s = omega'_1 - omega'_2.  M is fixed by the
-    weights' bath sums and s; bath l's share has its own weights and
-    source and no rotation."""
+    ``weights`` (w1, w2, s1, s2), (..., 2, 4), modes' ``occupations``
+    (o1, o2), (..., 2, 2), and ``sources`` b_l, (..., 2, 4), bath l on
+    axis -2; their sum, the ``source`` b; and the weights' bath ``sums``
+    (W1, W2, S1, S2) and the rotation ``split`` s = omega'_1 - omega'_2,
+    which fix M.  Bath l's share has its own weights and source and no
+    rotation."""
 
     weights: np.ndarray
     occupations: np.ndarray
+    sources: np.ndarray
     source: np.ndarray
+    sums: np.ndarray
     split: np.ndarray
 
 
@@ -232,9 +237,9 @@ def build_liouvillian(
     """Build dx/dt = M x + b of d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
     weights = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
     occupations = _occupations(basis, baths)  # one Fermi call for the grid
-    b = _sources(weights, occupations)
-    return Liouvillian(weights, occupations, b[..., 0, :] + b[..., 1, :],
-                       np.asarray(basis.omega_p1) - basis.omega_p2)
+    b, sums = _sources(weights, occupations), weights[..., 0, :] + weights[..., 1, :]
+    split = np.asarray(basis.omega_p1) - basis.omega_p2
+    return Liouvillian(weights, occupations, b, b[..., 0, :] + b[..., 1, :], sums, split)
 
 
 def generator_derivative(ness: NessResult):
@@ -254,13 +259,13 @@ def generator_derivative(ness: NessResult):
     ct, st, d_theta = (np.asarray(x) for x in (basis.cos_theta, basis.sin_theta, basis.d_theta))
     d_weights = _angular_weights(0.0, -st * d_theta, ct * d_theta, ness.params)
     # d omega'_1 = -d omega'_2 = sin theta; bath l's occupations over its T
-    slope, d_occ = occ * (1.0 - occ), np.empty(occ.shape)
-    for l, t in enumerate((baths.t1, baths.t2)):
-        d_occ[..., l, 0] = slope[..., l, 0] * -st / t
-        d_occ[..., l, 1] = slope[..., l, 1] * st / t
+    d_occ = occ * (1.0 - occ) * np.multiply.outer(st, (-1.0, 1.0))[..., None, :]
+    d_occ[..., 0, :] /= np.asarray(baths.t1)[..., None]
+    d_occ[..., 1, :] /= np.asarray(baths.t2)[..., None]
     # the sources of [dw | w] with [o | do], as four baths
-    d_b = _sources(np.concatenate([d_weights, ness.weights], axis=-2),
-                   np.concatenate([occ, d_occ], axis=-2)).sum(axis=-2)
+    b = _sources(np.concatenate([d_weights, ness.weights], axis=-2),
+                 np.concatenate([occ, d_occ], axis=-2))
+    d_b = b[..., 0, :] + b[..., 1, :] + b[..., 2, :] + b[..., 3, :]  # in .sum(axis=-2)'s order
     return d_weights[..., 0, :] + d_weights[..., 1, :], d_b, 2.0 * st
 
 
@@ -302,40 +307,37 @@ def steady_state(lv: Liouvillian):
     residual and the typed error of each failed solve.
 
     Solves M x = -b in closed form and takes ||M x + b|| (``_solve``,
-    ``_drift``) on the weights' bath sums and s, for every generator of a
-    stack in one call.  Returns (v, x, ||M x + b||, errors) with v Wick's
-    sector of x.  A solve fails with DegenerateNullSpaceError when a zero
-    coupling leaves M singular, so that the stationary state is not
-    unique, and with SteadyStateError when the state misses the residual
-    tolerance or positivity: its smallest eigenvalue, min(rho00, rho33,
-    t/2 - R) of ``observables.spectral_decompose``, below -1e-9.  An
-    unstacked generator raises that error; in a stack such a point gets
-    NaN state and residual and its error in ``errors``, an object array
-    shaped like the stack that holds None where the solve passed.
+    ``_drift``) on the bath sums and s the generator keeps, for every
+    generator of a stack in one call.  Returns (v, x, ||M x + b||,
+    errors) with v Wick's sector of x.  A solve fails with
+    DegenerateNullSpaceError when a zero coupling leaves M singular, so
+    that the stationary state is not unique, and with SteadyStateError
+    when the state misses the residual tolerance or positivity: its
+    smallest eigenvalue, min(rho00, rho33, t/2 - R) of
+    ``observables.spectral_decompose``, below -1e-9.  An unstacked
+    generator raises that error; in a stack such a point gets NaN state
+    and residual and its error in ``errors``, an object array shaped like
+    the stack that holds None where the solve passed.
     """
-    sums = lv.weights[..., 0, :] + lv.weights[..., 1, :]
-    x = _solve(sums, lv.split, -lv.source)
-    drift = _drift(sums, lv.split, lv.source, x)
+    x = _solve(lv.sums, lv.split, -lv.source)
+    drift = _drift(lv.sums, lv.split, lv.source, x)
     # the norm summed as np.linalg.norm sums it
     residual = np.sqrt((drift * drift).sum(axis=-1))
     n1, n2, re, im = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    r = n1 * n2 - re * re - im * im  # rho33
+    re2, im2 = re * re, im * im
+    r = n1 * n2 - re2 - im2  # rho33
     v = np.empty(x.shape[:-1] + (6,))
     v[..., 0], v[..., 1], v[..., 2], v[..., 3] = 1.0 - n1 - n2 + r, n1 - r, n2 - r, r
     v[..., 4:] = x[..., 2:]
     # the smallest of the eigenvalues rho00, t/2 +- R and rho33
     z, half_t = 0.5 * (v[..., 1] - v[..., 2]), 0.5 * (v[..., 1] + v[..., 2])
-    min_eig = np.minimum(np.minimum(v[..., 0], r), half_t - np.sqrt(z * z + re * re + im * im))
-    w1, w2 = sums[..., 0], sums[..., 1]  # M is singular where one is 0
+    min_eig = np.minimum(np.minimum(v[..., 0], r), half_t - np.sqrt(z * z + re2 + im2))
+    w1, w2 = lv.sums[..., 0], lv.sums[..., 1]  # M is singular where one is 0
     failed = (w1 == 0) | (w2 == 0) | ~(residual < _RESIDUAL_TOL) | (min_eig < _EIG_FLOOR)
     errors = _point_errors(failed, lambda i: _failure(
-        *(np.broadcast_to(a, failed.shape)[i] for a in (w1, w2, lv.split, residual, min_eig))))
-    if failed.ndim == 0:
-        return v, x, float(residual), errors
-    if failed.any():
-        for kept in (v, x, residual):
-            kept[failed] = np.nan
-    return v, x, residual, errors
+        *(np.broadcast_to(a, failed.shape)[i] for a in (w1, w2, lv.split, residual, min_eig))),
+        v, x, residual)
+    return v, x, residual if failed.ndim else float(residual), errors
 
 
 @dataclass(frozen=True)
@@ -344,9 +346,9 @@ class NessResult:
     that produced it, all stacked alike: ``v`` is the state's real
     charge-neutral sector (..., 6), which every measure but the QFI
     takes, ``x`` its correlations (n1, n2, Re rho12, Im rho12),
-    ``weights`` and ``occupations`` the bath terms the generator is
-    linear in (see ``Liouvillian``; the generator is not kept, and the
-    solve needs only the weights and the basis),
+    ``weights``, ``occupations``, ``sources``, ``sums`` and ``split`` the
+    generator's terms but its total source (see ``Liouvillian``), which
+    the currents and the delta-tangent read,
     ``residual`` is ||M x + b|| (an array for a stack), and ``errors``
     holds each failed point's typed error (None where the solve passed)."""
 
@@ -354,6 +356,9 @@ class NessResult:
     x: np.ndarray
     weights: np.ndarray
     occupations: np.ndarray
+    sources: np.ndarray
+    sums: np.ndarray
+    split: np.ndarray
     basis: EigenBasis
     residual: float | np.ndarray
     params: SystemParams
@@ -371,20 +376,19 @@ def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
     v, x, residual, errors = steady_state(lv)
-    return NessResult(v=v, x=x, weights=lv.weights, occupations=lv.occupations, basis=basis,
-                      residual=residual, params=params, baths=baths, errors=errors)
+    return NessResult(v=v, x=x, weights=lv.weights, occupations=lv.occupations,
+                      sources=lv.sources, sums=lv.sums, split=lv.split,
+                      basis=basis, residual=residual, params=params, baths=baths, errors=errors)
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:
     """d x / d delta of solved steady states' correlations, in their mode
     frame: M x + b = 0 holds at every delta, so M dx = -(dM x + db), the
-    drift of ``generator_derivative`` at x, solved in closed form on the
-    kept weights and basis.  At omega1 == omega2, delta == 0 it is the
-    derivative from delta > 0."""
+    drift of ``generator_derivative`` at x, solved in closed form with the
+    bath sums and s of the steady-state solve.  At omega1 == omega2,
+    delta == 0 it is the derivative from delta > 0."""
     d_sums, d_source, d_split = generator_derivative(ness)
-    sums = ness.weights[..., 0, :] + ness.weights[..., 1, :]
-    split = np.asarray(ness.basis.omega_p1) - ness.basis.omega_p2
-    return _solve(sums, split, -_drift(d_sums, d_split, d_source, ness.x))
+    return _solve(ness.sums, ness.split, -_drift(d_sums, d_split, d_source, ness.x))
 
 
 def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:

@@ -101,21 +101,25 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
     r = np.hypot(z, np.hypot(re, im))
     split = r > 0.0
     # dR = b.db/R; a degenerate C (R = 0) splits along db, by |db|
-    d_r = (z * dz + re * d_re + im * d_im) / np.where(split, r, 1.0)
-    if not split.all():
-        d_r = np.where(split, d_r, np.sqrt(dz * dz + d_re * d_re + d_im * d_im))
+    d_r = z * dz + re * d_re + im * d_im
+    d_r = (d_r / r if split.all() else np.where(
+        split, d_r / np.where(split, r, 1.0), np.sqrt(dz * dz + d_re * d_re + d_im * d_im)))
     lam, d_lam = mean + np.multiply.outer(_PM, r), d_mean + np.multiply.outer(_PM, d_r)
-    edge = np.minimum(lam, 1.0 - lam)  # each level's distance from empty or full
+    hole = 1.0 - lam
+    edge = np.minimum(lam, hole)  # each level's distance from empty or full
     frozen = edge < _P_FLOOR
     rank_change = frozen & (np.abs(d_lam) >= _DP_FLOOR)
-    f_e = np.where(frozen, 0.0, d_lam * d_lam / np.where(frozen, 1.0, lam * (1.0 - lam))).sum(0)
+    fisher = (np.where(frozen, 0.0, d_lam * d_lam / np.where(frozen, 1.0, lam * hole))
+              if frozen.any() else d_lam * d_lam / (lam * hole))
+    f_e = fisher[0] + fisher[1]
 
     t = lam[0] + lam[1] - 2.0 * lam[0] * lam[1]
     coherent = split & (t > _P_FLOOR)
     # in the site frame b also turns with the mode frame, about its third axis
     u_z, u_x = dz - d_theta * re, d_re + d_theta * z
     turn = (re * d_im - im * u_x) ** 2 + (im * u_z - z * d_im) ** 2 + (z * u_x - re * u_z) ** 2
-    f_n = np.where(coherent, 4.0 * turn / np.where(coherent, r * r * t, 1.0), 0.0)
+    f_n = (4.0 * turn / (r * r * t) if coherent.all() else np.where(
+        coherent, 4.0 * turn / np.where(coherent, r * r * t, 1.0), 0.0))
 
     def rank_change_error(i):
         k = (rank_change[(slice(None), *i)].argmax(), *i)  # the point's first such level
@@ -124,9 +128,7 @@ def qfi_spectral(ness: NessResult) -> QfiReport:
         rate = d_lam[k] if lam[k] == edge[k] else -d_lam[k]  # of lambda, or of 1 - lambda
         return RankChangeError(f"eigenvalue {edge[k]:.3e} with derivative {rate:.3e}: {cause}")
 
-    failed = rank_change.any(axis=0)
-    errors = _point_errors(failed, rank_change_error)
-    f_e, f_n = np.where(failed, np.nan, f_e), np.where(failed, np.nan, f_n)
+    errors = _point_errors(rank_change[0] | rank_change[1], rank_change_error, f_e, f_n)
     return QfiReport(f_total=(f_e + f_n)[()], f_e=f_e[()], f_n=f_n[()], errors=errors)
 
 

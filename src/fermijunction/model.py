@@ -29,9 +29,9 @@ __all__ = [
 
 
 def _require_finite(params) -> None:
-    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    values = vars(params)  # the fields, by name
     # one check over all fields; the bad ones are named only on failure
-    if not np.isfinite(np.concatenate(list(values.values()), axis=None)).all():
+    if not np.isfinite(np.concatenate(tuple(values.values()), axis=None)).all():
         bad = [name for name, x in values.items() if not np.isfinite(x).all()]
         raise ValueError(f"{', '.join(bad)} must be finite")
 
@@ -55,9 +55,9 @@ class SystemParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if not (np.greater(self.omega1, 0.0).all() and np.greater(self.omega2, 0.0).all()):
+        if not (np.minimum(self.omega1, self.omega2) > 0.0).all():
             raise ValueError("site energies omega1, omega2 must be positive")
-        if np.less(self.gamma1, 0.0).any() or np.less(self.gamma2, 0.0).any():
+        if (np.minimum(self.gamma1, self.gamma2) < 0.0).any():
             raise ValueError("decay rates gamma1, gamma2 must be nonnegative")
 
 
@@ -77,7 +77,7 @@ class BathParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if not (np.greater(self.t1, 0.0).all() and np.greater(self.t2, 0.0).all()):
+        if not (np.minimum(self.t1, self.t2) > 0.0).all():
             raise ValueError("temperatures t1, t2 must be strictly positive")
 
 
@@ -115,17 +115,19 @@ def take(stack, index):
     return replace(stack, **picked)
 
 
-def _point_errors(failed, error):
+def _point_errors(failed, error, *values):
     """The typed error of each failed point of a stack: an object array
     shaped like ``failed`` holding ``error(i)`` at each failed index i and
-    None elsewhere.  An unstacked point (``failed`` 0-d) raises its error."""
-    errors = np.full(failed.shape, None, dtype=object)
-    if not failed.any():
-        return errors
-    for i in map(tuple, np.argwhere(failed)):
-        errors[i] = error(i)
-    if failed.ndim == 0:
-        raise errors[()]
+    None elsewhere; each of the stacked ``values`` gets NaN at those
+    points.  An unstacked point (``failed`` 0-d) raises its error."""
+    errors = np.empty(failed.shape, dtype=object)  # all None
+    if failed.any():
+        for i in map(tuple, np.argwhere(failed)):
+            errors[i] = error(i)
+        if failed.ndim == 0:
+            raise errors[()]
+        for value in values:
+            value[failed] = np.nan
     return errors
 
 
@@ -154,14 +156,16 @@ def diagonalize(params: SystemParams) -> EigenBasis:
     coupling = 2.0 * np.asarray(params.delta)
     split = np.hypot(detuning, coupling)
     theta = np.arctan2(coupling, detuning)
-    # omega1 == omega2 and delta == 0: any rotation; take the delta -> 0+ one
+    cos, sin, safe = np.cos(theta), np.sin(theta), split
     degenerate = split == 0.0
-    safe = np.where(degenerate, np.inf, split)
+    if degenerate.any():  # omega1 == omega2 and delta == 0: any rotation; take the delta -> 0+ one
+        cos, sin = np.where(degenerate, 0.0, cos), np.where(degenerate, 1.0, sin)
+        safe = np.where(degenerate, np.inf, split)
     return EigenBasis(
         omega_p1=(half_sum + 0.5 * split)[()],
         omega_p2=(half_sum - 0.5 * split)[()],
-        cos_theta=np.where(degenerate, 0.0, np.cos(theta))[()],
-        sin_theta=np.where(degenerate, 1.0, np.sin(theta))[()],
+        cos_theta=cos[()],
+        sin_theta=sin[()],
         d_theta=(2.0 * detuning / safe / safe)[()],
     )
 

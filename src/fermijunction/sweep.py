@@ -26,10 +26,8 @@ single-point report (not emitted).
 """
 from __future__ import annotations
 
-import csv
 import functools
 import io
-import json
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -41,13 +39,7 @@ import numpy as np
 from .liouvillian import solve_ness
 from .metrology import qfi_spectral
 from .model import BathParams, SystemParams
-from .observables import (
-    coherence,
-    concurrence,
-    discord,
-    linear_entropy,
-    mutual_information,
-)
+from .observables import coherence, concurrence, discord, linear_entropy, mutual_information
 from .thermo import transport_report
 
 __all__ = [
@@ -259,18 +251,20 @@ def _observe(spec: SweepSpec, ness) -> dict[str, list]:
     it, and the point alone again) all but the correlations and discord
     cells, and the typed error of the stage that failed becomes the
     point's ``flags`` cell: ``solver:``, ``qfi:`` or ``measure:``, then
-    ``<error type>:<message>``."""
+    ``<error type>:<message>``.  A point that fails the solve or the QFI
+    gets NaN values from it, so only the errors of points with NaN
+    residual or QFI are read."""
     cells: dict[str, Any] = {"residual": ness.residual}
     if "thermo" in spec.observables:
         r = transport_report(ness)
         cells.update(_block("thermo", r.i1, r.i2, r.j1, r.j2, r.epr, r.epr_regime_ok))
     v = ness.v
-    stages = [("solver", ness.errors)]
+    stages = [("solver", ness.residual, ness.errors)]
     try:
         cells.update(_measures(spec, v))
     except ValueError:
         # each point alone, so that only the points that raise fail
-        alone, errors = [], np.full(len(v), None, dtype=object)
+        alone, errors = [], np.empty(len(v), dtype=object)
         for i, point in enumerate(v):
             try:
                 alone.append(_measures(spec, point))
@@ -278,22 +272,23 @@ def _observe(spec: SweepSpec, ness) -> dict[str, list]:
                 alone.append({})
                 errors[i] = err
         cells.update({k: [a.get(k) for a in alone] for k in dict.fromkeys(chain(*alone))})
-        stages.insert(0, ("measure", errors))
+        stages.insert(0, ("measure", None, errors))
     cells["v"] = list(v)
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)
         # the derivative is exact: no step
-        cells.update(_block("qfi", q.f_total, q.f_e, q.f_n, np.zeros_like(q.f_total)))
+        cells.update(_block("qfi", q.f_total, q.f_e, q.f_n, [0.0] * len(v)))
         # flagged before the solver, so that a point's solver error is the one that stands
-        stages.insert(-1, ("qfi", q.errors))
+        stages.insert(-1, ("qfi", q.f_total, q.errors))
     cells = _columns(cells)
     lost = {"qfi": _BLOCK_COLUMNS["qfi"], "solver": tuple(cells), "measure": ()}
-    flags = [""] * len(cells["residual"])
-    for stage, errors in stages:
-        for i in np.flatnonzero(errors != None):  # noqa: E711 (elementwise)
-            flags[i] = f"{stage}:{type(errors[i]).__name__}:{errors[i]}"
-            for name in lost[stage]:
-                cells[name][i] = None
+    flags = [""] * len(v)
+    for stage, values, errors in stages:
+        for i in range(len(v)) if values is None else np.isnan(values).nonzero()[0]:
+            if errors[i] is not None:
+                flags[i] = f"{stage}:{type(errors[i]).__name__}:{errors[i]}"
+                for name in lost[stage]:
+                    cells[name][i] = None
     cells["flags"] = flags
     return cells
 
@@ -306,11 +301,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     resolved = spec.resolve(coords)
     # one (parameter, point) array: each row a parameter at every point
     grid = np.empty((len(BASE_PARAMS), n))
-    for row, k in zip(grid, BASE_PARAMS):
-        row[...] = resolved[k]
-    values = dict(zip(BASE_PARAMS, grid))
     table = {ax.name: c.tolist() for ax, c in zip(spec.axes, coords)}
-    table.update(zip(BASE_PARAMS, grid.tolist()))
+    for row, k in zip(grid, BASE_PARAMS):
+        row[...] = value = resolved[k]
+        # a fixed parameter's cells repeat its float
+        table[k] = row.tolist() if isinstance(value, np.ndarray) else [float(value)] * n
+    values = dict(zip(BASE_PARAMS, grid))
     table["flags"] = [""] * n
     stacked = range(n)  # the grid points held in the stack
     try:
@@ -342,6 +338,7 @@ def _format_cell(value: Any) -> str:
         return f"{value:.17g}"
     if not isinstance(value, str) or not value:
         return str(value)
+    import csv  # here: only a text cell needs the stdlib writer's quoting
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow((value,))
     return buf.getvalue()[:-1]
@@ -389,6 +386,7 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
         body = (row * n) % tuple(chain.from_iterable(zip(*per_row)))
         return (",".join(result.columns) + "\n" + body).encode()
     if fmt == "jsonl":
+        import json  # here, so that importing the package does not import json
         lines = []
         for row in result.rows:
             record = {col: row.get(col) for col in result.columns}

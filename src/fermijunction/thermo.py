@@ -4,7 +4,7 @@ Currents are bath l's shares of the rates of change of the particle
 number N = n1 + n2 and the energy H = omega'_1 n1 + omega'_2 n2.  Both
 are quadratic, so each is linear in the correlations x: with dn_a,l/dt
 the n-rows of bath l's share of M x + b, 2 w_al (o_al - n_a) - 2 s_a'l X
-from the solve's weights and occupations,
+from the solve's weights and each bath's source b_l,
 
     I_l = dn1,l/dt + dn2,l/dt,    J_l = omega'_1 dn1,l/dt + omega'_2 dn2,l/dt.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import NessResult, _n_rates, _occupations, _sources
+from .liouvillian import NessResult, _n_rates, _occupations
 from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
 
 __all__ = [
@@ -76,22 +76,14 @@ def epr_regime_ok(params: SystemParams) -> bool:
 
 
 def transport_report(ness: NessResult) -> ThermoReport:
-    """Currents and EPR for a solved steady state (or a stack of them)."""
-    w, e1, e2 = ness.weights, ness.basis.omega_p1, ness.basis.omega_p2
-    b = _sources(w, ness.occupations)
+    """Currents and EPR for a solved steady state (or a stack of them),
+    from the weights and sources of each bath the solve kept."""
+    w, b, e1, e2 = ness.weights, ness.sources, ness.basis.omega_p1, ness.basis.omega_p2
     # each bath's dn1/dt and dn2/dt: the n-rows of its share of M x + b
-    (i1, j1), (i2, j2) = (
-        ((dn1 + dn2)[()], (e1 * dn1 + e2 * dn2)[()])
-        for dn1, dn2 in (_n_rates(w[..., l, :], b[..., l, :], ness.x) for l in (0, 1))
-    )
-    return ThermoReport(
-        i1=i1,
-        i2=i2,
-        j1=j1,
-        j2=j2,
-        epr=entropy_production_rate(j1, i1, ness.baths),
-        epr_regime_ok=epr_regime_ok(ness.params),
-    )
+    (i1, j1), (i2, j2) = (((dn1 + dn2)[()], (e1 * dn1 + e2 * dn2)[()]) for dn1, dn2 in (
+        _n_rates(w[..., l, :], b[..., l, :], ness.x) for l in (0, 1)))
+    epr = entropy_production_rate(j1, i1, ness.baths)
+    return ThermoReport(i1, i2, j1, j2, epr, epr_regime_ok(ness.params))
 
 
 def ness_leading_order(

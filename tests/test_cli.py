@@ -387,16 +387,17 @@ print("fermijunction.cli" in sys.modules)
 
 
 def test_package_import_leaves_pyyaml_unloaded():
-    # only load_config parses YAML, so only a config pays for PyYAML
+    # only load_config parses YAML, so only a config pays for PyYAML; json
+    # and csv are imported by the JSONL output and a quoted CSV cell alone
     script = f"""
 import sys
 sys.path.insert(0, {str(SRC)!r})
 import fermijunction
-print("yaml" in sys.modules)
+print([name for name in ("yaml", "json", "csv") if name in sys.modules])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_package_exports_each_module_public_name():

@@ -26,9 +26,11 @@ from fermijunction.liouvillian import (
     _NUMBERS,
     DIM,
     Liouvillian,
+    _angular_weights,
     _drift,
     _level_energies,
     _n_rates,
+    _solve,
     _sources,
     generator_derivative,
     state_derivative,
@@ -397,20 +399,23 @@ def random_stack(rng, n):
 
 def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     # the solver is real: per point the state's sector (48 bytes), its
-    # correlations (32), the angular weights (64) and Fermi occupations
-    # (32) the generator is linear in, and the parameters with their
-    # basis, 304 bytes; a kept generator would add 160 (the inverse of M
-    # the LU solve kept took 128, the n-rows of the two baths' pieces,
-    # kept before the bath terms, 160 and the 6x6 solve 1040)
+    # correlations (32), the angular weights (64), Fermi occupations (32)
+    # and each bath's source (64) the generator is linear in, the bath
+    # sums (32) and rotation (8) its solve shares with the delta-tangent,
+    # and the parameters with their basis, 408 bytes; a kept generator
+    # would add 160 (the inverse of M the LU solve kept took 128, the
+    # n-rows of the two baths' pieces, kept before the bath terms, 160 and
+    # the 6x6 solve 1040)
     n = 1000
     params, baths = random_stack(np.random.default_rng(21), n)
     ness = solve_ness(params, baths)
-    assert [f.name for f in fields(Liouvillian)] == ["weights", "occupations", "source", "split"]
+    assert [f.name for f in fields(Liouvillian)] == [
+        "weights", "occupations", "sources", "source", "sums", "split"]
     assert ness.weights.shape == (n, 2, 4) and ness.occupations.shape == (n, 2, 2)
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    for real in (lv.weights, lv.occupations, lv.source, lv.split, *generator_derivative(ness),
-                 ness.v, ness.x, ness.weights, ness.occupations):
+    for real in (lv.weights, lv.occupations, lv.sources, lv.source, lv.sums, lv.split,
+                 *generator_derivative(ness), ness.v, ness.x, ness.weights, ness.occupations):
         assert real.dtype == np.float64
     buffers = {}
 
@@ -426,7 +431,7 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
                 buffers[id(value)] = value.nbytes
 
     collect(ness)
-    assert sum(buffers.values()) / n <= 304
+    assert sum(buffers.values()) / n <= 408
 
 
 def test_stacked_solve_is_bit_identical_to_each_point_alone():
@@ -606,6 +611,49 @@ def test_generator_derivative_matches_central_difference(point):
     lo, hi = dense_generator(build_liouvillian(diagonalize(stack), baths, stack))[0]
     scale = np.abs(dense_generator(build_liouvillian(basis, baths, params))[0]).max() / split
     assert np.abs((hi - lo) / (2.0 * h) - exact).max() <= 1e-7 * scale
+
+
+def _stack(points):
+    """One stacked (params, baths) of a list of (params, baths) points."""
+    return tuple(type(first)(**{f.name: np.array([getattr(p, f.name) for p in group])
+                                for f in fields(first)})
+                 for first, group in zip(points[0], zip(*points)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(derivative_points() | derivative_points(tuned=True), min_size=1, max_size=4))
+def test_kept_sources_and_sums_are_the_re_formed_ones(points):
+    # the solve keeps each bath's source and M's bath sums and rotation,
+    # for the currents and the delta-tangent: on detuned and tuned
+    # junctions with unequal couplings between biased baths, alone and
+    # stacked, the currents, the tangent's source and the tangent equal
+    # bit for bit the ones re-formed from the weights, occupations and
+    # basis as before they were kept
+    params, baths = _stack(points)
+    ness = solve_ness(params, baths)
+    w, occ, basis = ness.weights, ness.occupations, ness.basis
+    sources = _sources(w, occ)
+    assert ness.sources.tobytes() == sources.tobytes()
+    report = transport_report(ness)
+    for l, (i, j) in enumerate(((report.i1, report.j1), (report.i2, report.j2))):
+        dn1, dn2 = _n_rates(w[..., l, :], sources[..., l, :], ness.x)
+        assert i.tobytes() == (dn1 + dn2).tobytes()
+        assert j.tobytes() == (basis.omega_p1 * dn1 + basis.omega_p2 * dn2).tobytes()
+    # the tangent's source: the four baths' sources summed by .sum
+    st_, d_theta = basis.sin_theta, basis.d_theta
+    d_weights = _angular_weights(0.0, -st_ * d_theta, basis.cos_theta * d_theta, params)
+    slope, d_occ = occ * (1.0 - occ), np.empty(occ.shape)
+    for l, t in enumerate((baths.t1, baths.t2)):
+        d_occ[..., l, 0] = slope[..., l, 0] * -st_ / t
+        d_occ[..., l, 1] = slope[..., l, 1] * st_ / t
+    four = _sources(np.concatenate([d_weights, w], axis=-2), np.concatenate([occ, d_occ], axis=-2))
+    d_sums, d_source, d_split = generator_derivative(ness)
+    assert d_source.tobytes() == four.sum(axis=-2).tobytes()
+    sums, split = w[..., 0, :] + w[..., 1, :], basis.omega_p1 - basis.omega_p2
+    for kept, re_formed in ((ness.sums, sums), (ness.split, split)):
+        assert kept.tobytes() == re_formed.tobytes()
+    tangent = _solve(sums, split, -_drift(d_sums, d_split, d_source, ness.x))
+    assert state_derivative(ness).tobytes() == tangent.tobytes()
 
 
 def _sums_drift(lv, x):

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from fermijunction import (
     Axis,
+    BathParams,
     ConfigError,
     SweepSpec,
+    SystemParams,
     emit,
     load_config,
     run_sweep,
@@ -596,6 +599,55 @@ def test_qfi_sweep_takes_fermi_factors_and_bath_pieces_once(monkeypatch):
     assert all(row["flags"] == "" for row in rows)
     assert calls["fermi_occupation"] == 1
     assert calls["_sources"] <= 2
+
+
+def test_sweep_of_every_block_forms_each_stacked_quantity_once(monkeypatch):
+    # an unflagged sweep of all four blocks: no per-call numpy helper
+    # (np.broadcast_shapes, an np.full error array, an np.flatnonzero scan
+    # of the errors), one bath-source pass for the generator, which the
+    # currents read, and one for the tangent
+    calls = dict.fromkeys(("broadcast_shapes", "full", "flatnonzero", "_sources"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("broadcast_shapes", "full", "flatnonzero"):
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    for module in (liouvillian, metrology, thermo, model):
+        if hasattr(module, "_sources"):
+            monkeypatch.setattr(module, "_sources", counting("_sources", module._sources))
+    fixed = {"omega1": 1.0, "omega2": 1.03, "gamma1": 0.001, "gamma2": 0.003,
+             "t1": 0.2, "t2": 0.5, "mu2": 0.5}
+    axes = (Axis("delta", 0.01, 0.05, 5), Axis("dmu", -0.5, 0.5, 5))
+    rows = run_sweep(SweepSpec(fixed=fixed, axes=axes)).rows
+    assert all(row["flags"] == "" and "discord" in row and "epr" in row for row in rows)
+    assert calls["broadcast_shapes"] == calls["full"] == calls["flatnonzero"] == 0
+    assert calls["_sources"] <= 2
+
+
+def test_flags_are_the_errors_of_each_failed_stage():
+    # the sweep reads the errors of the points whose residual or QFI is
+    # NaN only: on CI's cold, strongly biased grid its flags are those of
+    # every point's solver and QFI errors, the solver's standing, and
+    # flag the same 138 and 71 points as when every error was read
+    fixed = {"omega1": 1.0, "omega2": 1.0, "gamma1": 0.01159, "gamma2": 0.01729,
+             "t2": 0.0129, "mu1": 0.0653, "mu2": 0.7232}
+    spec = SweepSpec(fixed=fixed, axes=(Axis("delta", 0.05, 0.12, 20), Axis("t1", 0.02, 0.08, 20)))
+    values = spec.resolve(spec.coordinates())
+    ness = solve_ness(*(cls(**{f.name: np.broadcast_to(values[f.name], (400,))
+                               for f in dataclass_fields(cls)})
+                        for cls in (SystemParams, BathParams)))
+    want = []
+    for solver, qfi in zip(ness.errors, metrology.qfi_spectral(ness).errors):
+        stage, error = ("solver", solver) if solver is not None else ("qfi", qfi)
+        want.append("" if error is None else f"{stage}:{type(error).__name__}:{error}")
+    assert run_sweep(spec).table["flags"] == want
+    kinds = [flag.split(":")[0] for flag in want]
+    assert (kinds.count("solver"), kinds.count("qfi")) == (138, 71)
 
 
 @pytest.mark.parametrize(
