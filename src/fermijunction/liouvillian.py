@@ -154,7 +154,7 @@ def _angular_weights(unit, cos_theta, sin_theta, params: SystemParams) -> np.nda
     gamma_a sin theta / 2 from bath 1, the opposite signs from bath 2.
     With unit = 1 these are the weights; with unit = 0 and the derivatives
     of cos theta and sin theta they are the weights' derivatives."""
-    ct, st, g1, g2 = cos_theta, sin_theta, params.gamma1, params.gamma2
+    ct, st, g1, g2 = (np.asarray(x) for x in (cos_theta, sin_theta, params.gamma1, params.gamma2))
     w = np.empty(np.broadcast(ct, st, g1, g2).shape + (2, 4))
     h1, h2, less, more = g1 * 0.5, g2 * 0.5, unit - ct, unit + ct
     w[..., 0, 0], w[..., 0, 1] = h1 * less, h2 * more
