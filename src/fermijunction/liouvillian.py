@@ -55,7 +55,9 @@ whose level width is Gamma = 2 gamma.
 No matrix is assembled: the generator is kept as the scalars it is
 linear in (``Liouvillian``), each formed once, and ``_drift`` forms
 M x + b from the bath sums (W1, W2, S1, S2), s and b, row by row as
-above, for the residual, each bath's n-rows and the delta-tangent.  M
+above, for the residual, each bath's n-rows and the delta-tangent.  A
+solved state (``NessResult``) is the ``Liouvillian`` it solved plus v,
+x, the residual and the errors.  M
 has a fixed zero pattern, so M y = r is solved in closed form: rows 0,
 1 and 3 give y0, y1 and y3 in terms of y2, and row 2 then fixes
 
@@ -218,17 +220,39 @@ class Liouvillian:
     rho12), as the scalars it is linear in: each bath's angular
     ``weights`` (w1, w2, s1, s2), (..., 2, 4), modes' ``occupations``
     (o1, o2), (..., 2, 2), and ``sources`` b_l, (..., 2, 4), bath l on
-    axis -2; their sum, the ``source`` b; and the weights' bath ``sums``
-    (W1, W2, S1, S2) and the rotation ``split`` s = omega'_1 - omega'_2,
-    which fix M.  Bath l's share has its own weights and source and no
-    rotation."""
+    axis -2, whose sum is b; the weights' bath ``sums`` (W1, W2, S1, S2)
+    and the rotation ``split`` s = omega'_1 - omega'_2, which fix M; and
+    the ``basis``, ``params`` and ``baths`` it was built from.  Bath l's
+    share has its own weights and source and no rotation."""
 
     weights: np.ndarray
     occupations: np.ndarray
     sources: np.ndarray
-    source: np.ndarray
     sums: np.ndarray
     split: np.ndarray
+    basis: EigenBasis
+    params: SystemParams
+    baths: BathParams
+
+
+@dataclass(frozen=True)
+class NessResult(Liouvillian):
+    """The generator a steady state was solved from, all stacked alike,
+    plus ``v``, the state's real charge-neutral sector (..., 6), which
+    every measure but the QFI takes, ``x``, its correlations (n1, n2, Re
+    rho12, Im rho12), ``residual``, ||M x + b|| (an array for a stack),
+    and ``errors``, each failed point's typed error (None where the solve
+    passed)."""
+
+    v: np.ndarray
+    x: np.ndarray
+    residual: float | np.ndarray
+    errors: np.ndarray
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The 4x4 X state of ``v``, for the dense oracles."""
+        return x_state(self.v)
 
 
 def build_liouvillian(
@@ -237,33 +261,35 @@ def build_liouvillian(
     """Build dx/dt = M x + b of d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
     weights = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
     occupations = _occupations(basis, baths)  # one Fermi call for the grid
-    b, sums = _sources(weights, occupations), weights[..., 0, :] + weights[..., 1, :]
+    sums = weights[..., 0, :] + weights[..., 1, :]
     split = np.asarray(basis.omega_p1) - basis.omega_p2
-    return Liouvillian(weights, occupations, b, b[..., 0, :] + b[..., 1, :], sums, split)
+    return Liouvillian(weights, occupations, _sources(weights, occupations), sums, split,
+                       basis, params, baths)
 
 
-def generator_derivative(ness: NessResult):
+def generator_derivative(lv: Liouvillian):
     """The delta-derivatives (d(W1, W2, S1, S2), db, ds) of the bath sums,
-    source and rotation of the generator a steady state was solved with,
-    in its mode frame, which fix dM x + db through ``_drift``.
+    source and rotation of a generator (or the one a steady state was
+    solved from), in its mode frame, which fix dM x + db through
+    ``_drift``.
 
     d omega'_1 = -d omega'_2 = sin theta = ds / 2, the frame turns at d
     theta, and each occupation moves by d n = -n (1 - n) d omega'_a / T.
     By the product rule db sums the sources of the weights' derivatives
     with the occupations and of the weights with the occupations'
-    derivatives, in one pass on the weights and occupations the solve
-    kept.  At s = 0 d theta is 0 in the delta -> 0+ frame: the one-sided
+    derivatives, in one pass on the weights and occupations the
+    generator keeps.  At s = 0 d theta is 0 in the delta -> 0+ frame: the one-sided
     derivative from delta > 0.
     """
-    basis, baths, occ = ness.basis, ness.baths, ness.occupations
+    basis, baths, occ = lv.basis, lv.baths, lv.occupations
     ct, st, d_theta = (np.asarray(x) for x in (basis.cos_theta, basis.sin_theta, basis.d_theta))
-    d_weights = _angular_weights(0.0, -st * d_theta, ct * d_theta, ness.params)
+    d_weights = _angular_weights(0.0, -st * d_theta, ct * d_theta, lv.params)
     # d omega'_1 = -d omega'_2 = sin theta; bath l's occupations over its T
     d_occ = occ * (1.0 - occ) * np.multiply.outer(st, (-1.0, 1.0))[..., None, :]
     d_occ[..., 0, :] /= np.asarray(baths.t1)[..., None]
     d_occ[..., 1, :] /= np.asarray(baths.t2)[..., None]
     # the sources of [dw | w] with [o | do], as four baths
-    b = _sources(np.concatenate([d_weights, ness.weights], axis=-2),
+    b = _sources(np.concatenate([d_weights, lv.weights], axis=-2),
                  np.concatenate([occ, d_occ], axis=-2))
     d_b = b[..., 0, :] + b[..., 1, :] + b[..., 2, :] + b[..., 3, :]  # in .sum(axis=-2)'s order
     return d_weights[..., 0, :] + d_weights[..., 1, :], d_b, 2.0 * st
@@ -302,25 +328,27 @@ def _failure(w1, w2, split, residual, min_eig) -> SteadyStateError:
     )
 
 
-def steady_state(lv: Liouvillian):
-    """Unique stationary state of the generator, its correlations, its
-    residual and the typed error of each failed solve.
+def steady_state(lv: Liouvillian) -> NessResult:
+    """Unique stationary state of the generator, as the ``NessResult``
+    that is the generator with its state, correlations, residual and the
+    typed error of each failed solve.
 
     Solves M x = -b in closed form and takes ||M x + b|| (``_solve``,
-    ``_drift``) on the bath sums and s the generator keeps, for every
-    generator of a stack in one call.  Returns (v, x, ||M x + b||,
-    errors) with v Wick's sector of x.  A solve fails with
-    DegenerateNullSpaceError when a zero coupling leaves M singular, so
-    that the stationary state is not unique, and with SteadyStateError
-    when the state misses the residual tolerance or positivity: its
-    smallest eigenvalue, min(rho00, rho33, t/2 - R) of
-    ``observables.spectral_decompose``, below -1e-9.  An unstacked
+    ``_drift``) on the bath sums, s and the summed sources b_l the
+    generator keeps, for every generator of a stack in one call; v is
+    Wick's sector of x.  A solved state solves again to the same bits.
+    A solve fails with DegenerateNullSpaceError when a zero coupling
+    leaves M singular, so that the stationary state is not unique, and
+    with SteadyStateError when the state misses the residual tolerance
+    or positivity: its smallest eigenvalue, min(rho00, rho33, t/2 - R)
+    of ``observables.spectral_decompose``, below -1e-9.  An unstacked
     generator raises that error; in a stack such a point gets NaN state
     and residual and its error in ``errors``, an object array shaped like
     the stack that holds None where the solve passed.
     """
-    x = _solve(lv.sums, lv.split, -lv.source)
-    drift = _drift(lv.sums, lv.split, lv.source, x)
+    source = lv.sources[..., 0, :] + lv.sources[..., 1, :]
+    x = _solve(lv.sums, lv.split, -source)
+    drift = _drift(lv.sums, lv.split, source, x)
     # the norm summed as np.linalg.norm sums it
     residual = np.sqrt((drift * drift).sum(axis=-1))
     n1, n2, re, im = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
@@ -337,48 +365,14 @@ def steady_state(lv: Liouvillian):
     errors = _point_errors(failed, lambda i: _failure(
         *(np.broadcast_to(a, failed.shape)[i] for a in (w1, w2, lv.split, residual, min_eig))),
         v, x, residual)
-    return v, x, residual if failed.ndim else float(residual), errors
-
-
-@dataclass(frozen=True)
-class NessResult:
-    """Steady state plus the parameters it was solved for and the objects
-    that produced it, all stacked alike: ``v`` is the state's real
-    charge-neutral sector (..., 6), which every measure but the QFI
-    takes, ``x`` its correlations (n1, n2, Re rho12, Im rho12),
-    ``weights``, ``occupations``, ``sources``, ``sums`` and ``split`` the
-    generator's terms but its total source (see ``Liouvillian``), which
-    the currents and the delta-tangent read,
-    ``residual`` is ||M x + b|| (an array for a stack), and ``errors``
-    holds each failed point's typed error (None where the solve passed)."""
-
-    v: np.ndarray
-    x: np.ndarray
-    weights: np.ndarray
-    occupations: np.ndarray
-    sources: np.ndarray
-    sums: np.ndarray
-    split: np.ndarray
-    basis: EigenBasis
-    residual: float | np.ndarray
-    params: SystemParams
-    baths: BathParams
-    errors: np.ndarray
-
-    @property
-    def rho(self) -> np.ndarray:
-        """The 4x4 X state of ``v``, for the dense oracles."""
-        return x_state(self.v)
+    return NessResult(**{**vars(lv), "v": v, "x": x,
+                         "residual": residual if failed.ndim else float(residual),
+                         "errors": errors})
 
 
 def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
     """Diagonalize, build the generator and solve, in one call."""
-    basis = diagonalize(params)
-    lv = build_liouvillian(basis, baths, params)
-    v, x, residual, errors = steady_state(lv)
-    return NessResult(v=v, x=x, weights=lv.weights, occupations=lv.occupations,
-                      sources=lv.sources, sums=lv.sums, split=lv.split,
-                      basis=basis, residual=residual, params=params, baths=baths, errors=errors)
+    return steady_state(build_liouvillian(diagonalize(params), baths, params))
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:

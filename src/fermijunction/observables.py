@@ -96,27 +96,21 @@ def x_state(v: np.ndarray) -> np.ndarray:
     return rho
 
 
-def spectral_decompose(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def spectral_decompose(v: np.ndarray) -> np.ndarray:
     """Closed-form spectrum of X states.
 
-    The singly occupied block has trace and Bloch vector
-
-        t = rho11 + rho22,   b = ((rho11 - rho22)/2, Re rho12, Im rho12)
-
-    (up to the order and sign of the components), so the eigenvalues are
-    rho00, t/2 + R, t/2 - R and rho33 with R = |b|.  Returns (p, t, b),
-    the four eigenvalues and the three components of b on the last axis.
-    t and b are linear in v, so on a derivative dv they are (dt, db).
+    The singly occupied block has trace t = rho11 + rho22 and Bloch
+    vector b = ((rho11 - rho22)/2, Re rho12, Im rho12), so the
+    eigenvalues are rho00, t/2 + R, t/2 - R and rho33 with R = |b|,
+    returned in that order on the last axis.
     """
     t = v[..., 1] + v[..., 2]
     z = 0.5 * (v[..., 1] - v[..., 2])
-    b = v[..., 3:].copy()
-    b[..., 0] = z
     # R = |b|, the squares summed in the order np.linalg.norm sums them
     r = np.sqrt(z * z + v[..., 4] * v[..., 4] + v[..., 5] * v[..., 5])
     p = v[..., :4].copy()
     p[..., 1], p[..., 2] = 0.5 * t + r, 0.5 * t - r
-    return p, t, b
+    return p
 
 
 def coherence(v: np.ndarray) -> float:
@@ -166,7 +160,7 @@ def _x_entropies(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     closed-form spectrum (rho00, rho33, t/2 +- R), the diagonal reduced
     states and the diagonal.  Raises ValueError on a sector that is not
     a state."""
-    p, _, _ = spectral_decompose(v)
+    p = spectral_decompose(v)
     marginals = v[..., :4] @ _MARGINALS
     h = _entropy_terms(np.concatenate([p, marginals, v[..., :4]], axis=-1))
     s_a, s_b = h[..., 4] + h[..., 5], h[..., 6] + h[..., 7]
@@ -379,8 +373,10 @@ def _measured_conditional_entropy(
     rho: np.ndarray, theta: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
     """Average post-measurement entropy of A for projective measurements
-    on B along the Bloch directions (theta, phi), for any two-mode state;
-    closed-form 2x2 eigenvalues, vectorized over the direction arrays."""
+    on B along the Bloch directions (theta, phi), for any two-mode state,
+    vectorized over the direction arrays: for each outcome, of weight p
+    and unnormalized conditional state w, p S(w / p) = S(w) + p log2 p,
+    with S(w) from a dense eigensolve."""
     t = rho[np.ix_(_PERM, _PERM)].reshape(2, 2, 2, 2)
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
@@ -391,17 +387,7 @@ def _measured_conditional_entropy(
         np.stack([s, -ph * c], axis=1),
     ):
         w = np.einsum("nb,abcd,nd->nac", m.conj(), t, m)
-        p = np.einsum("naa->n", w).real
-        diff = w[:, 0, 0].real - w[:, 1, 1].real
-        split = np.sqrt(diff * diff + 4.0 * np.abs(w[:, 0, 1]) ** 2)
-        lam = np.stack([0.5 * (p + split), 0.5 * (p - split)], axis=1)
-        lam = np.clip(lam, 0.0, None)
-        # entropy of the normalized conditional state, weighted by p:
-        # sum over outcomes of -lam log2(lam/p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(lam > 0.0, np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
-        plog = np.where(p[:, None] > 0.0, np.log2(np.where(p > 0.0, p, 1.0))[:, None], 0.0)
-        cond += -(lam * (logs - plog)).sum(axis=1)
+        cond += _entropy_bits(w) - _entropy_terms(np.einsum("naa->n", w).real)
     return cond
 
 

@@ -144,4 +144,4 @@ def dense_generator(lv):
     b = np.zeros(w.shape[:-1] + (4,))
     b[..., 0], b[..., 1] = 2.0 * w[..., 0] * o[..., 0], 2.0 * w[..., 1] * o[..., 1]
     b[..., 2] = w[..., 2] * o[..., 0] + w[..., 3] * o[..., 1]
-    return affine_matrix(w.sum(axis=-2), lv.source, lv.split), affine_matrix(w, b, 0.0)
+    return affine_matrix(w.sum(axis=-2), b.sum(axis=-2), lv.split), affine_matrix(w, b, 0.0)

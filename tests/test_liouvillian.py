@@ -26,6 +26,7 @@ from fermijunction.liouvillian import (
     _NUMBERS,
     DIM,
     Liouvillian,
+    NessResult,
     _angular_weights,
     _drift,
     _level_energies,
@@ -176,7 +177,7 @@ def test_generator_preserves_trace():
         rho = random_state(rng)
         for ref in kron_reference_generator(params, baths):
             assert abs(np.trace(unvec(ref @ vec(rho)))) < 1e-14
-        v = steady_state(build_liouvillian(diagonalize(params), baths, params))[0]
+        v = steady_state(build_liouvillian(diagonalize(params), baths, params)).v
         assert abs(v[:DIM].sum() - 1.0) < 1e-15
 
 
@@ -228,7 +229,7 @@ def test_steady_state_matches_svd_oracle():
     for _ in range(20):
         params, baths = random_setup(rng)
         lv = build_liouvillian(diagonalize(params), baths, params)
-        np.testing.assert_allclose(steady_state(lv)[0], steady_state_svd(params, baths),
+        np.testing.assert_allclose(steady_state(lv).v, steady_state_svd(params, baths),
                                    atol=1e-10)
 
 
@@ -292,7 +293,8 @@ def test_tiny_coupling_is_not_degenerate():
     params = SystemParams(omega1=1.0, omega2=1.03, delta=0.005, gamma1=1e-18, gamma2=0.002)
     baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
     lv = build_liouvillian(diagonalize(params), baths, params)
-    x, residual = steady_state(lv)[1:3]
+    solved = steady_state(lv)
+    x, residual = solved.x, solved.residual
     np.testing.assert_allclose(x, [0.21305, 0.37451, 9.7919e-5, -1.5482e-3], rtol=1e-4)
     w1 = lv.weights[:, 0]
     assert x[0] == pytest.approx((w1 * lv.occupations[:, 0]).sum() / w1.sum(), rel=1e-15)
@@ -319,7 +321,7 @@ def test_degeneracy_from_zero_pattern_matches_svd_nullity(gamma1, gamma2, omega2
     nullity = _null_space_dimension(np.linalg.svd(dense_generator(lv)[0][:, :-1],
                                                   compute_uv=False))
     if nullity == 0:
-        assert steady_state(lv)[2] < 1e-10
+        assert steady_state(lv).residual < 1e-10
         return
     with pytest.raises(DegenerateNullSpaceError) as err:
         steady_state(lv)
@@ -410,11 +412,11 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     params, baths = random_stack(np.random.default_rng(21), n)
     ness = solve_ness(params, baths)
     assert [f.name for f in fields(Liouvillian)] == [
-        "weights", "occupations", "sources", "source", "sums", "split"]
+        "weights", "occupations", "sources", "sums", "split", "basis", "params", "baths"]
     assert ness.weights.shape == (n, 2, 4) and ness.occupations.shape == (n, 2, 2)
     basis = diagonalize(params)
     lv = build_liouvillian(basis, baths, params)
-    for real in (lv.weights, lv.occupations, lv.sources, lv.source, lv.sums, lv.split,
+    for real in (lv.weights, lv.occupations, lv.sources, lv.sums, lv.split,
                  *generator_derivative(ness), ness.v, ness.x, ness.weights, ness.occupations):
         assert real.dtype == np.float64
     buffers = {}
@@ -432,6 +434,32 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
 
     collect(ness)
     assert sum(buffers.values()) / n <= 408
+
+
+def test_steady_state_returns_the_solved_generator():
+    # the solved state is the generator it solved plus v, x, the residual
+    # and the errors: it shares each array the build made, and passed back
+    # in it solves again to the same bits, a failed point's NaN and error
+    # included, stacked and alone
+    params, baths = random_stack(np.random.default_rng(22), 50)
+    params = replace(params, gamma1=np.where(np.arange(50) == 3, 0.0, params.gamma1))
+    lv = build_liouvillian(diagonalize(params), baths, params)
+    ness = steady_state(lv)
+    assert type(ness) is NessResult
+    names = [f.name for f in fields(Liouvillian)]
+    assert [f.name for f in fields(NessResult)] == [*names, "v", "x", "residual", "errors"]
+    for name in names:
+        assert getattr(ness, name) is getattr(lv, name)
+    again = steady_state(ness)
+    for name in ("v", "x", "residual"):
+        assert getattr(again, name).tobytes() == getattr(ness, name).tobytes()
+    assert [None if e is None else str(e) for e in again.errors] == [
+        None if e is None else str(e) for e in ness.errors]
+    assert type(again.errors[3]) is DegenerateNullSpaceError and np.isnan(again.v[3]).all()
+    alone = solve_ness(take(params, 0), take(baths, 0))
+    again = steady_state(alone)
+    assert type(again.residual) is float and again.residual == alone.residual
+    assert again.x.tobytes() == alone.x.tobytes() == ness.x[0].tobytes()
 
 
 def test_stacked_solve_is_bit_identical_to_each_point_alone():
@@ -658,7 +686,7 @@ def test_kept_sources_and_sums_are_the_re_formed_ones(points):
 
 def _sums_drift(lv, x):
     """M x + b of a Liouvillian, from its weights' bath sums."""
-    return _drift(lv.weights.sum(axis=-2), lv.split, lv.source, x)
+    return _drift(lv.weights.sum(axis=-2), lv.split, lv.sources.sum(axis=-2), x)
 
 
 @settings(max_examples=80, deadline=None)

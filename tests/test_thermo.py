@@ -42,9 +42,9 @@ def test_unitary_part_moves_no_charge():
         )
         lv = build_liouvillian(diagonalize(params), BathParams(), params)
         x = rng.normal(size=4)
-        sums = lv.weights.sum(axis=0)
-        assert np.array_equal(_drift(sums, lv.split, lv.source, x)[:2],
-                              _drift(sums, 0.0, lv.source, x)[:2])
+        sums, source = lv.weights.sum(axis=0), lv.sources.sum(axis=0)
+        assert np.array_equal(_drift(sums, lv.split, source, x)[:2],
+                              _drift(sums, 0.0, source, x)[:2])
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
