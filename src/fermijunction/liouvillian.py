@@ -278,8 +278,8 @@ def generator_derivative(lv: Liouvillian):
     By the product rule db sums the sources of the weights' derivatives
     with the occupations and of the weights with the occupations'
     derivatives, in one pass on the weights and occupations the
-    generator keeps.  At s = 0 d theta is 0 in the delta -> 0+ frame: the one-sided
-    derivative from delta > 0.
+    generator keeps.  At s = 0 d theta is 0 in the delta -> 0+ frame:
+    the one-sided derivative from delta > 0.
     """
     basis, baths, occ = lv.basis, lv.baths, lv.occupations
     ct, st, d_theta = (np.asarray(x) for x in (basis.cos_theta, basis.sin_theta, basis.d_theta))
