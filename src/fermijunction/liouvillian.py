@@ -57,17 +57,19 @@ linear in (``Liouvillian``), each formed once, and ``_drift`` forms
 M x + b from the bath sums (W1, W2, S1, S2), s and b, row by row as
 above, for the residual, each bath's n-rows and the delta-tangent.  A
 solved state (``NessResult``) is the ``Liouvillian`` it solved plus v,
-x, the residual and the errors.  M
-has a fixed zero pattern, so M y = r is solved in closed form: rows 0,
-1 and 3 give y0, y1 and y3 in terms of y2, and row 2 then fixes
+x, the residual and the errors.  M has a fixed zero pattern, so M y = r
+is solved in closed form: rows 0, 1 and 3 give y0, y1 and y3 in terms
+of y2, and row 2 then fixes
 
     y2 = -(r2 - S1 r0 / (2 W1) - S2 r1 / (2 W2) + s r3 / W) / Delta,
     Delta = W + s^2 / W - S1 S2 (1 / W1 + 1 / W2),   W = W1 + W2.
 
-(W1, S; S, W2) is sum_l gamma_l u_l u_l^T with u_l = (U_l1, U_l2), so
-W1 W2 >= S^2 (S1 = S2 = S, here 0) and Delta >= s^2 / W: the state is
-unique whenever W1, W2 > 0, with no condition number.  A zero coupling
-leaves M singular, of nullity [W1 = 0] + [W2 = 0] + 2 [W = 0, s = 0].
+The weights above sum to (W1, W2, S1, S2) = (gamma_1, gamma_2, 0, 0);
+with the global-approach rates (W1, S; S, W2) would be sum_l gamma_l
+u_l u_l^T, u_l = (U_l1, U_l2).  Either way W1 W2 >= S^2 (S1 = S2 = S)
+and Delta >= s^2 / W: the state is unique whenever W1, W2 > 0, with no
+condition number.  A zero coupling leaves M singular, of nullity
+[W1 = 0] + [W2 = 0] + 2 [W = 0, s = 0].
 
 M is linear in s and in the weights, and b in the weights times the
 occupations, so d(W1, W2, S1, S2), db and ds / d delta follow by the
@@ -255,10 +257,10 @@ class NessResult(Liouvillian):
         return x_state(self.v)
 
 
-def build_liouvillian(
-    basis: EigenBasis, baths: BathParams, params: SystemParams
-) -> Liouvillian:
-    """Build dx/dt = M x + b of d rho/dt = i[rho, H] - sum_l (N_l + S_l)."""
+def build_liouvillian(params: SystemParams, baths: BathParams) -> Liouvillian:
+    """Build dx/dt = M x + b of d rho/dt = i[rho, H] - sum_l (N_l + S_l)
+    in the mode basis ``diagonalize(params)``, which it keeps."""
+    basis = diagonalize(params)
     weights = _angular_weights(1.0, basis.cos_theta, basis.sin_theta, params)
     occupations = _occupations(basis, baths)  # one Fermi call for the grid
     sums = weights[..., 0, :] + weights[..., 1, :]
@@ -371,8 +373,8 @@ def steady_state(lv: Liouvillian) -> NessResult:
 
 
 def solve_ness(params: SystemParams, baths: BathParams) -> NessResult:
-    """Diagonalize, build the generator and solve, in one call."""
-    return steady_state(build_liouvillian(diagonalize(params), baths, params))
+    """The ``steady_state`` of ``build_liouvillian(params, baths)``."""
+    return steady_state(build_liouvillian(params, baths))
 
 
 def state_derivative(ness: NessResult) -> np.ndarray:
@@ -385,15 +387,15 @@ def state_derivative(ness: NessResult) -> np.ndarray:
     return _solve(ness.sums, ness.split, -_drift(d_sums, d_split, d_source, ness.x))
 
 
-def grand_canonical_state(basis: EigenBasis, t: float, mu: float) -> np.ndarray:
+def grand_canonical_state(params: SystemParams, t: float, mu: float) -> np.ndarray:
     """Sector v of the grand-canonical Gibbs state exp(-(H - mu N)/t)/Z of
-    the two modes, for each point of a stacked basis (t and mu broadcast
-    against it): its populations and a zero coherence.
+    the modes of ``diagonalize(params)``, for each point of a stack (t and
+    mu broadcast against it): its populations and a zero coherence.
 
     This is the exact stationary state whenever both reservoirs share
     (t, mu), for any coupling strength.
     """
     t, mu = np.asarray(t)[..., None], np.asarray(mu)[..., None]
-    log_w = -(_level_energies(basis) - mu * _NUMBERS) / t
+    log_w = -(_level_energies(diagonalize(params)) - mu * _NUMBERS) / t
     w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
     return np.concatenate([w / w.sum(axis=-1, keepdims=True), np.zeros_like(w[..., :2])], axis=-1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouvillian import NessResult, _n_rates, _occupations
-from .model import BathParams, EigenBasis, SystemParams, fermi_occupation
+from .model import BathParams, SystemParams, diagonalize, fermi_occupation
 
 __all__ = [
     "ThermoReport",
@@ -86,17 +86,15 @@ def transport_report(ness: NessResult) -> ThermoReport:
     return ThermoReport(i1, i2, j1, j2, epr, epr_regime_ok(ness.params))
 
 
-def ness_leading_order(
-    basis: EigenBasis, baths: BathParams, params: SystemParams
-) -> np.ndarray:
+def ness_leading_order(params: SystemParams, baths: BathParams) -> np.ndarray:
     """Analytic steady state to first order in g = coupling / tunneling,
     as its charge-neutral sector v, for each point of a stack.
 
     With n_{a,p/m} = [n(omega'_a, T1, mu1) +- n(omega'_a, T2, mu2)] / 2
-    for mode a, the populations factorize over the two modes through the
-    half-sums n_{a,p}, and the single coherence is -i (n1m + n2m) g / 2.
-    Valid for |g| << 1; a warning naming the largest |g| is emitted
-    when any point lies above |g| = 0.2.
+    for mode a of ``diagonalize(params)``, the populations factorize over
+    the two modes through the half-sums n_{a,p}, and the single coherence
+    is -i (n1m + n2m) g / 2.  Valid for |g| << 1; a warning naming the
+    largest |g| is emitted when any point lies above |g| = 0.2.
     """
     delta = np.asarray(params.delta)
     if np.any(delta == 0.0):
@@ -108,7 +106,7 @@ def ness_leading_order(
             "first-order accuracy degrades above 0.2",
             stacklevel=2,
         )
-    occ = np.moveaxis(_occupations(basis, baths), -1, 0)  # (mode, ..., bath)
+    occ = np.moveaxis(_occupations(diagonalize(params), baths), -1, 0)  # (mode, ..., bath)
     n1p, n2p = 0.5 * (occ[..., 0] + occ[..., 1])
     n1m, n2m = 0.5 * (occ[..., 0] - occ[..., 1])
     return np.stack(np.broadcast_arrays(

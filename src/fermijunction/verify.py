@@ -22,7 +22,7 @@ import numpy as np
 
 from .liouvillian import grand_canonical_state, solve_ness
 from .metrology import qfi_equilibrium_approx, qfi_fidelity_oracle, qfi_spectral
-from .model import BathParams, SystemParams, diagonalize
+from .model import BathParams, SystemParams
 from .observables import coherence, discord, discord_brute_force, x_state
 from .sweep import Axis, SweepSpec, run_sweep
 from .thermo import epr_leading_order, ness_leading_order
@@ -34,7 +34,7 @@ def _check_equilibrium_gibbs() -> tuple[bool, str]:
     params = SystemParams(delta=0.005, gamma1=0.0002, gamma2=0.0002)
     baths = BathParams(t1=0.2, t2=0.2, mu1=0.5, mu2=0.5)
     result = solve_ness(params, baths)
-    gibbs = grand_canonical_state(result.basis, 0.2, 0.5)
+    gibbs = grand_canonical_state(params, 0.2, 0.5)
     diag_dev = float(np.max(np.abs(result.v[:4] - gibbs[:4]) / gibbs[:4]))
     coh = coherence(result.v)
     ok = diag_dev < 1e-4 and coh < 1e-8
@@ -50,7 +50,7 @@ def _check_leading_order_slope() -> tuple[bool, str]:
     result = solve_ness(params, baths)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # largest gamma sits at g = 0.4
-        ref = ness_leading_order(result.basis, baths, params)
+        ref = ness_leading_order(params, baths)
     devs = np.abs(result.rho - x_state(ref)).max(axis=(1, 2, 3, 4))
     slope = float(np.polyfit(np.log(gammas.ravel()), np.log(devs), 1)[0])
     ok = 1.7 <= slope <= 2.3
@@ -163,7 +163,7 @@ def _check_discord_oracle() -> tuple[bool, str]:
     detuned junction, a product state below the mutual-information floor
     that takes theta = 0 unsearched."""
     rng = np.random.default_rng(20240813)
-    gibbs = grand_canonical_state(diagonalize(SystemParams(omega2=1.05, delta=0.02)), 0.3, 0.8)
+    gibbs = grand_canonical_state(SystemParams(omega2=1.05, delta=0.02), 0.3, 0.8)
     worst_short = 0.0
     for v in [_random_x_sector(rng) for _ in range(3)] + [gibbs]:
         opt = discord(v).classical_corr

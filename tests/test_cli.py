@@ -487,10 +487,13 @@ print("RESULT", codes, loaded)
 
 
 def test_console_entry_point_runs():
+    # the module of this tree, whether or not a copy of the package is installed
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fermijunction.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "sweep" in proc.stdout and "verify" in proc.stdout

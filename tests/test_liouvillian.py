@@ -155,7 +155,7 @@ def test_decoupled_sites_pin_the_gamma_convention(omega1, omega2, gamma1, gamma2
     # which decays at 2 (gamma1 + gamma2)
     params = SystemParams(omega1=omega1, omega2=omega2, delta=0.0, gamma1=gamma1, gamma2=gamma2)
     baths = BathParams(t1=0.2, t2=0.7, mu1=1.0, mu2=0.5)
-    lv = build_liouvillian(diagonalize(params), baths, params)
+    lv = build_liouvillian(params, baths)
     rotation = 1j * abs(omega1 - omega2)
     gaussian = [-2 * gamma1, -2 * gamma2,
                 -(gamma1 + gamma2) + rotation, -(gamma1 + gamma2) - rotation]
@@ -177,7 +177,7 @@ def test_generator_preserves_trace():
         rho = random_state(rng)
         for ref in kron_reference_generator(params, baths):
             assert abs(np.trace(unvec(ref @ vec(rho)))) < 1e-14
-        v = steady_state(build_liouvillian(diagonalize(params), baths, params)).v
+        v = steady_state(build_liouvillian(params, baths)).v
         assert abs(v[:DIM].sum() - 1.0) < 1e-15
 
 
@@ -197,11 +197,10 @@ def test_gibbs_state_is_stationary_at_equilibrium():
             gamma2=rng.uniform(0.01, 0.3),
         )
         baths = BathParams(t1=t, t2=t, mu1=mu, mu2=mu)
-        basis = diagonalize(params)
-        lv = build_liouvillian(basis, baths, params)
-        occupations = [fermi_occupation(w, t, mu) for w in (basis.omega_p1, basis.omega_p2)]
+        lv = build_liouvillian(params, baths)
+        occupations = [fermi_occupation(w, t, mu) for w in (lv.basis.omega_p1, lv.basis.omega_p2)]
         assert np.linalg.norm(dense_generator(lv)[0] @ [*occupations, 0.0, 0.0, 1.0]) < 1e-13
-        gibbs = grand_canonical_state(basis, t, mu)
+        gibbs = grand_canonical_state(params, t, mu)
         assert np.linalg.norm(reference_sector(params, baths) @ gibbs) < 1e-13
 
 
@@ -212,23 +211,23 @@ def test_grand_canonical_state_matches_expm():
         rho = expm(-(hamiltonian(basis) - mu * number_operator()) / t)
         return rho / np.trace(rho)
 
-    basis = diagonalize(SystemParams(omega1=1.3, omega2=0.8, delta=0.07))
-    np.testing.assert_allclose(
-        x_state(grand_canonical_state(basis, 0.35, 0.6)), direct(basis, 0.35, 0.6), atol=1e-14
-    )
-    # a stacked basis gives the sector of each point
-    stacked = diagonalize(SystemParams(delta=np.array([0.005, 0.01])))
+    params = SystemParams(omega1=1.3, omega2=0.8, delta=0.07)
+    np.testing.assert_allclose(x_state(grand_canonical_state(params, 0.35, 0.6)),
+                               direct(diagonalize(params), 0.35, 0.6), atol=1e-14)
+    # a stack of junctions gives the sector of each point
+    stacked = SystemParams(delta=np.array([0.005, 0.01]))
     states = grand_canonical_state(stacked, 0.2, 0.5)
     assert states.shape == (2, 6)
     for i, state in enumerate(states):
-        np.testing.assert_allclose(x_state(state), direct(take(stacked, i), 0.2, 0.5), atol=1e-14)
+        np.testing.assert_allclose(x_state(state), direct(diagonalize(take(stacked, i)), 0.2, 0.5),
+                                   atol=1e-14)
 
 
 def test_steady_state_matches_svd_oracle():
     rng = np.random.default_rng(204)
     for _ in range(20):
         params, baths = random_setup(rng)
-        lv = build_liouvillian(diagonalize(params), baths, params)
+        lv = build_liouvillian(params, baths)
         np.testing.assert_allclose(steady_state(lv).v, steady_state_svd(params, baths),
                                    atol=1e-10)
 
@@ -251,7 +250,7 @@ def test_null_space_is_one_dimensional():
     baths = BathParams(t1=0.2, t2=0.6, mu1=1.0, mu2=0.3)
     svals = np.linalg.svd(reference_sector(params, baths), compute_uv=False)
     assert np.sum(svals < 1e-10 * svals[0]) == 1
-    lv = build_liouvillian(diagonalize(params), baths, params)
+    lv = build_liouvillian(params, baths)
     svals = np.linalg.svd(dense_generator(lv)[0][:, :-1], compute_uv=False)
     assert np.sum(svals < 1e-10 * svals[0]) == 0
 
@@ -260,7 +259,7 @@ def test_uncoupled_generator_is_degenerate():
     # only the rotation of rho12 is left: neither occupation is fixed
     params = SystemParams(gamma1=0.0, gamma2=0.0)
     baths = BathParams()
-    lv = build_liouvillian(diagonalize(params), baths, params)
+    lv = build_liouvillian(params, baths)
     with pytest.raises(DegenerateNullSpaceError) as err:
         steady_state(lv)
     assert err.value.dimension == 2
@@ -278,7 +277,7 @@ def test_zero_generator_is_fully_degenerate():
     row = run_sweep(SweepSpec(fixed=fixed)).rows[0]
     assert row["flags"] == f"solver:DegenerateNullSpaceError:{message}"
     params = SystemParams(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.0, gamma2=0.0)
-    lv = build_liouvillian(diagonalize(params), BathParams(), params)
+    lv = build_liouvillian(params, BathParams())
     assert not dense_generator(lv)[0].any()
     with pytest.raises(DegenerateNullSpaceError, match=message):
         steady_state(lv)
@@ -292,7 +291,7 @@ def test_tiny_coupling_is_not_degenerate():
     # at any W1 > 0, alone and in a stack; only gamma1 = 0 is degenerate
     params = SystemParams(omega1=1.0, omega2=1.03, delta=0.005, gamma1=1e-18, gamma2=0.002)
     baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
-    lv = build_liouvillian(diagonalize(params), baths, params)
+    lv = build_liouvillian(params, baths)
     solved = steady_state(lv)
     x, residual = solved.x, solved.residual
     np.testing.assert_allclose(x, [0.21305, 0.37451, 9.7919e-5, -1.5482e-3], rtol=1e-4)
@@ -317,7 +316,7 @@ def test_degeneracy_from_zero_pattern_matches_svd_nullity(gamma1, gamma2, omega2
     # counted by its singular values; delta = 0 keeps s = 0 when tuned
     params = SystemParams(omega1=1.0, omega2=omega2, delta=0.0, gamma1=gamma1, gamma2=gamma2)
     baths = BathParams(t1=0.2, t2=0.4, mu1=0.9, mu2=0.5)
-    lv = build_liouvillian(diagonalize(params), baths, params)
+    lv = build_liouvillian(params, baths)
     nullity = _null_space_dimension(np.linalg.svd(dense_generator(lv)[0][:, :-1],
                                                   compute_uv=False))
     if nullity == 0:
@@ -414,8 +413,7 @@ def test_stacked_solve_keeps_real_dissipators_and_no_generator():
     assert [f.name for f in fields(Liouvillian)] == [
         "weights", "occupations", "sources", "sums", "split", "basis", "params", "baths"]
     assert ness.weights.shape == (n, 2, 4) and ness.occupations.shape == (n, 2, 2)
-    basis = diagonalize(params)
-    lv = build_liouvillian(basis, baths, params)
+    lv = build_liouvillian(params, baths)
     for real in (lv.weights, lv.occupations, lv.sources, lv.sums, lv.split,
                  *generator_derivative(ness), ness.v, ness.x, ness.weights, ness.occupations):
         assert real.dtype == np.float64
@@ -443,7 +441,7 @@ def test_steady_state_returns_the_solved_generator():
     # included, stacked and alone
     params, baths = random_stack(np.random.default_rng(22), 50)
     params = replace(params, gamma1=np.where(np.arange(50) == 3, 0.0, params.gamma1))
-    lv = build_liouvillian(diagonalize(params), baths, params)
+    lv = build_liouvillian(params, baths)
     ness = steady_state(lv)
     assert type(ness) is NessResult
     names = [f.name for f in fields(Liouvillian)]
@@ -460,6 +458,21 @@ def test_steady_state_returns_the_solved_generator():
     again = steady_state(alone)
     assert type(again.residual) is float and again.residual == alone.residual
     assert again.x.tobytes() == alone.x.tobytes() == ness.x[0].tobytes()
+
+    # the build keeps the basis diagonalize gives for its parameters, bit
+    # for bit, and solves to solve_ness's bits, stacked and alone
+    def bits(record, names):
+        return [np.asarray(getattr(record, name)).tobytes() for name in names]
+
+    for p, b in ((params, baths), (take(params, 0), take(baths, 0))):
+        lv = build_liouvillian(p, b)
+        assert lv.params is p and lv.baths is b
+        basis_names = [f.name for f in fields(lv.basis)]
+        assert bits(lv.basis, basis_names) == bits(diagonalize(p), basis_names)
+        solved, direct = steady_state(lv), solve_ness(p, b)
+        assert bits(solved, ("v", "x", "residual")) == bits(direct, ("v", "x", "residual"))
+        assert [str(e) for e in np.ravel(solved.errors)] == [
+            str(e) for e in np.ravel(direct.errors)]
 
 
 def test_stacked_solve_is_bit_identical_to_each_point_alone():
@@ -529,7 +542,7 @@ def test_generator_matches_kron_reference(point):
     # the dense reference projected onto (n1, n2, Re rho12, Im rho12, 1)
     # is [M | b], bath by bath and in total
     params, baths = point
-    lv = build_liouvillian(diagonalize(params), baths, params)
+    lv = build_liouvillian(params, baths)
     ref_matrix, *ref_baths = kron_reference_generator(params, baths)
     tol = 1e-14 * np.abs(ref_matrix).max()
     matrix, pieces = dense_generator(lv)
@@ -579,7 +592,7 @@ def test_cold_equilibrium_populations_match_gibbs():
     t, mu = rng.uniform(0.01, 0.3, n), rng.uniform(-1.0, 3.0, n)
     ness = solve_ness(params, BathParams(t1=t, t2=t, mu1=mu, mu2=mu))
     assert all(error is None for error in ness.errors)
-    p, gibbs = ness.v[:, :DIM], grand_canonical_state(ness.basis, t, mu)[:, :DIM]
+    p, gibbs = ness.v[:, :DIM], grand_canonical_state(params, t, mu)[:, :DIM]
     resolved = gibbs >= 1e-8
     assert np.all(np.abs(p - gibbs)[resolved] <= 1e-11 * gibbs[resolved] + 1e-15)
 
@@ -631,13 +644,12 @@ def test_generator_derivative_matches_central_difference(point):
     # error is ~(h/s)^2 = 1e-8 and the roundoff ~1e-16 s/h = 1e-12 (over
     # 3000 draws the gap was at most 1.5e-8).
     params, baths = point
-    basis = diagonalize(params)
+    lv = build_liouvillian(params, baths)
     exact = affine_matrix(*generator_derivative(solve_ness(params, baths)))
-    split = basis.omega_p1 - basis.omega_p2
-    h = 1e-4 * split
+    h = 1e-4 * lv.split
     stack = _at_deltas(params, [-h, h])
-    lo, hi = dense_generator(build_liouvillian(diagonalize(stack), baths, stack))[0]
-    scale = np.abs(dense_generator(build_liouvillian(basis, baths, params))[0]).max() / split
+    lo, hi = dense_generator(build_liouvillian(stack, baths))[0]
+    scale = np.abs(dense_generator(lv)[0]).max() / lv.split
     assert np.abs((hi - lo) / (2.0 * h) - exact).max() <= 1e-7 * scale
 
 
@@ -705,8 +717,8 @@ def test_drift_matches_dense_generator_and_kron_reference(point, x):
     # 3.1e-17 of their scales
     params, baths = point
     x, ones = np.array(x), np.append(x, 1.0)
-    basis = diagonalize(params)
-    lv = build_liouvillian(basis, baths, params)
+    lv = build_liouvillian(params, baths)
+    basis = lv.basis
     matrix, pieces = dense_generator(lv)
     # a term below the normal range (at delta ~ 1e-308) rounds to a few
     # of the smallest subnormals instead
@@ -724,14 +736,14 @@ def test_drift_matches_dense_generator_and_kron_reference(point, x):
     split = basis.omega_p1 - basis.omega_p2
     h = 1e-4 * split
     stack = _at_deltas(params, [-h, h])
-    lo, hi = _sums_drift(build_liouvillian(diagonalize(stack), baths, stack), x)
+    lo, hi = _sums_drift(build_liouvillian(stack, baths), x)
     d_sums, d_source, d_split = generator_derivative(solve_ness(params, baths))
     tangent = _drift(d_sums, d_split, d_source, x)
     scale = np.abs(matrix).max() / split * np.abs(ones).sum()
     assert np.abs((hi - lo) / (2.0 * h) - tangent).max() <= 1e-7 * scale
     equal = BathParams(t1=baths.t1, t2=baths.t1, mu1=baths.mu1, mu2=baths.mu1)
     fermi = [fermi_occupation(w, baths.t1, baths.mu1) for w in (basis.omega_p1, basis.omega_p2)]
-    lv = build_liouvillian(basis, equal, params)
+    lv = build_liouvillian(params, equal)
     at_rest = np.array([*fermi, 0.0, 0.0])
     scale = np.abs(dense_generator(lv)[0]).max()
     assert np.abs(_sums_drift(lv, at_rest)).max() <= 1e-15 * scale
@@ -758,7 +770,7 @@ def test_closed_form_solve_matches_dense_solve(point):
     # x and its delta-derivative against a dense solve of M x = -b and of
     # M dx = -(dM x + db)
     params, baths = point
-    lv = build_liouvillian(diagonalize(params), baths, params)
+    lv = build_liouvillian(params, baths)
     ness = solve_ness(params, baths)
     matrix = dense_generator(lv)[0]
     m = matrix[:, :-1]

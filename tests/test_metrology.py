@@ -106,6 +106,26 @@ def test_qfi_equilibrium_three_routes_agree():
     assert approx == pytest.approx(report.f_total, rel=1e-2)
 
 
+@pytest.mark.parametrize("delta", [0.0, 2e-4])
+def test_fidelity_oracle_doubles_a_step_whose_loss_is_roundoff(delta, monkeypatch):
+    # weak tunneling at equilibrium: the fidelity loss at the first step,
+    # h = 2e-5, is below 1e-9, so the oracle doubles h twice before it
+    # extrapolates over (h, h/2), and still matches the closed form
+    params = SystemParams(omega1=1.0, omega2=1.0, delta=delta, gamma1=4e-5, gamma2=4e-5)
+    baths = BathParams(t1=0.2, t2=0.2, mu1=0.5, mu2=0.5)
+    steps = []
+    estimate = metrology._fidelity_estimate
+
+    def counted(params, baths, h):
+        steps.append(h)
+        return estimate(params, baths, h)
+
+    monkeypatch.setattr(metrology, "_fidelity_estimate", counted)
+    oracle = qfi_fidelity_oracle(params, baths)
+    assert steps == [2e-5, 4e-5, 8e-5, 4e-5]
+    assert oracle == pytest.approx(qfi(params, baths).f_total, rel=1e-6)
+
+
 def test_qfi_nonequilibrium_cross_route():
     params = SystemParams(delta=0.005)
     baths = BathParams(t1=0.1, t2=0.1, mu1=1.1, mu2=0.5)
@@ -453,7 +473,7 @@ def test_generator_derivative_at_the_degenerate_point_is_one_sided(point):
     exact = affine_matrix(*generator_derivative(solve_ness(params, baths)))
     h = 1e-4 * baths.t1
     stack = replace(params, delta=np.array([0.0, h, 2.0 * h]))
-    at_0, at_h, at_2h = dense_generator(build_liouvillian(diagonalize(stack), baths, stack))[0]
+    at_0, at_h, at_2h = dense_generator(build_liouvillian(stack, baths))[0]
     forward = (4.0 * at_h - at_2h - 3.0 * at_0) / (2.0 * h)
     assert np.abs(forward - exact).max() <= 1e-7 * np.abs(at_0).max() / baths.t1
 

@@ -287,7 +287,7 @@ def product_sectors(draw):
         delta=draw(st.floats(1e-3, 0.2)),
     )
     t = math.exp(draw(st.floats(math.log(0.01), math.log(5.0))))
-    return grand_canonical_state(diagonalize(params), t, draw(st.floats(-1.0, 3.0)))
+    return grand_canonical_state(params, t, draw(st.floats(-1.0, 3.0)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,7 +308,7 @@ def test_discord_of_product_states_takes_theta_zero(stack):
 def _mixed_stack():
     """Coherent random X states around one Gibbs state (below the floor)."""
     rng = np.random.default_rng(309)
-    gibbs = grand_canonical_state(diagonalize(SystemParams(omega2=1.03)), 0.3, 0.8)
+    gibbs = grand_canonical_state(SystemParams(omega2=1.03), 0.3, 0.8)
     coherent = sector_vector(np.array([random_x_state(rng) for _ in range(5)]))
     return gibbs, np.concatenate([coherent[:2], gibbs[None], coherent[2:]])
 

@@ -40,7 +40,7 @@ def test_unitary_part_moves_no_charge():
             omega2=rng.uniform(0.5, 1.5),
             delta=rng.uniform(-0.2, 0.2),
         )
-        lv = build_liouvillian(diagonalize(params), BathParams(), params)
+        lv = build_liouvillian(params, BathParams())
         x = rng.normal(size=4)
         sums, source = lv.weights.sum(axis=0), lv.sources.sum(axis=0)
         assert np.array_equal(_drift(sums, lv.split, source, x)[:2],
@@ -69,11 +69,11 @@ def test_currents_read_the_n_rows_of_each_bath_piece():
     baths = BathParams(t1=rng.uniform(0.05, 1.0, n), t2=rng.uniform(0.05, 1.0, n),
                        mu1=rng.uniform(0.0, 2.0, n), mu2=rng.uniform(0.0, 2.0, n))
     ness = solve_ness(params, baths)
-    basis = diagonalize(params)
-    rows = dense_generator(build_liouvillian(basis, baths, params))[1][..., :2, :]
+    lv = build_liouvillian(params, baths)
+    rows = dense_generator(lv)[1][..., :2, :]
     terms = rows * np.concatenate([ness.x, np.ones((n, 1))], axis=-1)[:, None, None, :]
     flows = terms.sum(axis=-1)  # (point, bath, mode)
-    energies = np.stack([basis.omega_p1, basis.omega_p2], axis=-1)[:, None, :]
+    energies = np.stack([lv.basis.omega_p1, lv.basis.omega_p2], axis=-1)[:, None, :]
     rep = transport_report(ness)
     for got, want in ((rep.i1, flows[:, 0].sum(-1)), (rep.i2, flows[:, 1].sum(-1)),
                       (rep.j1, (flows[:, 0] * energies[:, 0]).sum(-1)),
@@ -163,7 +163,7 @@ def test_ness_leading_order_matches_solver():
     params = SystemParams(delta=0.005, gamma1=2e-4, gamma2=2e-4)
     baths = BathParams(t1=0.2, t2=0.5, mu1=0.9, mu2=0.5)
     result = solve_ness(params, baths)
-    approx = x_state(ness_leading_order(result.basis, baths, params))
+    approx = x_state(ness_leading_order(params, baths))
     # g = 0.04: deviations are second order, well below 1e-3
     assert np.abs(result.rho - approx).max() < 2e-4
     assert np.trace(approx).real == pytest.approx(1.0, abs=1e-14)
@@ -173,9 +173,8 @@ def test_ness_leading_order_saturates_at_extreme_bias():
     # one reservoir full, the other empty for both modes
     params = SystemParams(delta=0.005)
     baths = BathParams(t1=0.05, t2=0.05, mu1=3.0, mu2=-1.0)
-    basis = diagonalize(params)
     with pytest.warns(UserWarning):  # g = 0.4 is outside the trusted window
-        rho = x_state(ness_leading_order(basis, baths, params))
+        rho = x_state(ness_leading_order(params, baths))
     g = 0.002 / 0.005
     np.testing.assert_allclose(np.diag(rho).real, [0.25] * 4, atol=1e-8)
     assert rho[1, 2] == pytest.approx(-0.5j * g, abs=1e-8)
@@ -189,10 +188,9 @@ def test_ness_leading_order_at_equal_baths_is_gibbs():
         SystemParams(delta=0.005, gamma1=2e-4, gamma2=2e-4),
         SystemParams(omega1=1.0, omega2=1.02, delta=0.01, gamma1=2e-4, gamma2=4e-4),
     ):
-        basis = diagonalize(params)
         for t, mu in ((0.2, 0.5), (0.05, 1.1), (1.5, -0.3)):
-            rho = x_state(ness_leading_order(basis, BathParams(t1=t, t2=t, mu1=mu, mu2=mu), params))
-            gibbs = grand_canonical_state(basis, t, mu)
+            rho = x_state(ness_leading_order(params, BathParams(t1=t, t2=t, mu1=mu, mu2=mu)))
+            gibbs = grand_canonical_state(params, t, mu)
             np.testing.assert_allclose(np.diag(rho).real, gibbs[:4], rtol=1e-14)
             assert rho[1, 2] == 0.0 and rho[2, 1] == 0.0
             # the lower mode is at least as occupied
@@ -203,19 +201,19 @@ def test_ness_leading_order_guards():
     params = SystemParams(delta=0.0)
     baths = BathParams()
     with pytest.raises(ValueError):
-        ness_leading_order(diagonalize(params), baths, params)
+        ness_leading_order(params, baths)
     strong = SystemParams(delta=0.005, gamma1=0.01, gamma2=0.01)
     with pytest.warns(UserWarning):
-        ness_leading_order(diagonalize(strong), baths, strong)
+        ness_leading_order(strong, baths)
     # the warning starts at g = mean(gamma) / delta = 0.2, which is
     # mean(gamma) / (2 delta) = 0.1
     inside = SystemParams(delta=0.01, gamma1=0.0018, gamma2=0.002)  # g = 0.19
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ness_leading_order(diagonalize(inside), baths, inside)
+        ness_leading_order(inside, baths)
     outside = SystemParams(delta=0.01, gamma1=0.002, gamma2=0.0022)  # g = 0.21
     with pytest.warns(UserWarning, match="g = 0.210"):
-        ness_leading_order(diagonalize(outside), baths, outside)
+        ness_leading_order(outside, baths)
 
 
 def test_epr_leading_order_matches_expanded_form():
