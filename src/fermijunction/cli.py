@@ -6,9 +6,8 @@ Subcommands:
   CSV (default) or line-delimited JSON.
 * ``point CONFIG``  evaluate a single parameter point and print a
   human-readable report.  The point is a one-point sweep over every
-  observable block; the report formats its row (whose sector ``v``,
-  not emitted by ``sweep``, gives the populations) and the dressed
-  modes that ``diagonalize`` gives for its system parameters.
+  observable block; the report formats its row, and the populations
+  and dressed modes of the state that the sweep solved.
 * ``verify``        run the analytic-limit verification battery.
 
 ``sweep --out`` writes over an existing file in place and then cuts it to
@@ -29,7 +28,7 @@ import stat
 import sys
 from dataclasses import fields
 
-from .model import BathParams, SystemParams, diagonalize
+from .model import BathParams, SystemParams, take
 from .sweep import (
     ConfigError,
     SweepSpec,
@@ -86,29 +85,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     cfg = sweep_spec_from_config(load_config(args.config))
-    row = run_sweep(SweepSpec(fixed=cfg.fixed)).rows[0]
+    result = run_sweep(SweepSpec(fixed=cfg.fixed))
+    row = {name: column[0] for name, column in result.table.items()}
     flags = row["flags"]
     if flags.startswith("params:"):
         raise ConfigError(flags.removeprefix("params:"))
     if flags.startswith("solver:"):
         print(f"solver failure: {flags.split(':', 2)[2]}", file=sys.stderr)
         return 2
-    v = row["v"]
+    ness = take(result.ness, 0)
     # a flag left on a solved point is qfi: or measure:, then <ErrorType>:<message>
     unavailable = f"unavailable: {flags.split(':', 2)[-1]}"
-    basis = diagonalize(SystemParams(**{f.name: row[f.name] for f in fields(SystemParams)}))
     out = ["parameters"]
     for group in (SystemParams, BathParams):
         out.append("  " + " ".join(f"{f.name}={row[f.name]:.12g}" for f in fields(group)))
     out.append("dressed modes")
     out.append(
-        f"  omega_p1={basis.omega_p1:.12g} omega_p2={basis.omega_p2:.12g} "
-        f"cos_theta={basis.cos_theta:.12g}"
+        f"  omega_p1={ness.basis.omega_p1:.12g} omega_p2={ness.basis.omega_p2:.12g} "
+        f"cos_theta={ness.basis.cos_theta:.12g}"
     )
     out.append("steady state")
-    diag = ", ".join(f"{p:.12g}" for p in v[:4])
+    diag = ", ".join(f"{p:.12g}" for p in ness.v[:4])
     out.append(f"  populations: {diag}")
-    measured = "qmi" in row
+    measured = row["qmi"] is not None
     if measured:
         out.append(f"  coherence |rho23| = {row['coherence']:.12g}")
     out.append(f"  residual = {row['residual']:.3e}")
@@ -121,7 +120,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     out.append("metrology")
     out.append(
         f"  qfi_total={row['qfi_total']:.12g} f_e={row['qfi_fe']:.12g} f_n={row['qfi_fn']:.12g}"
-        if "qfi_total" in row else f"  qfi {unavailable}"
+        if row["qfi_total"] is not None else f"  qfi {unavailable}"
     )
     out.append("transport")
     out.append(

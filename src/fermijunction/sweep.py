@@ -13,30 +13,27 @@ Offsets (dT, dmu) resolve after all direct assignments, so e.g. axes
 row-major order (first axis outer).  The valid points of the grid are
 evaluated as one stack: each layer (solve, currents, correlations,
 discord, QFI) is one call on arrays with a leading grid axis, and the
-result stays a table of columns up to the emitted bytes.  The solve and
-the QFI return the typed error of each point that fails them, a
-correlation measure that raises on the stack is taken point by point,
-and the error of the stage that failed becomes the point's ``flags``
-cell, as does the message of invalid parameters.  So a flagged row is
-the row that its one-point sweep writes.  Output is deterministic
+result is the table of emitted columns plus the solved stack it came
+from.  The solve and the QFI return the typed error of each point that
+fails them, a correlation measure that raises on the stack is taken
+point by point, and the error of the stage that failed becomes the
+point's ``flags`` cell, as does the message of invalid parameters.  So
+a flagged row is the row that its one-point sweep writes.  Output is deterministic
 byte-for-byte.  The layers after the solve read only the solved state,
-which carries its parameters, and the measures take its charge-neutral
-sector ``v``; the table also holds each point's ``v`` for the
-single-point report (not emitted).
+which carries its parameters and mode basis, and the measures take its
+charge-neutral sector ``v``.
 """
 from __future__ import annotations
 
-import functools
 import io
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain
-from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
-from .liouvillian import solve_ness
+from .liouvillian import NessResult, solve_ness
 from .metrology import qfi_spectral
 from .model import BathParams, SystemParams
 from .observables import coherence, concurrence, discord, linear_entropy, mutual_information
@@ -193,23 +190,16 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The grid as a column table: ``table[name][i]`` is the value of
-    point i, None where the point has none.  Besides the emitted
-    ``columns`` the table holds each solved point's sector ``v``."""
+    """The grid as a column table, ``table[name][i]`` the value of point
+    i in column ``name`` (None where the point has none), and ``ness``,
+    the stack solved for the points with valid parameters, in grid order,
+    or None where no point has them.  ``run_sweep`` fills every one of
+    the ``columns``; ``emit`` writes a column absent from the table as
+    empty cells."""
 
-    spec: SweepSpec
     columns: tuple[str, ...]
-    table: dict[str, list] = field(default_factory=dict)
-
-    @functools.cached_property
-    def rows(self) -> tuple[Mapping[str, Any], ...]:
-        """Read-only dict per point, built on first access; a point's
-        missing cells are absent from its dict."""
-        names = tuple(self.table)
-        return tuple(
-            MappingProxyType({k: v for k, v in zip(names, cells) if v is not None})
-            for cells in zip(*self.table.values())
-        )
+    table: dict[str, list]
+    ness: NessResult | None = None
 
 
 def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
@@ -221,7 +211,7 @@ def _stack_params(values: dict[str, Any]) -> tuple[SystemParams, BathParams]:
 
 def _columns(arrays: dict[str, Any]) -> dict[str, list]:
     """A list per column from the 1-d per-point arrays of a stack; array
-    values become Python scalars, so the rows serialize as JSON."""
+    values become Python scalars, which both formats write."""
     return {k: v if isinstance(v, list) else v.tolist() for k, v in arrays.items()}
 
 
@@ -273,7 +263,6 @@ def _observe(spec: SweepSpec, ness) -> dict[str, list]:
                 errors[i] = err
         cells.update({k: [a.get(k) for a in alone] for k in dict.fromkeys(chain(*alone))})
         stages.insert(0, ("measure", None, errors))
-    cells["v"] = list(v)
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)
         # the derivative is exact: no step
@@ -319,14 +308,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 table["flags"][i] = f"params:{err}"
         stacked = [i for i, flag in enumerate(table["flags"]) if not flag]
         params, baths = _stack_params({k: v[stacked] for k, v in values.items()})
+    ness = solve_ness(params, baths) if stacked else None
     if len(stacked) == n:
-        table.update(_observe(spec, solve_ness(params, baths)))
+        table.update(_observe(spec, ness))
     elif stacked:
-        for name, column in _observe(spec, solve_ness(params, baths)).items():
+        for name, column in _observe(spec, ness).items():
             full = table.setdefault(name, [None] * n)
             for i, v in zip(stacked, column):
                 full[i] = v
-    return SweepResult(spec=spec, columns=spec.columns(), table=table)
+    columns = spec.columns()
+    return SweepResult(columns, {name: table.get(name) or [None] * n for name in columns}, ness)
 
 
 def _format_cell(value: Any) -> str:
@@ -377,9 +368,9 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     ``jsonl``: one JSON object per line, missing values as null.  Both
     are byte-deterministic.
     """
+    n = len(next(iter(result.table.values()), ()))
+    blank = [None] * n
     if fmt == "csv":
-        n = len(next(iter(result.table.values()), ()))
-        blank = [None] * n
         cells = [_template_cell(result.table.get(col, blank)) for col in result.columns]
         row = ",".join(cell for cell, _ in cells) + "\n"
         per_row = [values for _, values in cells if values is not None]
@@ -387,11 +378,8 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
         return (",".join(result.columns) + "\n" + body).encode()
     if fmt == "jsonl":
         import json  # here, so that importing the package does not import json
-        lines = []
-        for row in result.rows:
-            record = {col: row.get(col) for col in result.columns}
-            lines.append(json.dumps(record, separators=(", ", ": ")))
-        return ("\n".join(lines) + "\n").encode() if lines else b""
+        cells = zip(*(result.table.get(col, blank) for col in result.columns))
+        return "".join(json.dumps(dict(zip(result.columns, row))) + "\n" for row in cells).encode()
     raise ConfigError(f"unknown output format {fmt!r}")
 
 

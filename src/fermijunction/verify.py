@@ -59,8 +59,8 @@ def _check_leading_order_slope() -> tuple[bool, str]:
 
 
 @functools.cache
-def _weak_grid_rows(delta: float) -> tuple[dict, ...]:
-    """Sweep rows of transport on the 21 x 21 (t2, mu) grid at t1 = 0.2,
+def _weak_grid(delta: float) -> dict[str, list]:
+    """Sweep table of transport on the 21 x 21 (t2, mu) grid at t1 = 0.2,
     gamma = 0.002; cached, so each grid is solved once per process."""
     fixed = dict(omega1=1.0, omega2=1.0, delta=delta, gamma1=0.002, gamma2=0.002, t1=0.2)
     spec = SweepSpec(
@@ -68,20 +68,21 @@ def _weak_grid_rows(delta: float) -> tuple[dict, ...]:
         axes=(Axis("t2", 0.2, 1.2, 21), Axis("mu", 0.0, 2.0, 21)),
         observables=("thermo",),
     )
-    return tuple(run_sweep(spec).rows)
+    return run_sweep(spec).table
 
 
 def _check_conservation() -> tuple[bool, str]:
-    rows = _weak_grid_rows(0.005) + _weak_grid_rows(0.05)
+    tables = _weak_grid(0.005), _weak_grid(0.05)
     pairs = (("current_n1", "current_n2"), ("current_e1", "current_e2"))
-    worst = max(abs(r[a] + r[b]) for r in rows for a, b in pairs)
+    worst = max(abs(x + y) for t in tables for a, b in pairs for x, y in zip(t[a], t[b]))
     ok = worst < 1e-10
-    return ok, f"max |I1+I2|, |J1+J2| = {worst:.3e} (<1e-10) over {len(rows)} points"
+    points = sum(len(t["epr"]) for t in tables)
+    return ok, f"max |I1+I2|, |J1+J2| = {worst:.3e} (<1e-10) over {points} points"
 
 
 def _check_epr_positivity() -> tuple[bool, str]:
-    rows = _weak_grid_rows(0.005)
-    lowest = min(r["epr"] for r in rows)
+    epr = _weak_grid(0.005)["epr"]
+    lowest = min(epr)
     rng = np.random.default_rng(20240814)
     # one row per draw of (t1, t2, mu1, mu2, omega)
     t1, t2, mu1, mu2, omega = rng.uniform(
@@ -90,7 +91,7 @@ def _check_epr_positivity() -> tuple[bool, str]:
     lead_min = epr_leading_order(BathParams(t1=t1, t2=t2, mu1=mu1, mu2=mu2), omega).min()
     ok = lowest > -1e-10 and lead_min >= 0.0
     return ok, (
-        f"min numeric EPR {lowest:.3e} (>-1e-10) over {len(rows)} points, "
+        f"min numeric EPR {lowest:.3e} (>-1e-10) over {len(epr)} points, "
         f"min leading-order EPR {lead_min:.3e} (>=0) over {t1.size} draws"
     )
 
@@ -186,20 +187,17 @@ def _check_paper_claims() -> tuple[bool, str]:
     """Weak tunneling: QFI does not decrease as the bias raises the EPR.
     Strong tunneling: QFI peaks inside the bias window and ends below
     its equilibrium value."""
-    rows = run_sweep(PAPER_CLAIMS_SPEC).rows
-    weak, strong = ([r for r in rows if r["delta"] == d] for d in (0.005, 0.05))
-    rising = all(
-        b[col] >= a[col] - 1e-9 * abs(a[col])
-        for col in ("epr", "qfi_total")
-        for a, b in zip(weak, weak[1:])
-    )
-    q = [r["qfi_total"] for r in strong]
+    table = run_sweep(PAPER_CLAIMS_SPEC).table
+    # delta is the inner axis: even points are weak tunneling, odd strong
+    epr, weak = table["epr"][0::2], table["qfi_total"][0::2]
+    rising = all(b >= a - 1e-9 * abs(a) for c in (epr, weak) for a, b in zip(c, c[1:]))
+    q, dmu = table["qfi_total"][1::2], table["dmu"][1::2]
     k = q.index(max(q))
     ok = rising and 0 < k < len(q) - 1 and q[-1] < q[0]
     return ok, (
-        f"delta=0.005 QFI {weak[0]['qfi_total']:.4g} -> {weak[-1]['qfi_total']:.4g} "
+        f"delta=0.005 QFI {weak[0]:.4g} -> {weak[-1]:.4g} "
         f"nondecreasing with EPR (1e-9 rel): {rising}; delta=0.05 QFI {q[0]:.4g} -> peak "
-        f"{q[k]:.4g} at dmu={strong[k]['dmu']:g} -> {q[-1]:.4g} over {len(rows)} points"
+        f"{q[k]:.4g} at dmu={dmu[k]:g} -> {q[-1]:.4g} over {len(table['qfi_total'])} points"
     )
 
 

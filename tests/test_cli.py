@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 import argparse
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -63,6 +64,47 @@ def test_point_reports_equilibrium(point_config, capsys):
     assert "entropy production = 0" in out
     assert "coherence |rho23| = 0" in out
     assert "validated regime" in out
+
+
+DETUNED_POINT = (
+    "system: {omega1: 1.0, omega2: 1.1, delta: 0.02, gamma1: 0.002, gamma2: 0.002}\n"
+    "baths: {t1: 0.2, t2: 0.7, mu1: 1.0, mu2: 0.5}\n"
+)
+
+# the report of DETUNED_POINT; the residual and the qmi line are
+# roundoff-valued, so each <name> is compared as a number
+DETUNED_REPORT = """\
+parameters
+  omega1=1 omega2=1.1 delta=0.02 gamma1=0.002 gamma2=0.002
+  t1=0.2 t2=0.7 mu1=1 mu2=0.5
+dressed modes
+  omega_p1=1.10385164807 omega_p2=0.996148351929 cos_theta=0.928476690885
+steady state
+  populations: 0.351252630414, 0.150189341115, 0.349233965346, 0.149324063125
+  coherence |rho23| = 0.000865559816388
+  residual = <residual>
+correlations
+  linear_entropy=0.946401619567 concurrence=0
+  qmi=<qmi> classical=<classical> discord=<discord>
+metrology
+  qfi_total=23.6802535784 f_e=0.117073883107 f_n=23.5631796953
+transport
+  I1=3.45985398159e-05 I2=-3.45985398159e-05 J1=3.55952824435e-05 J2=-3.55952824435e-05
+  entropy production = 2.11534476269e-05 (outside validated regime)
+"""
+
+
+def test_point_reports_a_detuned_biased_point(tmp_path, capsys):
+    path = tmp_path / "detuned.yaml"
+    path.write_text(DETUNED_POINT)
+    assert main(["point", str(path)]) == 0
+    out = capsys.readouterr().out
+    match = re.fullmatch(re.sub(r"<(\w+)>", r"(?P<\1>\\S+)", re.escape(DETUNED_REPORT)), out)
+    assert match, out
+    assert abs(float(match["residual"])) <= 1e-17
+    want = {"qmi": 4.58229286648e-06, "classical": 2.29021544196e-06, "discord": 2.29207742453e-06}
+    for name, value in want.items():
+        assert abs(float(match[name]) - value) <= 1e-14, (name, match[name])
 
 
 def test_point_missing_parameter_is_validation_error(tmp_path, capsys):
@@ -128,7 +170,7 @@ def test_failing_measure_flags_only_its_point(measure, blocks, sweep_config, tmp
     clean, planted = tmp_path / "clean.csv", tmp_path / "planted.csv"
     assert main(["sweep", str(config), "--out", str(clean)]) == 0
     spec = sweep.sweep_spec_from_config(sweep.load_config(str(config)))
-    target = sweep.run_sweep(spec).table["v"][1]
+    target = sweep.run_sweep(spec).ness.v[1]
     real = getattr(sweep, measure)
 
     def failing(v):
@@ -445,7 +487,7 @@ def test_verify_transport_checks_solve_each_grid_once(monkeypatch):
         return solve_ness(params, baths)
 
     monkeypatch.setattr(sweep, "solve_ness", counting_solve)
-    verify._weak_grid_rows.cache_clear()
+    verify._weak_grid.cache_clear()
     checks = dict(verify.CHECKS)
     assert checks["current-conservation"]()[0]
     assert checks["epr-positivity"]()[0]

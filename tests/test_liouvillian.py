@@ -274,8 +274,8 @@ def test_zero_generator_is_fully_degenerate():
     fixed = dict(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.0, gamma2=0.0,
                  t1=0.2, t2=0.2, mu1=0.5, mu2=0.5)
     message = "stationary state is not unique: null space dimension 4"
-    row = run_sweep(SweepSpec(fixed=fixed)).rows[0]
-    assert row["flags"] == f"solver:DegenerateNullSpaceError:{message}"
+    flags = run_sweep(SweepSpec(fixed=fixed)).table["flags"]
+    assert flags == [f"solver:DegenerateNullSpaceError:{message}"]
     params = SystemParams(omega1=1.0, omega2=1.0, delta=0.0, gamma1=0.0, gamma2=0.0)
     lv = build_liouvillian(params, BathParams())
     assert not dense_generator(lv)[0].any()
@@ -378,14 +378,15 @@ def test_forced_solve_failure_is_the_same_stacked_alone_and_swept(monkeypatch, l
                           delta=axis.values())
     baths = BathParams(**{k: fixed[k] for k in ("t1", "t2", "mu1", "mu2")})
     errors = solve_ness(params, baths).errors
-    rows = run_sweep(SweepSpec(fixed=fixed, axes=(axis,))).rows
-    for i, (error, row) in enumerate(zip(errors, rows)):
+    table = run_sweep(SweepSpec(fixed=fixed, axes=(axis,))).table
+    for i, error in enumerate(errors):
         with pytest.raises(SteadyStateError) as alone:
             solve_ness(take(params, i), baths)
         assert type(error) is type(alone.value) is SteadyStateError
         assert str(error) == str(alone.value) and str(error).startswith(message)
-        assert row["flags"] == f"solver:SteadyStateError:{error}"
-        assert set(row) == {*fixed, "delta", "flags"}
+        assert table["flags"][i] == f"solver:SteadyStateError:{error}"
+        assert {k for k, column in table.items() if column[i] is not None} == {
+            *fixed, "delta", "flags"}
 
 
 def random_stack(rng, n):

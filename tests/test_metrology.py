@@ -207,12 +207,12 @@ def test_qfi_of_frozen_states_in_a_stacked_sweep():
         axes=(Axis("T", 0.02, 0.035, 3), Axis("mu", 0.1, 0.3, 3)),
         observables=("qfi",),
     )
-    rows = run_sweep(spec).rows
-    assert [row["flags"] for row in rows] == [""] * 9
-    for row in rows:
-        exact, f_n = gibbs_qfi(1.0, 1.03, 0.004, row["t1"], row["mu1"])
-        assert row["qfi_total"] == pytest.approx(exact, abs=1e-7)
-        assert row["qfi_fn"] == pytest.approx(f_n, rel=1e-9)
+    table = run_sweep(spec).table
+    assert table["flags"] == [""] * 9
+    for t, mu, qfi_total, qfi_fn in zip(*(table[k] for k in ("t1", "mu1", "qfi_total", "qfi_fn"))):
+        exact, f_n = gibbs_qfi(1.0, 1.03, 0.004, t, mu)
+        assert qfi_total == pytest.approx(exact, abs=1e-7)
+        assert qfi_fn == pytest.approx(f_n, rel=1e-9)
 
 
 def _fabricated_state(lam, d_lam, d_other=0.0):

@@ -660,12 +660,13 @@ def test_correlation_report_fields_consistent():
     # the sweep's correlation and discord cells of a chemically biased
     # junction agree with the measures computed on its state alone
     fixed = {**asdict(SystemParams()), **asdict(BathParams(t1=0.1, t2=0.1, mu1=1.2, mu2=0.5))}
-    row = run_sweep(SweepSpec(fixed=fixed, observables=("correlations", "discord"))).rows[0]
-    v = np.asarray(row["v"])
-    assert row["coherence"] == pytest.approx(coherence(v))
-    assert row["qmi"] == pytest.approx(mutual_information(v), abs=1e-12)
-    assert row["discord"] == pytest.approx(row["qmi"] - row["classical_corr"], abs=1e-12)
-    assert row["qmi"] > 0.0 and row["discord"] > 0.0
+    result = run_sweep(SweepSpec(fixed=fixed, observables=("correlations", "discord")))
+    table, v = result.table, result.ness.v[0]
+    qmi, disc = table["qmi"][0], table["discord"][0]
+    assert table["coherence"][0] == pytest.approx(coherence(v))
+    assert qmi == pytest.approx(mutual_information(v), abs=1e-12)
+    assert disc == pytest.approx(qmi - table["classical_corr"][0], abs=1e-12)
+    assert qmi > 0.0 and disc > 0.0
 
 
 def test_correlations_are_between_the_dressed_modes():

@@ -5,7 +5,7 @@ import io
 import json
 import math
 from dataclasses import fields as dataclass_fields
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -218,15 +218,13 @@ def test_columns_layout():
 
 def test_single_point_sweep_at_equilibrium():
     spec = SweepSpec(fixed=EQ_FIXED, observables=("thermo", "correlations"))
-    result = run_sweep(spec)
-    assert len(result.rows) == 1
-    row = result.rows[0]
-    assert abs(row["current_n1"]) < 1e-14
-    assert abs(row["current_e1"]) < 1e-14
-    assert abs(row["epr"]) < 1e-14
-    assert row["coherence"] < 1e-14
-    assert row["flags"] == ""
-    assert row["epr_regime_ok"] is True
+    table = run_sweep(spec).table
+    assert table["flags"] == [""]
+    assert abs(table["current_n1"][0]) < 1e-14
+    assert abs(table["current_e1"][0]) < 1e-14
+    assert abs(table["epr"][0]) < 1e-14
+    assert table["coherence"][0] < 1e-14
+    assert table["epr_regime_ok"][0] is True
 
 
 def test_sweep_all_blocks_repeat_identical():
@@ -253,10 +251,10 @@ def test_csv_round_trip_exact():
     reader = csv.DictReader(io.StringIO(payload.decode()))
     parsed = list(reader)
     assert len(parsed) == 3
-    result = run_sweep(spec)
-    for row, ref in zip(parsed, result.rows):
+    table = run_sweep(spec).table
+    for i, row in enumerate(parsed):
         for col in ("mu1", "epr", "coherence", "linear_entropy", "residual"):
-            assert float(row[col]) == ref[col]
+            assert float(row[col]) == table[col][i]
         assert row["epr_regime_ok"] == "True"
 
 
@@ -265,18 +263,17 @@ def test_jsonl_round_trip_exact():
     payload = emit(run_sweep(spec), fmt="jsonl")
     lines = payload.decode().splitlines()
     assert len(lines) == 3
-    result = run_sweep(spec)
-    for line, ref in zip(lines, result.rows):
+    table = run_sweep(spec).table
+    for i, line in enumerate(lines):
         record = json.loads(line)
-        assert record["epr"] == ref["epr"]
-        assert record["qmi"] == ref["qmi"]
+        assert record["epr"] == table["epr"][i]
+        assert record["qmi"] == table["qmi"][i]
         assert record["epr_regime_ok"] is True
 
 
 def test_emit_empty_result():
     spec = small_spec()
-    empty = SweepResult(spec=spec, columns=spec.columns(), table={c: [] for c in spec.columns()})
-    assert empty.rows == ()
+    empty = SweepResult(columns=spec.columns(), table={c: [] for c in spec.columns()})
     csv_payload = emit(empty, fmt="csv")
     assert csv_payload.decode().strip() == ",".join(spec.columns())
     assert emit(empty, fmt="jsonl") == b""
@@ -300,13 +297,25 @@ def _reference_csv(result):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(result.columns)
-    for row in result.rows:
-        writer.writerow([_reference_cell(row.get(col)) for col in result.columns])
+    n = len(result.table["flags"])
+    for i in range(n):
+        writer.writerow([_reference_cell(result.table.get(col, [None] * n)[i])
+                         for col in result.columns])
     return buf.getvalue().encode()
 
 
 _EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, 0.1, 1.0)
 _CSV_SPECIALS = st.text(alphabet=st.sampled_from(list('ab:,"\n\r ')), max_size=6)
+
+
+def _same_value(parsed, cell):
+    """Whether a value parsed from JSON is the cell: the same type and
+    value, NaN for NaN and the sign of a zero kept."""
+    if type(parsed) is not type(cell):
+        return False
+    if isinstance(cell, float):
+        return math.isnan(parsed) if math.isnan(cell) else repr(parsed) == repr(cell)
+    return parsed == cell
 
 
 @st.composite
@@ -348,8 +357,17 @@ def cell_tables(draw):
 def test_emit_csv_matches_row_writer(table, absent_column):
     # a column named but absent from the table emits empty cells
     columns = tuple(table) + (("absent",) if absent_column else ())
-    result = SweepResult(spec=small_spec(), columns=columns, table=table)
+    result = SweepResult(columns=columns, table=table)
     assert emit(result) == _reference_csv(result)
+    # each JSONL line parses back to its point's cells in column order,
+    # a missing cell as null and a non-finite float or -0.0 as itself
+    lines = emit(result, fmt="jsonl").decode().splitlines()
+    assert len(lines) == len(table["flags"])
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        assert list(record) == list(columns)
+        cells = [table[col][i] if col in table else None for col in columns]
+        assert all(map(_same_value, record.values(), cells)), (record, cells)
 
 
 @pytest.mark.parametrize(("fixed", "axes", "kinds"), [
@@ -374,13 +392,44 @@ def test_invalid_parameter_point_is_recorded():
         observables=("thermo",),
     )
     result = run_sweep(spec)
-    assert result.rows[0]["flags"].startswith("params:")
-    assert "epr" not in result.rows[0]
-    assert result.rows[1]["flags"] == ""
-    assert result.rows[1]["epr"] >= 0.0
+    assert result.table["flags"][0].startswith("params:")
+    assert result.table["epr"][0] is None
+    assert result.table["flags"][1] == ""
+    assert result.table["epr"][1] >= 0.0
     # the failed row serializes with empty cells, not a crash
     payload = emit(result).decode().splitlines()
     assert payload[1].split(",")[spec.columns().index("epr")] == ""
+
+
+def _bits(stack):
+    """A stacked dataclass as its arrays' bytes, nested dataclasses as
+    dicts and the per-point errors as a list."""
+    out = {}
+    for f in dataclass_fields(stack):
+        value = getattr(stack, f.name)
+        if is_dataclass(value):
+            out[f.name] = _bits(value)
+        else:
+            value = np.asarray(value)
+            out[f.name] = value.tolist() if value.dtype == object else value.tobytes()
+    return out
+
+
+def test_result_holds_the_stack_it_solved():
+    # gamma1 crosses zero: the first point's parameters are invalid, and
+    # the stack holds the other two, solved to the bits of solve_ness on
+    # their parameters
+    spec = SweepSpec(fixed=fixed_without("gamma1"), axes=(Axis("gamma1", -0.001, 0.003, 3),))
+    result = run_sweep(spec)
+    assert tuple(result.table) == result.columns
+    assert [flags.split(":")[0] for flags in result.table["flags"]] == ["params", "", ""]
+    params, baths = (cls(**{f.name: np.array(result.table[f.name][1:])
+                            for f in dataclass_fields(cls)})
+                     for cls in (SystemParams, BathParams))
+    assert _bits(result.ness) == _bits(solve_ness(params, baths))
+    # no point with valid parameters: nothing is solved
+    invalid = SweepSpec(fixed=fixed_without("gamma1"), axes=(Axis("gamma1", -0.003, -0.001, 3),))
+    assert run_sweep(invalid).ness is None
 
 
 @pytest.mark.parametrize(("name", "value"), [("delta", math.nan), ("mu1", math.inf)])
@@ -392,9 +441,9 @@ def test_non_finite_parameter_is_flagged_per_point(name, value):
         axes=(Axis("t2", 0.1, 0.3, 2),),
         observables=("thermo",),
     )
-    rows = run_sweep(spec).rows
-    assert [row["flags"] for row in rows] == [f"params:{name} must be finite"] * 2
-    assert all("epr" not in row for row in rows)
+    result = run_sweep(spec)
+    assert result.table["flags"] == [f"params:{name} must be finite"] * 2
+    assert result.table["epr"] == [None] * 2
 
 
 def test_solver_failure_is_recorded(monkeypatch):
@@ -413,12 +462,12 @@ def test_solver_failure_is_recorded(monkeypatch):
 
     monkeypatch.setattr("fermijunction.sweep.solve_ness", failing)
     # every observable block reads the failed stack
-    result = run_sweep(small_spec(observables=sweep.OBSERVABLE_BLOCKS))
+    table = run_sweep(small_spec(observables=sweep.OBSERVABLE_BLOCKS)).table
     # one call for the 3-point grid
     assert sizes == [(3,)]
-    for row in result.rows:
-        assert row["flags"].startswith("solver:SteadyStateError")
-        assert "residual" not in row
+    for flags, residual in zip(table["flags"], table["residual"], strict=True):
+        assert flags.startswith("solver:SteadyStateError")
+        assert residual is None
 
 
 def test_config_round_trip(tmp_path):
@@ -446,8 +495,8 @@ def test_config_round_trip(tmp_path):
     assert spec.axes[0].name == "dmu"
     assert spec.observables == ("thermo",)
     result = run_sweep(spec)
-    assert len(result.rows) == 4
-    assert result.rows[0]["mu1"] == 0.5
+    assert len(result.table["flags"]) == 4
+    assert result.table["mu1"][0] == 0.5
 
 
 def test_config_rejects_unknown_structure(tmp_path):
@@ -496,30 +545,36 @@ _POPULATION_CELLS = ("current_n1", "current_n2", "current_e1", "current_e2", "ep
 _QFI_CELLS = ("qfi_total", "qfi_fe", "qfi_fn")
 
 
-def _alone(row):
-    """The same parameter point as a one-point sweep over every block."""
-    return run_sweep(SweepSpec(fixed={k: row[k] for k in EQ_FIXED})).rows[0]
+def _filled(table, i):
+    """The columns that hold a value at point i, with its repr."""
+    return {k: repr(column[i]) for k, column in table.items() if column[i] is not None}
 
 
-def _exact(cells):
-    """Cells as bytes: repr of each value, the buffer of each array."""
-    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in cells.items()}
-
-
-def _assert_matches_alone(row):
-    alone = _alone(row)
-    assert row["flags"] == alone["flags"]
-    assert set(row) == set(alone) | {ax for ax in ("dmu", "dT") if ax in row}
-    # besides the emitted columns a row holds only its steady state
-    assert set(alone) - set(SweepSpec(fixed=EQ_FIXED).columns()) <= {"v"}
-    if row["flags"]:
-        # a flagged row is the row its one-point sweep writes, cell for cell
-        assert _exact({k: row[k] for k in alone}) == _exact(alone)
+def _assert_matches_alone(result, i):
+    """Point i of a sweep against the same parameter point as a one-point
+    sweep over every block."""
+    table = result.table
+    alone = run_sweep(SweepSpec(fixed={k: table[k][i] for k in EQ_FIXED}))
+    assert table["flags"][i] == alone.table["flags"][0]
+    filled, filled_alone = _filled(table, i), _filled(alone.table, 0)
+    assert set(filled) == set(filled_alone) | {ax for ax in ("dmu", "dT") if ax in table}
+    # the table holds the emitted columns only
+    assert tuple(alone.table) == alone.columns
+    # the solved stack holds the points with valid parameters, in grid
+    # order, and a point whose solve failed has no residual
+    valid = [j for j, flags in enumerate(table["flags"]) if not flags.startswith("params:")]
+    v = None if table["residual"][i] is None else result.ness.v[valid.index(i)]
+    if table["flags"][i]:
+        # a flagged row is the row its one-point sweep writes, cell for
+        # cell, from the same state where it was solved
+        assert {k: filled[k] for k in filled_alone} == filled_alone
+        assert v is None or v.tobytes() == alone.ness.v[0].tobytes()
         return
-    for got, want in zip(row["v"][:4], alone["v"][:4]):
+    for got, want in zip(v[:4], alone.ness.v[0][:4]):
         assert abs(got - want) <= 1e-12 * abs(want)
     for col in _POPULATION_CELLS + _QFI_CELLS:
-        assert abs(row[col] - alone[col]) <= 1e-12 * max(abs(row[col]), abs(alone[col])), col
+        got, want = table[col][i], alone.table[col][0]
+        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), col
 
 
 @st.composite
@@ -548,10 +603,10 @@ def biased_grids(draw):
 @given(biased_grids())
 def test_grid_row_equals_the_point_alone(spec):
     # populations, currents, correlations and the QFI within 1e-12 relative
-    rows = run_sweep(spec).rows
-    assert len(rows) == 6 and all(r["flags"] == "" for r in rows)
-    for row in rows:
-        _assert_matches_alone(row)
+    result = run_sweep(spec)
+    assert result.table["flags"] == [""] * 6
+    for i in range(6):
+        _assert_matches_alone(result, i)
 
 
 def test_cold_grid_is_solved_once(monkeypatch):
@@ -567,12 +622,12 @@ def test_cold_grid_is_solved_once(monkeypatch):
     fixed = {"omega1": 1.0, "omega2": 1.0, "gamma1": 0.01159, "gamma2": 0.01729,
              "t2": 0.0129, "mu1": 0.0653, "mu2": 0.7232}
     axes = (Axis("delta", 0.05, 0.12, 20), Axis("t1", 0.02, 0.08, 20))
-    rows = run_sweep(SweepSpec(fixed=fixed, axes=axes)).rows
+    result = run_sweep(SweepSpec(fixed=fixed, axes=axes))
     assert calls == [(400,)]
-    kinds = {row["flags"].split(":")[0] for row in rows}
-    assert kinds == {row["flags"].split(":")[0] for row in rows[::17]} == {"", "qfi", "solver"}
-    for row in rows[::17]:
-        _assert_matches_alone(row)
+    kinds = [flags.split(":")[0] for flags in result.table["flags"]]
+    assert set(kinds) == set(kinds[::17]) == {"", "qfi", "solver"}
+    for i in range(0, 400, 17):
+        _assert_matches_alone(result, i)
 
 
 def test_qfi_sweep_takes_fermi_factors_and_bath_pieces_once(monkeypatch):
@@ -595,8 +650,8 @@ def test_qfi_sweep_takes_fermi_factors_and_bath_pieces_once(monkeypatch):
     fixed = {"omega1": 1.0, "omega2": 1.03, "gamma1": 0.001, "gamma2": 0.003,
              "t1": 0.2, "t2": 0.5, "mu2": 0.5}
     axes = (Axis("delta", 0.01, 0.05, 5), Axis("dmu", -0.5, 0.5, 5))
-    rows = run_sweep(SweepSpec(fixed=fixed, axes=axes, observables=("qfi",))).rows
-    assert all(row["flags"] == "" for row in rows)
+    table = run_sweep(SweepSpec(fixed=fixed, axes=axes, observables=("qfi",))).table
+    assert table["flags"] == [""] * 25
     assert calls["fermi_occupation"] == 1
     assert calls["_sources"] <= 2
 
@@ -623,8 +678,9 @@ def test_sweep_of_every_block_forms_each_stacked_quantity_once(monkeypatch):
     fixed = {"omega1": 1.0, "omega2": 1.03, "gamma1": 0.001, "gamma2": 0.003,
              "t1": 0.2, "t2": 0.5, "mu2": 0.5}
     axes = (Axis("delta", 0.01, 0.05, 5), Axis("dmu", -0.5, 0.5, 5))
-    rows = run_sweep(SweepSpec(fixed=fixed, axes=axes)).rows
-    assert all(row["flags"] == "" and "discord" in row and "epr" in row for row in rows)
+    table = run_sweep(SweepSpec(fixed=fixed, axes=axes)).table
+    assert table["flags"] == [""] * 25
+    assert None not in table["discord"] and None not in table["epr"]
     assert calls["broadcast_shapes"] == calls["full"] == calls["flatnonzero"] == 0
     assert calls["_sources"] <= 2
 
@@ -683,11 +739,12 @@ def test_flags_are_the_errors_of_each_failed_stage():
     ids=["couplings", "delta-through-zero", "rank-change"],
 )
 def test_mixed_failure_grid_flags_each_point_as_alone(fixed, axes, expected):
-    rows = run_sweep(SweepSpec(fixed=fixed, axes=axes)).rows
+    result = run_sweep(SweepSpec(fixed=fixed, axes=axes))
+    table = result.table
     for i, want in expected.items():
-        assert rows[i]["flags"].startswith(want) and bool(rows[i]["flags"]) == bool(want)
-    for row in rows:
-        _assert_matches_alone(row)
-        if row["flags"]:
-            assert "qfi_total" not in row
-            assert ("residual" in row) == row["flags"].startswith("qfi:")
+        assert table["flags"][i].startswith(want) and bool(table["flags"][i]) == bool(want)
+    for i, flags in enumerate(table["flags"]):
+        _assert_matches_alone(result, i)
+        if flags:
+            assert table["qfi_total"][i] is None
+            assert (table["residual"][i] is not None) == flags.startswith("qfi:")
