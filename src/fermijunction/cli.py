@@ -85,6 +85,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     cfg = sweep_spec_from_config(load_config(args.config))
+    if cfg.axes:
+        raise ConfigError(f"point takes no axes; the config sweeps {[a.name for a in cfg.axes]}")
     result = run_sweep(SweepSpec(fixed=cfg.fixed))
     row = {name: column[0] for name, column in result.table.items()}
     flags = row["flags"]

@@ -129,11 +129,7 @@ def _level_energies(basis: EigenBasis) -> np.ndarray:
 
 
 class SteadyStateError(RuntimeError):
-    """Steady-state solve failed; carries the achieved residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Steady-state solve failed; the message names the check the state missed."""
 
 
 class DegenerateNullSpaceError(SteadyStateError):
@@ -321,10 +317,7 @@ def _failure(w1, w2, split, residual, min_eig) -> SteadyStateError:
         uncoupled = int(w1 == 0) + int(w2 == 0)
         return DegenerateNullSpaceError(uncoupled + 2 * int(uncoupled == 2 and split == 0))
     if not residual < _RESIDUAL_TOL:
-        return SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
-            residual=float(residual),
-        )
+        return SteadyStateError(f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     return SteadyStateError(
         f"steady state not positive semidefinite: min eigenvalue {min_eig:.3e}"
     )

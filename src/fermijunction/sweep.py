@@ -14,14 +14,14 @@ row-major order (first axis outer).  The valid points of the grid are
 evaluated as one stack: each layer (solve, currents, correlations,
 discord, QFI) is one call on arrays with a leading grid axis, and the
 result is the table of emitted columns plus the solved stack it came
-from.  The solve and the QFI return the typed error of each point that
-fails them, a correlation measure that raises on the stack is taken
-point by point, and the error of the stage that failed becomes the
-point's ``flags`` cell, as does the message of invalid parameters.  So
-a flagged row is the row that its one-point sweep writes.  Output is deterministic
-byte-for-byte.  The layers after the solve read only the solved state,
-which carries its parameters and mode basis, and the measures take its
-charge-neutral sector ``v``.
+from.  Each stage gives the typed error of each point it fails: the
+solve and the QFI on the stack, invalid parameters and a correlation
+measure that raises on the stack by taking each point alone.  A failed
+point's ``flags`` cell is the error of its first failed stage, so a
+flagged row is the row that its one-point sweep writes.  Output is
+deterministic byte-for-byte.  The layers after the solve read only the
+solved state, which carries its parameters and mode basis, and the
+measures take its charge-neutral sector ``v``.
 """
 from __future__ import annotations
 
@@ -234,52 +234,56 @@ def _measures(spec: SweepSpec, v) -> dict[str, Any]:
     return cells
 
 
+def _each_alone(fn, points) -> tuple[list, np.ndarray]:
+    """``fn`` of each point alone: the results, None where it raised
+    ValueError, and an object array of those errors, None elsewhere."""
+    results, errors = [], np.empty(len(points), dtype=object)
+    for i, point in enumerate(points):
+        try:
+            results.append(fn(point))
+        except ValueError as err:
+            results.append(None)
+            errors[i] = err
+    return results, errors
+
+
 def _observe(spec: SweepSpec, ness) -> dict[str, list]:
-    """The cells of a stack of solved points.  A point whose solve failed
-    keeps none of them, a point whose QFI failed keeps all but the QFI
-    cells, one whose measures raise ValueError (a stacked measure raised
-    it, and the point alone again) all but the correlations and discord
-    cells, and the typed error of the stage that failed becomes the
-    point's ``flags`` cell: ``solver:``, ``qfi:`` or ``measure:``, then
-    ``<error type>:<message>``.  A point that fails the solve or the QFI
-    gets NaN values from it, so only the errors of points with NaN
-    residual or QFI are read."""
+    """The cells of a stack of solved points.  Each stage hands the flag
+    pass its typed errors (None where a point passed) and the columns its
+    failure empties: every column for the solve, the QFI cells for the
+    QFI and none for the measures, whose failed points (a stacked measure
+    raised ValueError, and the point alone) already have no correlations
+    or discord cells.  A failed point is flagged by its first failed
+    stage, of solver, qfi and measure: ``<stage>:<error type>:<message>``."""
     cells: dict[str, Any] = {"residual": ness.residual}
+    # a failed solve keeps no cell: cells holds every column by the flag pass
+    stages = [("solver", ness.errors, cells)]
     if "thermo" in spec.observables:
         r = transport_report(ness)
         cells.update(_block("thermo", r.i1, r.i2, r.j1, r.j2, r.epr, r.epr_regime_ok))
-    v = ness.v
-    stages = [("solver", ness.residual, ness.errors)]
-    try:
-        cells.update(_measures(spec, v))
-    except ValueError:
-        # each point alone, so that only the points that raise fail
-        alone, errors = [], np.empty(len(v), dtype=object)
-        for i, point in enumerate(v):
-            try:
-                alone.append(_measures(spec, point))
-            except ValueError as err:
-                alone.append({})
-                errors[i] = err
-        cells.update({k: [a.get(k) for a in alone] for k in dict.fromkeys(chain(*alone))})
-        stages.insert(0, ("measure", None, errors))
     if "qfi" in spec.observables:
         q = qfi_spectral(ness)
         # the derivative is exact: no step
-        cells.update(_block("qfi", q.f_total, q.f_e, q.f_n, [0.0] * len(v)))
-        # flagged before the solver, so that a point's solver error is the one that stands
-        stages.insert(-1, ("qfi", q.f_total, q.errors))
-    cells = _columns(cells)
-    lost = {"qfi": _BLOCK_COLUMNS["qfi"], "solver": tuple(cells), "measure": ()}
-    flags = [""] * len(v)
-    for stage, values, errors in stages:
-        for i in range(len(v)) if values is None else np.isnan(values).nonzero()[0]:
-            if errors[i] is not None:
+        cells.update(_block("qfi", q.f_total, q.f_e, q.f_n, [0.0] * len(ness.v)))
+        stages.append(("qfi", q.errors, _BLOCK_COLUMNS["qfi"]))
+    try:
+        cells.update(_measures(spec, ness.v))
+    except ValueError:
+        # each point alone, so that only the points that raise fail
+        alone, errors = _each_alone(lambda point: _measures(spec, point), ness.v)
+        names = dict.fromkeys(chain(*filter(None, alone)))
+        cells.update({k: [a and a[k] for a in alone] for k in names})
+        stages.append(("measure", errors, ()))
+    table = _columns(cells)
+    flags = [""] * len(ness.v)
+    for stage, errors, lost in stages:
+        for i in errors.nonzero()[0]:
+            if not flags[i]:
                 flags[i] = f"{stage}:{type(errors[i]).__name__}:{errors[i]}"
-                for name in lost[stage]:
-                    cells[name][i] = None
-    cells["flags"] = flags
-    return cells
+                for name in lost:
+                    table[name][i] = None
+    table["flags"] = flags
+    return table
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -296,17 +300,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # a fixed parameter's cells repeat its float
         table[k] = row.tolist() if isinstance(value, np.ndarray) else [float(value)] * n
     values = dict(zip(BASE_PARAMS, grid))
-    table["flags"] = [""] * n
     stacked = range(n)  # the grid points held in the stack
     try:
         params, baths = _stack_params(values)
     except ValueError:
-        for i in range(n):
-            try:
-                _stack_params({k: v[i] for k, v in values.items()})
-            except ValueError as err:
-                table["flags"][i] = f"params:{err}"
-        stacked = [i for i, flag in enumerate(table["flags"]) if not flag]
+        _, errors = _each_alone(_stack_params, [dict(zip(BASE_PARAMS, p)) for p in grid.T])
+        table["flags"] = [f"params:{err}" if err else "" for err in errors]
+        stacked = [i for i, err in enumerate(errors) if err is None]
         params, baths = _stack_params({k: v[stacked] for k, v in values.items()})
     ness = solve_ness(params, baths) if stacked else None
     if len(stacked) == n:
@@ -451,8 +451,11 @@ def sweep_spec_from_config(cfg: dict) -> SweepSpec:
     unknown = set(sweep_cfg) - _SWEEP_KEYS
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in sweep")
+    axes_cfg = sweep_cfg.get("axes")
+    if not isinstance(axes_cfg, (list, tuple, type(None))):
+        raise ConfigError("sweep.axes must be a list")
     axes = []
-    for i, ax_cfg in enumerate(sweep_cfg.get("axes", []) or []):
+    for i, ax_cfg in enumerate(axes_cfg or ()):
         where = f"sweep.axes[{i}]"
         ax = _require_mapping(ax_cfg, where)
         extra = set(ax) - {"name", "start", "stop", "count", "scale"}

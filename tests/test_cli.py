@@ -112,6 +112,10 @@ def test_point_missing_parameter_is_validation_error(tmp_path, capsys):
     path.write_text("system:\n  delta: 0.005\n")
     assert main(["point", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+    # a sweep config fixes none of its swept parameters: the error names its axes
+    assert main(["point", str(CONFIGS / "qfi_vs_epr.yaml")]) == 1
+    assert capsys.readouterr().err == (
+        "error: point takes no axes; the config sweeps ['dmu', 'delta']\n")
 
 
 def test_missing_file_is_validation_error(capsys):
@@ -342,8 +346,12 @@ def test_sweep_rejects_bad_axis_field(field, value, message, sweep_config, capsy
         ("count: 3\n", "count: 3\n      step: 1\n", "unknown keys ['step'] in sweep.axes[0]"),
         ("observables: [thermo, correlations]", "observables: qfi",
          "sweep.observables must be a list"),
+        *(("axes:\n    - name: dmu\n      start: 0.0\n      stop: 0.6\n      count: 3\n",
+           f"axes: {axes}\n", "sweep.axes must be a list")
+          for axes in ("5", "true", "{name: dmu}", "dmu")),
     ],
-    ids=["nan-delta", "inf-mu2", "int-overflow", "system-list", "axis-step", "observables-str"],
+    ids=["nan-delta", "inf-mu2", "int-overflow", "system-list", "axis-step", "observables-str",
+         "axes-int", "axes-bool", "axes-mapping", "axes-str"],
 )
 def test_non_finite_number_is_validation_error(command, old, new, message, sweep_config, capsys):
     # a non-finite number never reaches the solver: no SVD failure, no

@@ -455,7 +455,7 @@ def test_solver_failure_is_recorded(monkeypatch):
         shape = np.shape(params.delta)
         sizes.append(shape)
         ness = solve_ness(params, baths)
-        error = SteadyStateError("fabricated breakdown", residual=1.0)
+        error = SteadyStateError("fabricated breakdown")
         return replace(ness, v=np.full_like(ness.v, np.nan),
                        residual=np.full_like(ness.residual, np.nan),
                        errors=np.full(shape, error, dtype=object))
@@ -686,10 +686,9 @@ def test_sweep_of_every_block_forms_each_stacked_quantity_once(monkeypatch):
 
 
 def test_flags_are_the_errors_of_each_failed_stage():
-    # the sweep reads the errors of the points whose residual or QFI is
-    # NaN only: on CI's cold, strongly biased grid its flags are those of
-    # every point's solver and QFI errors, the solver's standing, and
-    # flag the same 138 and 71 points as when every error was read
+    # each stage hands the flag pass its typed errors: on CI's cold,
+    # strongly biased grid the flags are those of every point's solver
+    # and QFI errors, the solver's standing, on 138 and 71 points
     fixed = {"omega1": 1.0, "omega2": 1.0, "gamma1": 0.01159, "gamma2": 0.01729,
              "t2": 0.0129, "mu1": 0.0653, "mu2": 0.7232}
     spec = SweepSpec(fixed=fixed, axes=(Axis("delta", 0.05, 0.12, 20), Axis("t1", 0.02, 0.08, 20)))
@@ -704,6 +703,33 @@ def test_flags_are_the_errors_of_each_failed_stage():
     assert run_sweep(spec).table["flags"] == want
     kinds = [flag.split(":")[0] for flag in want]
     assert (kinds.count("solver"), kinds.count("qfi")) == (138, 71)
+
+
+def test_qfi_flag_stands_over_a_measure_failure_on_its_point(monkeypatch):
+    # CI's rank-change stack with every block: the QFI at t1 = 0.0529
+    # raises RankChangeError, and a measure planted to fail there too
+    # leaves that flag standing; the t1 = 0.06 row is the clean sweep's
+    fixed = {"omega1": 1.0, "omega2": 1.0, "delta": 0.0983, "gamma1": 0.01159,
+             "gamma2": 0.01729, "t2": 0.0129, "mu1": 0.0653, "mu2": 0.7232}
+    spec = SweepSpec(fixed=fixed, axes=(Axis("t1", 0.0529, 0.06, 2),))
+    clean = run_sweep(spec)
+    assert clean.table["flags"][0].startswith("qfi:RankChangeError:")
+    target, real, planted = clean.ness.v[0], sweep.concurrence, []
+
+    def failing(v):
+        if (np.asarray(v) == target).all(axis=-1).any():
+            planted.append(v)
+            raise ValueError("planted: not a state")
+        return real(v)
+
+    monkeypatch.setattr(sweep, "concurrence", failing)
+    result = run_sweep(spec)
+    assert planted
+    assert result.table["flags"] == clean.table["flags"]
+    lost = {*sweep._BLOCK_COLUMNS["qfi"], *sweep._BLOCK_COLUMNS["correlations"],
+            *sweep._BLOCK_COLUMNS["discord"]}
+    assert {name for name, column in result.table.items() if column[0] is None} == lost
+    assert emit(result).splitlines()[2] == emit(clean).splitlines()[2]
 
 
 @pytest.mark.parametrize(
